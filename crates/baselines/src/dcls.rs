@@ -9,7 +9,7 @@
 use paradet_isa::{ArchState, Program};
 use paradet_mem::{MemConfig, MemHier, Time};
 use paradet_ooo::{
-    ArmedFault, CommitEvent, CommitGate, CoreError, DetectionSink, MemEffect, OooConfig, OooCore,
+    ArmedFault, CommitEvent, CommitGate, DetectionSink, MemEffect, OooConfig, OooCore,
 };
 
 /// A detected lockstep mismatch.
@@ -106,30 +106,9 @@ impl DclsSystem {
     pub fn run(&mut self, max_instrs: u64) -> DclsReport {
         let mut rec_a = StreamRecorder::default();
         let mut rec_b = StreamRecorder::default();
-        let mut crashed = false;
-        let mut n = 0;
-        while n < max_instrs {
-            match self.primary.step(&mut self.hier_a, &mut rec_a) {
-                Ok(o) => {
-                    n += 1;
-                    if o.halted {
-                        break;
-                    }
-                }
-                Err(CoreError::Halted) => break,
-                Err(CoreError::Crashed(_)) => {
-                    crashed = true;
-                    break;
-                }
-            }
-        }
-        let mut m = 0;
-        while m < n {
-            match self.secondary.step(&mut self.hier_b, &mut rec_b) {
-                Ok(_) => m += 1,
-                Err(_) => break,
-            }
-        }
+        let n = self.primary.run(&mut self.hier_a, &mut rec_a, max_instrs);
+        let crashed = self.primary.crashed().is_some();
+        self.secondary.run(&mut self.hier_b, &mut rec_b, n);
         // The comparator: first differing store (sequence, address or value).
         let mismatch = rec_a
             .stores

@@ -10,7 +10,7 @@
 use paradet_core::{run_unchecked, SystemConfig};
 use paradet_isa::Program;
 use paradet_mem::{MemConfig, MemHier, Time};
-use paradet_ooo::{CoreError, NullSink, OooConfig, OooCore};
+use paradet_ooo::{NullSink, OooConfig, OooCore};
 
 /// Result of an RMT run.
 #[derive(Debug, Clone, Copy)]
@@ -31,19 +31,7 @@ pub fn run_rmt(cfg: OooConfig, program: &Program, max_instrs: u64) -> RmtReport 
     let mut hier = MemHier::new(&MemConfig::paper_default(cfg.clock, cfg.clock), 0);
     hier.data.load_image(program);
     let mut core = OooCore::new(cfg, program);
-    let mut n = 0;
-    while n < max_instrs {
-        match core.step(&mut hier, &mut NullSink) {
-            Ok(o) => {
-                n += 1;
-                if o.halted {
-                    break;
-                }
-            }
-            Err(CoreError::Halted) => break,
-            Err(CoreError::Crashed(_)) => break,
-        }
-    }
+    core.run(&mut hier, &mut NullSink, max_instrs);
     RmtReport {
         instrs: core.stats.committed_instrs,
         cycles: core.stats.last_commit_cycle,

@@ -19,7 +19,7 @@ fn bench_golden_model(c: &mut Criterion) {
             let mut st = ArchState::at_entry(&program);
             let mut mem = FlatMemory::new();
             mem.load_image(&program);
-            st.run(&program, &mut mem, &mut NoNondet, 50_000).unwrap()
+            st.run_blocks(&program, &mut mem, &mut NoNondet, 50_000).unwrap()
         })
     });
     g.finish();

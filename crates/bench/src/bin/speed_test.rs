@@ -25,7 +25,7 @@
 
 /// The one schema tag this binary emits and checks drift against — a
 /// single const so `render_json` and `--check` can never disagree.
-const SCHEMA: &str = "paradet-bench-speed/v5";
+const SCHEMA: &str = "paradet-bench-speed/v6";
 
 use paradet_bench::experiments as ex;
 use paradet_bench::runner::{instr_budget, out_dir, Runner};
@@ -46,25 +46,6 @@ struct WorkloadSpeed {
     /// in single jumps (see `RunReport::cycles_skipped_pct`) — a simulated
     /// quantity, so it rides the deterministic result rows.
     cycles_skipped_pct: f64,
-}
-
-/// The block-execution metric: per-workload single-run throughput with
-/// pre-decoded basic-block execution on (the default, already measured by
-/// the main per-workload section) vs. forced off (the legacy
-/// per-instruction reference), plus the block structure the program
-/// discovered at build.
-struct BlockExecSpeed {
-    workload: &'static str,
-    /// Basic blocks discovered once at `Program::from_parts`.
-    blocks: u64,
-    /// Mean micro-ops per discovered block.
-    mean_uops_per_block: f64,
-    /// Minstr/s with `with_block_exec(true)` (== the workload section row).
-    on_minstr_per_s: f64,
-    /// Minstr/s with `with_block_exec(false)` (legacy per-instruction).
-    off_minstr_per_s: f64,
-    /// on / off — the win the pre-decoded stream buys on this host.
-    speedup: f64,
 }
 
 /// The farm-scaling metric: one 12-checker run (the fig13 "12c@1GHz"
@@ -181,7 +162,6 @@ fn main() {
     // faults, so the reported number is the machine's steady-state speed
     // rather than start-up noise (which a 30% CI gate would trip over).
     let mut speeds = Vec::new();
-    let mut block_speeds = Vec::new();
     for w in Workload::all() {
         let program = std::sync::Arc::new(w.build(w.iters_for_instrs(instrs)));
         let mut best: Option<(std::time::Duration, paradet_core::RunReport)> = None;
@@ -215,47 +195,6 @@ fn main() {
             mean_delay_ns: r.delays.mean_ns(),
             cycles_skipped_pct: r.cycles_skipped_pct(),
         });
-        // Legacy per-instruction leg for the block_exec section: the same
-        // program, the same best-of-three protocol, with the pre-decoded
-        // stream forced off on both the main core and the checkers. The
-        // default leg above IS the block-on leg, so only the off leg costs
-        // extra wall time here.
-        let off_cfg = cfg.with_block_exec(false);
-        let mut off_best: Option<(std::time::Duration, paradet_core::RunReport)> = None;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let mut sys = paradet_core::PairedSystem::new_shared(off_cfg, &program);
-            let r = sys.run(instrs);
-            let dt = t0.elapsed();
-            if off_best.as_ref().is_none_or(|(b, _)| dt < *b) {
-                off_best = Some((dt, r));
-            }
-        }
-        let (off_dt, off_r) = off_best.expect("three reps ran");
-        // Bit identity between the legs is proven exhaustively by
-        // tests/block_exec_identity.rs; the cheap in-binary guard keeps a
-        // perf run from ever reporting a speedup over a different result.
-        assert_eq!(
-            (r.instrs, r.detector.seals),
-            (off_r.instrs, off_r.detector.seals),
-            "block exec changed simulated results on {}",
-            w.name()
-        );
-        let off_minstr_per_s = off_r.instrs as f64 / off_dt.as_secs_f64() / 1e6;
-        block_speeds.push(BlockExecSpeed {
-            workload: w.name(),
-            blocks: program.blocks().len() as u64,
-            mean_uops_per_block: program.mean_uops_per_block(),
-            on_minstr_per_s: minstr_per_s,
-            off_minstr_per_s,
-            speedup: minstr_per_s / off_minstr_per_s,
-        });
-    }
-    for b in &block_speeds {
-        println!(
-            "block exec: {:14} {:>4} blocks, {:>5.2} uops/block: {:.2} Minstr/s on vs {:.2} off ({:.2}x)",
-            b.workload, b.blocks, b.mean_uops_per_block, b.on_minstr_per_s, b.off_minstr_per_s, b.speedup
-        );
     }
 
     // --- Farm scaling within ONE run (the decoupled checker farm) --------
@@ -498,7 +437,6 @@ fn main() {
             instrs,
             threads,
             &speeds,
-            &block_speeds,
             &farm,
             &sweep,
             &domain_fold,
@@ -586,25 +524,25 @@ fn main() {
 /// prove the pipeline (checker farm and domain folds included) is
 /// thread-count invariant.
 ///
-/// Schema v4 adds the `block_exec` section — per-workload Minstr/s with the
-/// pre-decoded basic-block stream on vs. forced off, with the discovered
-/// block structure (`blocks`, `mean_uops_per_block`) as deterministic
-/// result rows — and an `informational` flag on the host-parallel sections
+/// Schema v4 adds an `informational` flag on the host-parallel sections
 /// (`farm`, `domain_fold`), true when `available_parallelism() == 1` so a
-/// single-CPU host's ≈1.0x ratios are never gated on. `--check` against a
-/// v3 baseline still works: only metrics present on both sides gate.
+/// single-CPU host's ≈1.0x ratios are never gated on. `--check` against an
+/// older baseline still works: only metrics present on both sides gate.
 ///
 /// Schema v5 adds the `sched_policy` section — one workload on the striped
 /// mixed-speed checker farm, once per scheduling policy, with the
 /// per-policy detection results (`seals`, `mean_delay_ns`,
 /// `log_full_retries`) as deterministic result rows and the policy loop's
 /// wall time on its own filter-matched line.
+///
+/// Schema v6 drops v4's per-workload block-execution on/off section: the
+/// core, checker and oracle each have one execution path, so there is no
+/// second leg to compare.
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     instrs: u64,
     threads: usize,
     speeds: &[WorkloadSpeed],
-    block_speeds: &[BlockExecSpeed],
     farm: &FarmSpeed,
     sweep: &ClockSweepSpeed,
     domain_fold: &DomainFoldSpeed,
@@ -626,18 +564,6 @@ fn render_json(
         s.push_str(&format!(
             "    {{ \"name\": \"{}\", \"minstr_per_s\": {:.4},\n      \"result\": {{ \"instrs\": {}, \"seals\": {}, \"mean_delay_ns\": {:.6}, \"cycles_skipped_pct\": {:.4} }} }}{comma}\n",
             w.name, w.minstr_per_s, w.instrs, w.seals, w.mean_delay_ns, w.cycles_skipped_pct
-        ));
-    }
-    s.push_str("  ],\n");
-    // block_exec: host-perf throughputs (on/off/speedup) ride the first
-    // line so the CI thread-invariance filter drops them; the discovered
-    // block structure is a deterministic result row and survives the diff.
-    s.push_str("  \"block_exec\": [\n");
-    for (i, b) in block_speeds.iter().enumerate() {
-        let comma = if i + 1 < block_speeds.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{ \"workload\": \"{}\", \"on_minstr_per_s\": {:.4}, \"off_minstr_per_s\": {:.4}, \"speedup\": {:.3},\n      \"result\": {{ \"blocks\": {}, \"mean_uops_per_block\": {:.4} }} }}{comma}\n",
-            b.workload, b.on_minstr_per_s, b.off_minstr_per_s, b.speedup, b.blocks, b.mean_uops_per_block
         ));
     }
     s.push_str("  ],\n");

@@ -56,9 +56,11 @@ pub fn fig08_delay_density(r: &Runner) -> Table {
 /// that run's secondary-domain folds, bit-identical to a dedicated run at
 /// that clock whenever the domain reports zero stall divergences (diverged
 /// domains fall back to a dedicated run).
-/// [`fig11_freq_delay_per_run`] is the legacy N-runs reference.
 pub fn fig11_freq_delay(r: &Runner) -> (Table, Table) {
-    let (mut mean_t, mut max_t) = fig11_tables();
+    let mut mean_t =
+        super::slowdown::clock_table("Fig. 11a: mean store-check delay (ns) vs checker clock");
+    let mut max_t =
+        super::slowdown::clock_table("Fig. 11b: max store-check delay (us) vs checker clock");
     let cells = par_grid(&Workload::all(), &[()], |w, ()| {
         let rep = r.clock_sweep(w, &CLOCK_SWEEP);
         rep.domains
@@ -87,36 +89,6 @@ pub fn fig11_freq_delay(r: &Runner) -> (Table, Table) {
     let _ = mean_t.write_csv(&out_dir().join("fig11a_mean_delay.csv"));
     let _ = max_t.write_csv(&out_dir().join("fig11b_max_delay.csv"));
     (mean_t, max_t)
-}
-
-/// Fig. 11 on the legacy path: one dedicated simulation per clock. Kept as
-/// the bit-identity reference for [`fig11_freq_delay`] (no CSV output).
-pub fn fig11_freq_delay_per_run(r: &Runner) -> (Table, Table) {
-    let (mut mean_t, mut max_t) = fig11_tables();
-    let cells = par_grid(&Workload::all(), &CLOCK_SWEEP, |w, &mhz| {
-        let cfg = SystemConfig::paper_default().with_checker_mhz(mhz);
-        let rep = r.run(&cfg, w);
-        (rep.store_delays.mean_ns(), rep.store_delays.max_ns())
-    });
-    for (w, row) in Workload::all().iter().zip(&cells) {
-        let mut mean_row = vec![w.name().to_string()];
-        let mut max_row = vec![w.name().to_string()];
-        for &(mean, max) in row {
-            mean_row.push(format!("{mean:.0}"));
-            max_row.push(format!("{:.1}", max / 1000.0));
-        }
-        mean_t.row(&mean_row);
-        max_t.row(&max_row);
-    }
-    (mean_t, max_t)
-}
-
-/// The empty Fig. 11a/11b tables.
-fn fig11_tables() -> (Table, Table) {
-    (
-        super::slowdown::clock_table("Fig. 11a: mean store-check delay (ns) vs checker clock"),
-        super::slowdown::clock_table("Fig. 11b: max store-check delay (us) vs checker clock"),
-    )
 }
 
 /// Fig. 12: mean (a) and max (b) store-check delay vs log size/timeout

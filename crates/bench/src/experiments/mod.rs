@@ -20,15 +20,12 @@ mod tables;
 pub use bigger::sec6d_bigger_cores;
 pub use comparison::fig01_comparison;
 pub use coverage::fault_coverage;
-pub use delays::{
-    fig08_delay_density, fig11_freq_delay, fig11_freq_delay_per_run, fig12_logsize_delay,
-};
+pub use delays::{fig08_delay_density, fig11_freq_delay, fig12_logsize_delay};
 pub use hardware::area_power;
 pub use mixed::{mixed_policy_delay, MIXED_FARM_CLOCKS};
 pub use recovery::fault_recovery;
 pub use slowdown::{
-    fig07_slowdown, fig09_freq_slowdown, fig09_freq_slowdown_per_run, fig10_checkpoint_overhead,
-    fig13_core_scaling,
+    fig07_slowdown, fig09_freq_slowdown, fig10_checkpoint_overhead, fig13_core_scaling,
 };
 pub use tables::{table1_config, table2_benchmarks};
 

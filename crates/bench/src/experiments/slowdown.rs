@@ -46,8 +46,7 @@ pub fn fig07_slowdown(r: &Runner) -> Table {
 /// run at that clock (its slowdown is the shared main-core cycle count
 /// over the baseline); a diverged row — a clock slow enough that its
 /// dedicated run would have stalled the main core differently — falls back
-/// to the legacy dedicated run, so the table is exact at every clock.
-/// [`fig09_freq_slowdown_per_run`] is the legacy N-runs reference.
+/// to a dedicated run, so the table is exact at every clock.
 pub fn fig09_freq_slowdown(r: &Runner) -> Table {
     let mut t = clock_table("Fig. 9: slowdown vs checker clock");
     let cells = par_grid(&Workload::all(), &[()], |w, ()| {
@@ -71,23 +70,6 @@ pub fn fig09_freq_slowdown(r: &Runner) -> Table {
         t.row(&out);
     }
     let _ = t.write_csv(&out_dir().join("fig09_freq_slowdown.csv"));
-    t
-}
-
-/// Fig. 9 on the legacy path: one dedicated simulation per clock. Kept as
-/// the bit-identity reference for [`fig09_freq_slowdown`] (no CSV output —
-/// the one-run table owns `fig09_freq_slowdown.csv`).
-pub fn fig09_freq_slowdown_per_run(r: &Runner) -> Table {
-    let mut t = clock_table("Fig. 9: slowdown vs checker clock");
-    let cells = par_grid(&Workload::all(), &CLOCK_SWEEP, |w, &mhz| {
-        let cfg = SystemConfig::paper_default().with_checker_mhz(mhz);
-        r.slowdown(&cfg, w)
-    });
-    for (w, row) in Workload::all().iter().zip(&cells) {
-        let mut out = vec![w.name().to_string()];
-        out.extend(row.iter().map(|s| format!("{s:.3}")));
-        t.row(&out);
-    }
     t
 }
 

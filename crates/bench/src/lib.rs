@@ -12,9 +12,7 @@
 //! on the **one-run clock-domain path**: each workload simulates once with
 //! every sweep clock folded as a secondary domain
 //! ([`runner::Runner::clock_sweep`]), with automatic fallback to a
-//! dedicated run for any domain reporting stall divergences; the legacy
-//! one-simulation-per-clock sweeps are kept as `*_per_run` bit-identity
-//! references.
+//! dedicated run for any domain reporting stall divergences.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

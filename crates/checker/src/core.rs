@@ -9,9 +9,9 @@
 //! the two for callers that want the classic one-call interface.
 
 use crate::replay::{CheckError, CheckOutcome, ReplayError, ReplaySource};
-use crate::trace::{encode_dst, encode_srcs, ReplayTrace};
+use crate::trace::ReplayTrace;
 use paradet_isa::{
-    ArchState, Instruction, MemWidth, MemoryIface, Program, UopClass, UopKind, N_UOP_CLASSES,
+    ArchState, Instruction, MemWidth, MemoryIface, Program, UopClass, N_UOP_CLASSES,
 };
 use paradet_mem::{Freq, MemHier, Time};
 
@@ -68,15 +68,6 @@ pub struct CheckerConfig {
     pub register_check_cycles: u64,
     /// Functional-unit latencies.
     pub lat: CheckerLatencies,
-    /// Pre-decoded basic-block replay (default on). [`replay_segment`] walks
-    /// the program's basic blocks and emits trace micro-ops straight from the
-    /// pre-decoded superinstruction stream ([`Program::pre_uops_of`]):
-    /// per-instruction fetch/bounds checks and the nested micro-op latency
-    /// match are hoisted into a per-call `UopClass` latency table. `false`
-    /// forces the legacy per-instruction path, kept as the bit-identity
-    /// reference; the two produce byte-identical [`ReplayTrace`]s and
-    /// verdicts, asserted by `tests/block_exec_identity.rs`.
-    pub block_exec: bool,
 }
 
 impl CheckerConfig {
@@ -87,7 +78,6 @@ impl CheckerConfig {
             pipeline_depth: 4,
             register_check_cycles: 16,
             lat: CheckerLatencies::default(),
-            block_exec: true,
         }
     }
 }
@@ -364,75 +354,70 @@ pub fn replay_segment(
 
     let mut log = LogMemory { src: source, error: None, loads: 0, stores: 0, passed: 0 };
 
-    if cfg.block_exec {
-        // Block-stepped replay: one [`Program::block_at`] lookup per basic
-        // block instead of one `instr_at` bounds-check per instruction, and
-        // trace micro-ops emitted straight from the pre-decoded stream. A
-        // wild control transfer (the only way `instr_at` could fail mid-run)
-        // surfaces as a failed block lookup at the next block boundary —
-        // the same `CheckError::Exec` the legacy path raises.
-        let lut = class_latency_lut(&cfg.lat);
-        let text = task.program.text();
-        'blocks: while instrs < task.instr_count && !state.halted {
-            let Some((block, off)) = task.program.block_at(state.pc) else {
-                verdict = Err(CheckError::Exec);
-                break;
+    // Block-stepped replay: one [`Program::block_at`] lookup per basic
+    // block, and trace micro-ops emitted straight from the pre-decoded
+    // stream with per-class latencies. A wild control transfer surfaces
+    // as a failed block lookup at the next block boundary
+    // (`CheckError::Exec`).
+    let lut = class_latency_lut(&cfg.lat);
+    let text = task.program.text();
+    'blocks: while instrs < task.instr_count && !state.halted {
+        let Some((block, off)) = task.program.block_at(state.pc) else {
+            verdict = Err(CheckError::Exec);
+            break;
+        };
+        let first = (block.first + off) as usize;
+        let end = (block.first + block.len) as usize;
+        for (i, &insn) in text.iter().enumerate().take(end).skip(first) {
+            let pc = state.pc;
+            debug_assert_eq!(
+                pc,
+                paradet_isa::TEXT_BASE + i as u64 * 4,
+                "architectural PC out of sync with block walk"
+            );
+            let line = pc & !63;
+            let new_line = if line != last_fetch_line {
+                last_fetch_line = line;
+                Some(line)
+            } else {
+                None
             };
-            let first = (block.first + off) as usize;
-            let end = (block.first + block.len) as usize;
-            for (i, &insn) in text.iter().enumerate().take(end).skip(first) {
-                let pc = state.pc;
-                debug_assert_eq!(
-                    pc,
-                    paradet_isa::TEXT_BASE + i as u64 * 4,
-                    "architectural PC out of sync with block walk"
-                );
-                let line = pc & !63;
-                let new_line = if line != last_fetch_line {
-                    last_fetch_line = line;
-                    Some(line)
-                } else {
-                    None
-                };
-                out_trace.begin_op(new_line);
-                for p in task.program.pre_uops_of(i) {
-                    out_trace.push_uop(p.srcs, p.dst, lut[p.class as usize]);
-                }
+            out_trace.begin_op(new_line);
+            for p in task.program.pre_uops_of(i) {
+                out_trace.push_uop(p.srcs, p.dst, lut[p.class as usize]);
+            }
 
-                let passed_before = log.passed;
-                match insn {
-                    Instruction::RdCycle { rd } => {
-                        match log.src.replay_nondet(Time::ZERO) {
-                            Ok(v) => {
-                                log.passed += 1;
-                                state.set_x(rd, v);
-                            }
-                            Err(e) => {
-                                log.error = Some(e);
-                                state.set_x(rd, 0);
-                            }
+            let passed_before = log.passed;
+            match insn {
+                Instruction::RdCycle { rd } => {
+                    match log.src.replay_nondet(Time::ZERO) {
+                        Ok(v) => {
+                            log.passed += 1;
+                            state.set_x(rd, v);
                         }
-                        state.pc += 4;
-                        state.retired += 1;
+                        Err(e) => {
+                            log.error = Some(e);
+                            state.set_x(rd, 0);
+                        }
                     }
-                    insn => {
-                        state.step_decoded(insn, &mut log, &mut paradet_isa::NoNondet);
-                    }
+                    state.pc += 4;
+                    state.retired += 1;
                 }
-                instrs += 1;
-                out_trace.set_entries((log.passed - passed_before) as u8);
-
-                if let Some(e) = log.error {
-                    verdict = Err(CheckError::Replay { at_instr: instrs - 1, error: e });
-                    break 'blocks;
-                }
-                if state.halted || instrs >= task.instr_count {
-                    break 'blocks;
+                insn => {
+                    state.step_decoded(insn, &mut log, &mut paradet_isa::NoNondet);
                 }
             }
+            instrs += 1;
+            out_trace.set_entries((log.passed - passed_before) as u8);
+
+            if let Some(e) = log.error {
+                verdict = Err(CheckError::Replay { at_instr: instrs - 1, error: e });
+                break 'blocks;
+            }
+            if state.halted || instrs >= task.instr_count {
+                break 'blocks;
+            }
         }
-    } else {
-        replay_legacy(cfg, &task, &mut state, &mut log, out_trace, &mut instrs, &mut verdict);
     }
 
     // End-of-segment validation (§IV-B): all entries consumed, then the
@@ -458,8 +443,7 @@ pub fn replay_segment(
     }
 }
 
-/// Per-[`UopClass`] checker latencies, indexed by the class discriminant —
-/// the block path's flattening of the legacy per-micro-op latency match.
+/// Per-[`UopClass`] checker latencies, indexed by the class discriminant.
 fn class_latency_lut(lat: &CheckerLatencies) -> [u64; N_UOP_CLASSES] {
     let mut lut = [lat.int_alu; N_UOP_CLASSES];
     lut[UopClass::Mul as usize] = lat.mul;
@@ -471,107 +455,6 @@ fn class_latency_lut(lat: &CheckerLatencies) -> [u64; N_UOP_CLASSES] {
     lut[UopClass::Load as usize] = lat.log_read;
     lut[UopClass::Store as usize] = lat.log_read;
     lut
-}
-
-/// The legacy per-instruction replay loop, kept verbatim as the block path's
-/// bit-identity reference (`CheckerConfig::block_exec == false`).
-fn replay_legacy(
-    cfg: &CheckerConfig,
-    task: &SegmentTask<'_>,
-    state: &mut ArchState,
-    log: &mut LogMemory<'_>,
-    out_trace: &mut ReplayTrace,
-    instrs: &mut u64,
-    verdict: &mut Result<(), CheckError>,
-) {
-    let mut last_fetch_line = u64::MAX;
-    while *instrs < task.instr_count {
-        if state.halted {
-            break;
-        }
-        let pc = state.pc;
-        let insn = match task.program.instr_at(pc) {
-            Some(i) => *i,
-            None => {
-                *verdict = Err(CheckError::Exec);
-                break;
-            }
-        };
-        // One I-cache access per new line (the fold charges it).
-        let line = pc & !63;
-        let new_line = if line != last_fetch_line {
-            last_fetch_line = line;
-            Some(line)
-        } else {
-            None
-        };
-        out_trace.begin_op(new_line);
-
-        // Pre-cracked at program build: no per-instruction decode allocation
-        // on the replay path.
-        let uops = task.program.uops_at(pc).expect("fetched instruction has micro-ops");
-        for u in uops {
-            let lat = &cfg.lat;
-            let l = match u.kind {
-                UopKind::IntAlu { op, .. } => {
-                    if matches!(op, paradet_isa::AluOp::Div | paradet_isa::AluOp::Rem) {
-                        lat.div
-                    } else if op.is_mul_div() {
-                        lat.mul
-                    } else {
-                        lat.int_alu
-                    }
-                }
-                UopKind::FpAlu { op } => {
-                    if op.is_div() {
-                        lat.fp_div
-                    } else {
-                        lat.fp_alu
-                    }
-                }
-                UopKind::Fma => lat.fp_alu,
-                UopKind::FSqrt => lat.fsqrt,
-                UopKind::Mem { .. } => lat.log_read,
-                _ => lat.int_alu,
-            };
-            out_trace.push_uop(encode_srcs(&u.srcs), encode_dst(&u.dst), l);
-        }
-
-        // Functional replay of the whole macro-op, loads/stores routed to
-        // the log. RdCycle is the only nondeterministic op and performs no
-        // memory access, so it is special-cased around `ArchState::step`'s
-        // separate mem/nondet parameters.
-        let passed_before = log.passed;
-        let step = match insn {
-            paradet_isa::Instruction::RdCycle { rd } => {
-                match log.src.replay_nondet(Time::ZERO) {
-                    Ok(v) => {
-                        log.passed += 1;
-                        state.set_x(rd, v);
-                    }
-                    Err(e) => {
-                        log.error = Some(e);
-                        state.set_x(rd, 0);
-                    }
-                }
-                state.pc += 4;
-                state.retired += 1;
-                Ok(())
-            }
-            _ => state.step(task.program, &mut *log, &mut paradet_isa::NoNondet).map(|_| ()),
-        };
-        *instrs += 1;
-        out_trace.set_entries((log.passed - passed_before) as u8);
-
-        if let Some(e) = log.error {
-            *verdict = Err(CheckError::Replay { at_instr: *instrs - 1, error: e });
-            break;
-        }
-        if step.is_err() {
-            *verdict = Err(CheckError::Exec);
-            break;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -867,35 +750,6 @@ mod tests {
         let second = core.run_segment(task, &mut src2, &mut hier);
         assert!(second.finish_time > first.finish_time);
         assert_eq!(core.stats.segments, 2);
-    }
-
-    #[test]
-    fn block_replay_matches_legacy() {
-        let (program, start, end, count, mut src1) = golden_segment(test_program());
-        let mut src2 = VecSource { entries: src1.entries.clone(), pos: 0, check_times: Vec::new() };
-        let task = SegmentTask {
-            program: &program,
-            start: &start,
-            end: &end,
-            instr_count: count,
-            ready_at: Time::ZERO,
-        };
-        let blk_cfg = CheckerConfig::default();
-        assert!(blk_cfg.block_exec);
-        let leg_cfg = CheckerConfig { block_exec: false, ..blk_cfg };
-        let mut t1 = ReplayTrace::new();
-        let mut t2 = ReplayTrace::new();
-        let blk = replay_segment(&blk_cfg, task, &mut src1, &mut t1);
-        let leg = replay_segment(&leg_cfg, task, &mut src2, &mut t2);
-        assert_eq!(format!("{blk:?}"), format!("{leg:?}"));
-        // And the timing folds agree cycle-for-cycle.
-        let mut hier = mk_hier(2);
-        let mut c1 = CheckerCore::new(0, blk_cfg);
-        let mut c2 = CheckerCore::new(1, leg_cfg);
-        let f1 = c1.fold_timing(Time::ZERO, &blk, &mut hier, |_, _| {});
-        let f2 = c2.fold_timing(Time::ZERO, &leg, &mut hier, |_, _| {});
-        assert_eq!(f1.finish_time, f2.finish_time);
-        assert_eq!(f1.result, Ok(()));
     }
 
     #[test]

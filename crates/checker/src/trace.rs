@@ -152,34 +152,6 @@ impl TraceUop {
     }
 }
 
-/// Encodes a source register as a scoreboard slot.
-pub(crate) fn encode_src(s: &paradet_isa::SrcReg) -> u8 {
-    match s {
-        paradet_isa::SrcReg::Int(r) => r.index() as u8,
-        paradet_isa::SrcReg::Fp(r) => 32 + r.index() as u8,
-    }
-}
-
-/// Encodes an optional destination register as a scoreboard slot.
-pub(crate) fn encode_dst(d: &Option<paradet_isa::DstReg>) -> u8 {
-    match d {
-        Some(paradet_isa::DstReg::Int(r)) => r.index() as u8,
-        Some(paradet_isa::DstReg::Fp(r)) => 32 + r.index() as u8,
-        None => NO_REG,
-    }
-}
-
-/// Encodes a micro-op's sources as scoreboard slots.
-pub(crate) fn encode_srcs(srcs: &[Option<paradet_isa::SrcReg>; 3]) -> [u8; 3] {
-    let mut out = [NO_REG; 3];
-    for (o, s) in out.iter_mut().zip(srcs.iter()) {
-        if let Some(s) = s {
-            *o = encode_src(s);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

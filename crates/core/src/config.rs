@@ -96,23 +96,6 @@ pub struct SystemConfig {
     /// fan-out against a serial-folds run *with identical farm
     /// parallelism on both sides*.
     pub parallel_domain_folds: bool,
-    /// Check sealed segments inline on the sealing thread (the pre-farm
-    /// legacy path) instead of dispatching them to the decoupled checker
-    /// farm and joining lazily in seal order.
-    ///
-    /// The farm is the authoritative timing semantics and is bit-identical
-    /// at any worker count. The legacy path differs from it in exactly one
-    /// modelling choice: *where in the shared-L2/DRAM access stream* a
-    /// checker's I-fetch misses land (at the seal vs. at the lazy join).
-    /// Whenever checker I-fetches are satisfied by the private checker
-    /// L0/L1I — every shipped workload except `randacc`, whose data
-    /// footprint evicts text from L2 at budgets ≥150k instructions — the
-    /// two are bit-identical; under L2 contention the lazy join's
-    /// linearization differs slightly. The boundary is pinned on both
-    /// sides by `farm_vs_eager_randacc_boundary_is_explicit` in
-    /// `tests/parallel_determinism.rs` and documented in ARCHITECTURE.md.
-    /// Kept as the test-suite reference while the farm bakes.
-    pub eager_check: bool,
     /// Per-slot speed classes for the primary farm (MEEK/FlexStep mixed
     /// farms). The default [`FarmSpec::uniform`] runs every slot at
     /// [`checker`](SystemConfig::checker) — the paper's homogeneous farm.
@@ -135,18 +118,11 @@ pub struct SystemConfig {
 impl SystemConfig {
     /// The paper's Table I configuration.
     ///
-    /// Honors `PARADET_BLOCK_EXEC=0` (read once per process): a whole
-    /// harness invocation — `run_all --smoke` in CI's bench-smoke matrix —
-    /// can be forced onto the legacy per-instruction paths without
-    /// touching any call site, so the block-vs-legacy byte-diff gate runs
-    /// the same binaries end to end. `PARADET_SCHED_POLICY` (same
-    /// read-once discipline) likewise forces the scheduling policy —
-    /// `round-robin` / `fastest-first` / `deadline-aware` — so CI's
-    /// policy leg can byte-diff a whole harness run against the default.
+    /// Honors `PARADET_SCHED_POLICY` (read once per process), which forces
+    /// the scheduling policy — `round-robin` / `fastest-first` /
+    /// `deadline-aware` — so CI's policy leg can byte-diff a whole harness
+    /// run against the default without touching any call site.
     pub fn paper_default() -> SystemConfig {
-        static FORCED_OFF: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let forced_off =
-            *FORCED_OFF.get_or_init(|| std::env::var("PARADET_BLOCK_EXEC").is_ok_and(|v| v == "0"));
         static FORCED_POLICY: std::sync::OnceLock<SchedPolicyKind> = std::sync::OnceLock::new();
         let sched_policy =
             *FORCED_POLICY.get_or_init(|| match std::env::var("PARADET_SCHED_POLICY") {
@@ -158,7 +134,7 @@ impl SystemConfig {
                 }),
                 Err(_) => SchedPolicyKind::default(),
             });
-        let cfg = SystemConfig {
+        SystemConfig {
             main: OooConfig::default(),
             checker: CheckerConfig::default(),
             n_checkers: 12,
@@ -169,25 +145,15 @@ impl SystemConfig {
             interrupt_interval: None,
             extra_domains: DomainSet::new(),
             parallel_domain_folds: true,
-            eager_check: false,
             farm: FarmSpec::uniform(),
             sched_policy,
-        };
-        if forced_off {
-            cfg.with_block_exec(false)
-        } else {
-            cfg
         }
     }
 
     /// Returns a copy with the checker cores clocked at `mhz` (Fig. 9/11
     /// sweeps 125–2000 MHz).
     pub fn with_checker_mhz(mut self, mhz: u64) -> SystemConfig {
-        // Re-clocking must not undo a `with_block_exec` override.
-        self.checker = CheckerConfig {
-            block_exec: self.checker.block_exec,
-            ..CheckerConfig::paper_default(Freq::from_mhz(mhz))
-        };
+        self.checker = CheckerConfig::paper_default(Freq::from_mhz(mhz));
         self
     }
 
@@ -211,30 +177,13 @@ impl SystemConfig {
     }
 
     /// Returns a copy with event-driven cycle skipping switched on or off
-    /// in the main core (on by default). `false` selects the legacy
-    /// exhaustive path — every resource structure evaluated at every
-    /// micro-op — kept as the bit-identity reference in the same spirit as
-    /// [`eager_check`](SystemConfig::eager_check); see
-    /// `paradet_ooo::OooConfig::event_skip` for the exact semantics and the
-    /// skip-vs-tick suite in `tests/parallel_determinism.rs` for the
-    /// identity proof obligation.
+    /// in the main core (on by default). `false` selects the exhaustive
+    /// path — every resource structure evaluated at every micro-op — kept
+    /// as the one timing reference; see `paradet_ooo::OooConfig::event_skip`
+    /// for the exact semantics and the skip-vs-tick suite in
+    /// `tests/parallel_determinism.rs` for the identity proof obligation.
     pub fn with_event_skip(mut self, on: bool) -> SystemConfig {
         self.main.event_skip = on;
-        self
-    }
-
-    /// Returns a copy with pre-decoded basic-block execution switched on or
-    /// off in *both* the main core and the checkers (on by default).
-    /// `false` selects the legacy per-instruction paths —
-    /// `OooCore::step` per macro-op and the per-instruction replay loop —
-    /// kept as the bit-identity reference in the same spirit as
-    /// [`with_event_skip`](SystemConfig::with_event_skip); see
-    /// `paradet_ooo::OooConfig::block_exec` and
-    /// `paradet_checker::CheckerConfig::block_exec` for the exact semantics
-    /// and `tests/block_exec_identity.rs` for the identity proof obligation.
-    pub fn with_block_exec(mut self, on: bool) -> SystemConfig {
-        self.main.block_exec = on;
-        self.checker.block_exec = on;
         self
     }
 
@@ -264,13 +213,10 @@ impl SystemConfig {
 
     /// The checker configuration slot `slot` actually runs: its speed
     /// class's on a mixed farm, [`checker`](SystemConfig::checker) on a
-    /// uniform one. A slot's class overrides everything clock-derived but
-    /// inherits the system-wide `block_exec` switch — `PARADET_BLOCK_EXEC`
-    /// and [`with_block_exec`](SystemConfig::with_block_exec) must keep
-    /// governing every replay path (invariant 10 holds under mixed farms).
+    /// uniform one.
     pub fn checker_config_for_slot(&self, slot: usize) -> CheckerConfig {
         match self.farm.domain_of_slot(slot) {
-            Some(d) => CheckerConfig { block_exec: self.checker.block_exec, ..d.checker },
+            Some(d) => d.checker,
             None => self.checker,
         }
     }
@@ -335,13 +281,10 @@ mod tests {
         assert_eq!(c.sched_policy, SchedPolicyKind::RoundRobin);
         assert_eq!(c.checker_config_for_slot(5), c.checker);
 
-        let m = c.with_farm(FarmSpec::striped(&[2000, 250])).with_block_exec(false);
+        let m = c.with_farm(FarmSpec::striped(&[2000, 250]));
         assert_eq!(m.checker_config_for_slot(0).clock.mhz(), 2000);
         assert_eq!(m.checker_config_for_slot(1).clock.mhz(), 250);
         assert_eq!(m.checker_config_for_slot(2).clock.mhz(), 2000);
-        // Slot classes override the clock but inherit block_exec: the
-        // system-wide legacy/block switch governs mixed farms too.
-        assert!(!m.checker_config_for_slot(0).block_exec);
         // The primary clock (main-facing memory latencies) is untouched.
         assert_eq!(m.checker.clock.mhz(), 1000);
     }

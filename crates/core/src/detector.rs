@@ -27,12 +27,7 @@
 //! Those join points depend only on simulated state — never on how fast a
 //! worker happens to run — so delays, finish times, errors, checker
 //! statistics and cache statistics are bit-identical at any farm width,
-//! including the serial fast path. The legacy inline path
-//! (`SystemConfig::eager_check`) folds at the seal instead of the lazy
-//! join; the two agree bit-for-bit whenever checker I-fetches hit the
-//! private checker L0/L1I (all shipped workloads except `randacc`, whose
-//! footprint evicts text from the shared L2 — see
-//! `SystemConfig::eager_check` for the exact boundary).
+//! including the serial fast path.
 
 use crate::config::{DetectionMode, SystemConfig};
 use crate::delay::DelayStats;
@@ -252,7 +247,6 @@ pub struct Detector {
     mode: DetectionMode,
     lfu_enabled: bool,
     parallel_folds: bool,
-    eager_check: bool,
     pause_cycles: u64,
     timeout: Option<u64>,
     interrupt_interval: Option<Time>,
@@ -414,7 +408,6 @@ impl Detector {
             mode: cfg.mode,
             lfu_enabled: cfg.lfu_enabled,
             parallel_folds: cfg.parallel_domain_folds,
-            eager_check: cfg.eager_check,
             pause_cycles: cfg.checkpoint_pause_cycles,
             timeout: cfg.log.timeout_insns,
             interrupt_interval: cfg.interrupt_interval,
@@ -841,10 +834,9 @@ impl Detector {
         }
         // Secondary clock domains fold the same replay trace, in set order,
         // against their own checker cores and cache paths. Their I-fetch
-        // misses share L2/DRAM with the primary's — fine whenever checker
-        // fetches resolve in the private L0/L1I or hit L2 at its constant
-        // hit latency (the same boundary `SystemConfig::eager_check`
-        // documents for the farm-vs-eager identity).
+        // misses share L2/DRAM with the primary's, observe-only — exact
+        // whenever checker fetches resolve in the private L0/L1I or hit L2
+        // at its constant hit latency.
         //
         // The folds are independent across domains (each owns its checker
         // cores and cache path; the shared L2/DRAM is only *observed*, by
@@ -931,9 +923,8 @@ impl Detector {
     }
 
     /// Seals the current segment at `at`, whose end state is `committed`
-    /// after `instr_count` total retired instructions, and hands it to its
-    /// checker — dispatched to the farm (finish time folded at the lazy
-    /// join), or checked inline under `eager_check`.
+    /// after `instr_count` total retired instructions, and dispatches it to
+    /// its checker on the farm (finish time folded at the lazy join).
     fn seal(
         &mut self,
         committed: &ArchState,
@@ -989,8 +980,7 @@ impl Detector {
                 {
                     // Package an owned job, dispatch it to the farm, and
                     // let the main loop run ahead — the finish time is
-                    // folded at the lazy join. The legacy `eager_check`
-                    // path is the same machinery folded immediately below.
+                    // folded at the lazy join.
                     let threads = Detector::farm_threads(self.segs.len());
                     let cfg = *self.checkers[cur].config();
                     let end = Detector::pooled_clone(&mut self.ckpt_pool, committed);
@@ -1031,12 +1021,6 @@ impl Detector {
                         base_instr,
                     });
                 }
-                if self.eager_check {
-                    // Legacy reference semantics: fold at the seal itself —
-                    // the pre-farm position in the hierarchy's access
-                    // stream — instead of at the lazy join.
-                    self.fold_next_pending(hier);
-                }
             }
             DetectionMode::CheckpointOnly => {
                 // Checkpoint costs are modelled; the segment frees at once.
@@ -1060,10 +1044,9 @@ impl Detector {
         // A dynamic policy reads every slot's storage-busy window, so the
         // in-flight checks must fold first — the modelled scheduler sits
         // next to the log SRAM and *sees* which checkers are busy. The
-        // drain is a deterministic simulation point (like `eager_check`'s
-        // fold-at-seal position in the shared-L2 access stream), so
-        // results stay bit-identical at any farm width; round-robin skips
-        // it and keeps the fully lazy fold schedule.
+        // drain is a deterministic simulation point, so results stay
+        // bit-identical at any farm width; round-robin skips it and keeps
+        // the fully lazy fold schedule.
         if self.policy.needs_busy_windows() {
             self.drain_pending(hier);
         }
@@ -1099,10 +1082,10 @@ impl DetectionSink for Detector {
 
         // ---- Lazy join ----------------------------------------------------
         // The commit stream has wrapped around to a segment whose check is
-        // still in flight: this is the point the eager path would already
-        // know the finish time, so fold the outstanding timing traces (in
-        // seal order) before any stall/seal decision below reads it. A
-        // deterministic simulation point — worker speed never shifts it.
+        // still in flight: fold the outstanding timing traces (in seal
+        // order) before any stall/seal decision below reads its finish
+        // time. A deterministic simulation point — worker speed never
+        // shifts it.
         if self.segs[self.cur].state == SegmentState::Checking {
             self.resolve_slot(self.cur, hier);
         }

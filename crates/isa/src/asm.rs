@@ -379,7 +379,7 @@ mod tests {
         let p = b.build();
         let mut st = ArchState::at_entry(&p);
         let mut mem = FlatMemory::new();
-        st.run(&p, &mut mem, &mut NoNondet, 1000).unwrap();
+        st.run_blocks(&p, &mut mem, &mut NoNondet, 1000).unwrap();
         assert_eq!(st.x(Reg::X1), 3);
     }
 

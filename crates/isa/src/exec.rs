@@ -654,34 +654,12 @@ impl ArchState {
         StepInfo { pc, next_pc, mem: accesses, nondet: nondet_val, taken_branch: taken, halted }
     }
 
-    /// Runs until halt or until `max_steps` instructions have retired.
-    ///
-    /// Returns the number of instructions retired by this call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`ExecError`] from [`step`](Self::step).
-    pub fn run<M: MemoryIface + ?Sized, N: NondetSource + ?Sized>(
-        &mut self,
-        program: &Program,
-        mem: &mut M,
-        nondet: &mut N,
-        max_steps: u64,
-    ) -> Result<u64, ExecError> {
-        let mut n = 0;
-        while !self.halted && n < max_steps {
-            self.step(program, mem, nondet)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
     /// Runs until halt or until `max_steps` instructions have retired,
     /// walking the pre-decoded basic-block stream: one block lookup (with
     /// successor hints) per block instead of one `instr_at` per
-    /// instruction. Bit-identical to [`run`](Self::run) — within a block
-    /// only the last instruction can transfer control or halt, so the PC
-    /// advances sequentially over the block's text slice.
+    /// instruction. Within a block only the last instruction can transfer
+    /// control or halt, so the PC advances sequentially over the block's
+    /// text slice.
     ///
     /// Returns the number of instructions retired by this call.
     ///
@@ -756,13 +734,13 @@ mod tests {
         let mut st = ArchState::at_entry(&p);
         let mut mem = FlatMemory::new();
         mem.load_image(&p);
-        st.run(&p, &mut mem, &mut NoNondet, 1_000_000).unwrap();
+        st.run_blocks(&p, &mut mem, &mut NoNondet, 1_000_000).unwrap();
         assert!(st.halted, "program did not halt");
         (st, mem)
     }
 
     #[test]
-    fn run_blocks_matches_run() {
+    fn run_blocks_matches_stepping() {
         // A loop with a branch, memory traffic and a halt: x1 counts down
         // from 5 accumulating into x2, storing each partial sum.
         let mut b = ProgramBuilder::new();
@@ -779,7 +757,11 @@ mod tests {
         let mut st_a = ArchState::at_entry(&p);
         let mut mem_a = FlatMemory::new();
         mem_a.load_image(&p);
-        let n_a = st_a.run(&p, &mut mem_a, &mut NoNondet, 1_000_000).unwrap();
+        let mut n_a = 0;
+        while !st_a.halted {
+            st_a.step(&p, &mut mem_a, &mut NoNondet).unwrap();
+            n_a += 1;
+        }
 
         let mut st_b = ArchState::at_entry(&p);
         let mut mem_b = FlatMemory::new();
@@ -914,7 +896,7 @@ mod tests {
         let p = b.build();
         let mut st = ArchState::at_entry(&p);
         let mut mem = FlatMemory::new();
-        st.run(&p, &mut mem, &mut Fixed(777), 10).unwrap();
+        st.run_blocks(&p, &mut mem, &mut Fixed(777), 10).unwrap();
         assert_eq!(st.x(Reg::X1), 777);
     }
 

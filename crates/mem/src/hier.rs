@@ -390,8 +390,8 @@ impl MemHier {
     /// executes identically at every checker clock — stays shared. The
     /// domain's times match a dedicated run's exactly as long as its
     /// L1I-missing fetches hit the shared L2 (constant hit latency); under
-    /// L2 text eviction the observed miss skips MSHR/bank reservation — the
-    /// same modelling boundary `eager_check` documents in `paradet-core`.
+    /// L2 text eviction the observed miss skips MSHR/bank reservation, so
+    /// the domain row is an approximation there.
     ///
     /// # Panics
     ///

@@ -92,24 +92,10 @@ pub struct OooConfig {
     /// instead of re-walking every structure; log-full commit stalls jump
     /// to the checker-finish deadline in one step. `false` forces the
     /// legacy exhaustive path (every structure evaluated at every micro-op,
-    /// `CoreStats::cycles_skipped` stays 0), kept as the bit-identity
-    /// reference in the same spirit as `SystemConfig::eager_check`; the two
-    /// paths are asserted identical by the skip-vs-tick suite in
-    /// `tests/parallel_determinism.rs`.
+    /// `CoreStats::cycles_skipped` stays 0) inside the same kernel, kept as
+    /// the one exhaustive timing reference; the two are asserted identical
+    /// by the skip-vs-tick suite in `tests/parallel_determinism.rs`.
     pub event_skip: bool,
-    /// Pre-decoded basic-block execution (default on). `OooCore::step_block`
-    /// retires whole basic blocks per call off the program's pre-decoded
-    /// superinstruction stream: fetch/crack lookups, branch-predictor
-    /// consultation and fault scans are hoisted out of the per-instruction
-    /// body, and functional-unit selection switches on the pre-resolved
-    /// `UopClass` byte instead of re-matching nested micro-op kinds. `false`
-    /// forces the legacy per-instruction path (`OooCore::step`), kept as the
-    /// bit-identity reference exactly like `event_skip`'s tick path; the
-    /// two are asserted identical by the block-vs-legacy suite in
-    /// `tests/block_exec_identity.rs`. Runs with faults armed (or a
-    /// stuck-at fault latched, or RMT duplication) fall back to the legacy
-    /// path automatically so fault-injection scan points are preserved.
-    pub block_exec: bool,
 }
 
 impl Default for OooConfig {
@@ -134,7 +120,6 @@ impl Default for OooConfig {
             predictor: PredictorConfig::default(),
             rmt_duplicate: false,
             event_skip: true,
-            block_exec: true,
         }
     }
 }

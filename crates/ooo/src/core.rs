@@ -32,8 +32,8 @@ use crate::predictor::TournamentPredictor;
 use crate::resources::{FifoOccupancy, SlotPool, UnorderedOccupancy};
 use crate::types::{CommitEvent, CommitGate, DetectionSink, MemEffect};
 use paradet_isa::{
-    ArchState, DstReg, ExecError, Instruction, MemKind, MemWidth, NondetSource, Program, Reg,
-    SrcReg, UopClass, UopKind, MAX_UOPS_PER_INSN, NO_REG_SLOT,
+    ArchState, DstReg, ExecError, Instruction, MemWidth, MicroOp, NondetSource, PreUop, Program,
+    Reg, SrcReg, UopClass, UopKind, MAX_UOPS_PER_INSN, NO_REG_SLOT,
 };
 use paradet_mem::{CycleDiv, MemHier, Time};
 use std::collections::VecDeque;
@@ -86,7 +86,7 @@ impl CoreStats {
     }
 }
 
-/// Why `step` could not retire an instruction.
+/// Why [`OooCore::step_block`] could not retire an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreError {
     /// The program has halted (committed `halt`).
@@ -108,17 +108,6 @@ impl std::fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
-/// Outcome of retiring one macro-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepOutcome {
-    /// PC of the retired instruction.
-    pub pc: u64,
-    /// Commit time of its last micro-op.
-    pub commit_time: Time,
-    /// Whether this instruction halted the program.
-    pub halted: bool,
-}
-
 /// Outcome of one [`OooCore::step_block`] call: a batch of retirements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockOutcome {
@@ -126,6 +115,30 @@ pub struct BlockOutcome {
     pub instrs: u64,
     /// Whether the batch committed `halt`.
     pub halted: bool,
+}
+
+/// `issue_uop`'s unit index for micro-ops that ran on no integer ALU.
+const NO_UNIT: usize = usize::MAX;
+
+/// Post-execution overrides fired faults leave for the current
+/// instruction (see `OooCore::apply_flips`).
+#[derive(Debug, Clone, Copy, Default)]
+struct PendingFlips {
+    store_value: Option<u8>,
+    store_addr: Option<u8>,
+    load_value: Option<u8>,
+    load_capture: Option<u8>,
+    pc: Option<u8>,
+}
+
+impl PendingFlips {
+    fn any(&self) -> bool {
+        self.store_value.is_some()
+            || self.store_addr.is_some()
+            || self.load_value.is_some()
+            || self.load_capture.is_some()
+            || self.pc.is_some()
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -192,6 +205,10 @@ pub struct OooCore {
     halted: bool,
     crashed: Option<ExecError>,
     faults: Vec<ArmedFault>,
+    /// Earliest `at_instr` over `faults` (`u64::MAX` when none is armed):
+    /// the kernel's whole per-instruction fault check is one compare
+    /// against it.
+    next_fault_at: u64,
     stuck: Option<(u8, u8, bool)>,
     /// The resource-event horizon: no pool busy-until, occupancy release,
     /// register wakeup, line fill or gate recorded so far lies beyond this
@@ -256,6 +273,7 @@ impl OooCore {
             halted: false,
             crashed: None,
             faults: Vec::new(),
+            next_fault_at: u64::MAX,
             stuck: None,
             horizon: 0,
             stores_commit_max: 0,
@@ -310,6 +328,7 @@ impl OooCore {
 
     /// Arms a fault (see [`FaultTarget`]).
     pub fn arm_fault(&mut self, fault: ArmedFault) {
+        self.next_fault_at = self.next_fault_at.min(fault.at_instr);
         self.faults.push(fault);
     }
 
@@ -441,20 +460,9 @@ impl OooCore {
         self.cycle_div.ceil(t)
     }
 
-    fn reg_ready(&self, src: SrcReg) -> u64 {
-        match src {
-            SrcReg::Int(r) => self.reg_ready[r.index()],
-            SrcReg::Fp(r) => self.reg_ready[32 + r.index()],
-        }
-    }
-
-    fn srcs_ready(&self, srcs: &[Option<SrcReg>; 3]) -> u64 {
-        srcs.iter().flatten().map(|&s| self.reg_ready(s)).max().unwrap_or(0)
-    }
-
     /// Operand readiness straight off pre-decoded source slots: the slot
     /// bytes already carry the unified `0..64` encoding the scoreboard is
-    /// laid out in, so no enum dispatch remains on the block path.
+    /// laid out in, so no enum dispatch remains.
     #[inline]
     fn pre_srcs_ready(&self, srcs: [u8; 3]) -> u64 {
         let mut m = 0;
@@ -466,420 +474,649 @@ impl OooCore {
         m
     }
 
-    /// Retires one macro-op, advancing the model.
+    /// Retires the remainder of the current basic block (capped at
+    /// `max_instrs` macro-ops) off the program's pre-decoded
+    /// superinstruction stream — the core's one retirement path. One block
+    /// lookup per call; branch prediction and resolution run for the block
+    /// terminator alone (only it can transfer control), functional units
+    /// are selected by the pre-resolved [`UopClass`] byte, and the oracle
+    /// executes the already-fetched instruction.
+    ///
+    /// Fault injection, stuck-at ALUs and RMT duplication are
+    /// per-instruction branches of the same kernel. With no strike due the
+    /// fault check is one compare against the earliest armed trigger; a
+    /// fired `PcBit` flip ends the call, since the next instruction is no
+    /// longer the block's next one.
     ///
     /// # Errors
     ///
     /// [`CoreError::Halted`] once `halt` has committed, and
     /// [`CoreError::Crashed`] if the PC has left the text segment (possible
-    /// only under fault injection).
-    pub fn step<S: DetectionSink + ?Sized>(
+    /// only under fault injection). A wild control transfer is observed by
+    /// the *next* call's block lookup.
+    pub fn step_block<S: DetectionSink + ?Sized>(
         &mut self,
         hier: &mut MemHier,
         sink: &mut S,
-    ) -> Result<StepOutcome, CoreError> {
+        max_instrs: u64,
+    ) -> Result<BlockOutcome, CoreError> {
         if self.halted {
             return Err(CoreError::Halted);
         }
         if let Some(e) = self.crashed {
             return Err(CoreError::Crashed(e));
         }
-        let pc = self.state.pc;
-        let insn = match self.program.instr_at(pc) {
-            Some(i) => *i,
+        if max_instrs == 0 {
+            return Ok(BlockOutcome { instrs: 0, halted: false });
+        }
+
+        let program = Arc::clone(&self.program);
+        let rmt = self.cfg.rmt_duplicate;
+        let mut done = 0u64;
+        let (block, off) = match program.block_at(self.state.pc) {
+            Some(c) => c,
             None => {
-                let e = ExecError::BadPc { pc };
+                let e = ExecError::BadPc { pc: self.state.pc };
                 self.crashed = Some(e);
                 return Err(CoreError::Crashed(e));
             }
         };
+        let first = (block.first + off) as usize;
+        let end = (block.first + block.len) as usize;
+        for i in first..end {
+            let pc = self.state.pc;
+            let insn = program.text()[i];
+            let is_term = i + 1 == end;
 
-        // ---- Fetch timing -------------------------------------------------
-        let (_, fslot) = self.fetch_slots.take(self.next_fetch_cycle, 1);
-        self.note_event(fslot + 1);
-        let line = pc & !63;
-        if line != self.last_fetch_line {
-            let done = hier.ifetch(line, self.to_time(fslot));
-            self.line_ready = self.to_cycle(done);
-            self.last_fetch_line = line;
-            self.note_event(self.line_ready);
-        }
-        let fetch_cycle = fslot.max(self.line_ready);
-
-        // ---- Branch prediction (consulted before outcome is known) --------
-        let prediction = match insn {
-            Instruction::Branch { .. } => {
-                let p = self.pred.predict_direction(pc);
-                let target = if p.taken { self.pred.btb_lookup(pc) } else { None };
-                Some((p, target))
+            // ---- Fetch timing ---------------------------------------------
+            let (_, fslot) = self.fetch_slots.take(self.next_fetch_cycle, 1);
+            self.note_event(fslot + 1);
+            let line = pc & !63;
+            if line != self.last_fetch_line {
+                let done_t = hier.ifetch(line, self.to_time(fslot));
+                self.line_ready = self.to_cycle(done_t);
+                self.last_fetch_line = line;
+                self.note_event(self.line_ready);
             }
-            _ => None,
-        };
-        let jalr_prediction = match insn {
-            Instruction::Jalr { rd, rs1, .. } => {
-                let is_return = rd == Reg::X0 && rs1 == Reg::X1;
-                let predicted =
-                    if is_return { self.pred.ras_pop() } else { self.pred.btb_lookup(pc) };
-                if rd == Reg::X1 {
-                    self.pred.ras_push(pc + 4);
+            let fetch_cycle = fslot.max(self.line_ready);
+
+            // ---- Branch prediction (terminator only; consulted before the
+            // outcome is known) ---------------------------------------------
+            let mut prediction = None;
+            let mut jalr_prediction = None;
+            if is_term {
+                match insn {
+                    Instruction::Branch { .. } => {
+                        let p = self.pred.predict_direction(pc);
+                        let target = if p.taken { self.pred.btb_lookup(pc) } else { None };
+                        prediction = Some((p, target));
+                    }
+                    Instruction::Jalr { rd, rs1, .. } => {
+                        let is_return = rd == Reg::X0 && rs1 == Reg::X1;
+                        let predicted =
+                            if is_return { self.pred.ras_pop() } else { self.pred.btb_lookup(pc) };
+                        if rd == Reg::X1 {
+                            self.pred.ras_push(pc + 4);
+                        }
+                        jalr_prediction = Some(predicted);
+                    }
+                    Instruction::Jal { rd: Reg::X1, .. } => {
+                        self.pred.ras_push(pc + 4);
+                    }
+                    _ => {}
                 }
-                Some(predicted)
             }
-            _ => None,
-        };
-        if let Instruction::Jal { rd, .. } = insn {
-            if rd == Reg::X1 {
-                self.pred.ras_push(pc + 4);
-            }
-        }
 
-        // ---- Pre-compute memory addresses from the pre-state --------------
-        // Micro-ops come pre-cracked from the shared program (computed once
-        // at build); nothing on this per-instruction path heap-allocates.
-        let program = Arc::clone(&self.program);
-        let uops = program.uops_at(pc).expect("fetched instruction has micro-ops");
-        let mut uop_addrs = [None::<u64>; MAX_UOPS_PER_INSN];
-        for (k, u) in uops.iter().enumerate() {
-            uop_addrs[k] = match u.kind {
-                UopKind::Mem { imm, .. } => {
+            // ---- Pre-decoded micro-ops + memory addresses -----------------
+            // Timing addresses come from the pre-state: a register flip
+            // firing below lands after they are read.
+            let uops = program.uops_of(i);
+            let pre = program.pre_uops_of(i);
+            let mut uop_addrs = [0u64; MAX_UOPS_PER_INSN];
+            for (k, u) in uops.iter().enumerate() {
+                if let UopKind::Mem { imm, .. } = u.kind {
                     let base = match u.srcs[0] {
                         Some(SrcReg::Int(r)) => self.state.x(r),
                         None => 0,
                         _ => unreachable!("memory base is an integer register"),
                     };
-                    Some(base.wrapping_add(imm as u64))
+                    uop_addrs[k] = base.wrapping_add(imm as u64);
                 }
-                _ => None,
+            }
+
+            // ---- Fault arming ---------------------------------------------
+            let flips = if self.instr_index >= self.next_fault_at {
+                self.fire_due_faults(pre)
+            } else {
+                PendingFlips::default()
             };
-        }
 
-        // ---- Fault arming --------------------------------------------------
-        // Apply pre-execution faults and figure out which post-execution
-        // overrides are pending for this instruction.
-        let mut store_value_flip: Option<u8> = None;
-        let mut store_addr_flip: Option<u8> = None;
-        let mut load_value_flip: Option<u8> = None;
-        let mut load_capture_flip: Option<u8> = None;
-        let mut pc_flip: Option<u8> = None;
-        if !self.faults.is_empty() {
-            let instr_index = self.instr_index;
-            let has_store = uops.iter().any(|u| u.is_store());
-            let has_load = uops.iter().any(|u| u.is_load());
-            let mut remaining = Vec::with_capacity(self.faults.len());
-            for f in std::mem::take(&mut self.faults) {
-                if instr_index < f.at_instr {
-                    remaining.push(f);
-                    continue;
+            // ---- Per-micro-op timing --------------------------------------
+            let mut completes = [0u64; MAX_UOPS_PER_INSN];
+            let mut alu_units = [NO_UNIT; MAX_UOPS_PER_INSN];
+            let mut resolve_cycle: Option<u64> = None;
+            let mut nondet_value: Option<u64> = None;
+            for (k, u) in uops.iter().enumerate() {
+                let p = pre[k];
+                let (complete, unit) =
+                    self.issue_uop(hier, pc, fetch_cycle, u, p, uop_addrs[k], false);
+                match p.class {
+                    UopClass::Branch | UopClass::Jump | UopClass::JumpReg => {
+                        resolve_cycle = Some(complete)
+                    }
+                    UopClass::RdCycle => nondet_value = Some(complete),
+                    _ => {}
                 }
-                match f.target {
-                    FaultTarget::IntRegBit { reg, bit } => {
-                        let v = self.state.x(reg) ^ (1u64 << (bit & 63));
-                        self.state.set_x(reg, v);
+                completes[k] = complete;
+                alu_units[k] = unit;
+                // Record IQ release at issue (approximated by complete -
+                // latency ≈ issue; using complete keeps it conservative).
+                self.iq.push(complete);
+                if p.dst != NO_REG_SLOT {
+                    self.reg_ready[p.dst as usize] = complete;
+                }
+                if rmt {
+                    // RMT duplicate: competes for the same resources but
+                    // produces no architectural effects, and holds its
+                    // window entries until it commits alongside the primary
+                    // (approximated by its completion + 1).
+                    let (c, _) = self.issue_uop(hier, pc, fetch_cycle, u, p, uop_addrs[k], true);
+                    self.rob.push(c + 1);
+                    self.iq.push(c);
+                    match p.class {
+                        UopClass::Load => self.lq.push(c + 1),
+                        UopClass::Store => self.sq.push(c + 1),
+                        _ => {}
                     }
-                    FaultTarget::FpRegBit { reg, bit } => {
-                        let v = self.state.f_bits(reg) ^ (1u64 << (bit & 63));
-                        self.state.set_f_bits(reg, v);
+                    match p.dst {
+                        NO_REG_SLOT => {}
+                        d if d < 32 => self.phys_int.push(c + 1),
+                        _ => self.phys_fp.push(c + 1),
                     }
-                    FaultTarget::AluStuckAt { unit, bit, value } => {
-                        self.stuck = Some((unit, bit, value));
-                    }
-                    FaultTarget::StoreValueBit { bit } if has_store => {
-                        store_value_flip = Some(bit);
-                    }
-                    FaultTarget::StoreAddrBit { bit } if has_store => {
-                        store_addr_flip = Some(bit);
-                    }
-                    FaultTarget::LoadValueBit { bit } if has_load => {
-                        load_value_flip = Some(bit);
-                    }
-                    FaultTarget::LoadCaptureBit { bit } if has_load => {
-                        load_capture_flip = Some(bit);
-                    }
-                    FaultTarget::PcBit { bit } => {
-                        pc_flip = Some(bit);
-                    }
-                    // Store/load faults wait for a matching instruction.
-                    _ => remaining.push(f),
                 }
             }
-            self.faults = remaining;
-        }
 
-        // ---- Per-micro-op timing ------------------------------------------
-        let mut completes = [0u64; MAX_UOPS_PER_INSN];
-        let mut resolve_cycle: Option<u64> = None;
-        let mut alu_units = [None::<usize>; MAX_UOPS_PER_INSN];
-        let mut nondet_value: Option<u64> = None;
-        let mut load_forwarded = [false; 2];
-        let rmt = self.cfg.rmt_duplicate;
-
-        for (k, u) in uops.iter().enumerate() {
-            // One extra pass per µop in RMT mode: the duplicate competes for
-            // the same resources but produces no architectural effects.
-            for dup in 0..if rmt { 2 } else { 1 } {
-                let is_dup = dup == 1;
-                // Dispatch: in-order, bounded by window occupancy and any
-                // checkpoint-copy pause.
-                let mut disp = (fetch_cycle + self.cfg.front_depth).max(self.dispatch_gate);
-                if self.cfg.event_skip && disp >= self.horizon {
-                    // Quiescent jump: every recorded resource event is at or
-                    // before `disp`, so each acquisition this micro-op would
-                    // perform drains its window empty and returns `disp`
-                    // unchanged — advance time straight there, clearing
-                    // those windows in O(1) instead of walking their
-                    // entries. Only the structures the exhaustive path
-                    // would acquire are touched (dispatch times are not
-                    // monotone across instructions, so an untouched window
-                    // must keep its entries for later, earlier-cycle
-                    // acquisitions).
-                    self.stats.cycles_skipped += disp - self.horizon;
-                    self.rob.reset();
-                    self.iq.reset();
-                    if u.is_load() {
-                        self.lq.reset();
-                    }
-                    if u.is_store() {
-                        self.sq.reset();
-                    }
-                    match u.dst {
-                        Some(DstReg::Int(_)) => self.phys_int.reset(),
-                        Some(DstReg::Fp(_)) => self.phys_fp.reset(),
-                        None => {}
-                    }
-                } else {
-                    disp = self.rob.acquire(disp);
-                    disp = self.iq.acquire(disp);
-                    if u.is_load() {
-                        disp = self.lq.acquire(disp);
-                    }
-                    if u.is_store() {
-                        disp = self.sq.acquire(disp);
-                    }
-                    match u.dst {
-                        Some(DstReg::Int(_)) => disp = self.phys_int.acquire(disp),
-                        Some(DstReg::Fp(_)) => disp = self.phys_fp.acquire(disp),
-                        None => {}
-                    }
-                }
-                let (_, disp) = self.dispatch_slots.take(disp, 1);
-                self.note_event(disp + 1);
-
-                // Operand readiness (RAW through renamed registers).
-                let ready = self.srcs_ready(&u.srcs).max(disp + 1);
-
-                // Issue + execute through a functional unit.
-                let lat = &self.cfg.lat;
-                let (complete, alu_unit) = match u.kind {
-                    UopKind::IntAlu { op, .. } => {
-                        let (pipelined, l) = if op.is_mul_div() {
-                            (
-                                false,
-                                if matches!(op, paradet_isa::AluOp::Div | paradet_isa::AluOp::Rem) {
-                                    lat.div
-                                } else {
-                                    lat.mul
-                                },
-                            )
-                        } else {
-                            (true, lat.int_alu)
-                        };
-                        let pool =
-                            if op.is_mul_div() { &mut self.mul_div } else { &mut self.int_alus };
-                        let occ = if pipelined { 1 } else { l };
-                        let (unit, start) = pool.take(ready, occ);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        (start + l, if op.is_mul_div() { None } else { Some(unit) })
-                    }
-                    UopKind::FpAlu { op } => {
-                        let (occ, l) =
-                            if op.is_div() { (lat.fp_div, lat.fp_div) } else { (1, lat.fp_alu) };
-                        let (_, start) = self.fp_alus.take(ready, occ);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        (start + l, None)
-                    }
-                    UopKind::Fma => {
-                        let (_, start) = self.fp_alus.take(ready, 1);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        (start + lat.fp_alu, None)
-                    }
-                    UopKind::FSqrt => {
-                        let (_, start) = self.fp_alus.take(ready, lat.fsqrt);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        (start + lat.fsqrt, None)
-                    }
-                    UopKind::FMov { .. } => {
-                        let (_, start) = self.int_alus.take(ready, 1);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        (start + lat.fmov, None)
-                    }
-                    UopKind::Branch { .. } | UopKind::Jump { .. } | UopKind::JumpReg { .. } => {
-                        let (_, start) = self.int_alus.take(ready, 1);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        let c = start + lat.branch;
-                        if !is_dup {
-                            resolve_cycle = Some(c);
-                        }
-                        (c, None)
-                    }
-                    UopKind::Mem { kind, width, .. } => {
-                        let addr = uop_addrs[k].expect("mem uop has an address");
-                        let (_, agu_start) = self.mem_ports.take(ready, 1);
-                        let (_, agu_start) = self.issue_slots.take(agu_start, 1);
-                        let addr_known = agu_start + lat.agu;
-                        match kind {
-                            MemKind::Load { .. } => {
-                                if is_dup {
-                                    // RMT duplicate loads read the load value
-                                    // queue, not the cache.
-                                    (addr_known + lat.forward, None)
-                                } else {
-                                    // Store-to-load forwarding: youngest older
-                                    // store overlapping this access and still
-                                    // in flight at addr_known. The skip path
-                                    // elides the window walk when every store
-                                    // has provably left the window by then.
-                                    let bytes = width.bytes();
-                                    let fwd = if self.cfg.event_skip
-                                        && addr_known >= self.stores_commit_max
-                                    {
-                                        None
-                                    } else {
-                                        self.stores_in_flight
-                                            .iter()
-                                            .rev()
-                                            .find(|s| {
-                                                s.commit > addr_known
-                                                    && addr < s.addr + s.bytes
-                                                    && s.addr < addr + bytes
-                                            })
-                                            .map(|s| s.data_ready)
-                                    };
-                                    match fwd {
-                                        Some(dr) => {
-                                            self.stats.store_forwards += 1;
-                                            if k < 2 {
-                                                load_forwarded[k] = true;
-                                            }
-                                            (addr_known.max(dr) + lat.forward, None)
-                                        }
-                                        None => {
-                                            let done =
-                                                hier.dread(pc, addr, self.to_time(addr_known));
-                                            (self.to_cycle(done), None)
-                                        }
-                                    }
-                                }
-                            }
-                            MemKind::Store => {
-                                // Stores are "complete" when address and data
-                                // are both available; memory is written at
-                                // commit through the write buffer.
-                                let data_ready = match u.srcs[1] {
-                                    Some(s) => self.reg_ready(s),
-                                    None => 0,
-                                };
-                                (addr_known.max(data_ready) + 1, None)
-                            }
-                        }
-                    }
-                    UopKind::RdCycle => {
-                        let (_, start) = self.int_alus.take(ready, 1);
-                        let (_, start) = self.issue_slots.take(start, 1);
-                        if !is_dup {
-                            nondet_value = Some(start + lat.int_alu);
-                        }
-                        (start + lat.int_alu, None)
-                    }
-                    UopKind::Nop | UopKind::Halt => {
-                        let (_, start) = self.issue_slots.take(ready, 1);
-                        (start + 1, None)
-                    }
+            // ---- Functional execution (oracle) + faults --------------------
+            let mut nondet = SuppliedNondet(nondet_value);
+            let step = self.state.step_decoded(insn, &mut hier.data, &mut nondet);
+            // Both scratch lists live on the stack (≤ 2 accesses per
+            // macro-op): nothing on the per-instruction path allocates.
+            let mut mem_effects =
+                [MemEffect { is_store: false, addr: 0, value: 0, width: MemWidth::B, old: 0 }; 2];
+            // Captured (LFU) values default to the true loaded values.
+            let mut captured = [0u64; 2];
+            let (mut n_effects, mut n_captured) = (0usize, 0usize);
+            for a in step.mem.iter() {
+                mem_effects[n_effects] = MemEffect {
+                    is_store: a.is_store,
+                    addr: a.addr,
+                    value: a.value,
+                    width: a.width,
+                    old: a.old,
                 };
-                // One horizon raise covers everything this micro-op booked:
-                // unit busy-until ≤ complete, issue slot ≤ complete, wakeup
-                // (reg_ready) = complete, window releases ≤ complete + 1.
-                self.note_event(complete + 1);
+                n_effects += 1;
+                if !a.is_store {
+                    captured[n_captured] = a.value;
+                    n_captured += 1;
+                }
+            }
+            let mem_effects = &mut mem_effects[..n_effects];
+            if flips.any() {
+                self.apply_flips(flips, insn, mem_effects, &mut captured, hier);
+            }
+            if let Some(stuck) = self.stuck {
+                self.force_stuck(stuck, uops, &alu_units);
+            }
 
-                if is_dup {
-                    // The duplicate occupies window entries until it commits
-                    // alongside the primary; approximate its release with its
-                    // completion + 1.
-                    self.rob.push(complete + 1);
-                    self.iq.push(complete);
-                    if u.is_load() {
-                        self.lq.push(complete + 1);
+            // ---- Load-forwarding-unit capture events ----------------------
+            {
+                let mut load_idx = 0usize;
+                // `(seq + k) % rob_entries`, maintained incrementally: one
+                // divide per instruction instead of one per uop.
+                let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
+                for (k, p) in pre.iter().enumerate() {
+                    if p.class == UopClass::Load {
+                        let eff = mem_effects
+                            .iter()
+                            .filter(|e| !e.is_store)
+                            .nth(load_idx)
+                            .copied()
+                            .expect("load uop has an effect");
+                        sink.on_load_executed(
+                            rob_slot,
+                            eff.addr,
+                            captured[load_idx],
+                            eff.width,
+                            self.to_time(completes[k]),
+                        );
+                        load_idx += 1;
                     }
-                    if u.is_store() {
-                        self.sq.push(complete + 1);
-                    }
-                    match u.dst {
-                        Some(DstReg::Int(_)) => self.phys_int.push(complete + 1),
-                        Some(DstReg::Fp(_)) => self.phys_fp.push(complete + 1),
-                        None => {}
-                    }
-                } else {
-                    completes[k] = complete;
-                    alu_units[k] = alu_unit;
-                    // Record IQ release at issue (approximated by complete -
-                    // latency ≈ issue; using complete keeps it conservative).
-                    self.iq.push(complete);
-                    // Destination becomes ready at completion.
-                    match u.dst {
-                        Some(DstReg::Int(r)) => self.reg_ready[r.index()] = complete,
-                        Some(DstReg::Fp(r)) => self.reg_ready[32 + r.index()] = complete,
-                        None => {}
+                    rob_slot += 1;
+                    if rob_slot == self.cfg.rob_entries {
+                        rob_slot = 0;
                     }
                 }
             }
-        }
 
-        // ---- Functional execution (oracle) + faults ------------------------
-        let mut nondet = SuppliedNondet(nondet_value);
-        let step = match self.state.step(&self.program, &mut hier.data, &mut nondet) {
-            Ok(s) => s,
-            Err(e) => {
-                self.crashed = Some(e);
-                return Err(CoreError::Crashed(e));
+            // ---- Control-flow resolution & predictor training -------------
+            if is_term {
+                match insn {
+                    Instruction::Branch { .. } => {
+                        self.stats.branches += 1;
+                        let (p, btb_target) = prediction.expect("branch was predicted");
+                        let taken = step.taken_branch;
+                        self.pred.update_direction(pc, p, taken);
+                        if taken {
+                            self.pred.btb_update(pc, step.next_pc);
+                        }
+                        let correct =
+                            p.taken == taken && (!taken || btb_target == Some(step.next_pc));
+                        if correct {
+                            if taken {
+                                // Correctly-predicted taken branch ends the
+                                // fetch group.
+                                self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + 1);
+                            }
+                        } else {
+                            self.stats.mispredicts += 1;
+                            let resolve = resolve_cycle.expect("branch resolved");
+                            self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
+                        }
+                    }
+                    Instruction::Jal { .. } => {
+                        // Direct jump: target known at decode; at worst a
+                        // short front-end bubble when the BTB misses.
+                        let hit = self.pred.btb_lookup(pc) == Some(step.next_pc);
+                        self.pred.btb_update(pc, step.next_pc);
+                        let bubble = if hit { 1 } else { 2 };
+                        self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + bubble);
+                    }
+                    Instruction::Jalr { .. } => {
+                        let predicted = jalr_prediction.expect("jalr was predicted");
+                        self.pred.btb_update(pc, step.next_pc);
+                        if predicted == Some(step.next_pc) {
+                            self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + 1);
+                        } else {
+                            self.stats.mispredicts += 1;
+                            let resolve = resolve_cycle.expect("jalr resolved");
+                            self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            // A PC corruption also redirects fetch (at commit of this instr).
+            if flips.pc.is_some() {
+                self.last_fetch_line = u64::MAX;
+            }
+
+            // ---- In-order commit with detection gating --------------------
+            let mut mem_iter = 0usize;
+            // `(seq + k) % rob_entries`, maintained incrementally (see the
+            // load capture loop above).
+            let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
+            for (k, u) in uops.iter().enumerate() {
+                let class = pre[k].class;
+                let complete = completes[k];
+                let mut commit = (complete + 1).max(self.last_commit).max(self.commit_gate);
+                let mem = if matches!(class, UopClass::Load | UopClass::Store) {
+                    let e = mem_effects[mem_iter];
+                    mem_iter += 1;
+                    Some(e)
+                } else {
+                    None
+                };
+                // Committed stores drain through the write buffer.
+                if let Some(e) = mem {
+                    if e.is_store {
+                        let (wb_slot, wb_start) = self.write_buffer.take(commit, 0);
+                        commit = commit.max(wb_start);
+                        let done_t = hier.dwrite(pc, e.addr, self.to_time(wb_start));
+                        let done_cycle = self.to_cycle(done_t);
+                        self.write_buffer.set_busy(wb_slot, done_cycle);
+                        self.note_event(done_cycle);
+                    }
+                }
+                let (_, slot) = self.commit_slots.take(commit, 1);
+                commit = commit.max(slot);
+
+                let ev = CommitEvent {
+                    seq: self.seq + k as u64,
+                    instr_index: self.instr_index,
+                    pc,
+                    insn,
+                    uop_index: u.uop_index,
+                    last: u.last,
+                    mem,
+                    nondet: if class == UopClass::RdCycle { step.nondet } else { None },
+                    rob_slot,
+                };
+                loop {
+                    match sink.on_commit(&ev, self.to_time(commit), &self.state, hier) {
+                        CommitGate::Accept => break,
+                        CommitGate::AcceptWithPause(pause) => {
+                            self.stats.gate_pauses += 1;
+                            self.stats.gate_pause_cycles += pause;
+                            self.commit_gate = commit + pause;
+                            self.dispatch_gate = commit + pause;
+                            self.note_event(commit + pause);
+                            break;
+                        }
+                        CommitGate::Retry(t) => {
+                            // A log-full stall: jump commit straight to the
+                            // checker-finish deadline — the cycles in between
+                            // are crossed in this one step, never evaluated.
+                            let c2 = self.to_cycle(t).max(commit + 1);
+                            self.stats.gate_retry_cycles += c2 - commit;
+                            if self.cfg.event_skip {
+                                // Cycles a whole-system fast-forward already
+                                // accounted (up to `ff_until`) are not
+                                // re-counted.
+                                let base = commit.max(self.ff_until.min(c2 - 1));
+                                self.stats.cycles_skipped += (c2 - 1) - base;
+                            }
+                            commit = c2;
+                        }
+                    }
+                }
+                self.last_commit = commit;
+                self.note_event(commit + 1);
+
+                // Record occupancy releases now that commit is final.
+                self.rob.push(commit);
+                if class == UopClass::Load {
+                    self.lq.push(commit);
+                }
+                if let Some(e) = mem {
+                    if e.is_store {
+                        self.sq.push(commit);
+                        self.stores_in_flight.push_back(InflightStore {
+                            addr: e.addr,
+                            bytes: e.width.bytes(),
+                            data_ready: complete,
+                            commit,
+                        });
+                        self.stores_commit_max = self.stores_commit_max.max(commit);
+                        if self.stores_in_flight.len() > self.cfg.sq_entries {
+                            self.stores_in_flight.pop_front();
+                        }
+                        self.stats.stores += 1;
+                    } else {
+                        self.stats.loads += 1;
+                    }
+                }
+                match pre[k].dst {
+                    NO_REG_SLOT => {}
+                    d if d < 32 => self.phys_int.push(commit),
+                    _ => self.phys_fp.push(commit),
+                }
+                self.stats.committed_uops += 1;
+                rob_slot += 1;
+                if rob_slot == self.cfg.rob_entries {
+                    rob_slot = 0;
+                }
+            }
+
+            self.seq += uops.len() as u64;
+            self.instr_index += 1;
+            self.stats.committed_instrs += 1;
+            self.stats.last_commit_cycle = self.last_commit;
+            done += 1;
+            if step.halted {
+                self.halted = true;
+                return Ok(BlockOutcome { instrs: done, halted: true });
+            }
+            if done >= max_instrs || flips.pc.is_some() {
+                return Ok(BlockOutcome { instrs: done, halted: false });
+            }
+        }
+        // Block exhausted: the next call resolves the successor block (a
+        // wild target crashes there).
+        Ok(BlockOutcome { instrs: done, halted: false })
+    }
+
+    /// Dispatches, issues and executes one micro-op, returning its
+    /// completion cycle and — for a simple integer-ALU op — the unit it ran
+    /// on ([`NO_UNIT`] otherwise). With `dup` set this is the micro-op's RMT
+    /// duplicate, whose loads read the load value queue instead of the
+    /// cache.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn issue_uop(
+        &mut self,
+        hier: &mut MemHier,
+        pc: u64,
+        fetch_cycle: u64,
+        u: &MicroOp,
+        p: PreUop,
+        addr: u64,
+        dup: bool,
+    ) -> (u64, usize) {
+        let lat = self.cfg.lat;
+        let is_load = p.class == UopClass::Load;
+        let is_store = p.class == UopClass::Store;
+        // Dispatch: in-order, bounded by window occupancy and any
+        // checkpoint-copy pause.
+        let mut disp = (fetch_cycle + self.cfg.front_depth).max(self.dispatch_gate);
+        if self.cfg.event_skip && disp >= self.horizon {
+            // Quiescent jump: every recorded resource event is at or before
+            // `disp`, so each acquisition this micro-op would perform drains
+            // its window empty and returns `disp` unchanged — advance time
+            // straight there, clearing those windows in O(1) instead of
+            // walking their entries. Only the structures the exhaustive path
+            // would acquire are touched (dispatch times are not monotone
+            // across instructions, so an untouched window must keep its
+            // entries for later, earlier-cycle acquisitions).
+            self.stats.cycles_skipped += disp - self.horizon;
+            self.rob.reset();
+            self.iq.reset();
+            if is_load {
+                self.lq.reset();
+            }
+            if is_store {
+                self.sq.reset();
+            }
+            match p.dst {
+                NO_REG_SLOT => {}
+                d if d < 32 => self.phys_int.reset(),
+                _ => self.phys_fp.reset(),
+            }
+        } else {
+            disp = self.rob.acquire(disp);
+            disp = self.iq.acquire(disp);
+            if is_load {
+                disp = self.lq.acquire(disp);
+            }
+            if is_store {
+                disp = self.sq.acquire(disp);
+            }
+            match p.dst {
+                NO_REG_SLOT => {}
+                d if d < 32 => disp = self.phys_int.acquire(disp),
+                _ => disp = self.phys_fp.acquire(disp),
+            }
+        }
+        let (_, disp) = self.dispatch_slots.take(disp, 1);
+        self.note_event(disp + 1);
+
+        // Operand readiness (RAW through renamed registers).
+        let ready = self.pre_srcs_ready(p.srcs).max(disp + 1);
+
+        // Issue + execute through a functional unit.
+        let mut unit = NO_UNIT;
+        let complete = match p.class {
+            UopClass::IntAlu => {
+                let (alu, start) = self.int_alus.take(ready, 1);
+                let (_, start) = self.issue_slots.take(start, 1);
+                unit = alu;
+                start + lat.int_alu
+            }
+            UopClass::Mul => {
+                let (_, start) = self.mul_div.take(ready, lat.mul);
+                let (_, start) = self.issue_slots.take(start, 1);
+                start + lat.mul
+            }
+            UopClass::Div => {
+                let (_, start) = self.mul_div.take(ready, lat.div);
+                let (_, start) = self.issue_slots.take(start, 1);
+                start + lat.div
+            }
+            UopClass::FpAlu | UopClass::Fma => {
+                let (_, start) = self.fp_alus.take(ready, 1);
+                let (_, start) = self.issue_slots.take(start, 1);
+                start + lat.fp_alu
+            }
+            UopClass::FpDiv => {
+                let (_, start) = self.fp_alus.take(ready, lat.fp_div);
+                let (_, start) = self.issue_slots.take(start, 1);
+                start + lat.fp_div
+            }
+            UopClass::FSqrt => {
+                let (_, start) = self.fp_alus.take(ready, lat.fsqrt);
+                let (_, start) = self.issue_slots.take(start, 1);
+                start + lat.fsqrt
+            }
+            UopClass::FMov => {
+                let (_, start) = self.int_alus.take(ready, 1);
+                let (_, start) = self.issue_slots.take(start, 1);
+                start + lat.fmov
+            }
+            UopClass::Branch | UopClass::Jump | UopClass::JumpReg => {
+                let (_, start) = self.int_alus.take(ready, 1);
+                let (_, start) = self.issue_slots.take(start, 1);
+                start + lat.branch
+            }
+            UopClass::Load => {
+                let (_, agu_start) = self.mem_ports.take(ready, 1);
+                let (_, agu_start) = self.issue_slots.take(agu_start, 1);
+                let addr_known = agu_start + lat.agu;
+                if dup {
+                    addr_known + lat.forward
+                } else {
+                    // Store-to-load forwarding: youngest older store
+                    // overlapping this access and still in flight at
+                    // addr_known. The skip path elides the window walk when
+                    // every store has provably left the window by then.
+                    let UopKind::Mem { width, .. } = u.kind else { unreachable!() };
+                    let bytes = width.bytes();
+                    let fwd = if self.cfg.event_skip && addr_known >= self.stores_commit_max {
+                        None
+                    } else {
+                        self.stores_in_flight
+                            .iter()
+                            .rev()
+                            .find(|s| {
+                                s.commit > addr_known
+                                    && addr < s.addr + s.bytes
+                                    && s.addr < addr + bytes
+                            })
+                            .map(|s| s.data_ready)
+                    };
+                    match fwd {
+                        Some(dr) => {
+                            self.stats.store_forwards += 1;
+                            addr_known.max(dr) + lat.forward
+                        }
+                        None => {
+                            let done_t = hier.dread(pc, addr, self.to_time(addr_known));
+                            self.to_cycle(done_t)
+                        }
+                    }
+                }
+            }
+            UopClass::Store => {
+                // Stores are "complete" when address and data are both
+                // available; memory is written at commit through the write
+                // buffer.
+                let (_, agu_start) = self.mem_ports.take(ready, 1);
+                let (_, agu_start) = self.issue_slots.take(agu_start, 1);
+                let data_slot = p.srcs[1];
+                let data_ready =
+                    if data_slot == NO_REG_SLOT { 0 } else { self.reg_ready[data_slot as usize] };
+                (agu_start + lat.agu).max(data_ready) + 1
+            }
+            UopClass::RdCycle => {
+                let (_, start) = self.int_alus.take(ready, 1);
+                let (_, start) = self.issue_slots.take(start, 1);
+                start + lat.int_alu
+            }
+            UopClass::Nop | UopClass::Halt => {
+                let (_, start) = self.issue_slots.take(ready, 1);
+                start + 1
             }
         };
+        // One horizon raise covers everything this micro-op booked: unit
+        // busy-until ≤ complete, issue slot ≤ complete, wakeup (reg_ready) =
+        // complete, window releases ≤ complete + 1.
+        self.note_event(complete + 1);
+        (complete, unit)
+    }
 
-        // Post-execution fault overrides. Both scratch lists live on the
-        // stack (≤ 2 accesses per macro-op): this path runs once per
-        // retired instruction and must not allocate.
-        let mut mem_effects =
-            [MemEffect { is_store: false, addr: 0, value: 0, width: MemWidth::B, old: 0 }; 2];
-        let mut n_effects = 0usize;
-        for a in step.mem.iter() {
-            mem_effects[n_effects] = MemEffect {
-                is_store: a.is_store,
-                addr: a.addr,
-                value: a.value,
-                width: a.width,
-                old: a.old,
-            };
-            n_effects += 1;
-        }
-        let mem_effects = &mut mem_effects[..n_effects];
-        // Captured (LFU) values default to the true loaded values.
-        let mut captured = [0u64; 2];
-        let mut n_captured = 0usize;
-        for a in step.mem.iter().filter(|a| !a.is_store) {
-            captured[n_captured] = a.value;
-            n_captured += 1;
-        }
-        let captured = &mut captured[..n_captured];
+    /// Fires every armed fault due at the current instruction, in arming
+    /// order: register flips and stuck-at latches land now, store/load
+    /// faults wait for an instruction with a matching access, and the rest
+    /// leave post-execution overrides. Compacts the armed list in place and
+    /// refreshes the cached earliest trigger.
+    #[cold]
+    fn fire_due_faults(&mut self, pre: &[PreUop]) -> PendingFlips {
+        let has_store = pre.iter().any(|p| p.class == UopClass::Store);
+        let has_load = pre.iter().any(|p| p.class == UopClass::Load);
+        let now = self.instr_index;
+        let mut flips = PendingFlips::default();
+        let mut faults = std::mem::take(&mut self.faults);
+        faults.retain(|f| {
+            if now < f.at_instr {
+                return true;
+            }
+            match f.target {
+                FaultTarget::IntRegBit { reg, bit } => {
+                    let v = self.state.x(reg) ^ (1u64 << (bit & 63));
+                    self.state.set_x(reg, v);
+                }
+                FaultTarget::FpRegBit { reg, bit } => {
+                    let v = self.state.f_bits(reg) ^ (1u64 << (bit & 63));
+                    self.state.set_f_bits(reg, v);
+                }
+                FaultTarget::AluStuckAt { unit, bit, value } => {
+                    self.stuck = Some((unit, bit, value));
+                }
+                FaultTarget::StoreValueBit { bit } if has_store => flips.store_value = Some(bit),
+                FaultTarget::StoreAddrBit { bit } if has_store => flips.store_addr = Some(bit),
+                FaultTarget::LoadValueBit { bit } if has_load => flips.load_value = Some(bit),
+                FaultTarget::LoadCaptureBit { bit } if has_load => flips.load_capture = Some(bit),
+                FaultTarget::PcBit { bit } => flips.pc = Some(bit),
+                // Store/load faults wait for a matching instruction.
+                _ => return true,
+            }
+            false
+        });
+        self.next_fault_at = faults.iter().map(|f| f.at_instr).min().unwrap_or(u64::MAX);
+        self.faults = faults;
+        flips
+    }
 
-        if let Some(bit) = store_value_flip {
+    /// Applies the post-execution overrides a fired fault left for this
+    /// instruction to memory, the architectural state, its memory effects
+    /// and the LFU capture values.
+    #[cold]
+    fn apply_flips(
+        &mut self,
+        flips: PendingFlips,
+        insn: Instruction,
+        mem_effects: &mut [MemEffect],
+        captured: &mut [u64; 2],
+        hier: &mut MemHier,
+    ) {
+        use paradet_isa::MemoryIface;
+        if let Some(bit) = flips.store_value {
             if let Some(eff) = mem_effects.iter_mut().find(|e| e.is_store) {
                 let corrupted = eff.width.truncate(eff.value ^ (1u64 << (bit & 63)));
-                use paradet_isa::MemoryIface;
                 hier.data.store(eff.addr, eff.width, corrupted);
                 eff.value = corrupted;
             }
         }
-        if let Some(bit) = store_addr_flip {
+        if let Some(bit) = flips.store_addr {
             if let Some(eff) = mem_effects.iter_mut().find(|e| e.is_store) {
-                use paradet_isa::MemoryIface;
                 // The store escaped to the wrong address: the oracle already
                 // wrote the correct one, so put its pre-store bytes back
                 // (`eff.old`, captured by the oracle before it stored), then
@@ -897,8 +1134,7 @@ impl OooCore {
                 eff.old = old_at_wrong;
             }
         }
-        if load_value_flip.is_some() || load_capture_flip.is_some() {
-            let bit = load_value_flip.or(load_capture_flip).unwrap_or(0);
+        if let Some(bit) = flips.load_value.or(flips.load_capture) {
             // Corrupt the loaded destination register in the oracle. The
             // commit-time view of the load (what a naive no-LFU design would
             // forward to the log) is the *register* value, so the event's
@@ -910,13 +1146,9 @@ impl OooCore {
                 eff.value ^= flip;
             }
             match insn {
-                Instruction::Load { rd, .. } => {
+                Instruction::Load { rd, .. } | Instruction::Ldp { rd1: rd, .. } => {
                     let v = self.state.x(rd) ^ flip;
                     self.state.set_x(rd, v);
-                }
-                Instruction::Ldp { rd1, .. } => {
-                    let v = self.state.x(rd1) ^ flip;
-                    self.state.set_x(rd1, v);
                 }
                 Instruction::FLoad { fd, .. } => {
                     let v = self.state.f_bits(fd) ^ flip;
@@ -924,736 +1156,39 @@ impl OooCore {
                 }
                 _ => {}
             }
-            if load_capture_flip.is_some() {
-                // Fault struck *before* LFU duplication: the captured value
-                // (and hence the log) is corrupted too.
-                if let Some(c) = captured.first_mut() {
-                    *c ^= flip;
-                }
+            if flips.load_capture.is_some() {
+                captured[0] ^= flip;
             }
         }
-        if let Some(bit) = pc_flip {
+        if let Some(bit) = flips.pc {
             self.state.pc ^= 1u64 << (bit % 21).max(2);
         }
-        // Hard stuck-at ALU fault: applies to every simple int-ALU op whose
-        // assigned unit matches.
-        if let Some((unit, bit, value)) = self.stuck {
-            for (k, u) in uops.iter().enumerate() {
-                if let (UopKind::IntAlu { .. }, Some(used)) = (u.kind, alu_units[k]) {
-                    if used == unit as usize % self.cfg.int_alus {
-                        if let Some(DstReg::Int(r)) = u.dst {
-                            let mask = 1u64 << (bit & 63);
-                            let v = self.state.x(r);
-                            let forced = if value { v | mask } else { v & !mask };
-                            self.state.set_x(r, forced);
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- Load-forwarding-unit capture events ----------------------------
-        {
-            let mut load_idx = 0usize;
-            // `(seq + k) % rob_entries`, maintained incrementally: one divide
-            // per instruction instead of one per uop.
-            let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
-            for (k, u) in uops.iter().enumerate() {
-                if u.is_load() {
-                    let eff = mem_effects
-                        .iter()
-                        .filter(|e| !e.is_store)
-                        .nth(load_idx)
-                        .copied()
-                        .expect("load uop has an effect");
-                    let value = captured[load_idx];
-                    sink.on_load_executed(
-                        rob_slot,
-                        eff.addr,
-                        value,
-                        eff.width,
-                        self.to_time(completes[k]),
-                    );
-                    load_idx += 1;
-                }
-                rob_slot += 1;
-                if rob_slot == self.cfg.rob_entries {
-                    rob_slot = 0;
-                }
-            }
-        }
-
-        // ---- Control-flow resolution & predictor training -------------------
-        match insn {
-            Instruction::Branch { .. } => {
-                self.stats.branches += 1;
-                let (p, btb_target) = prediction.expect("branch was predicted");
-                let taken = step.taken_branch;
-                self.pred.update_direction(pc, p, taken);
-                if taken {
-                    self.pred.btb_update(pc, step.next_pc);
-                }
-                let correct = p.taken == taken && (!taken || btb_target == Some(step.next_pc));
-                if correct {
-                    if taken {
-                        // Correctly-predicted taken branch ends the fetch
-                        // group.
-                        self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + 1);
-                    }
-                } else {
-                    self.stats.mispredicts += 1;
-                    let resolve = resolve_cycle.expect("branch resolved");
-                    self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
-                }
-            }
-            Instruction::Jal { .. } => {
-                // Direct jump: target known at decode; at worst a short
-                // front-end bubble when the BTB misses.
-                let hit = self.pred.btb_lookup(pc) == Some(step.next_pc);
-                self.pred.btb_update(pc, step.next_pc);
-                let bubble = if hit { 1 } else { 2 };
-                self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + bubble);
-            }
-            Instruction::Jalr { .. } => {
-                let predicted = jalr_prediction.expect("jalr was predicted");
-                self.pred.btb_update(pc, step.next_pc);
-                if predicted == Some(step.next_pc) {
-                    self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + 1);
-                } else {
-                    self.stats.mispredicts += 1;
-                    let resolve = resolve_cycle.expect("jalr resolved");
-                    self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
-                }
-            }
-            _ => {}
-        }
-        // A PC corruption also redirects fetch (at commit of this instr).
-        if pc_flip.is_some() {
-            self.last_fetch_line = u64::MAX;
-        }
-
-        // ---- In-order commit with detection gating --------------------------
-        let mut mem_iter = 0usize;
-        let mut outcome_time = Time::ZERO;
-        // `(seq + k) % rob_entries`, maintained incrementally (see the load
-        // capture loop above).
-        let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
-        for (k, u) in uops.iter().enumerate() {
-            let complete = completes[k];
-            let mut commit = (complete + 1).max(self.last_commit).max(self.commit_gate);
-            let mem = if u.is_mem() {
-                let e = mem_effects[mem_iter];
-                mem_iter += 1;
-                Some(e)
-            } else {
-                None
-            };
-            // Committed stores drain through the write buffer.
-            if let Some(e) = mem {
-                if e.is_store {
-                    let (wb_slot, wb_start) = self.write_buffer.take(commit, 0);
-                    commit = commit.max(wb_start);
-                    let done = hier.dwrite(pc, e.addr, self.to_time(wb_start));
-                    let done_cycle = self.to_cycle(done);
-                    self.write_buffer.set_busy(wb_slot, done_cycle);
-                    self.note_event(done_cycle);
-                }
-            }
-            let (_, slot) = self.commit_slots.take(commit, 1);
-            commit = commit.max(slot);
-
-            let ev = CommitEvent {
-                seq: self.seq + k as u64,
-                instr_index: self.instr_index,
-                pc,
-                insn,
-                uop_index: u.uop_index,
-                last: u.last,
-                mem,
-                nondet: if u.is_nondet() { step.nondet } else { None },
-                rob_slot,
-            };
-            loop {
-                match sink.on_commit(&ev, self.to_time(commit), &self.state, hier) {
-                    CommitGate::Accept => break,
-                    CommitGate::AcceptWithPause(pause) => {
-                        self.stats.gate_pauses += 1;
-                        self.stats.gate_pause_cycles += pause;
-                        self.commit_gate = commit + pause;
-                        self.dispatch_gate = commit + pause;
-                        self.note_event(commit + pause);
-                        break;
-                    }
-                    CommitGate::Retry(t) => {
-                        // A log-full stall: jump commit straight to the
-                        // checker-finish deadline — the cycles in between
-                        // are crossed in this one step, never evaluated.
-                        let c2 = self.to_cycle(t).max(commit + 1);
-                        self.stats.gate_retry_cycles += c2 - commit;
-                        if self.cfg.event_skip {
-                            // Cycles a whole-system fast-forward already
-                            // accounted (up to `ff_until`) are not
-                            // re-counted.
-                            let base = commit.max(self.ff_until.min(c2 - 1));
-                            self.stats.cycles_skipped += (c2 - 1) - base;
-                        }
-                        commit = c2;
-                    }
-                }
-            }
-            self.last_commit = commit;
-            self.note_event(commit + 1);
-
-            // Record occupancy releases now that commit is final.
-            self.rob.push(commit);
-            if u.is_load() {
-                self.lq.push(commit);
-            }
-            if let Some(e) = mem {
-                if e.is_store {
-                    self.sq.push(commit);
-                    self.stores_in_flight.push_back(InflightStore {
-                        addr: e.addr,
-                        bytes: e.width.bytes(),
-                        data_ready: complete,
-                        commit,
-                    });
-                    self.stores_commit_max = self.stores_commit_max.max(commit);
-                    if self.stores_in_flight.len() > self.cfg.sq_entries {
-                        self.stores_in_flight.pop_front();
-                    }
-                    self.stats.stores += 1;
-                } else {
-                    self.stats.loads += 1;
-                }
-            }
-            match u.dst {
-                Some(DstReg::Int(_)) => self.phys_int.push(commit),
-                Some(DstReg::Fp(_)) => self.phys_fp.push(commit),
-                None => {}
-            }
-            self.stats.committed_uops += 1;
-            outcome_time = self.to_time(commit);
-            rob_slot += 1;
-            if rob_slot == self.cfg.rob_entries {
-                rob_slot = 0;
-            }
-        }
-
-        self.seq += uops.len() as u64;
-        self.instr_index += 1;
-        self.stats.committed_instrs += 1;
-        self.stats.last_commit_cycle = self.last_commit;
-        if step.halted {
-            self.halted = true;
-        }
-        Ok(StepOutcome { pc, commit_time: outcome_time, halted: step.halted })
     }
 
-    /// Retires the remainder of the current basic block (capped at
-    /// `max_instrs` macro-ops) off the program's pre-decoded
-    /// superinstruction stream: one block lookup per call, fetch/crack and
-    /// branch-predictor matches hoisted off the per-instruction body (only
-    /// the block terminator can be control flow), functional-unit selection
-    /// switched on the pre-resolved [`UopClass`] byte, and the oracle fed
-    /// the already-fetched instruction. The timing phases (fetch slots,
-    /// dispatch gating, occupancy acquisition order, issue/complete/commit
-    /// bookkeeping, detection-sink gating, horizon raises) are
-    /// transliterated from [`step`](Self::step) one for one — the two paths
-    /// are asserted bit-identical by the block-vs-legacy suite.
-    ///
-    /// Falls back to exactly one legacy [`step`](Self::step) call whenever
-    /// `OooConfig::block_exec` is off, faults are armed (the legacy path
-    /// carries the per-instruction fault scan points), a stuck-at fault has
-    /// latched, or RMT duplication is on.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Halted`] / [`CoreError::Crashed`] as for
-    /// [`step`](Self::step). A wild block exit is observed by the *next*
-    /// call's block lookup — matching the legacy driver, which sees a bad
-    /// PC at the next instruction fetch.
-    pub fn step_block<S: DetectionSink + ?Sized>(
+    /// Hard stuck-at ALU fault: forces `bit` of every simple int-ALU result
+    /// computed on the struck unit.
+    fn force_stuck(
         &mut self,
-        hier: &mut MemHier,
-        sink: &mut S,
-        max_instrs: u64,
-    ) -> Result<BlockOutcome, CoreError> {
-        if self.halted {
-            return Err(CoreError::Halted);
-        }
-        if let Some(e) = self.crashed {
-            return Err(CoreError::Crashed(e));
-        }
-        if !self.cfg.block_exec
-            || !self.faults.is_empty()
-            || self.stuck.is_some()
-            || self.cfg.rmt_duplicate
-        {
-            let out = self.step(hier, sink)?;
-            return Ok(BlockOutcome { instrs: 1, halted: out.halted });
-        }
-        if max_instrs == 0 {
-            return Ok(BlockOutcome { instrs: 0, halted: false });
-        }
-
-        let program = Arc::clone(&self.program);
-        let lat = self.cfg.lat;
-        let mut done = 0u64;
-        let (block, off) = match program.block_at(self.state.pc) {
-            Some(c) => c,
-            None => {
-                let e = ExecError::BadPc { pc: self.state.pc };
-                self.crashed = Some(e);
-                return Err(CoreError::Crashed(e));
-            }
-        };
-        {
-            let first = (block.first + off) as usize;
-            let end = (block.first + block.len) as usize;
-            for i in first..end {
-                let pc = self.state.pc;
-                let insn = program.text()[i];
-                // Only the block's last instruction can transfer control,
-                // so prediction and resolution run for it alone.
-                let is_term = i + 1 == end;
-
-                // ---- Fetch timing (as in `step`) ----------------------
-                let (_, fslot) = self.fetch_slots.take(self.next_fetch_cycle, 1);
-                self.note_event(fslot + 1);
-                let line = pc & !63;
-                if line != self.last_fetch_line {
-                    let done_t = hier.ifetch(line, self.to_time(fslot));
-                    self.line_ready = self.to_cycle(done_t);
-                    self.last_fetch_line = line;
-                    self.note_event(self.line_ready);
-                }
-                let fetch_cycle = fslot.max(self.line_ready);
-
-                // ---- Branch prediction (terminator only) --------------
-                let mut prediction = None;
-                let mut jalr_prediction = None;
-                if is_term {
-                    match insn {
-                        Instruction::Branch { .. } => {
-                            let p = self.pred.predict_direction(pc);
-                            let target = if p.taken { self.pred.btb_lookup(pc) } else { None };
-                            prediction = Some((p, target));
-                        }
-                        Instruction::Jalr { rd, rs1, .. } => {
-                            let is_return = rd == Reg::X0 && rs1 == Reg::X1;
-                            let predicted = if is_return {
-                                self.pred.ras_pop()
-                            } else {
-                                self.pred.btb_lookup(pc)
-                            };
-                            if rd == Reg::X1 {
-                                self.pred.ras_push(pc + 4);
-                            }
-                            jalr_prediction = Some(predicted);
-                        }
-                        Instruction::Jal { rd: Reg::X1, .. } => {
-                            self.pred.ras_push(pc + 4);
-                        }
-                        _ => {}
-                    }
-                }
-
-                // ---- Pre-decoded micro-ops + memory addresses ---------
-                let uops = program.uops_of(i);
-                let pre = program.pre_uops_of(i);
-                let mut uop_addrs = [None::<u64>; MAX_UOPS_PER_INSN];
-                for (k, u) in uops.iter().enumerate() {
-                    if matches!(pre[k].class, UopClass::Load | UopClass::Store) {
-                        let UopKind::Mem { imm, .. } = u.kind else { unreachable!() };
-                        let base = match u.srcs[0] {
-                            Some(SrcReg::Int(r)) => self.state.x(r),
-                            None => 0,
-                            _ => unreachable!("memory base is an integer register"),
-                        };
-                        uop_addrs[k] = Some(base.wrapping_add(imm as u64));
-                    }
-                }
-
-                // ---- Per-micro-op timing ------------------------------
-                let mut completes = [0u64; MAX_UOPS_PER_INSN];
-                let mut resolve_cycle: Option<u64> = None;
-                let mut nondet_value: Option<u64> = None;
-                for (k, u) in uops.iter().enumerate() {
-                    let class = pre[k].class;
-                    let is_load = class == UopClass::Load;
-                    let is_store = class == UopClass::Store;
-                    let mut disp = (fetch_cycle + self.cfg.front_depth).max(self.dispatch_gate);
-                    if self.cfg.event_skip && disp >= self.horizon {
-                        // Quiescent jump — see `step` for the invariant.
-                        self.stats.cycles_skipped += disp - self.horizon;
-                        self.rob.reset();
-                        self.iq.reset();
-                        if is_load {
-                            self.lq.reset();
-                        }
-                        if is_store {
-                            self.sq.reset();
-                        }
-                        match pre[k].dst {
-                            NO_REG_SLOT => {}
-                            d if d < 32 => self.phys_int.reset(),
-                            _ => self.phys_fp.reset(),
-                        }
-                    } else {
-                        disp = self.rob.acquire(disp);
-                        disp = self.iq.acquire(disp);
-                        if is_load {
-                            disp = self.lq.acquire(disp);
-                        }
-                        if is_store {
-                            disp = self.sq.acquire(disp);
-                        }
-                        match pre[k].dst {
-                            NO_REG_SLOT => {}
-                            d if d < 32 => disp = self.phys_int.acquire(disp),
-                            _ => disp = self.phys_fp.acquire(disp),
-                        }
-                    }
-                    let (_, disp) = self.dispatch_slots.take(disp, 1);
-                    self.note_event(disp + 1);
-
-                    let ready = self.pre_srcs_ready(pre[k].srcs).max(disp + 1);
-
-                    let complete = match class {
-                        UopClass::IntAlu => {
-                            let (_, start) = self.int_alus.take(ready, 1);
-                            let (_, start) = self.issue_slots.take(start, 1);
-                            start + lat.int_alu
-                        }
-                        UopClass::Mul => {
-                            let (_, start) = self.mul_div.take(ready, lat.mul);
-                            let (_, start) = self.issue_slots.take(start, 1);
-                            start + lat.mul
-                        }
-                        UopClass::Div => {
-                            let (_, start) = self.mul_div.take(ready, lat.div);
-                            let (_, start) = self.issue_slots.take(start, 1);
-                            start + lat.div
-                        }
-                        UopClass::FpAlu => {
-                            let (_, start) = self.fp_alus.take(ready, 1);
-                            let (_, start) = self.issue_slots.take(start, 1);
-                            start + lat.fp_alu
-                        }
-                        UopClass::FpDiv => {
-                            let (_, start) = self.fp_alus.take(ready, lat.fp_div);
-                            let (_, start) = self.issue_slots.take(start, 1);
-                            start + lat.fp_div
-                        }
-                        UopClass::Fma => {
-                            let (_, start) = self.fp_alus.take(ready, 1);
-                            let (_, start) = self.issue_slots.take(start, 1);
-                            start + lat.fp_alu
-                        }
-                        UopClass::FSqrt => {
-                            let (_, start) = self.fp_alus.take(ready, lat.fsqrt);
-                            let (_, start) = self.issue_slots.take(start, 1);
-                            start + lat.fsqrt
-                        }
-                        UopClass::FMov => {
-                            let (_, start) = self.int_alus.take(ready, 1);
-                            let (_, start) = self.issue_slots.take(start, 1);
-                            start + lat.fmov
-                        }
-                        UopClass::Branch | UopClass::Jump | UopClass::JumpReg => {
-                            let (_, start) = self.int_alus.take(ready, 1);
-                            let (_, start) = self.issue_slots.take(start, 1);
-                            let c = start + lat.branch;
-                            resolve_cycle = Some(c);
-                            c
-                        }
-                        UopClass::Load => {
-                            let UopKind::Mem { width, .. } = u.kind else { unreachable!() };
-                            let addr = uop_addrs[k].expect("mem uop has an address");
-                            let (_, agu_start) = self.mem_ports.take(ready, 1);
-                            let (_, agu_start) = self.issue_slots.take(agu_start, 1);
-                            let addr_known = agu_start + lat.agu;
-                            let bytes = width.bytes();
-                            let fwd = if self.cfg.event_skip && addr_known >= self.stores_commit_max
-                            {
-                                None
-                            } else {
-                                self.stores_in_flight
-                                    .iter()
-                                    .rev()
-                                    .find(|s| {
-                                        s.commit > addr_known
-                                            && addr < s.addr + s.bytes
-                                            && s.addr < addr + bytes
-                                    })
-                                    .map(|s| s.data_ready)
-                            };
-                            match fwd {
-                                Some(dr) => {
-                                    self.stats.store_forwards += 1;
-                                    addr_known.max(dr) + lat.forward
-                                }
-                                None => {
-                                    let done_t = hier.dread(pc, addr, self.to_time(addr_known));
-                                    self.to_cycle(done_t)
-                                }
-                            }
-                        }
-                        UopClass::Store => {
-                            let (_, agu_start) = self.mem_ports.take(ready, 1);
-                            let (_, agu_start) = self.issue_slots.take(agu_start, 1);
-                            let addr_known = agu_start + lat.agu;
-                            let data_slot = pre[k].srcs[1];
-                            let data_ready = if data_slot == NO_REG_SLOT {
-                                0
-                            } else {
-                                self.reg_ready[data_slot as usize]
-                            };
-                            addr_known.max(data_ready) + 1
-                        }
-                        UopClass::RdCycle => {
-                            let (_, start) = self.int_alus.take(ready, 1);
-                            let (_, start) = self.issue_slots.take(start, 1);
-                            nondet_value = Some(start + lat.int_alu);
-                            start + lat.int_alu
-                        }
-                        UopClass::Nop | UopClass::Halt => {
-                            let (_, start) = self.issue_slots.take(ready, 1);
-                            start + 1
-                        }
-                    };
-                    self.note_event(complete + 1);
-                    completes[k] = complete;
-                    self.iq.push(complete);
-                    let dst_slot = pre[k].dst;
-                    if dst_slot != NO_REG_SLOT {
-                        self.reg_ready[dst_slot as usize] = complete;
-                    }
-                }
-
-                // ---- Functional execution (oracle) --------------------
-                let mut nondet = SuppliedNondet(nondet_value);
-                let step = self.state.step_decoded(insn, &mut hier.data, &mut nondet);
-
-                let mut mem_effects =
-                    [MemEffect { is_store: false, addr: 0, value: 0, width: MemWidth::B, old: 0 };
-                        2];
-                let mut n_effects = 0usize;
-                for a in step.mem.iter() {
-                    mem_effects[n_effects] = MemEffect {
-                        is_store: a.is_store,
-                        addr: a.addr,
-                        value: a.value,
-                        width: a.width,
-                        old: a.old,
-                    };
-                    n_effects += 1;
-                }
-                let mem_effects = &mem_effects[..n_effects];
-
-                // ---- Load-forwarding-unit capture events --------------
-                {
-                    let mut load_idx = 0usize;
-                    // `(seq + k) % rob_entries`, maintained incrementally:
-                    // one divide per instruction instead of one per uop.
-                    let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
-                    for (k, _) in uops.iter().enumerate() {
-                        if pre[k].class == UopClass::Load {
-                            let eff = mem_effects
-                                .iter()
-                                .filter(|e| !e.is_store)
-                                .nth(load_idx)
-                                .copied()
-                                .expect("load uop has an effect");
-                            sink.on_load_executed(
-                                rob_slot,
-                                eff.addr,
-                                eff.value,
-                                eff.width,
-                                self.to_time(completes[k]),
-                            );
-                            load_idx += 1;
-                        }
-                        rob_slot += 1;
-                        if rob_slot == self.cfg.rob_entries {
-                            rob_slot = 0;
-                        }
-                    }
-                }
-
-                // ---- Control-flow resolution (terminator only) --------
-                if is_term {
-                    match insn {
-                        Instruction::Branch { .. } => {
-                            self.stats.branches += 1;
-                            let (p, btb_target) = prediction.expect("branch was predicted");
-                            let taken = step.taken_branch;
-                            self.pred.update_direction(pc, p, taken);
-                            if taken {
-                                self.pred.btb_update(pc, step.next_pc);
-                            }
-                            let correct =
-                                p.taken == taken && (!taken || btb_target == Some(step.next_pc));
-                            if correct {
-                                if taken {
-                                    self.next_fetch_cycle =
-                                        self.next_fetch_cycle.max(fetch_cycle + 1);
-                                }
-                            } else {
-                                self.stats.mispredicts += 1;
-                                let resolve = resolve_cycle.expect("branch resolved");
-                                self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
-                            }
-                        }
-                        Instruction::Jal { .. } => {
-                            let hit = self.pred.btb_lookup(pc) == Some(step.next_pc);
-                            self.pred.btb_update(pc, step.next_pc);
-                            let bubble = if hit { 1 } else { 2 };
-                            self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + bubble);
-                        }
-                        Instruction::Jalr { .. } => {
-                            let predicted = jalr_prediction.expect("jalr was predicted");
-                            self.pred.btb_update(pc, step.next_pc);
-                            if predicted == Some(step.next_pc) {
-                                self.next_fetch_cycle = self.next_fetch_cycle.max(fetch_cycle + 1);
-                            } else {
-                                self.stats.mispredicts += 1;
-                                let resolve = resolve_cycle.expect("jalr resolved");
-                                self.next_fetch_cycle = self.next_fetch_cycle.max(resolve + 1);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-
-                // ---- In-order commit with detection gating ------------
-                let mut mem_iter = 0usize;
-                // `(seq + k) % rob_entries`, maintained incrementally (see
-                // the load capture loop above).
-                let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
-                for (k, u) in uops.iter().enumerate() {
-                    let complete = completes[k];
-                    let mut commit = (complete + 1).max(self.last_commit).max(self.commit_gate);
-                    let mem = if matches!(pre[k].class, UopClass::Load | UopClass::Store) {
-                        let e = mem_effects[mem_iter];
-                        mem_iter += 1;
-                        Some(e)
-                    } else {
-                        None
-                    };
-                    if let Some(e) = mem {
-                        if e.is_store {
-                            let (wb_slot, wb_start) = self.write_buffer.take(commit, 0);
-                            commit = commit.max(wb_start);
-                            let done_t = hier.dwrite(pc, e.addr, self.to_time(wb_start));
-                            let done_cycle = self.to_cycle(done_t);
-                            self.write_buffer.set_busy(wb_slot, done_cycle);
-                            self.note_event(done_cycle);
-                        }
-                    }
-                    let (_, slot) = self.commit_slots.take(commit, 1);
-                    commit = commit.max(slot);
-
-                    let ev = CommitEvent {
-                        seq: self.seq + k as u64,
-                        instr_index: self.instr_index,
-                        pc,
-                        insn,
-                        uop_index: u.uop_index,
-                        last: u.last,
-                        mem,
-                        nondet: if u.is_nondet() { step.nondet } else { None },
-                        rob_slot,
-                    };
-                    loop {
-                        match sink.on_commit(&ev, self.to_time(commit), &self.state, hier) {
-                            CommitGate::Accept => break,
-                            CommitGate::AcceptWithPause(pause) => {
-                                self.stats.gate_pauses += 1;
-                                self.stats.gate_pause_cycles += pause;
-                                self.commit_gate = commit + pause;
-                                self.dispatch_gate = commit + pause;
-                                self.note_event(commit + pause);
-                                break;
-                            }
-                            CommitGate::Retry(t) => {
-                                let c2 = self.to_cycle(t).max(commit + 1);
-                                self.stats.gate_retry_cycles += c2 - commit;
-                                if self.cfg.event_skip {
-                                    // Span up to `ff_until` was accounted
-                                    // by a system fast-forward already.
-                                    let base = commit.max(self.ff_until.min(c2 - 1));
-                                    self.stats.cycles_skipped += (c2 - 1) - base;
-                                }
-                                commit = c2;
-                            }
-                        }
-                    }
-                    self.last_commit = commit;
-                    self.note_event(commit + 1);
-
-                    self.rob.push(commit);
-                    if pre[k].class == UopClass::Load {
-                        self.lq.push(commit);
-                    }
-                    if let Some(e) = mem {
-                        if e.is_store {
-                            self.sq.push(commit);
-                            self.stores_in_flight.push_back(InflightStore {
-                                addr: e.addr,
-                                bytes: e.width.bytes(),
-                                data_ready: complete,
-                                commit,
-                            });
-                            self.stores_commit_max = self.stores_commit_max.max(commit);
-                            if self.stores_in_flight.len() > self.cfg.sq_entries {
-                                self.stores_in_flight.pop_front();
-                            }
-                            self.stats.stores += 1;
-                        } else {
-                            self.stats.loads += 1;
-                        }
-                    }
-                    match u.dst {
-                        Some(DstReg::Int(_)) => self.phys_int.push(commit),
-                        Some(DstReg::Fp(_)) => self.phys_fp.push(commit),
-                        None => {}
-                    }
-                    self.stats.committed_uops += 1;
-                    rob_slot += 1;
-                    if rob_slot == self.cfg.rob_entries {
-                        rob_slot = 0;
-                    }
-                }
-
-                self.seq += uops.len() as u64;
-                self.instr_index += 1;
-                self.stats.committed_instrs += 1;
-                self.stats.last_commit_cycle = self.last_commit;
-                done += 1;
-                if step.halted {
-                    self.halted = true;
-                    return Ok(BlockOutcome { instrs: done, halted: true });
-                }
-                if done >= max_instrs {
-                    return Ok(BlockOutcome { instrs: done, halted: false });
+        (unit, bit, value): (u8, u8, bool),
+        uops: &[MicroOp],
+        alu_units: &[usize; MAX_UOPS_PER_INSN],
+    ) {
+        let struck = unit as usize % self.cfg.int_alus;
+        for (u, &used) in uops.iter().zip(alu_units) {
+            if used == struck {
+                if let Some(DstReg::Int(r)) = u.dst {
+                    let mask = 1u64 << (bit & 63);
+                    let v = self.state.x(r);
+                    self.state.set_x(r, if value { v | mask } else { v & !mask });
                 }
             }
         }
-        // Block exhausted: the next call resolves the successor block (a
-        // wild target crashes there, like the legacy driver's fetch-time
-        // bad-PC check).
-        Ok(BlockOutcome { instrs: done, halted: false })
     }
 
     /// Runs until halt, crash, or `max_instrs` retired instructions.
     ///
     /// Returns the number of instructions retired by this call; inspect
     /// [`halted`](Self::halted)/[`crashed`](Self::crashed) for the cause.
-    /// Drives [`step_block`](Self::step_block), which itself degrades to
-    /// the legacy per-instruction path when `OooConfig::block_exec` is off
-    /// or faults are armed.
     pub fn run<S: DetectionSink + ?Sized>(
         &mut self,
         hier: &mut MemHier,

@@ -40,7 +40,7 @@ mod predictor;
 mod resources;
 mod types;
 
-pub use crate::core::{BlockOutcome, CoreError, CoreStats, OooCore, StepOutcome};
+pub use crate::core::{BlockOutcome, CoreError, CoreStats, OooCore};
 pub use config::{LatencyTable, OooConfig};
 pub use fault::{ArmedFault, FaultKind, FaultTarget};
 pub use predictor::{DirectionPrediction, PredictorConfig, PredictorStats, TournamentPredictor};
@@ -108,7 +108,7 @@ mod tests {
         let mut golden = ArchState::at_entry(&program);
         let mut gmem = FlatMemory::new();
         gmem.load_image(&program);
-        golden.run(&program, &mut gmem, &mut NoNondet, 1_000_000).unwrap();
+        golden.run_blocks(&program, &mut gmem, &mut NoNondet, 1_000_000).unwrap();
 
         assert_eq!(core.committed_state().first_register_mismatch(&golden), None);
         assert_eq!(hier.data.first_difference(&gmem), None);
@@ -499,6 +499,41 @@ mod tests {
         let mut core = OooCore::new(cfg, &program);
         core.run(&mut hier, &mut NullSink, 10);
         assert!(core.halted());
-        assert!(matches!(core.step(&mut hier, &mut NullSink), Err(CoreError::Halted)));
+        assert!(matches!(core.step_block(&mut hier, &mut NullSink, 1), Err(CoreError::Halted)));
+    }
+
+    #[test]
+    fn zero_budget_retires_nothing_even_with_a_fault_armed() {
+        let program = loop_program(100, |b| {
+            b.addi(Reg::X1, Reg::X1, 1);
+        });
+        let cfg = OooConfig::default();
+        let mut hier = hier_for(&cfg);
+        let mut core = OooCore::new(cfg, &program);
+        core.arm_fault(ArmedFault::new(50, FaultTarget::IntRegBit { reg: Reg::X1, bit: 7 }));
+        let out = core.step_block(&mut hier, &mut NullSink, 0).unwrap();
+        assert_eq!(out.instrs, 0);
+        assert_eq!(core.stats.committed_instrs, 0);
+    }
+
+    #[test]
+    fn pc_fault_ends_the_block() {
+        // A straight-line block of adds: a PC flip firing mid-block must end
+        // the call at the struck instruction, with fetch redirected to the
+        // flipped PC.
+        let mut b = ProgramBuilder::new();
+        for _ in 0..8 {
+            b.addi(Reg::X1, Reg::X1, 1);
+        }
+        b.halt();
+        let program = b.build();
+        let cfg = OooConfig::default();
+        let mut hier = hier_for(&cfg);
+        let mut core = OooCore::new(cfg, &program);
+        core.arm_fault(ArmedFault::new(2, FaultTarget::PcBit { bit: 3 }));
+        let out = core.step_block(&mut hier, &mut NullSink, 100).unwrap();
+        assert_eq!(out.instrs, 3, "the struck instruction is the block's last");
+        assert_eq!(core.committed_state().pc, (program.entry() + 12) ^ 8);
+        assert!(core.unfired_faults().is_empty());
     }
 }

@@ -219,8 +219,24 @@ mod tests {
         let mut st = ArchState::at_entry(program);
         let mut mem = FlatMemory::new();
         mem.load_image(program);
-        let n = st.run(program, &mut mem, &mut NoNondet, max).unwrap();
+        let n = st.run_blocks(program, &mut mem, &mut NoNondet, max).unwrap();
         (st, mem, n)
+    }
+
+    /// Every shipped workload discovers a non-trivial block structure at
+    /// program build: blocks exist, they tile the text exactly, and the mean
+    /// block length is at least one micro-op.
+    #[test]
+    fn workloads_discover_blocks() {
+        for w in Workload::all() {
+            let p = w.build(50);
+            let blocks = p.blocks();
+            assert!(blocks.len() > 1, "{w}: a looping workload must have several blocks");
+            let covered: u64 = blocks.iter().map(|b| u64::from(b.len)).sum();
+            assert_eq!(covered, p.len() as u64, "{w}: blocks must tile the text exactly");
+            assert!(p.mean_uops_per_block() >= 1.0, "{w}: mean uops/block below one");
+            assert!(p.block_at(p.entry()).is_some(), "{w}: entry PC must start or join a block");
+        }
     }
 
     #[test]

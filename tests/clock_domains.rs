@@ -145,41 +145,6 @@ fn one_run_sweep_is_farm_width_invariant() {
     with_threads(4, || assert_sweep_identity(base, &program, 3_000));
 }
 
-/// The acceptance gate for the one-run experiment path: the Fig. 9 and
-/// Fig. 11 tables produced from one domain-swept simulation per workload
-/// render byte-identically to the legacy one-simulation-per-clock sweep,
-/// for every workload at smoke budget, at 1 and 4 worker threads.
-#[test]
-fn one_run_fig09_fig11_tables_match_legacy_per_run_sweep() {
-    use paradet_bench::experiments::{
-        fig09_freq_slowdown, fig09_freq_slowdown_per_run, fig11_freq_delay,
-        fig11_freq_delay_per_run,
-    };
-    use paradet_bench::runner::Runner;
-    for threads in [1usize, 4] {
-        with_threads(threads, || {
-            let r = Runner::with_instrs(3_000);
-            assert_eq!(
-                fig09_freq_slowdown(&r).render(),
-                fig09_freq_slowdown_per_run(&r).render(),
-                "fig09 one-run table != per-run table at {threads} threads"
-            );
-            let (mean_one, max_one) = fig11_freq_delay(&r);
-            let (mean_per, max_per) = fig11_freq_delay_per_run(&r);
-            assert_eq!(
-                mean_one.render(),
-                mean_per.render(),
-                "fig11a one-run table != per-run table at {threads} threads"
-            );
-            assert_eq!(
-                max_one.render(),
-                max_per.render(),
-                "fig11b one-run table != per-run table at {threads} threads"
-            );
-        });
-    }
-}
-
 /// Mixed-speed farms × recovery (invariant 9 under the mixed-farm axis):
 /// a strike detected by the checker farm on a *mixed* farm still drives
 /// rollback + re-execution to a final architectural state bit-identical

@@ -92,10 +92,7 @@ fn site_reordering_preserves_per_trial_faults() {
 // ---------------------------------------------------------------------------
 // Decoupled checker farm: 1 vs N farm workers must be bit-identical —
 // errors, delay stats, seal/finish times, checker stats, cache stats,
-// everything — on ANY input. The legacy eager (inline-at-seal) path is
-// additionally bit-identical whenever checker I-fetches stay in the
-// private checker L0/L1I (true for everything below; `randacc` at large
-// footprints is the known exception — see `SystemConfig::eager_check`).
+// everything — on ANY input.
 // ---------------------------------------------------------------------------
 
 /// A loopy kernel with loads, stores, random arithmetic and (optionally) a
@@ -132,8 +129,7 @@ fn farm_kernel(seeds: &[u64], ops: &[(AluOp, usize, usize)], iters: u64, rdcycle
 ///
 /// `cycles_skipped` is normalized to zero before rendering: it is pure
 /// accounting, and the whole-system fast-forward portion depends on the
-/// detector's in-flight-check state, which legitimately differs between the
-/// eager path (checks fold inline, never in flight) and the farm.
+/// detector's in-flight-check state.
 fn run_fingerprint(
     cfg: SystemConfig,
     program: &Arc<Program>,
@@ -165,46 +161,6 @@ fn farm_sweep_config() -> SystemConfig {
     cfg
 }
 
-/// Farm vs legacy eager path on a real workload at the paper config.
-#[test]
-fn farm_matches_legacy_eager_on_workload() {
-    let w = paradet::workloads::Workload::Bitcount;
-    let program = Arc::new(w.build(w.iters_for_instrs(5_000)));
-    let farm = run_fingerprint(SystemConfig::paper_default(), &program, None, None, 5_000);
-    let eager_cfg = SystemConfig { eager_check: true, ..SystemConfig::paper_default() };
-    let eager = run_fingerprint(eager_cfg, &program, None, None, 5_000);
-    assert_eq!(farm, eager, "decoupled farm diverged from the legacy eager path");
-}
-
-/// The documented farm-vs-eager modelling boundary, pinned explicitly
-/// instead of silently avoided (see `SystemConfig::eager_check` and
-/// ARCHITECTURE.md): `randacc`'s data footprint evicts text from the
-/// shared L2, so at large budgets (≥150k instructions) the eager path's
-/// checker I-fetch misses linearize differently into the order-sensitive
-/// L2/DRAM stream and the two paths legitimately diverge — the farm (lazy
-/// seal-order join) is the authoritative semantics. Below the boundary
-/// they are bit-identical.
-#[test]
-fn farm_vs_eager_randacc_boundary_is_explicit() {
-    let w = paradet::workloads::Workload::Randacc;
-    let eager_at = |instrs: u64| {
-        let program = Arc::new(w.build(w.iters_for_instrs(instrs)));
-        let farm = run_fingerprint(SystemConfig::paper_default(), &program, None, None, instrs);
-        let eager_cfg = SystemConfig { eager_check: true, ..SystemConfig::paper_default() };
-        let eager = run_fingerprint(eager_cfg, &program, None, None, instrs);
-        (farm, eager)
-    };
-    // Below the boundary: bit-identical, like every other workload.
-    let (farm, eager) = eager_at(20_000);
-    assert_eq!(farm, eager, "randacc below the eager boundary must match");
-    // At the boundary: the divergence is real and expected. If this ever
-    // starts failing, the boundary has moved — update the
-    // `SystemConfig::eager_check` docs and ARCHITECTURE.md, don't delete
-    // the assertion.
-    let (farm, eager) = eager_at(150_000);
-    assert_ne!(farm, eager, "randacc farm-vs-eager boundary moved above 150k instrs");
-}
-
 /// Farm width (serial fast path vs 8 pooled workers) is invisible.
 #[test]
 fn farm_width_is_invisible_on_workload() {
@@ -217,27 +173,23 @@ fn farm_width_is_invisible_on_workload() {
 }
 
 /// An erroring segment (over-detection log fault) joins with identical
-/// timing on every path.
+/// timing at every farm width.
 #[test]
 fn farm_erroring_segment_is_identical() {
     let w = paradet::workloads::Workload::Freqmine;
     let program = Arc::new(w.build(w.iters_for_instrs(4_000)));
     let cfg = farm_sweep_config();
-    let eager_cfg = SystemConfig { eager_check: true, ..cfg };
     let lf = Some((1u64, 7usize, 13u8));
     let farm1 = with_threads(1, || run_fingerprint(cfg, &program, None, lf, 4_000));
     let farm8 = with_threads(8, || run_fingerprint(cfg, &program, None, lf, 4_000));
-    let eager = run_fingerprint(eager_cfg, &program, None, lf, 4_000);
     assert!(farm1.contains("seal_seq: 1"), "the armed log fault must surface as an error");
     assert_eq!(farm1, farm8);
-    assert_eq!(farm1, eager);
 }
 
 proptest! {
     /// Random programs × random farm/log geometries × random faults: the
-    /// decoupled farm at 1 and 4 worker threads, and the legacy eager path,
-    /// produce bit-identical errors, delay statistics, and seal/finish
-    /// times.
+    /// decoupled farm at 1 and 4 worker threads produces bit-identical
+    /// errors, delay statistics, and seal/finish times.
     #[test]
     fn decoupled_farm_is_bit_identical(
         seeds in proptest::collection::vec(any::<u64>(), 4..9),
@@ -286,10 +238,7 @@ proptest! {
             with_threads(1, || run_fingerprint(cfg, &program, fault, log_fault, 2_000));
         let pooled =
             with_threads(4, || run_fingerprint(cfg, &program, fault, log_fault, 2_000));
-        let eager_cfg = SystemConfig { eager_check: true, ..cfg };
-        let eager = run_fingerprint(eager_cfg, &program, fault, log_fault, 2_000);
         prop_assert_eq!(&serial, &pooled, "farm width changed simulated results");
-        prop_assert_eq!(&serial, &eager, "farm diverged from the legacy eager path");
     }
 }
 

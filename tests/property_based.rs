@@ -121,7 +121,7 @@ proptest! {
         let mut st = ArchState::at_entry(&program);
         let mut mem = FlatMemory::new();
         mem.load_image(&program);
-        st.run(&program, &mut mem, &mut NoNondet, 10_000).unwrap();
+        st.run_blocks(&program, &mut mem, &mut NoNondet, 10_000).unwrap();
         prop_assert!(st.halted);
         for (r, &expected) in model.iter().enumerate().take(8).skip(1) {
             prop_assert_eq!(st.x(Reg::from_index(r)), expected, "x{} diverged", r);

@@ -39,7 +39,7 @@ fn ooo_core_execution_matches_golden_model_on_all_workloads() {
         let mut golden = ArchState::at_entry(&program);
         let mut gmem = FlatMemory::new();
         gmem.load_image(&program);
-        golden.run(&program, &mut gmem, &mut NoNondet, 10_000_000).unwrap();
+        golden.run_blocks(&program, &mut gmem, &mut NoNondet, 10_000_000).unwrap();
         assert!(golden.halted, "{w}: golden run did not halt");
 
         let cfg = SystemConfig::paper_default();
