@@ -63,8 +63,8 @@ struct FarmSpeed {
 }
 
 /// The one-run clock-sweep metric: the Fig. 9/11 five-clock sweep done as
-/// one simulation carrying secondary domains, timed against the legacy
-/// five dedicated simulations.
+/// one simulation carrying secondary domains, timed against five dedicated
+/// simulations.
 struct ClockSweepSpeed {
     workload: &'static str,
     clocks: usize,
@@ -223,7 +223,7 @@ fn main() {
         farm.workload, farm.replayed_instrs, farm_dt, farm.minstr_per_s, farm.speedup_vs_serial, threads
     );
 
-    // --- One-run clock-domain sweep vs legacy per-run sweep ---------------
+    // --- One-run clock-domain sweep vs five dedicated runs ---------------
     // The Fig. 9/11 axis: five checker clocks from one simulation (segment
     // replays shared, one timing fold per domain) against five dedicated
     // simulations. Results must agree bit for bit wherever the one-run rows

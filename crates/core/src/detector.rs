@@ -293,7 +293,7 @@ pub struct Detector {
     seal_seq: u64,
     finishes: Vec<Time>,
     /// The farm's worker pool, spawned on the first dispatch (never in
-    /// `CheckpointOnly`/`Off` modes or on the legacy inline path).
+    /// `CheckpointOnly`/`Off` modes).
     farm: Option<Farm<SealedJob, DoneJob>>,
     /// Dispatched checks whose timing has not been folded yet, oldest seal
     /// first.

@@ -292,17 +292,9 @@ pub fn run_recovery(
                         (state, sys.dismantle(scratch), done)
                     }
                 };
-                let mut remaining = max_instrs.saturating_sub(dbase);
-                let mut crashed = false;
-                while remaining > 0 && !state.halted {
-                    match state.run_blocks(program, &mut mem, &mut NoNondet, remaining) {
-                        Ok(n) => remaining -= n,
-                        Err(_) => {
-                            crashed = true;
-                            break;
-                        }
-                    }
-                }
+                let remaining = max_instrs.saturating_sub(dbase);
+                let crashed =
+                    state.run_blocks(program, &mut mem, &mut NoNondet, remaining).is_err();
                 let disposition = if crashed {
                     RecoveryDisposition::Unrecoverable
                 } else {
@@ -354,11 +346,7 @@ mod tests {
         let mut state = ArchState::at_entry(program);
         let mut mem = FlatMemory::new();
         mem.load_image(program);
-        while !state.halted {
-            state
-                .run_blocks(program, &mut mem, &mut NoNondet, u64::MAX)
-                .expect("golden run crashed");
-        }
+        state.run_blocks(program, &mut mem, &mut NoNondet, u64::MAX).expect("golden run crashed");
         (state, mem)
     }
 

@@ -71,7 +71,7 @@ impl RunReport {
     /// Fraction of the main core's commit-timeline cycles the event-driven
     /// driver crossed in single jumps instead of per-cycle re-evaluation
     /// (log-full stalls jumped to their checker-finish deadline, quiescent
-    /// dispatch jumps). 0 on the legacy exhaustive path
+    /// dispatch jumps). 0 on the exhaustive path
     /// (`SystemConfig::with_event_skip(false)`), which crosses the same
     /// stalls but accounts nothing.
     pub fn cycles_skipped_pct(&self) -> f64 {
@@ -275,9 +275,7 @@ impl PairedSystem {
                     self.core.note_system_jump(t);
                 }
             }
-            // One basic block per call; degrades to exactly one legacy
-            // `step` when block execution is off or faults are armed, so
-            // this single driver loop covers both paths.
+            // One basic block per call (a fired PC fault ends it early).
             match self.core.step_block(&mut self.hier, &mut self.det, max_instrs - n) {
                 Ok(out) => {
                     n += out.instrs;

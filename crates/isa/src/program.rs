@@ -260,20 +260,6 @@ impl Program {
         self.text.get(((pc - TEXT_BASE) / INSN_BYTES) as usize)
     }
 
-    /// The pre-cracked micro-ops of the instruction at `pc`, or `None` if
-    /// `pc` falls outside the text segment or is misaligned. Identical to
-    /// `crack(instr_at(pc))` without the per-call allocation.
-    pub fn uops_at(&self, pc: u64) -> Option<&[crate::MicroOp]> {
-        if pc < TEXT_BASE || !(pc - TEXT_BASE).is_multiple_of(INSN_BYTES) {
-            return None;
-        }
-        let i = ((pc - TEXT_BASE) / INSN_BYTES) as usize;
-        if i >= self.text.len() {
-            return None;
-        }
-        Some(&self.cracked[self.cracked_idx[i] as usize..self.cracked_idx[i + 1] as usize])
-    }
-
     /// The pre-decoded records of the instruction at text index `i`,
     /// parallel to [`uops_of`](Program::uops_of).
     ///
@@ -285,8 +271,7 @@ impl Program {
     }
 
     /// The pre-cracked micro-ops of the instruction at text index `i`
-    /// (index-addressed form of [`uops_at`](Program::uops_at), for block
-    /// walkers that already resolved the PC once).
+    /// (identical to `crack(text()[i])` without the per-call allocation).
     ///
     /// # Panics
     ///

@@ -160,34 +160,6 @@ pub struct MicroOp {
     pub last: bool,
 }
 
-impl MicroOp {
-    /// Whether this micro-op is a load.
-    pub fn is_load(&self) -> bool {
-        matches!(self.kind, UopKind::Mem { kind: MemKind::Load { .. }, .. })
-    }
-
-    /// Whether this micro-op is a store.
-    pub fn is_store(&self) -> bool {
-        matches!(self.kind, UopKind::Mem { kind: MemKind::Store, .. })
-    }
-
-    /// Whether this micro-op is any kind of memory access.
-    pub fn is_mem(&self) -> bool {
-        matches!(self.kind, UopKind::Mem { .. })
-    }
-
-    /// Whether this micro-op can redirect control flow.
-    pub fn is_control(&self) -> bool {
-        matches!(self.kind, UopKind::Branch { .. } | UopKind::Jump { .. } | UopKind::JumpReg { .. })
-    }
-
-    /// Whether this micro-op produces a non-deterministic result that must be
-    /// forwarded through the load-store log (§IV-D).
-    pub fn is_nondet(&self) -> bool {
-        matches!(self.kind, UopKind::RdCycle)
-    }
-}
-
 fn none3() -> [Option<SrcReg>; 3] {
     [None, None, None]
 }
@@ -359,7 +331,9 @@ mod tests {
     fn ldp_cracks_into_two_loads() {
         let uops = crack(&Instruction::Ldp { rd1: Reg::X1, rd2: Reg::X2, rs1: Reg::X3, imm: 16 });
         assert_eq!(uops.len(), 2);
-        assert!(uops.iter().all(|u| u.is_load()));
+        assert!(uops
+            .iter()
+            .all(|u| matches!(u.kind, UopKind::Mem { kind: MemKind::Load { .. }, .. })));
         assert!(!uops[0].last);
         assert!(uops[1].last);
         assert_eq!(uops[0].uop_index, 0);
@@ -377,7 +351,7 @@ mod tests {
     fn stp_cracks_into_two_stores() {
         let uops = crack(&Instruction::Stp { rs2a: Reg::X1, rs2b: Reg::X2, rs1: Reg::X3, imm: 0 });
         assert_eq!(uops.len(), 2);
-        assert!(uops.iter().all(|u| u.is_store()));
+        assert!(uops.iter().all(|u| matches!(u.kind, UopKind::Mem { kind: MemKind::Store, .. })));
     }
 
     #[test]
@@ -416,6 +390,6 @@ mod tests {
     #[test]
     fn rdcycle_is_nondet() {
         let uops = crack(&Instruction::RdCycle { rd: Reg::X1 });
-        assert!(uops[0].is_nondet());
+        assert_eq!(uops[0].kind, UopKind::RdCycle);
     }
 }

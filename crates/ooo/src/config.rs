@@ -91,10 +91,10 @@ pub struct OooConfig {
     /// occupancy windows in O(1) and skipping the store-forward scan —
     /// instead of re-walking every structure; log-full commit stalls jump
     /// to the checker-finish deadline in one step. `false` forces the
-    /// legacy exhaustive path (every structure evaluated at every micro-op,
+    /// exhaustive path (every structure evaluated at every micro-op,
     /// `CoreStats::cycles_skipped` stays 0) inside the same kernel, kept as
-    /// the one exhaustive timing reference; the two are asserted identical
-    /// by the skip-vs-tick suite in `tests/parallel_determinism.rs`.
+    /// the one timing reference; the two are asserted identical by the
+    /// skip-vs-tick suite in `tests/parallel_determinism.rs`.
     pub event_skip: bool,
 }
 

@@ -68,7 +68,7 @@ pub struct CoreStats {
     /// per-cycle re-evaluation: log-full commit stalls jumped straight to
     /// the checker-finish deadline, and quiescent dispatch jumps (no
     /// resource event between the core's busy horizon and the dispatch
-    /// cycle). Always 0 on the legacy exhaustive path
+    /// cycle). Always 0 on the exhaustive path
     /// (`OooConfig::event_skip = false`), which crosses the same stalls at
     /// the same times but accounts nothing — the skip-vs-tick identity
     /// suite zeroes this field before comparing reports.
@@ -616,23 +616,7 @@ impl OooCore {
                     self.reg_ready[p.dst as usize] = complete;
                 }
                 if rmt {
-                    // RMT duplicate: competes for the same resources but
-                    // produces no architectural effects, and holds its
-                    // window entries until it commits alongside the primary
-                    // (approximated by its completion + 1).
-                    let (c, _) = self.issue_uop(hier, pc, fetch_cycle, u, p, uop_addrs[k], true);
-                    self.rob.push(c + 1);
-                    self.iq.push(c);
-                    match p.class {
-                        UopClass::Load => self.lq.push(c + 1),
-                        UopClass::Store => self.sq.push(c + 1),
-                        _ => {}
-                    }
-                    match p.dst {
-                        NO_REG_SLOT => {}
-                        d if d < 32 => self.phys_int.push(c + 1),
-                        _ => self.phys_fp.push(c + 1),
-                    }
+                    self.issue_rmt_duplicate(hier, pc, fetch_cycle, u, p, uop_addrs[k]);
                 }
             }
 
@@ -1052,6 +1036,35 @@ impl OooCore {
         (complete, unit)
     }
 
+    /// Issues one micro-op's RMT duplicate: it competes for the same
+    /// resources but produces no architectural effects, and holds its
+    /// window entries until it commits alongside the primary (approximated
+    /// by its completion + 1).
+    #[cold]
+    fn issue_rmt_duplicate(
+        &mut self,
+        hier: &mut MemHier,
+        pc: u64,
+        fetch_cycle: u64,
+        u: &MicroOp,
+        p: PreUop,
+        addr: u64,
+    ) {
+        let (c, _) = self.issue_uop(hier, pc, fetch_cycle, u, p, addr, true);
+        self.rob.push(c + 1);
+        self.iq.push(c);
+        match p.class {
+            UopClass::Load => self.lq.push(c + 1),
+            UopClass::Store => self.sq.push(c + 1),
+            _ => {}
+        }
+        match p.dst {
+            NO_REG_SLOT => {}
+            d if d < 32 => self.phys_int.push(c + 1),
+            _ => self.phys_fp.push(c + 1),
+        }
+    }
+
     /// Fires every armed fault due at the current instruction, in arming
     /// order: register flips and stuck-at latches land now, store/load
     /// faults wait for an instruction with a matching access, and the rest
@@ -1167,6 +1180,7 @@ impl OooCore {
 
     /// Hard stuck-at ALU fault: forces `bit` of every simple int-ALU result
     /// computed on the struck unit.
+    #[cold]
     fn force_stuck(
         &mut self,
         (unit, bit, value): (u8, u8, bool),
