@@ -131,16 +131,6 @@ struct PendingFlips {
     pc: Option<u8>,
 }
 
-impl PendingFlips {
-    fn any(&self) -> bool {
-        self.store_value.is_some()
-            || self.store_addr.is_some()
-            || self.load_value.is_some()
-            || self.load_capture.is_some()
-            || self.pc.is_some()
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct InflightStore {
     addr: u64,
@@ -585,11 +575,8 @@ impl OooCore {
             }
 
             // ---- Fault arming ---------------------------------------------
-            let flips = if self.instr_index >= self.next_fault_at {
-                self.fire_due_faults(pre)
-            } else {
-                PendingFlips::default()
-            };
+            let flips = (self.instr_index >= self.next_fault_at).then(|| self.fire_due_faults(pre));
+            let pc_flipped = flips.is_some_and(|f| f.pc.is_some());
 
             // ---- Per-micro-op timing --------------------------------------
             let mut completes = [0u64; MAX_UOPS_PER_INSN];
@@ -645,7 +632,7 @@ impl OooCore {
                 }
             }
             let mem_effects = &mut mem_effects[..n_effects];
-            if flips.any() {
+            if let Some(flips) = flips {
                 self.apply_flips(flips, insn, mem_effects, &mut captured, hier);
             }
             if let Some(stuck) = self.stuck {
@@ -730,7 +717,7 @@ impl OooCore {
                 }
             }
             // A PC corruption also redirects fetch (at commit of this instr).
-            if flips.pc.is_some() {
+            if pc_flipped {
                 self.last_fetch_line = u64::MAX;
             }
 
@@ -850,7 +837,7 @@ impl OooCore {
                 self.halted = true;
                 return Ok(BlockOutcome { instrs: done, halted: true });
             }
-            if done >= max_instrs || flips.pc.is_some() {
+            if done >= max_instrs || pc_flipped {
                 return Ok(BlockOutcome { instrs: done, halted: false });
             }
         }
