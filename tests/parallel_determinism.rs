@@ -125,18 +125,16 @@ fn farm_kernel(seeds: &[u64], ops: &[(AluOp, usize, usize)], iters: u64, rdcycle
 /// Runs `program` under `cfg` (with an optional main-core fault and an
 /// optional detector log fault armed) and renders everything observable —
 /// the full run report, per-seal finish times, and per-checker stats —
-/// into one comparable string.
-///
-/// `cycles_skipped` is normalized to zero before rendering: it is pure
-/// accounting, and the whole-system fast-forward portion depends on the
-/// detector's in-flight-check state.
+/// into one comparable string, with `cycles_skipped` normalized to zero and
+/// returned beside it (the one field that legitimately differs between the
+/// skip and tick paths).
 fn run_fingerprint(
     cfg: SystemConfig,
     program: &Arc<Program>,
     fault: Option<ArmedFault>,
     log_fault: Option<(u64, usize, u8)>,
     max_instrs: u64,
-) -> String {
+) -> (String, u64) {
     let mut sys = PairedSystem::new_shared(cfg, program);
     if let Some(f) = fault {
         sys.arm_fault(f);
@@ -145,12 +143,14 @@ fn run_fingerprint(
         sys.arm_log_fault(seq, entry, bit);
     }
     let mut report = sys.run(max_instrs);
+    let skipped = report.core.cycles_skipped;
     report.core.cycles_skipped = 0;
-    format!(
+    let fp = format!(
         "{report:?}|finishes={:?}|checkers={:?}",
         sys.detector().finish_times(),
         sys.detector().checkers
-    )
+    );
+    (fp, skipped)
 }
 
 fn farm_sweep_config() -> SystemConfig {
@@ -167,8 +167,8 @@ fn farm_width_is_invisible_on_workload() {
     let w = paradet::workloads::Workload::Stream;
     let program = Arc::new(w.build(w.iters_for_instrs(5_000)));
     let cfg = farm_sweep_config();
-    let serial = with_threads(1, || run_fingerprint(cfg, &program, None, None, 5_000));
-    let pooled = with_threads(8, || run_fingerprint(cfg, &program, None, None, 5_000));
+    let serial = with_threads(1, || run_fingerprint(cfg, &program, None, None, 5_000).0);
+    let pooled = with_threads(8, || run_fingerprint(cfg, &program, None, None, 5_000).0);
     assert_eq!(serial, pooled, "farm width changed simulated results");
 }
 
@@ -180,8 +180,8 @@ fn farm_erroring_segment_is_identical() {
     let program = Arc::new(w.build(w.iters_for_instrs(4_000)));
     let cfg = farm_sweep_config();
     let lf = Some((1u64, 7usize, 13u8));
-    let farm1 = with_threads(1, || run_fingerprint(cfg, &program, None, lf, 4_000));
-    let farm8 = with_threads(8, || run_fingerprint(cfg, &program, None, lf, 4_000));
+    let farm1 = with_threads(1, || run_fingerprint(cfg, &program, None, lf, 4_000).0);
+    let farm8 = with_threads(8, || run_fingerprint(cfg, &program, None, lf, 4_000).0);
     assert!(farm1.contains("seal_seq: 1"), "the armed log fault must surface as an error");
     assert_eq!(farm1, farm8);
 }
@@ -235,48 +235,21 @@ proptest! {
             if fault_sel == 3 { Some((fault_instr % 4, fault_bit as usize, fault_bit)) } else { None };
 
         let serial =
-            with_threads(1, || run_fingerprint(cfg, &program, fault, log_fault, 2_000));
+            with_threads(1, || run_fingerprint(cfg, &program, fault, log_fault, 2_000).0);
         let pooled =
-            with_threads(4, || run_fingerprint(cfg, &program, fault, log_fault, 2_000));
+            with_threads(4, || run_fingerprint(cfg, &program, fault, log_fault, 2_000).0);
         prop_assert_eq!(&serial, &pooled, "farm width changed simulated results");
     }
 }
 
 // ---------------------------------------------------------------------------
 // Event-driven cycle skipping: the skip path (OooConfig::event_skip, the
-// default) must be bit-identical to the legacy exhaustive tick path on ANY
+// default) must be bit-identical to the exhaustive tick path on ANY
 // input — reports, finish times, checker stats, per-domain rows. The only
 // permitted difference is the `cycles_skipped` accounting itself, which the
 // tick path deliberately leaves at zero; fingerprints below zero it out on
 // both sides before comparing.
 // ---------------------------------------------------------------------------
-
-/// [`run_fingerprint`] with `cycles_skipped` normalized to zero — the one
-/// field that legitimately differs between the skip and tick paths.
-fn run_fingerprint_skipless(
-    cfg: SystemConfig,
-    program: &Arc<Program>,
-    fault: Option<ArmedFault>,
-    log_fault: Option<(u64, usize, u8)>,
-    max_instrs: u64,
-) -> (String, u64) {
-    let mut sys = PairedSystem::new_shared(cfg, program);
-    if let Some(f) = fault {
-        sys.arm_fault(f);
-    }
-    if let Some((seq, entry, bit)) = log_fault {
-        sys.arm_log_fault(seq, entry, bit);
-    }
-    let mut report = sys.run(max_instrs);
-    let skipped = report.core.cycles_skipped;
-    report.core.cycles_skipped = 0;
-    let fp = format!(
-        "{report:?}|finishes={:?}|checkers={:?}",
-        sys.detector().finish_times(),
-        sys.detector().checkers
-    );
-    (fp, skipped)
-}
 
 /// Skip vs tick over real workloads, including the stall-heavy small-log
 /// config whose wrap-around retries are exactly the jumps being skipped.
@@ -290,9 +263,9 @@ fn event_skip_matches_exhaustive_tick_on_workloads() {
     ] {
         let program = Arc::new(w.build(w.iters_for_instrs(5_000)));
         let (skip, skipped) =
-            run_fingerprint_skipless(cfg.with_event_skip(true), &program, None, None, 5_000);
+            run_fingerprint(cfg.with_event_skip(true), &program, None, None, 5_000);
         let (tick, tick_skipped) =
-            run_fingerprint_skipless(cfg.with_event_skip(false), &program, None, None, 5_000);
+            run_fingerprint(cfg.with_event_skip(false), &program, None, None, 5_000);
         assert_eq!(skip, tick, "skip diverged from tick on {}", w.name());
         assert_eq!(tick_skipped, 0, "the tick path must account no skipped cycles");
         assert!(skipped > 0, "{} skipped no cycles — the skip path never engaged", w.name());
@@ -308,10 +281,8 @@ fn event_skip_matches_tick_with_clock_domains() {
     let w = paradet::workloads::Workload::Swaptions;
     let program = Arc::new(w.build(w.iters_for_instrs(5_000)));
     let cfg = SystemConfig::paper_default().with_extra_domains(DomainSet::from_mhz(&[250, 2000]));
-    let (skip, _) =
-        run_fingerprint_skipless(cfg.with_event_skip(true), &program, None, None, 5_000);
-    let (tick, _) =
-        run_fingerprint_skipless(cfg.with_event_skip(false), &program, None, None, 5_000);
+    let (skip, _) = run_fingerprint(cfg.with_event_skip(true), &program, None, None, 5_000);
+    let (tick, _) = run_fingerprint(cfg.with_event_skip(false), &program, None, None, 5_000);
     assert_eq!(skip, tick, "skip diverged from tick on a clock-domain run");
 }
 
@@ -326,8 +297,8 @@ fn domain_folds_parallel_identity() {
     let program = Arc::new(w.build(w.iters_for_instrs(5_000)));
     let cfg = SystemConfig::paper_default()
         .with_extra_domains(DomainSet::from_mhz(&[125, 250, 500, 2000]));
-    let serial = with_threads(1, || run_fingerprint(cfg, &program, None, None, 5_000));
-    let parallel = with_threads(4, || run_fingerprint(cfg, &program, None, None, 5_000));
+    let serial = with_threads(1, || run_fingerprint(cfg, &program, None, None, 5_000).0);
+    let parallel = with_threads(4, || run_fingerprint(cfg, &program, None, None, 5_000).0);
     assert_eq!(serial, parallel, "parallel domain folds changed simulated results");
 }
 
@@ -386,9 +357,9 @@ proptest! {
         let log_fault =
             if fault_sel == 3 { Some((fault_instr % 4, fault_bit as usize, fault_bit)) } else { None };
 
-        let (skip, _) = run_fingerprint_skipless(
+        let (skip, _) = run_fingerprint(
             cfg.with_event_skip(true), &program, fault, log_fault, 2_000);
-        let (tick, tick_skipped) = run_fingerprint_skipless(
+        let (tick, tick_skipped) = run_fingerprint(
             cfg.with_event_skip(false), &program, fault, log_fault, 2_000);
         prop_assert_eq!(&skip, &tick, "event skip changed simulated results");
         prop_assert_eq!(tick_skipped, 0);
