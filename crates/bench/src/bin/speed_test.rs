@@ -25,7 +25,7 @@
 
 /// The one schema tag this binary emits and checks drift against — a
 /// single const so `render_json` and `--check` can never disagree.
-const SCHEMA: &str = "paradet-bench-speed/v6";
+const SCHEMA: &str = "paradet-bench-speed/v7";
 
 use paradet_bench::experiments as ex;
 use paradet_bench::runner::{instr_budget, out_dir, Runner};
@@ -78,21 +78,6 @@ struct ClockSweepSpeed {
     /// Deterministic per-clock results carried into the JSON result rows:
     /// (MHz, mean store-check delay in ns, stall divergences).
     rows: Vec<(u64, f64, u64)>,
-}
-
-/// The domain-fold metric: the same one-run five-clock sweep with the
-/// per-domain timing folds serial (1 thread) vs fanned out over
-/// `paradet_par` workers at each join point — bit-identical by contract,
-/// asserted in-binary.
-struct DomainFoldSpeed {
-    workload: &'static str,
-    domains: usize,
-    serial_wall_s: f64,
-    parallel_wall_s: f64,
-    speedup_vs_serial: f64,
-    /// Deterministic per-domain rows: (MHz, folds joined, mean detection
-    /// delay over all checked entries in ns).
-    rows: Vec<(u64, u64, f64)>,
 }
 
 /// The mixed-farm scheduling metric: one workload on the striped
@@ -150,10 +135,9 @@ fn main() {
     let instrs = instr_budget();
     let threads = paradet_par::num_threads();
     let cfg = paradet_core::SystemConfig::paper_default();
-    // Host-parallel sections (farm scaling, domain-fold fan-out) measure a
-    // wall-time win that cannot exist on a single-CPU host: mark them
-    // informational there so nobody gates on a ratio the hardware caps at
-    // ~1.0.
+    // The host-parallel farm-scaling section measures a wall-time win that
+    // cannot exist on a single-CPU host: mark it informational there so
+    // nobody gates on a ratio the hardware caps at ~1.0.
     let single_cpu_host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) == 1;
     let host_note = if single_cpu_host { "  [informational: single-CPU host]" } else { "" };
 
@@ -294,55 +278,6 @@ fn main() {
         sweep.minstr_per_s
     );
 
-    // --- Parallel domain folds within the one-run sweep -------------------
-    // The same domain-swept simulation with the per-domain folds pinned
-    // serial (`SystemConfig::parallel_domain_folds = false`) vs fanned out
-    // over the configured workers at each join point — both sides at the
-    // SAME thread count, so the checker farm's parallelism is identical
-    // and the ratio isolates the fold fan-out. Fold results are
-    // bit-identical by construction (in-place, set order, observe-only
-    // hierarchy access) — asserted here so the JSON rows CI diffs can
-    // never paper over a divergence.
-    let serial_fold_cfg =
-        paradet_core::SystemConfig { parallel_domain_folds: false, ..one_run_cfg };
-    let mut fold_serial_best: Option<(std::time::Duration, paradet_core::RunReport)> = None;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let mut sys = paradet_core::PairedSystem::new_shared(serial_fold_cfg, &sweep_program);
-        let r = sys.run(instrs);
-        let dt = t0.elapsed();
-        if fold_serial_best.as_ref().is_none_or(|(b, _)| dt < *b) {
-            fold_serial_best = Some((dt, r));
-        }
-    }
-    let (fold_serial_dt, fold_serial_rep) = fold_serial_best.expect("three reps ran");
-    assert_eq!(
-        format!("{fold_serial_rep:?}"),
-        format!("{one_rep:?}"),
-        "parallel domain folds changed simulated results"
-    );
-    let domain_fold = DomainFoldSpeed {
-        workload: sweep_w.name(),
-        domains: one_rep.domains.len(),
-        serial_wall_s: fold_serial_dt.as_secs_f64(),
-        parallel_wall_s: one_dt.as_secs_f64(),
-        speedup_vs_serial: fold_serial_dt.as_secs_f64() / one_dt.as_secs_f64(),
-        rows: one_rep
-            .domains
-            .iter()
-            .map(|d| (d.domain.mhz(), d.finishes.len() as u64, d.delays.mean_ns()))
-            .collect(),
-    };
-    println!(
-        "domain folds: {} x{} domains: serial {:.4} s vs {} workers {:.4} s ({:.2}x){host_note}",
-        domain_fold.workload,
-        domain_fold.domains,
-        domain_fold.serial_wall_s,
-        threads,
-        domain_fold.parallel_wall_s,
-        domain_fold.speedup_vs_serial
-    );
-
     // --- Mixed-farm scheduling policies --------------------------------
     // One workload on the striped fast/medium/slow farm, once per
     // scheduling policy (round-robin / fastest-first / deadline-aware).
@@ -439,7 +374,6 @@ fn main() {
             &speeds,
             &farm,
             &sweep,
-            &domain_fold,
             &sched,
             single_cpu_host,
             n_trials,
@@ -538,6 +472,10 @@ fn main() {
 /// Schema v6 drops v4's per-workload block-execution on/off section: the
 /// core, checker and oracle each have one execution path, so there is no
 /// second leg to compare.
+///
+/// Schema v7 drops v3's `domain_fold` section: the secondary-domain fold
+/// fan-out chooses itself from the run's inputs, so there is no serial leg
+/// to time it against.
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     instrs: u64,
@@ -545,7 +483,6 @@ fn render_json(
     speeds: &[WorkloadSpeed],
     farm: &FarmSpeed,
     sweep: &ClockSweepSpeed,
-    domain_fold: &DomainFoldSpeed,
     sched: &SchedPolicySpeed,
     single_cpu_host: bool,
     campaign_trials: u64,
@@ -587,24 +524,6 @@ fn render_json(
         let comma = if i + 1 < sweep.rows.len() { "," } else { "" };
         s.push_str(&format!(
             "      {{ \"mhz\": {mhz}, \"mean_store_delay_ns\": {mean:.6}, \"stall_divergences\": {div} }}{comma}\n"
-        ));
-    }
-    s.push_str("    ] },\n");
-    // domain_fold: host-perf on one line (dropped by the CI filter), the
-    // deterministic per-domain rows on their own lines (kept in the diff).
-    s.push_str(&format!(
-        "  \"domain_fold\": {{ \"workload\": \"{}\", \"domains\": {},\n",
-        domain_fold.workload, domain_fold.domains
-    ));
-    s.push_str(&format!(
-        "    \"serial_wall_s\": {:.4}, \"parallel_wall_s\": {:.4}, \"speedup_vs_serial\": {:.3}, \"informational\": {single_cpu_host},\n",
-        domain_fold.serial_wall_s, domain_fold.parallel_wall_s, domain_fold.speedup_vs_serial
-    ));
-    s.push_str("    \"result\": [\n");
-    for (i, (mhz, folds, mean)) in domain_fold.rows.iter().enumerate() {
-        let comma = if i + 1 < domain_fold.rows.len() { "," } else { "" };
-        s.push_str(&format!(
-            "      {{ \"mhz\": {mhz}, \"folds\": {folds}, \"mean_delay_ns\": {mean:.6} }}{comma}\n"
         ));
     }
     s.push_str("    ] },\n");

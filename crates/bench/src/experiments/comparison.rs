@@ -15,7 +15,7 @@ use paradet_workloads::Workload;
 pub fn fig01_comparison(r: &Runner) -> Table {
     let cfg = SystemConfig::paper_default();
     let cells = par_grid(&Workload::all(), &[()], |w, ()| {
-        let base = r.baseline(&cfg, w).main_cycles.max(1);
+        let base = r.baseline(w).main_cycles.max(1);
         let ours = r.run(&cfg, w).main_cycles as f64 / base as f64;
         let program = r.program(w);
         let rmt = rmt_slowdown(&cfg, &program, r.instrs());

@@ -15,7 +15,7 @@ pub fn fig07_slowdown(r: &Runner) -> Table {
         &["benchmark", "baseline Mcycles", "checked Mcycles", "slowdown"],
     );
     let cells = par_grid(&Workload::all(), &[()], |w, ()| {
-        let base = r.baseline(&cfg, w).main_cycles;
+        let base = r.baseline(w).main_cycles;
         let full = r.run(&cfg, w);
         (base, full.main_cycles)
     });
@@ -50,7 +50,7 @@ pub fn fig07_slowdown(r: &Runner) -> Table {
 pub fn fig09_freq_slowdown(r: &Runner) -> Table {
     let mut t = clock_table("Fig. 9: slowdown vs checker clock");
     let cells = par_grid(&Workload::all(), &[()], |w, ()| {
-        let base = r.baseline(&SystemConfig::paper_default(), w).main_cycles.max(1);
+        let base = r.baseline(w).main_cycles.max(1);
         let rep = r.clock_sweep(w, &CLOCK_SWEEP);
         rep.domains
             .iter()
@@ -147,7 +147,7 @@ pub fn fig13_core_scaling(r: &Runner) -> Table {
             vec![((cores, mhz), r.slowdown(&cfg, w))]
         }
         Point::TwelveSweep => {
-            let base = r.baseline(&SystemConfig::paper_default(), w).main_cycles.max(1);
+            let base = r.baseline(w).main_cycles.max(1);
             let cfg = SystemConfig::paper_default()
                 .with_checkers(12)
                 .with_extra_domains(paradet_core::DomainSet::from_mhz(&twelve_clocks));

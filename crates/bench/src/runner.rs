@@ -79,23 +79,36 @@ impl Runner {
         sys.run(self.instrs)
     }
 
-    /// Runs the unchecked baseline for `workload` (cached; computed at most
-    /// once per workload even when parallel sweep points race for it).
-    pub fn baseline(&self, cfg: &SystemConfig, workload: Workload) -> RunReport {
+    /// Runs the unchecked baseline for `workload` on the Table I main core
+    /// (`SystemConfig::paper_default`; cached, computed at most once per
+    /// workload even when parallel sweep points race for it).
+    pub fn baseline(&self, workload: Workload) -> RunReport {
         let cell = {
             let mut baselines = self.baselines.lock().expect("baseline cache poisoned");
             Arc::clone(baselines.entry(workload.name()).or_default())
         };
         cell.get_or_init(|| {
             let program = self.program(workload);
-            run_unchecked_shared(cfg, &program, self.instrs)
+            run_unchecked_shared(&SystemConfig::paper_default(), &program, self.instrs)
         })
         .clone()
     }
 
-    /// Normalized slowdown of `cfg` over the unchecked baseline.
+    /// Normalized slowdown of `cfg` over the unchecked [`baseline`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` changes the Table I main core: the cached baseline
+    /// is the Table I core's unchecked run, not `cfg`'s.
+    ///
+    /// [`baseline`]: Runner::baseline
     pub fn slowdown(&self, cfg: &SystemConfig, workload: Workload) -> f64 {
-        let base_cycles = self.baseline(cfg, workload).main_cycles.max(1);
+        assert!(
+            cfg.main == SystemConfig::paper_default().main,
+            "slowdown over the cached baseline needs the Table I main core, got {:?}",
+            cfg.main
+        );
+        let base_cycles = self.baseline(workload).main_cycles.max(1);
         let full = self.run(cfg, workload);
         full.main_cycles as f64 / base_cycles as f64
     }
@@ -126,5 +139,20 @@ impl Runner {
             rep.domains.iter().map(|d| d.domain.mhz()).collect::<Vec<_>>(),
         );
         rep
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use paradet_ooo::OooConfig;
+
+    #[test]
+    #[should_panic(expected = "needs the Table I main core")]
+    fn slowdown_refuses_a_main_core_the_baseline_does_not_model() {
+        let r = Runner::with_instrs(500);
+        let main = OooConfig { width: 8, ..OooConfig::default() };
+        let wide = SystemConfig { main, ..SystemConfig::paper_default() };
+        r.slowdown(&wide, Workload::Bitcount);
     }
 }

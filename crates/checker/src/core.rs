@@ -187,20 +187,9 @@ impl CheckerCore {
         CheckerCore { id, cfg, free_at: Time::ZERO, stats: CheckerStats::default() }
     }
 
-    /// This core's index.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// This core's configuration.
     pub fn config(&self) -> &CheckerConfig {
         &self.cfg
-    }
-
-    /// Time at which the core finishes its current work and can accept the
-    /// next segment.
-    pub fn free_at(&self) -> Time {
-        self.free_at
     }
 
     /// Folds a finished replay's timing trace through the shared memory

@@ -88,14 +88,6 @@ pub struct SystemConfig {
     ///
     /// [`checker`]: SystemConfig::checker
     pub extra_domains: DomainSet,
-    /// Fan the independent secondary-domain timing folds out over
-    /// `paradet_par` workers at each join point (default). Fold results
-    /// are bit-identical either way (in-place, set order, observe-only
-    /// hierarchy access — invariant 7 in ARCHITECTURE.md); the switch
-    /// exists so `speed_test`'s `domain_fold` section can measure the
-    /// fan-out against a serial-folds run *with identical farm
-    /// parallelism on both sides*.
-    pub parallel_domain_folds: bool,
     /// Per-slot speed classes for the primary farm (MEEK/FlexStep mixed
     /// farms). The default [`FarmSpec::uniform`] runs every slot at
     /// [`checker`](SystemConfig::checker) — the paper's homogeneous farm.
@@ -144,7 +136,6 @@ impl SystemConfig {
             lfu_enabled: true,
             interrupt_interval: None,
             extra_domains: DomainSet::new(),
-            parallel_domain_folds: true,
             farm: FarmSpec::uniform(),
             sched_policy,
         }

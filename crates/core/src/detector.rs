@@ -246,7 +246,6 @@ pub struct RollbackPlan {
 pub struct Detector {
     mode: DetectionMode,
     lfu_enabled: bool,
-    parallel_folds: bool,
     pause_cycles: u64,
     timeout: Option<u64>,
     interrupt_interval: Option<Time>,
@@ -407,7 +406,6 @@ impl Detector {
         let mut det = Detector {
             mode: cfg.mode,
             lfu_enabled: cfg.lfu_enabled,
-            parallel_folds: cfg.parallel_domain_folds,
             pause_cycles: cfg.checkpoint_pause_cycles,
             timeout: cfg.log.timeout_insns,
             interrupt_interval: cfg.interrupt_interval,
@@ -571,11 +569,6 @@ impl Detector {
         &self.finishes
     }
 
-    /// Checks dispatched to the farm whose timing has not been folded yet.
-    pub fn in_flight_checks(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The scheduling decisions so far, one per seal, in seal order (for
     /// the mixed-farm determinism suite).
     pub fn assignments(&self) -> &[SealAssignment] {
@@ -618,35 +611,6 @@ impl Detector {
             seg.log.ensure_capacity(capacity);
         }
         next
-    }
-
-    /// The detector's next *known* deadline strictly after `now`: the
-    /// earliest segment-storage release (a `Busy` segment's check-finish
-    /// time, which is what wrap-around and halt stalls jump to) or the next
-    /// forced interrupt checkpoint. `None` when no deadline is pending.
-    ///
-    /// Deadlines of still-`Checking` segments are deliberately absent: a
-    /// sealed segment's finish time materializes only when its timing fold
-    /// joins, at a simulation-determined point in seal order — that lazy
-    /// join is what keeps results bit-identical at any farm width.
-    ///
-    /// Once slots diverge in clock (a mixed farm), the detector also owns
-    /// per-class checker-cache paths whose in-flight demand fills are
-    /// invisible to `MemHier::next_event_after` — so they are chained in
-    /// here, exactly as the hierarchy chains its own checker path. Busy
-    /// releases need no per-clock adjustment: they are absolute times,
-    /// already folded at each slot's own clock.
-    pub fn next_event_time(&self, now: Time) -> Option<Time> {
-        let busy = self.segs.iter().filter_map(|s| match s.state {
-            SegmentState::Busy { until } if until > now => Some(until),
-            _ => None,
-        });
-        let fills = self.class_paths.iter().filter_map(|p| p.next_fill_after(now));
-        let interrupt = self
-            .interrupt_interval
-            .and(Some(self.next_interrupt))
-            .filter(|&t| t > now && t < Time::MAX);
-        busy.chain(fills).chain(interrupt).min()
     }
 
     /// Fills in [`DetectedError::confirm_time`] for every recorded error:
@@ -760,7 +724,6 @@ impl Detector {
     fn fold_next_pending(&mut self, hier: &mut MemHier) {
         let p = self.pending.pop_front().expect("fold with no pending check");
         let done = self.farm.as_mut().expect("pending implies farm").join(p.ticket);
-        let parallel_folds = self.parallel_folds;
         let Detector {
             checkers,
             slot_class,
@@ -854,8 +817,7 @@ impl Detector {
             const PAR_FOLD_MIN_INSTRS: u64 = 256;
             let hier_ro: &MemHier = hier;
             let outcome = &done.outcome;
-            if parallel_folds
-                && domains.len() > 1
+            if domains.len() > 1
                 && outcome.instrs >= PAR_FOLD_MIN_INSTRS
                 && !paradet_par::in_worker()
                 && paradet_par::num_threads() > 1
@@ -1219,91 +1181,7 @@ mod tests {
         assert_eq!(det.segs.len(), 12);
         assert_eq!(det.segs[0].capacity, 170);
         assert_eq!(det.lfu.capacity(), 40);
-        assert_eq!(det.in_flight_checks(), 0);
-    }
-
-    #[test]
-    fn next_event_time_reports_busy_segments_only() {
-        let cfg = SystemConfig::paper_default();
-        let program = tiny_program();
-        let mut det = Detector::new(&cfg, &program);
-        assert_eq!(det.next_event_time(Time::ZERO), None, "idle detector has no deadline");
-        det.segs[0].state = SegmentState::Busy { until: Time::from_ns(50) };
-        det.segs[1].state = SegmentState::Busy { until: Time::from_ns(20) };
-        det.segs[2].state = SegmentState::Checking; // unfolded: deadline unknown
-        assert_eq!(det.next_event_time(Time::ZERO), Some(Time::from_ns(20)));
-        // Strictly-after semantics: the 20 ns release is not an event at or
-        // after itself; the next one is the 50 ns release, then nothing.
-        assert_eq!(det.next_event_time(Time::from_ns(20)), Some(Time::from_ns(50)));
-        assert_eq!(det.next_event_time(Time::from_ns(50)), None);
-    }
-
-    #[test]
-    fn next_event_time_covers_mixed_clocks_and_class_path_fills() {
-        use paradet_checker::FarmSpec;
-        let cfg = SystemConfig::paper_default()
-            .with_checkers(4)
-            .with_farm(FarmSpec::striped(&[2000, 125]));
-        let program = tiny_program();
-        let mut det = Detector::new(&cfg, &program);
-        let mut hier = MemHier::new(&cfg.mem_config(), cfg.n_checkers);
-        assert_eq!(det.next_event_time(Time::ZERO), None, "idle mixed farm has no deadline");
-
-        // A fold on a slow-class slot leaves in-flight fills in the
-        // class's *private* path. Its misses land in the shared L2/DRAM
-        // (the hierarchy sees those), but the path's own L0/L1I fills
-        // complete later and are invisible to `MemHier::next_event_after`
-        // — the detector must surface them itself.
-        let period_fs = ClockDomain::at_mhz(125).checker.clock.period().as_fs();
-        let _ = hier.checker_ifetch_cycle_on(&mut det.class_paths[1], 1, 0x40, 0, period_fs);
-        let fill = det.class_paths[1]
-            .next_fill_after(Time::ZERO)
-            .expect("a cold fetch leaves a fill in flight");
-        assert_eq!(det.next_event_time(Time::ZERO), Some(fill));
-
-        // Busy windows fold at each slot's own clock, so releases diverge
-        // across a mixed farm; they are absolute times and merge with the
-        // path fills into one ordered event stream.
-        let horizon = {
-            let mut t = Time::ZERO;
-            while let Some(e) = det.next_event_time(t) {
-                t = e;
-            }
-            t
-        };
-        let (fast, slow) = (horizon + Time::from_ns(40), horizon + Time::from_ns(640));
-        det.segs[0].state = SegmentState::Busy { until: fast };
-        det.segs[1].state = SegmentState::Busy { until: slow };
-
-        // The "no event before" dual, walked over the whole stream: each
-        // query returns a strictly later instant, nothing fires inside
-        // the open interval, and the stream covers fills and both
-        // releases before going quiet.
-        let mut events = Vec::new();
-        let mut t = Time::ZERO;
-        while let Some(e) = det.next_event_time(t) {
-            assert!(e > t, "event horizon must advance");
-            events.push(e);
-            t = e;
-        }
-        assert_eq!(events.first(), Some(&fill));
-        assert!(events.contains(&fast) && events.contains(&slow));
-        assert_eq!(events.last(), Some(&slow));
-        assert_eq!(det.next_event_time(slow), None);
-
-        // And the fills really were invisible to the hierarchy: its own
-        // event stream ends before the private path's last fill.
-        let hier_horizon = {
-            let mut t = Time::ZERO;
-            while let Some(e) = hier.next_event_after(t) {
-                t = e;
-            }
-            t
-        };
-        assert!(
-            events.iter().any(|&e| e > hier_horizon && e < fast),
-            "a private-path fill must extend past the hierarchy's horizon"
-        );
+        assert!(det.pending.is_empty());
     }
 
     #[test]

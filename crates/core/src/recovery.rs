@@ -37,7 +37,7 @@ use crate::scratch::SimScratch;
 use crate::system::PairedSystem;
 use paradet_isa::{ArchState, FlatMemory, NoNondet, Program};
 use paradet_mem::{ArrayFault, Time};
-use paradet_ooo::{ArmedFault, FaultKind, FaultTarget};
+use paradet_ooo::{ArmedFault, FaultKind};
 use std::sync::Arc;
 
 /// The complete fault load of one recovery trial: a temporal kind applied
@@ -61,6 +61,23 @@ pub struct TrialFaults {
     /// over-detection). Consumed with the discarded log copy — armed on
     /// the first attempt only.
     pub log_fault: Option<(u64, usize, u8)>,
+}
+
+impl TrialFaults {
+    /// The main-core strikes [`kind`](TrialFaults::kind) expands
+    /// [`core`](TrialFaults::core) into, in `core` order: an intermittent
+    /// fault becomes `count` strikes `period` retired instructions apart (a
+    /// zero period counts as one), while a transient or permanent fault is
+    /// one strike at its own `at_instr`.
+    pub fn strikes(&self) -> impl Iterator<Item = ArmedFault> + '_ {
+        let (count, period) = match self.kind {
+            FaultKind::Intermittent { period, count } => (u64::from(count), period.max(1)),
+            FaultKind::Transient | FaultKind::Permanent => (1, 0),
+        };
+        self.core.iter().flat_map(move |f| {
+            (0..count).map(move |k| ArmedFault::new(f.at_instr + k * period, f.target))
+        })
+    }
 }
 
 /// Bounds and modeled costs of the recovery loop.
@@ -113,59 +130,13 @@ pub struct RecoveryReport {
     pub final_state: ArchState,
     /// Final functional memory contents.
     pub final_mem: FlatMemory,
-    /// Detection latency (commit of the first attempt → first error
-    /// confirmation), femtoseconds; 0 when nothing was detected.
+    /// The first error's confirmation time, measured from the start of the
+    /// run (the first attempt), in femtoseconds; 0 when nothing was
+    /// detected.
     pub detect_fs: u64,
     /// Modeled recovery cost: the full wall time of every aborted
     /// attempt plus one rollback penalty per retry, femtoseconds.
     pub recovery_fs: u64,
-}
-
-/// One concrete strike expanded from [`TrialFaults`]: `at` is global.
-#[derive(Debug, Clone, Copy)]
-struct Strike {
-    at: u64,
-    target: FaultTarget,
-    /// Permanent strikes re-arm on every attempt; others are consumed by
-    /// firing.
-    permanent: bool,
-    consumed: bool,
-}
-
-/// Expands the temporal fault kind into concrete global strikes.
-fn expand(faults: &TrialFaults) -> Vec<Strike> {
-    let mut strikes = Vec::new();
-    for f in &faults.core {
-        match faults.kind {
-            FaultKind::Transient => {
-                strikes.push(Strike {
-                    at: f.at_instr,
-                    target: f.target,
-                    permanent: false,
-                    consumed: false,
-                });
-            }
-            FaultKind::Intermittent { period, count } => {
-                for k in 0..count as u64 {
-                    strikes.push(Strike {
-                        at: f.at_instr + k * period.max(1),
-                        target: f.target,
-                        permanent: false,
-                        consumed: false,
-                    });
-                }
-            }
-            FaultKind::Permanent => {
-                strikes.push(Strike {
-                    at: f.at_instr,
-                    target: f.target,
-                    permanent: true,
-                    consumed: false,
-                });
-            }
-        }
-    }
-    strikes
 }
 
 /// Runs `program` for up to `max_instrs` instructions under `faults`,
@@ -179,7 +150,10 @@ pub fn run_recovery(
     faults: &TrialFaults,
     policy: &RecoveryPolicy,
 ) -> RecoveryReport {
-    let mut strikes = expand(faults);
+    // Global strikes, each with whether it is consumed. Permanent strikes
+    // re-arm on every attempt; others are consumed by firing.
+    let mut strikes: Vec<(ArmedFault, bool)> = faults.strikes().map(|f| (f, false)).collect();
+    let permanent = faults.kind == FaultKind::Permanent;
     // Resume point: None = fresh run from the program entry.
     let mut resume: Option<(ArchState, FlatMemory)> = None;
     let mut base = 0u64; // global retired instructions at the resume point
@@ -209,11 +183,11 @@ pub fn run_recovery(
         // instruction stream; strikes the rollback jumped behind re-arm at
         // the first local instruction (they were still waiting to fire).
         let mut armed: Vec<(usize, ArmedFault)> = Vec::new();
-        for (i, s) in strikes.iter().enumerate() {
-            if s.consumed {
+        for (i, &(s, consumed)) in strikes.iter().enumerate() {
+            if consumed {
                 continue;
             }
-            let f = ArmedFault::new(s.at.saturating_sub(base), s.target);
+            let f = ArmedFault::new(s.at_instr.saturating_sub(base), s.target);
             sys.arm_fault(f);
             armed.push((i, f));
         }
@@ -225,8 +199,8 @@ pub fn run_recovery(
         // stay armed and carry over).
         let unfired = sys.unfired_faults().to_vec();
         for (i, f) in &armed {
-            if !strikes[*i].permanent && !unfired.contains(f) {
-                strikes[*i].consumed = true;
+            if !permanent && !unfired.contains(f) {
+                strikes[*i].1 = true;
             }
         }
 
@@ -348,6 +322,29 @@ mod tests {
         mem.load_image(program);
         state.run_blocks(program, &mut mem, &mut NoNondet, u64::MAX).expect("golden run crashed");
         (state, mem)
+    }
+
+    #[test]
+    fn strikes_expand_every_fault_kind() {
+        let a = ArmedFault::new(100, FaultTarget::IntRegBit { reg: Reg::X2, bit: 3 });
+        let b = ArmedFault::new(7, FaultTarget::StoreValueBit { bit: 1 });
+        let strikes = |kind| {
+            let faults = TrialFaults { kind, core: vec![a, b], ..TrialFaults::default() };
+            faults.strikes().collect::<Vec<_>>()
+        };
+        let at = |f: ArmedFault, at_instr| ArmedFault::new(at_instr, f.target);
+        assert_eq!(strikes(FaultKind::Transient), [a, b]);
+        assert_eq!(strikes(FaultKind::Permanent), [a, b]);
+        assert_eq!(
+            strikes(FaultKind::Intermittent { period: 40, count: 3 }),
+            [a, at(a, 140), at(a, 180), b, at(b, 47), at(b, 87)]
+        );
+        // A zero period still spaces the strikes one instruction apart.
+        assert_eq!(
+            strikes(FaultKind::Intermittent { period: 0, count: 2 }),
+            [a, at(a, 101), b, at(b, 8)]
+        );
+        assert_eq!(strikes(FaultKind::Intermittent { period: 40, count: 0 }), []);
     }
 
     #[test]

@@ -68,10 +68,9 @@ impl RunReport {
         self.core.ipc()
     }
 
-    /// Fraction of the main core's commit-timeline cycles the event-driven
-    /// driver crossed in single jumps instead of per-cycle re-evaluation
-    /// (log-full stalls jumped to their checker-finish deadline, quiescent
-    /// dispatch jumps). 0 on the exhaustive path
+    /// [`CoreStats::cycles_skipped`] as a percentage of the main core's
+    /// commit-timeline cycles: the cycles the core crossed in a quiescent
+    /// dispatch jump or a log-full commit jump. 0 on the exhaustive path
     /// (`SystemConfig::with_event_skip(false)`), which crosses the same
     /// stalls but accounts nothing.
     pub fn cycles_skipped_pct(&self) -> f64 {
@@ -258,23 +257,6 @@ impl PairedSystem {
         let mut n = 0u64;
         let mut crashed = false;
         while n < max_instrs {
-            // Whole-system event fast-forward (pure accounting, timing
-            // untouched): when the main core is quiescent and the detector
-            // holds no in-flight checks, nothing anywhere in the system
-            // changes before the next memory-hierarchy fill or detector
-            // deadline — cross the gap in one accounted jump instead of
-            // leaving it invisible to `CoreStats::cycles_skipped`. No-op on
-            // the exhaustive tick path (`with_event_skip(false)`).
-            if self.core.is_quiescent() && self.det.in_flight_checks() == 0 {
-                let now = self.core.now();
-                let next = match (self.hier.next_event_after(now), self.det.next_event_time(now)) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
-                if let Some(t) = next {
-                    self.core.note_system_jump(t);
-                }
-            }
             // One basic block per call (a fired PC fault ends it early).
             match self.core.step_block(&mut self.hier, &mut self.det, max_instrs - n) {
                 Ok(out) => {
@@ -347,14 +329,6 @@ pub fn run_unchecked_shared(
     let mut n = 0u64;
     let mut crashed = false;
     while n < max_instrs {
-        // Same whole-system fast-forward as the paired driver, minus the
-        // detector: with no detection hardware the only external event
-        // source is the memory hierarchy.
-        if core.is_quiescent() {
-            if let Some(t) = hier.next_event_after(core.now()) {
-                core.note_system_jump(t);
-            }
-        }
         match core.step_block(&mut hier, &mut NullSink, max_instrs - n) {
             Ok(out) => {
                 n += out.instrs;

@@ -261,8 +261,9 @@ pub struct TrialResult {
     pub fault: ArmedFault,
     /// The classification.
     pub outcome: Outcome,
-    /// Detection latency (error confirm time − fault commit-side seal
-    /// time), when detected.
+    /// When detected, the first error's confirmation time measured from
+    /// the start of the run — the same quantity as
+    /// [`RecoveryReport::detect_fs`](paradet_core::RecoveryReport::detect_fs).
     pub detect_latency: Option<Time>,
     /// Modeled recovery cost in femtoseconds (aborted attempts + rollback
     /// penalties), when a recovery driver rolled back at least once.
@@ -614,21 +615,12 @@ pub(crate) fn aggregate_slots(
     per_site
 }
 
-/// Arms every fault of `plan` on a fresh system for one attempt. The
-/// temporal kind expands here: an intermittent fault becomes `count`
-/// strikes `period` retired instructions apart; transient and permanent
-/// both arm once (a permanent *target* like a stuck-at ALU persists on
-/// its own once triggered).
+/// Arms every fault of `plan` on a fresh system for one attempt, the
+/// main-core strikes expanded by [`TrialFaults::strikes`] (a permanent
+/// *target* like a stuck-at ALU persists on its own once triggered).
 fn arm_plan(sys: &mut PairedSystem, plan: &TrialFaults) {
-    for f in &plan.core {
-        match plan.kind {
-            FaultKind::Transient | FaultKind::Permanent => sys.arm_fault(*f),
-            FaultKind::Intermittent { period, count } => {
-                for k in 0..count as u64 {
-                    sys.arm_fault(ArmedFault::new(f.at_instr + k * period.max(1), f.target));
-                }
-            }
-        }
+    for f in plan.strikes() {
+        sys.arm_fault(f);
     }
     if let Some(a) = plan.array {
         sys.arm_array_fault(a);
@@ -652,7 +644,7 @@ fn run_trial(
     arm_plan(&mut sys, plan);
     let report = sys.run(cfg.instrs);
     let outcome = if report.detected() {
-        let latency = report.first_error().map(|e| e.confirm_time.saturating_sub(Time::from_fs(0)));
+        let latency = report.first_error().map(|e| e.confirm_time);
         (Outcome::Detected, latency)
     } else if report.crashed {
         (Outcome::Crashed, None)

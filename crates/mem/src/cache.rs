@@ -104,9 +104,6 @@ pub struct Cache {
     lru: Vec<u64>,
     /// Completion times of in-flight misses; fixed length `cfg.mshrs`.
     mshr_busy: Vec<Time>,
-    /// Completion time of the latest fill issued (demand or prefetch):
-    /// after this instant no access waits on an in-flight fill.
-    fill_horizon: Time,
     lru_clock: u64,
     /// Statistics (public for the experiment harness).
     pub stats: CacheStats,
@@ -131,7 +128,6 @@ impl Cache {
             ready_fs: vec![0; n],
             lru: vec![0; n],
             mshr_busy: vec![Time::ZERO; cfg.mshrs],
-            fill_horizon: Time::ZERO,
             lru_clock: 0,
             stats: CacheStats::default(),
             set_mask: sets as u64 - 1,
@@ -178,35 +174,6 @@ impl Cache {
     fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
         ((line & self.set_mask) as usize, line >> self.set_mask.count_ones())
-    }
-
-    /// Invalidates all lines (used between experiment repetitions).
-    pub fn flush(&mut self) {
-        self.flags.fill(0);
-        self.mshr_busy.fill(Time::ZERO);
-        self.fill_horizon = Time::ZERO;
-    }
-
-    /// The instant at (and after) which this cache is quiescent: every fill
-    /// issued so far (demand or prefetch) has completed, so no access waits
-    /// on in-flight state — hits pay exactly the hit latency and misses see
-    /// a free MSHR.
-    pub fn quiet_at(&self) -> Time {
-        self.fill_horizon
-    }
-
-    /// The completion time of the next in-flight *demand* fill strictly
-    /// after `now`, or `None` if no demand miss is in flight — the
-    /// cache-side event source of the event-driven driver. No demand-fill
-    /// state changes between `now` and this instant.
-    ///
-    /// Prefetch fills deliberately do not appear here: they bypass the
-    /// MSHRs in this model ([`insert_prefetch`](Cache::insert_prefetch)
-    /// records only the line's `ready_at`), so the only query that bounds
-    /// them is [`quiet_at`](Cache::quiet_at) — a caller that needs "no
-    /// access outcome changes at all" must use the horizon, not this.
-    pub fn next_fill_after(&self, now: Time) -> Option<Time> {
-        self.mshr_busy.iter().copied().filter(|&t| t > now).min()
     }
 
     /// Probes the cache without updating any state; returns whether `addr`
@@ -301,7 +268,6 @@ impl Cache {
 
         let fill_done = fill(line_base, false, start + self.cfg.hit_latency);
         self.mshr_busy[slot] = fill_done;
-        self.fill_horizon = self.fill_horizon.max(fill_done);
         self.tags[victim] = tag;
         self.flags[victim] = if write { 3 } else { 1 };
         self.ready_fs[victim] = fill_done.as_fs();
@@ -322,7 +288,6 @@ impl Cache {
             self.stats.evictions += 1;
         }
         self.stats.prefetch_fills += 1;
-        self.fill_horizon = self.fill_horizon.max(ready_at);
         // Prefetched lines are inserted with *lowest* recency in the set so a
         // useless prefetch is evicted first.
         let base = set_idx * self.cfg.ways;
@@ -468,38 +433,6 @@ mod tests {
         let r = c.access(0x2000, false, Time::from_ns(6), &mut next.fill());
         assert!(r.hit);
         assert_eq!(c.stats.prefetch_fills, 1);
-    }
-
-    #[test]
-    fn event_queries_bracket_in_flight_fills() {
-        let mut c = Cache::new(cfg_small());
-        let mut next = NextLevel::new(Time::from_ns(100));
-        assert_eq!(c.next_fill_after(Time::ZERO), None, "idle cache has no pending event");
-        assert_eq!(c.quiet_at(), Time::ZERO);
-        let r1 = c.access(0x0000, false, Time::ZERO, &mut next.fill());
-        let r2 = c.access(0x0040, false, Time::from_ns(1), &mut next.fill());
-        // The earliest in-flight fill is the next event; the latest is the
-        // quiescence horizon.
-        let fill1 = r1.done - Time::from_ns(1); // done = fill + readout latency
-        let fill2 = r2.done - Time::from_ns(1);
-        assert_eq!(c.next_fill_after(Time::ZERO), Some(fill1.min(fill2)));
-        assert_eq!(c.quiet_at(), fill1.max(fill2));
-        // No event strictly before the advertised one.
-        assert_eq!(c.next_fill_after(fill1.min(fill2)), Some(fill1.max(fill2)));
-        // Past the horizon, nothing is pending.
-        assert_eq!(c.next_fill_after(c.quiet_at()), None);
-        c.flush();
-        assert_eq!(c.quiet_at(), Time::ZERO);
-    }
-
-    #[test]
-    fn flush_invalidates() {
-        let mut c = Cache::new(cfg_small());
-        let mut next = NextLevel::new(Time::from_ns(10));
-        c.access(0x0000, false, Time::ZERO, &mut next.fill());
-        assert!(c.probe(0x0000));
-        c.flush();
-        assert!(!c.probe(0x0000));
     }
 
     #[test]

@@ -155,34 +155,6 @@ impl Dram {
         let data_ready = start + self.cfg.clock.cycles(cycles);
         data_ready.max(self.bus_free) + self.cfg.clock.cycles(self.cfg.burst_cycles)
     }
-
-    /// The instant at (and after) which the device is idle: the shared data
-    /// bus frees last (every bank's busy-until is set to its burst's bus
-    /// completion, and the bus time only grows), so this single timestamp
-    /// bounds all in-flight DRAM work.
-    pub fn quiet_at(&self) -> Time {
-        self.bus_free
-    }
-
-    /// The next instant strictly after `now` at which a bank or the bus
-    /// frees, or `None` when the device is already idle — the DRAM-side
-    /// event source of the event-driven driver.
-    pub fn next_event_after(&self, now: Time) -> Option<Time> {
-        self.banks
-            .iter()
-            .map(|b| b.busy_until)
-            .chain(std::iter::once(self.bus_free))
-            .filter(|&t| t > now)
-            .min()
-    }
-
-    /// Resets banks and bus to idle (for experiment repetition).
-    pub fn flush(&mut self) {
-        for b in &mut self.banks {
-            *b = Bank::default();
-        }
-        self.bus_free = Time::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -248,15 +220,6 @@ mod tests {
         let t1 = d.access(0x0, Time::ZERO);
         let t2 = d.access(0x80, Time::ZERO); // same bank, same row, issued at 0
         assert_eq!(t2, t1 + cyc(11 + 4)); // waits for bank, then row hit
-    }
-
-    #[test]
-    fn flush_resets() {
-        let mut d = dram();
-        d.access(0x0, Time::ZERO);
-        d.flush();
-        let done = d.access(0x40, Time::ZERO);
-        assert_eq!(done, cyc(26)); // row empty again
     }
 
     #[test]

@@ -132,16 +132,6 @@ impl CheckerPath {
         }
     }
 
-    /// Number of L0 caches.
-    pub fn n_checkers(&self) -> usize {
-        self.l0.len()
-    }
-
-    /// Core `core`'s L0 statistics.
-    pub fn l0_stats(&self, core: usize) -> CacheStats {
-        self.l0[core].stats
-    }
-
     /// Timed instruction fetch for core `core`, missing into `l2`/`dram`.
     fn ifetch(&mut self, l2: &mut Cache, dram: &mut Dram, core: usize, pc: u64, now: Time) -> Time {
         let CheckerPath { l0, l1i } = self;
@@ -177,35 +167,6 @@ impl CheckerPath {
                 .done
             })
             .done
-    }
-
-    /// Invalidates the path's caches.
-    fn flush(&mut self) {
-        for c in &mut self.l0 {
-            c.flush();
-        }
-        self.l1i.flush();
-    }
-
-    /// The instant after which every cache on this path is quiescent.
-    fn quiet_at(&self) -> Time {
-        self.l0.iter().map(|c| c.quiet_at()).fold(self.l1i.quiet_at(), Time::max)
-    }
-
-    /// The next demand-fill completion strictly after `now` anywhere on
-    /// this path, or `None` (see [`Cache::next_fill_after`]).
-    ///
-    /// Public because externally owned paths (a mixed farm's per-class
-    /// paths in `paradet-core`) are invisible to
-    /// [`MemHier::next_event_after`] — their owner must chain this into
-    /// its own event horizon, exactly as the hierarchy does for the path
-    /// it owns.
-    pub fn next_fill_after(&self, now: Time) -> Option<Time> {
-        self.l0
-            .iter()
-            .chain(std::iter::once(&self.l1i))
-            .filter_map(|c| c.next_fill_after(now))
-            .min()
     }
 }
 
@@ -284,11 +245,6 @@ impl MemHier {
         self.daccesses = 0;
     }
 
-    /// Whether an armed array fault has not fired yet.
-    pub fn array_fault_pending(&self) -> bool {
-        self.array_fault.is_some()
-    }
-
     /// Fires the armed array fault if this access is its trigger.
     fn poll_array_fault(&mut self, addr: u64) {
         let Some(f) = self.array_fault else { return };
@@ -304,11 +260,6 @@ impl MemHier {
         };
         let b = self.data.read_byte(victim);
         self.data.write_byte(victim, b ^ (1 << (f.bit & 7)));
-    }
-
-    /// Number of checker L0 caches.
-    pub fn n_checkers(&self) -> usize {
-        self.checker.n_checkers()
     }
 
     /// Timed instruction fetch on the main core.
@@ -395,7 +346,7 @@ impl MemHier {
     ///
     /// # Panics
     ///
-    /// Panics if `core >= path.n_checkers()`.
+    /// Panics if `core` has no L0 cache on `path`.
     pub fn checker_ifetch_cycle_via(
         &self,
         path: &mut CheckerPath,
@@ -430,7 +381,7 @@ impl MemHier {
     ///
     /// # Panics
     ///
-    /// Panics if `core >= path.n_checkers()`.
+    /// Panics if `core` has no L0 cache on `path`.
     pub fn checker_ifetch_cycle_on(
         &mut self,
         path: &mut CheckerPath,
@@ -454,39 +405,6 @@ impl MemHier {
         checker.ifetch(l2, dram, core, pc, now)
     }
 
-    /// The instant at (and after) which the whole hierarchy is quiescent:
-    /// every in-flight fill has completed in every cache (main, shared and
-    /// checker path) and DRAM's banks and bus are idle. An access issued at
-    /// or after this time waits on nothing but its own latency chain — the
-    /// hierarchy-side half of the event-driven driver's skip invariant
-    /// (the core-side half is `OooCore::quiet_at` in `paradet-ooo`).
-    pub fn quiet_at(&self) -> Time {
-        [
-            self.l1i.quiet_at(),
-            self.l1d.quiet_at(),
-            self.l2.quiet_at(),
-            self.dram.quiet_at(),
-            self.checker.quiet_at(),
-        ]
-        .into_iter()
-        .max()
-        .unwrap_or(Time::ZERO)
-    }
-
-    /// The next instant strictly after `now` at which a *demand* fill
-    /// completes or a DRAM bank/bus frees — or `None` if nothing of the
-    /// kind is pending. Prefetch fills are bounded only by
-    /// [`quiet_at`](MemHier::quiet_at) (see
-    /// [`Cache::next_fill_after`](crate::Cache::next_fill_after)): no
-    /// demand-side state changes in the open interval between `now` and
-    /// the returned instant, and *nothing at all* is in flight at or after
-    /// the horizon.
-    pub fn next_event_after(&self, now: Time) -> Option<Time> {
-        let caches =
-            [&self.l1i, &self.l1d, &self.l2].into_iter().filter_map(|c| c.next_fill_after(now));
-        caches.chain(self.checker.next_fill_after(now)).chain(self.dram.next_event_after(now)).min()
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> HierStats {
         HierStats {
@@ -496,20 +414,6 @@ impl MemHier {
             dram: self.dram.stats,
             prefetch: self.prefetcher.stats,
         }
-    }
-
-    /// Per-checker L0 statistics.
-    pub fn checker_l0_stats(&self, core: usize) -> CacheStats {
-        self.checker.l0_stats(core)
-    }
-
-    /// Invalidates all caches and resets DRAM (functional contents are kept).
-    pub fn flush_timing(&mut self) {
-        self.l1i.flush();
-        self.l1d.flush();
-        self.l2.flush();
-        self.dram.flush();
-        self.checker.flush();
     }
 }
 
@@ -588,53 +492,10 @@ mod tests {
     }
 
     #[test]
-    fn hier_event_queries_cover_checker_path() {
-        let mut h = hier();
-        // Warm the shared L2 from the main core, then miss in the checker
-        // L0/L1I only: the pending demand fill lives on the checker path
-        // and must surface through the hierarchy-level event query.
-        let t1 = h.ifetch(0x1000, Time::ZERO);
-        let t2 = h.checker_ifetch(0, 0x1000, t1);
-        let next = h.next_event_after(t1).expect("checker L0/L1I fill is in flight");
-        assert!(next > t1 && next <= t2.max(h.quiet_at()), "next={next}, t2={t2}");
-    }
-
-    #[test]
-    fn hier_event_queries_cover_dram_and_caches() {
-        let mut h = hier();
-        assert_eq!(h.next_event_after(Time::ZERO), None, "idle hierarchy has no pending event");
-        let done = h.dread(0x1000, 0x8000, Time::ZERO);
-        // A cold read leaves in-flight state everywhere on its path: the
-        // hierarchy is not quiescent before the access completes, and some
-        // event (a fill or the DRAM burst) is pending.
-        assert!(
-            h.quiet_at() >= done - Freq::from_mhz(3200).cycles(2),
-            "quiet_at: {}",
-            h.quiet_at()
-        );
-        let next = h.next_event_after(Time::ZERO).expect("a fill is in flight");
-        assert!(next <= h.quiet_at());
-        // No event strictly after the horizon.
-        assert_eq!(h.next_event_after(h.quiet_at()), None);
-    }
-
-    #[test]
     fn functional_data_is_shared() {
         use paradet_isa::{MemWidth, MemoryIface};
         let mut h = hier();
         h.data.store(0x9000, MemWidth::D, 0xdead_beef);
         assert_eq!(h.data.load(0x9000, MemWidth::D), 0xdead_beef);
-    }
-
-    #[test]
-    fn flush_timing_keeps_contents() {
-        use paradet_isa::{MemWidth, MemoryIface};
-        let mut h = hier();
-        h.data.store(0x9000, MemWidth::D, 42);
-        h.dread(0x1000, 0x9000, Time::ZERO);
-        h.flush_timing();
-        assert_eq!(h.data.load(0x9000, MemWidth::D), 42);
-        let t = h.dread(0x1000, 0x9000, Time::from_ns(1000));
-        assert!(t - Time::from_ns(1000) > Time::from_ns(30), "post-flush read must miss");
     }
 }

@@ -86,15 +86,16 @@ pub struct OooConfig {
     /// overhead for such schemes, §VII-B).
     pub rmt_duplicate: bool,
     /// Event-driven cycle skipping (default on). The core tracks its
-    /// resource-event horizon (`OooCore::quiet_at`) and, when a micro-op
-    /// dispatches past it, jumps time straight there — clearing the drained
-    /// occupancy windows in O(1) and skipping the store-forward scan —
-    /// instead of re-walking every structure; log-full commit stalls jump
-    /// to the checker-finish deadline in one step. `false` forces the
-    /// exhaustive path (every structure evaluated at every micro-op,
-    /// `CoreStats::cycles_skipped` stays 0) inside the same kernel, kept as
-    /// the one timing reference; the two are asserted identical by the
-    /// skip-vs-tick suite in `tests/parallel_determinism.rs`.
+    /// resource-event horizon (the latest cycle of any resource event
+    /// recorded so far) and, when a micro-op dispatches past it, jumps time
+    /// straight there — clearing the drained occupancy windows in O(1) and
+    /// skipping the store-forward scan — instead of re-walking every
+    /// structure; log-full commit stalls jump to the checker-finish
+    /// deadline in one step. `false` forces the exhaustive path (every
+    /// structure evaluated at every micro-op, `CoreStats::cycles_skipped`
+    /// stays 0) inside the same kernel, kept as the one timing reference;
+    /// the two are asserted identical by the skip-vs-tick suite in
+    /// `tests/parallel_determinism.rs`.
     pub event_skip: bool,
 }
 

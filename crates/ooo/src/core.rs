@@ -64,11 +64,12 @@ pub struct CoreStats {
     pub gate_pause_cycles: u64,
     /// Loads whose value was forwarded from the store window.
     pub store_forwards: u64,
-    /// Cycles the event-driven driver crossed in a single jump instead of
-    /// per-cycle re-evaluation: log-full commit stalls jumped straight to
-    /// the checker-finish deadline, and quiescent dispatch jumps (no
-    /// resource event between the core's busy horizon and the dispatch
-    /// cycle). Always 0 on the exhaustive path
+    /// Cycles the core crossed in one of its two jumps: a micro-op
+    /// dispatching past the core's busy horizon (the gap from the horizon
+    /// to the dispatch cycle), and a log-full commit stall jumped straight
+    /// to the checker-finish deadline (the cycles strictly between the
+    /// stalled commit and the retry). Near zero under full detection on
+    /// most workloads. Always 0 on the exhaustive path
     /// (`OooConfig::event_skip = false`), which crosses the same stalls at
     /// the same times but accounts nothing — the skip-vs-tick identity
     /// suite zeroes this field before comparing reports.
@@ -203,18 +204,12 @@ pub struct OooCore {
     /// The resource-event horizon: no pool busy-until, occupancy release,
     /// register wakeup, line fill or gate recorded so far lies beyond this
     /// cycle. A micro-op dispatching at or past it observes a fully
-    /// quiescent core — the event-driven skip path jumps straight there
-    /// (see [`OooCore::quiet_at`]).
+    /// quiescent core — the event-driven skip path jumps straight there.
     horizon: u64,
     /// Upper bound on the `commit` cycle of any store still in the
     /// forwarding window: a load whose address resolves at or after this
     /// provably cannot forward, so the skip path elides the window scan.
     stores_commit_max: u64,
-    /// Highest cycle already accounted in `cycles_skipped` by a
-    /// whole-system fast-forward (`note_system_jump`): the log-full commit
-    /// retry accounting excludes this span so no interval is counted
-    /// twice.
-    ff_until: u64,
     /// Statistics (public for the experiment harness).
     pub stats: CoreStats,
 }
@@ -267,7 +262,6 @@ impl OooCore {
             stuck: None,
             horizon: 0,
             stores_commit_max: 0,
-            ff_until: 0,
             stats: CoreStats::default(),
             cycle_div: cfg.clock.divider(),
             program,
@@ -328,107 +322,6 @@ impl OooCore {
     /// into a re-execution attempt.
     pub fn unfired_faults(&self) -> &[ArmedFault] {
         &self.faults
-    }
-
-    /// The cycle at (and after) which every modeled core resource is idle:
-    /// the maximum over all recorded busy-until times, occupancy releases,
-    /// register wakeups, line fills and gates. A micro-op dispatching at or
-    /// past this cycle provably acquires every resource without waiting —
-    /// the event-driven driver jumps straight there instead of draining
-    /// each structure (see `OooConfig::event_skip`).
-    pub fn quiet_at(&self) -> u64 {
-        self.horizon
-    }
-
-    /// The earliest pending resource event strictly after `now`: the next
-    /// cycle at which an occupancy entry releases (the first in-order
-    /// release past `now` for ROB/LQ/SQ/register free lists, the true
-    /// minimum for the out-of-order issue queue), a functional unit frees,
-    /// or a commit/dispatch gate expires. `None` when the core is fully
-    /// idle past `now`. Together with [`quiet_at`](OooCore::quiet_at) this
-    /// brackets the core's event queue: no resource state changes in the
-    /// open interval between `now` and the returned cycle, and nothing
-    /// remains busy at or after `quiet_at()`.
-    pub fn next_event_after(&self, now: u64) -> Option<u64> {
-        let mut next = u64::MAX;
-        for f in [&self.rob, &self.lq, &self.sq, &self.phys_int, &self.phys_fp] {
-            // In-order release: entries release at the running maximum of
-            // their recorded cycles, so the first recorded value past `now`
-            // is exactly the first future release.
-            if let Some(t) = f.releases().find(|&t| t > now) {
-                next = next.min(t);
-            }
-        }
-        if let Some(t) = self.iq.releases().filter(|&t| t > now).min() {
-            next = next.min(t);
-        }
-        for p in [
-            &self.fetch_slots,
-            &self.dispatch_slots,
-            &self.issue_slots,
-            &self.commit_slots,
-            &self.int_alus,
-            &self.fp_alus,
-            &self.mul_div,
-            &self.mem_ports,
-            &self.write_buffer,
-        ] {
-            if let Some(t) = p.next_event_after(now) {
-                next = next.min(t);
-            }
-        }
-        if self.commit_gate > now {
-            next = next.min(self.commit_gate);
-        }
-        if self.dispatch_gate > now {
-            next = next.min(self.dispatch_gate);
-        }
-        // The in-flight I-line fill and pending register wakeups are
-        // resource-state changes too — fetch timing and operand readiness
-        // shift at exactly these cycles.
-        if self.line_ready > now {
-            next = next.min(self.line_ready);
-        }
-        for &t in &self.reg_ready {
-            if t > now {
-                next = next.min(t);
-            }
-        }
-        (next != u64::MAX).then_some(next)
-    }
-
-    /// Whether the core is fully quiescent: no recorded resource event
-    /// (pool busy-until, occupancy release, register wakeup, line fill,
-    /// gate) lies beyond the most recent commit. O(1) — the horizon is the
-    /// running maximum of every recorded event, and each commit raises it
-    /// to at least `commit + 1`.
-    pub fn is_quiescent(&self) -> bool {
-        self.horizon <= self.last_commit + 1
-    }
-
-    /// Accounts a whole-system quiescent fast-forward: the driver observed
-    /// that the core is idle ([`is_quiescent`](Self::is_quiescent)) and the
-    /// detector holds no in-flight checks, so nothing in the system changes
-    /// before its next event (memory-hierarchy fill or detector deadline)
-    /// at absolute time `t` — the driver crosses the gap in one jump.
-    /// Pure accounting into `CoreStats::cycles_skipped`, measured from the
-    /// core's busy horizon; the horizon is raised to the jump target so
-    /// in-step quiescent jumps measure from the new base, and the log-full
-    /// retry accounting excludes the span via `ff_until` — no interval is
-    /// ever counted twice. Timing is untouched, and on the exhaustive tick
-    /// path (`OooConfig::event_skip` off) this is a no-op so
-    /// `cycles_skipped` stays 0 there.
-    pub fn note_system_jump(&mut self, t: Time) {
-        if !self.cfg.event_skip {
-            return;
-        }
-        let cycle = self.to_cycle(t);
-        let from = self.horizon.max(self.last_commit);
-        if cycle > from {
-            self.stats.cycles_skipped += cycle - from;
-            self.ff_until = self.ff_until.max(cycle);
-            self.note_event(cycle);
-        }
     }
 
     /// Raises the resource-event horizon to `cycle`.
@@ -780,11 +673,7 @@ impl OooCore {
                             let c2 = self.to_cycle(t).max(commit + 1);
                             self.stats.gate_retry_cycles += c2 - commit;
                             if self.cfg.event_skip {
-                                // Cycles a whole-system fast-forward already
-                                // accounted (up to `ff_until`) are not
-                                // re-counted.
-                                let base = commit.max(self.ff_until.min(c2 - 1));
-                                self.stats.cycles_skipped += (c2 - 1) - base;
+                                self.stats.cycles_skipped += (c2 - 1) - commit;
                             }
                             commit = c2;
                         }

@@ -10,19 +10,6 @@
 //!   entries release at known times (ROB, LQ, SQ, physical registers release
 //!   in order; the issue queue releases out of order).
 //!
-//! # Event queries
-//!
-//! Every structure exposes its event horizon for the event-driven driver
-//! (see `paradet-core`'s `ARCHITECTURE.md` section): the *next* cycle at
-//! which its state changes ([`FifoOccupancy::next_event_cycle`],
-//! [`UnorderedOccupancy::next_event_cycle`], [`SlotPool::next_event_after`])
-//! and the cycle after which it is fully idle ([`SlotPool::idle_at`]). The
-//! invariant these promise — and the unit tests below pin — is that an
-//! acquisition strictly before `next_event_cycle()` observes no state
-//! change: no entry releases, no unit frees. That is what lets the core
-//! jump over stall-dominated regions in one step instead of re-walking
-//! every structure per micro-op.
-//!
 //! The issue queue is the one structure whose naive implementation *was*
 //! per-cycle-shaped: it re-scanned (and compacted) all recorded releases on
 //! every acquisition. [`UnorderedOccupancy`] now keeps a lazy min-heap and
@@ -73,20 +60,6 @@ impl SlotPool {
     /// Panics if `unit` is out of range.
     pub fn set_busy(&mut self, unit: usize, until: u64) {
         self.free_at[unit] = self.free_at[unit].max(until);
-    }
-
-    /// The next cycle strictly after `now` at which a unit frees, or
-    /// `None` if every unit is already free by `now`. No unit changes
-    /// availability in the open interval between `now` and the returned
-    /// cycle.
-    pub fn next_event_after(&self, now: u64) -> Option<u64> {
-        self.free_at.iter().copied().filter(|&t| t > now).min()
-    }
-
-    /// The cycle at (and after) which the whole pool is idle: a `take` at
-    /// `earliest >= idle_at()` starts at `earliest`, unconditionally.
-    pub fn idle_at(&self) -> u64 {
-        self.free_at.iter().copied().max().unwrap_or(0)
     }
 
     /// Resets all units to free-at-zero.
@@ -183,22 +156,6 @@ impl FifoOccupancy {
         self.head = 0;
     }
 
-    /// The next cycle at which the oldest entry releases (entries release
-    /// in FIFO order), or `None` if the window is empty. An acquisition
-    /// strictly before this drains nothing.
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        if self.len > 0 {
-            Some(self.buf[self.head])
-        } else {
-            None
-        }
-    }
-
-    /// The recorded, not-yet-drained release cycles in queue order.
-    pub fn releases(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len).map(|i| self.buf[(self.head + i) & self.mask])
-    }
-
     /// Current number of unreleased entries recorded.
     pub fn len(&self) -> usize {
         self.len
@@ -271,18 +228,6 @@ impl UnorderedOccupancy {
         self.release.push(Reverse(release_cycle));
     }
 
-    /// The next cycle at which any entry releases, or `None` if the buffer
-    /// is empty. An acquisition strictly before this drains nothing.
-    pub fn next_event_cycle(&self) -> Option<u64> {
-        self.release.peek().map(|&Reverse(t)| t)
-    }
-
-    /// The recorded, not-yet-drained release cycles, in no particular
-    /// order.
-    pub fn releases(&self) -> impl Iterator<Item = u64> + '_ {
-        self.release.iter().map(|&Reverse(t)| t)
-    }
-
     /// Clears the buffer (see [`FifoOccupancy::reset`] on the quiescent
     /// fast path).
     pub fn reset(&mut self) {
@@ -318,21 +263,6 @@ mod tests {
         let (u0, _) = p.take(0, 100);
         let (u1, _) = p.take(0, 100);
         assert_ne!(u0, u1);
-    }
-
-    #[test]
-    fn slot_pool_event_queries() {
-        let mut p = SlotPool::new(2);
-        p.take(0, 100); // unit busy until 100
-        p.take(0, 30); // unit busy until 30
-        assert_eq!(p.next_event_after(0), Some(30));
-        // Elapsed frees are not events: only strictly-future busy-untils.
-        assert_eq!(p.next_event_after(30), Some(100));
-        assert_eq!(p.next_event_after(100), None);
-        assert_eq!(p.idle_at(), 100);
-        // At or after idle_at, a take starts exactly at `earliest`.
-        let (_, start) = p.take(150, 1);
-        assert_eq!(start, 150);
     }
 
     #[test]
@@ -386,33 +316,6 @@ mod tests {
         assert_eq!(f.acquire(0), 20);
     }
 
-    /// No event fires before `next_event_cycle()`: acquiring strictly
-    /// earlier (with space available) changes nothing and starts on time.
-    #[test]
-    fn no_event_before_next_event_cycle() {
-        let mut u = UnorderedOccupancy::new(4);
-        u.push(100);
-        u.push(40);
-        u.push(70);
-        assert_eq!(u.next_event_cycle(), Some(40));
-        // Acquire before the first release: nothing drains, start unchanged.
-        assert_eq!(u.acquire(39), 39);
-        assert_eq!(u.next_event_cycle(), Some(40));
-        assert_eq!(u.release.len(), 3);
-        // Acquire at the event: exactly the released entry drains.
-        assert_eq!(u.acquire(40), 40);
-        assert_eq!(u.next_event_cycle(), Some(70));
-
-        let mut f = FifoOccupancy::new(4);
-        f.push(10);
-        f.push(30);
-        assert_eq!(f.next_event_cycle(), Some(10));
-        assert_eq!(f.acquire(9), 9);
-        assert_eq!(f.len(), 2, "no release before the advertised event");
-        assert_eq!(f.acquire(10), 10);
-        assert_eq!(f.next_event_cycle(), Some(30));
-    }
-
     /// The reference model for `FifoOccupancy`: the original `VecDeque`
     /// implementation. The ring must agree on every acquisition, including
     /// through over-capacity transients that force it to grow.
@@ -462,14 +365,14 @@ mod tests {
                 let a = ring.acquire(t);
                 let b = reference.acquire(t);
                 assert_eq!(a, b, "acquire({t}) diverged at cap {cap}");
-                assert_eq!(ring.next_event_cycle(), reference.release.front().copied());
                 assert_eq!(ring.len(), reference.release.len());
                 for j in 0..burst {
                     let release = a + 1 + (r >> 16) % 50 + j as u64;
                     ring.push(release);
                     reference.release.push_back(release);
                 }
-                assert!(ring.releases().eq(reference.release.iter().copied()));
+                let recorded = (0..ring.len).map(|i| ring.buf[(ring.head + i) & ring.mask]);
+                assert!(recorded.eq(reference.release.iter().copied()));
             }
         }
     }

@@ -57,8 +57,8 @@ fn farm_kernel(seeds: &[u64], ops: &[(AluOp, usize, usize)], iters: u64) -> Prog
 /// round-robin is the PR 4 fixed ring, however it is spelled. The
 /// single-class striped farm is the sharp edge: it routes every fold
 /// through the per-class cold path and `checker_ifetch_cycle_on`, and the
-/// detector (not the hierarchy) owns that path's event horizon — yet with
-/// an identical per-slot configuration the results must not move.
+/// detector (not the hierarchy) owns that path — yet with an identical
+/// per-slot configuration the results must not move.
 #[test]
 fn uniform_round_robin_reproduces_the_fixed_ring() {
     for w in [Workload::Bitcount, Workload::Stream, Workload::Randacc] {
