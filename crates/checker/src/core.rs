@@ -171,7 +171,7 @@ pub struct SegmentTask<'a> {
 }
 
 /// An in-order checker core.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CheckerCore {
     id: usize,
     cfg: CheckerConfig,

@@ -47,6 +47,12 @@ impl DelayStats {
         }
     }
 
+    /// Bytes the reservoir sample occupies (the moments and buckets are a
+    /// fixed ~0.6 KB).
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.reservoir.as_slice())
+    }
+
     /// Records one delay.
     pub fn record(&mut self, delay: Time) {
         let fs = delay.as_fs();

@@ -40,7 +40,7 @@ use paradet_checker::{
     ReplayTrace, ScheduleCtx, SchedulePolicy, SegmentTask, SlotView,
 };
 use paradet_isa::{ArchState, Instruction, MemWidth, Program};
-use paradet_mem::{CheckerPath, MemHier, Time};
+use paradet_mem::{CheckerPath, CheckerPathSnapshot, MemHier, Time};
 use paradet_ooo::{CommitEvent, CommitGate, DetectionSink};
 use paradet_par::{Farm, Ticket};
 use std::collections::VecDeque;
@@ -78,19 +78,27 @@ pub struct DetectorStats {
     pub log_full_retries: u64,
 }
 
-/// Everything a checker needs to replay one sealed segment, owned so the
-/// job can leave the simulation thread: the shared program, the chained
-/// start checkpoint (moved out of the detector), the committed end state
-/// (cloned into a scratch-pooled slot), and the log entries (moved out of
-/// the segment ring).
+/// Everything besides the program that a checker needs to replay one
+/// sealed segment, owned so the job can leave the simulation thread: the
+/// chained start checkpoint (moved out of the detector), the committed end
+/// state (cloned into a scratch-pooled slot), and the log entries (moved
+/// out of the segment ring). Replay is a pure function of these and the
+/// program (invariant 3), so a snapshot shares an in-flight check's inputs
+/// and re-dispatches them on restore.
 #[derive(Debug)]
-struct SealedJob {
+struct ReplayInputs {
     cfg: CheckerConfig,
-    program: Arc<Program>,
     start: ArchState,
     end: ArchState,
     instr_count: u64,
     log: SegmentLog,
+}
+
+/// One replay dispatched to the farm.
+#[derive(Debug)]
+struct SealedJob {
+    program: Arc<Program>,
+    inputs: Arc<ReplayInputs>,
     trace: ReplayTrace,
 }
 
@@ -99,23 +107,22 @@ struct SealedJob {
 #[derive(Debug)]
 struct DoneJob {
     outcome: ReplayOutcome,
-    log: SegmentLog,
-    start: ArchState,
-    end: ArchState,
+    inputs: Arc<ReplayInputs>,
 }
 
 /// The farm's job function: pure functional replay, no shared state.
 fn replay_job(mut job: SealedJob) -> DoneJob {
+    let inputs = job.inputs;
     let task = SegmentTask {
         program: &job.program,
-        start: &job.start,
-        end: &job.end,
-        instr_count: job.instr_count,
+        start: &inputs.start,
+        end: &inputs.end,
+        instr_count: inputs.instr_count,
         ready_at: Time::ZERO,
     };
-    let mut reader = SegmentReader::new(&job.log);
-    let outcome = replay_segment(&job.cfg, task, &mut reader, &mut job.trace);
-    DoneJob { outcome, log: job.log, start: job.start, end: job.end }
+    let mut reader = SegmentReader::new(&inputs.log);
+    let outcome = replay_segment(&inputs.cfg, task, &mut reader, &mut job.trace);
+    DoneJob { outcome, inputs }
 }
 
 /// One secondary clock domain's live state: its own checker cores
@@ -123,7 +130,7 @@ fn replay_job(mut job: SealedJob) -> DoneJob {
 /// the domain's `MemConfig` template, exactly as a dedicated run at that
 /// clock starts), and its own results. Folds run in seal order, primary
 /// domain first, immediately after the primary fold of the same segment.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DomainState {
     domain: ClockDomain,
     checkers: Vec<CheckerCore>,
@@ -189,6 +196,9 @@ pub struct SealAssignment {
 #[derive(Debug)]
 struct PendingCheck {
     ticket: Ticket,
+    /// The job's inputs, shared so a snapshot can carry the check without
+    /// joining it.
+    inputs: Arc<ReplayInputs>,
     seal_seq: u64,
     /// Segment (= checker) index the job came from.
     slot: usize,
@@ -197,10 +207,21 @@ struct PendingCheck {
     base_instr: u64,
 }
 
+/// An in-flight check as a [`DetectorSnapshot`] carries it: its seal
+/// bookkeeping and replay inputs, re-dispatched on restore.
+#[derive(Debug, Clone)]
+struct SnapshotCheck {
+    seal_seq: u64,
+    slot: usize,
+    ready_at: Time,
+    base_instr: u64,
+    inputs: Arc<ReplayInputs>,
+}
+
 /// Rollback bookkeeping for one sealed-but-not-yet-validated segment:
 /// everything needed to undo it if a check (of it or any earlier segment)
 /// fails.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SealRecord {
     seal_seq: u64,
     /// Retired-instruction count at the segment's start checkpoint.
@@ -217,7 +238,7 @@ struct SealRecord {
 /// freezes (`poisoned`) at the first failed check, so the front record is
 /// always the first errored segment — its start checkpoint is the last
 /// *validated* state of the run.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct RecoveryState {
     seals: VecDeque<SealRecord>,
     poisoned: bool,
@@ -238,6 +259,69 @@ pub struct RollbackPlan {
     /// segment — so applying them front-to-back restores memory to the
     /// checkpoint.
     pub undo: Vec<(u64, MemWidth, u64)>,
+}
+
+/// The detection hardware's simulated state between two commits, as a
+/// [`SystemSnapshot`](crate::SystemSnapshot) carries it (see
+/// [`Detector::snapshot`]). What the configuration rebuilds — mode,
+/// policy, the farm's workers, recycled buffers — is left out.
+#[derive(Debug, Clone)]
+pub(crate) struct DetectorSnapshot {
+    next_interrupt: Time,
+    checkers: Vec<CheckerCore>,
+    class_paths: Vec<CheckerPathSnapshot>,
+    assignments: Vec<SealAssignment>,
+    domains: Vec<DomainState>,
+    lfu: LoadForwardingUnit,
+    /// The segment ring. Only a filling segment keeps its entries: a
+    /// segment in any other state holds stale leftovers that are cleared
+    /// before it fills again.
+    segs: Vec<Segment>,
+    cur: usize,
+    chain_ckpt: ArchState,
+    base_instr: u64,
+    seal_seq: u64,
+    finishes: Vec<Time>,
+    pending: Vec<SnapshotCheck>,
+    delays: DelayStats,
+    store_delays: DelayStats,
+    errors: Vec<DetectedError>,
+    stats: DetectorStats,
+    log_fault: Option<(u64, usize, u8)>,
+    rec: Option<RecoveryState>,
+    lie_miss: bool,
+}
+
+impl DetectorSnapshot {
+    /// Bytes the snapshot holds on its own: log entries, delay samples,
+    /// finish times and scheduling decisions, rollback records, cache
+    /// paths. In-flight checks' inputs are shared and counted by
+    /// [`shared_inputs`](DetectorSnapshot::shared_inputs).
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        let rec = self.rec.iter().flat_map(|r| &r.seals);
+        size_of_val(self.checkers.as_slice())
+            + self.class_paths.iter().map(CheckerPathSnapshot::bytes).sum::<usize>()
+            + size_of_val(self.assignments.as_slice())
+            + self.domains.len() * std::mem::size_of::<DomainState>()
+            + self.segs.iter().map(|s| s.log.bytes()).sum::<usize>()
+            + size_of_val(self.finishes.as_slice())
+            + self.delays.bytes()
+            + self.store_delays.bytes()
+            + size_of_val(self.errors.as_slice())
+            + rec
+                .map(|s| std::mem::size_of::<SealRecord>() + size_of_val(s.undo.as_slice()))
+                .sum::<usize>()
+    }
+
+    /// `(address, bytes)` of every in-flight check's shared inputs: a
+    /// caller summing several snapshots counts each address once.
+    pub(crate) fn shared_inputs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.pending.iter().map(|c| {
+            let bytes = std::mem::size_of::<ReplayInputs>() + c.inputs.log.bytes();
+            (Arc::as_ptr(&c.inputs) as usize, bytes)
+        })
+    }
 }
 
 /// The detection hardware: load forwarding unit, partitioned log,
@@ -371,6 +455,20 @@ fn fold_domain(
     busy_until[slot] = out.finish_time;
 }
 
+/// Joins a pending check's replay and releases the pending queue's share
+/// of its inputs (`queued`). The inputs come back owned (`Ok`) so their
+/// buffers can be recycled, or still shared with a snapshot (`Err`), which
+/// keeps them.
+fn redeem(
+    farm: &mut Option<Farm<SealedJob, DoneJob>>,
+    ticket: Ticket,
+    queued: Arc<ReplayInputs>,
+) -> (ReplayOutcome, Result<ReplayInputs, Arc<ReplayInputs>>) {
+    let done = farm.as_mut().expect("pending implies farm").join(ticket);
+    drop(queued);
+    (done.outcome, Arc::try_unwrap(done.inputs))
+}
+
 /// Records one passed entry's detection delay (commit → check).
 fn record_delay(
     delays: &mut DelayStats,
@@ -482,13 +580,118 @@ impl Detector {
         det
     }
 
+    /// The detector's simulated state, for a snapshot of the run. In-flight
+    /// checks keep running: the snapshot shares their inputs, and each
+    /// still folds at its own simulation point (invariant 1).
+    pub(crate) fn snapshot(&self) -> DetectorSnapshot {
+        let pending = self
+            .pending
+            .iter()
+            .map(|p| SnapshotCheck {
+                seal_seq: p.seal_seq,
+                slot: p.slot,
+                ready_at: p.ready_at,
+                base_instr: p.base_instr,
+                inputs: Arc::clone(&p.inputs),
+            })
+            .collect();
+        let segs = self
+            .segs
+            .iter()
+            .map(|seg| Segment {
+                log: match seg.state {
+                    SegmentState::Filling => seg.log.clone(),
+                    _ => SegmentLog::new(),
+                },
+                ..*seg
+            })
+            .collect();
+        DetectorSnapshot {
+            next_interrupt: self.next_interrupt,
+            checkers: self.checkers.clone(),
+            class_paths: self.class_paths.iter().map(CheckerPath::snapshot).collect(),
+            assignments: self.assignments.clone(),
+            domains: self.domains.clone(),
+            lfu: self.lfu.clone(),
+            segs,
+            cur: self.cur,
+            chain_ckpt: self.chain_ckpt.clone(),
+            base_instr: self.base_instr,
+            seal_seq: self.seal_seq,
+            finishes: self.finishes.clone(),
+            pending,
+            delays: self.delays.clone(),
+            store_delays: self.store_delays.clone(),
+            errors: self.errors.clone(),
+            stats: self.stats,
+            log_fault: self.log_fault,
+            rec: self.rec.clone(),
+            lie_miss: self.lie_miss,
+        }
+    }
+
+    /// Rebuilds the detector a [`snapshot`](Detector::snapshot) of a run
+    /// under `cfg` was taken of, drawing buffers from `scratch` and
+    /// re-dispatching the snapshot's in-flight checks, in seal order, to
+    /// a farm of its own.
+    pub(crate) fn from_snapshot(
+        cfg: &SystemConfig,
+        program: Arc<Program>,
+        snap: &DetectorSnapshot,
+        scratch: &mut SimScratch,
+    ) -> Detector {
+        let mut det = Detector::new_shared(cfg, program, scratch);
+        det.next_interrupt = snap.next_interrupt;
+        det.checkers.clone_from(&snap.checkers);
+        det.class_paths = snap.class_paths.iter().map(CheckerPath::from_snapshot).collect();
+        det.assignments.clone_from(&snap.assignments);
+        det.domains.clone_from(&snap.domains);
+        det.lfu.clone_from(&snap.lfu);
+        for (seg, s) in det.segs.iter_mut().zip(&snap.segs) {
+            let mut log = std::mem::take(&mut seg.log);
+            log.extend_from(&s.log);
+            log.ensure_capacity(s.capacity);
+            *seg = Segment { log, ..*s };
+        }
+        det.cur = snap.cur;
+        det.chain_ckpt.clone_from(&snap.chain_ckpt);
+        det.base_instr = snap.base_instr;
+        det.seal_seq = snap.seal_seq;
+        det.finishes.clone_from(&snap.finishes);
+        det.delays.clone_from(&snap.delays);
+        det.store_delays.clone_from(&snap.store_delays);
+        det.errors.clone_from(&snap.errors);
+        det.stats = snap.stats;
+        det.log_fault = snap.log_fault;
+        det.rec.clone_from(&snap.rec);
+        det.lie_miss = snap.lie_miss;
+        // Each job takes its checkpoint slots from the pool and its log
+        // buffer from its segment, as at a seal, so a restored run's
+        // buffers balance like any other run's.
+        for c in &snap.pending {
+            let mut log = std::mem::take(&mut det.segs[c.slot].log);
+            log.extend_from(&c.inputs.log);
+            let inputs = ReplayInputs {
+                cfg: c.inputs.cfg,
+                start: Detector::pooled_clone(&mut det.ckpt_pool, &c.inputs.start),
+                end: Detector::pooled_clone(&mut det.ckpt_pool, &c.inputs.end),
+                instr_count: c.inputs.instr_count,
+                log,
+            };
+            det.dispatch(inputs, c.seal_seq, c.slot, c.ready_at, c.base_instr);
+        }
+        det
+    }
+
     /// Turns on rollback bookkeeping: every sealed segment's start
     /// checkpoint and store-undo rows are retained until its check
     /// validates, so [`Detector::rollback_plan`] can reconstruct the last
     /// validated state after a detected error. Full-detection mode only.
+    /// A detector restored from a snapshot of a tracked run keeps the
+    /// window of unvalidated segments it was restored with.
     pub fn enable_recovery_tracking(&mut self) {
         debug_assert_eq!(self.mode, DetectionMode::Full, "recovery needs full detection");
-        self.rec = Some(RecoveryState::default());
+        self.rec.get_or_insert_with(RecoveryState::default);
     }
 
     /// Arms the missed-detection checker fault: from now on the checker
@@ -536,11 +739,13 @@ impl Detector {
         // A run abandoned before finalize may leave unfolded checks; their
         // results are moot, but the buffers come home.
         while let Some(p) = self.pending.pop_front() {
-            let done = self.farm.as_mut().expect("pending implies farm").join(p.ticket);
-            scratch.put_seg_buf(done.log);
-            self.ckpt_pool.push(done.start);
-            self.ckpt_pool.push(done.end);
-            self.trace_pool.push(done.outcome.trace);
+            let (outcome, inputs) = redeem(&mut self.farm, p.ticket, p.inputs);
+            if let Ok(inputs) = inputs {
+                scratch.put_seg_buf(inputs.log);
+                self.ckpt_pool.push(inputs.start);
+                self.ckpt_pool.push(inputs.end);
+            }
+            self.trace_pool.push(outcome.trace);
         }
         for seg in self.segs {
             scratch.put_seg_buf(seg.log);
@@ -723,7 +928,7 @@ impl Detector {
     /// ordering bit-identical to the inline path.
     fn fold_next_pending(&mut self, hier: &mut MemHier) {
         let p = self.pending.pop_front().expect("fold with no pending check");
-        let done = self.farm.as_mut().expect("pending implies farm").join(p.ticket);
+        let (replay, inputs) = redeem(&mut self.farm, p.ticket, p.inputs);
         let Detector {
             checkers,
             slot_class,
@@ -740,21 +945,24 @@ impl Detector {
             lie_miss,
             ..
         } = self;
-        let log = &done.log;
+        let log = match &inputs {
+            Ok(inputs) => &inputs.log,
+            Err(shared) => &shared.log,
+        };
         // A mixed farm routes the slot's I-fetches through its speed
         // class's own path (per-class clock and hit latencies), misses
         // landing in the shared L2/DRAM at the same seal-order fold point
         // the uniform path uses. Uniform farms keep the hierarchy's own
         // checker path, untouched (invariant 11).
         let outcome = match slot_class[p.slot] {
-            None => checkers[p.slot].fold_timing(p.ready_at, &done.outcome, hier, |idx, now| {
+            None => checkers[p.slot].fold_timing(p.ready_at, &replay, hier, |idx, now| {
                 record_delay(delays, store_delays, log, idx, now);
             }),
             Some(class) => {
                 let path = &mut class_paths[class];
                 checkers[p.slot].fold_timing_with(
                     p.ready_at,
-                    &done.outcome,
+                    &replay,
                     |core, line, cycle, period| {
                         hier.checker_ifetch_cycle_on(path, core, line, cycle, period)
                     },
@@ -816,7 +1024,7 @@ impl Detector {
             /// per-join thread spawn is worth paying.
             const PAR_FOLD_MIN_INSTRS: u64 = 256;
             let hier_ro: &MemHier = hier;
-            let outcome = &done.outcome;
+            let outcome = &replay;
             if domains.len() > 1
                 && outcome.instrs >= PAR_FOLD_MIN_INSTRS
                 && !paradet_par::in_worker()
@@ -850,13 +1058,16 @@ impl Detector {
             }
         }
         // The segment's storage frees when its check finishes; the entry
-        // buffer comes home for the segment's next tour of the ring.
+        // buffer comes home for the segment's next tour of the ring, unless
+        // a snapshot still shares it.
         let seg = &mut segs[p.slot];
-        seg.log = done.log;
         seg.state = SegmentState::Busy { until: outcome.finish_time };
-        ckpt_pool.push(done.start);
-        ckpt_pool.push(done.end);
-        trace_pool.push(done.outcome.trace);
+        if let Ok(inputs) = inputs {
+            seg.log = inputs.log;
+            ckpt_pool.push(inputs.start);
+            ckpt_pool.push(inputs.end);
+        }
+        trace_pool.push(replay.trace);
     }
 
     /// Joins checks (oldest first) until `slot`'s check is folded.
@@ -871,6 +1082,34 @@ impl Detector {
         while !self.pending.is_empty() {
             self.fold_next_pending(hier);
         }
+    }
+
+    /// Dispatches one replay to the farm (spawned on first use) and queues
+    /// its fold.
+    fn dispatch(
+        &mut self,
+        inputs: ReplayInputs,
+        seal_seq: u64,
+        slot: usize,
+        ready_at: Time,
+        base_instr: u64,
+    ) {
+        let inputs = Arc::new(inputs);
+        let job = SealedJob {
+            program: Arc::clone(&self.program),
+            inputs: Arc::clone(&inputs),
+            trace: self.trace_pool.pop().unwrap_or_default(),
+        };
+        let threads = Detector::farm_threads(self.segs.len());
+        let ticket = self.farm.get_or_insert_with(|| Farm::new(threads, replay_job)).submit(job);
+        self.pending.push_back(PendingCheck {
+            ticket,
+            inputs,
+            seal_seq,
+            slot,
+            ready_at,
+            base_instr,
+        });
     }
 
     /// Takes a pooled `ArchState` slot holding a copy of `src`.
@@ -943,7 +1182,6 @@ impl Detector {
                     // Package an owned job, dispatch it to the farm, and
                     // let the main loop run ahead — the finish time is
                     // folded at the lazy join.
-                    let threads = Detector::farm_threads(self.segs.len());
                     let cfg = *self.checkers[cur].config();
                     let end = Detector::pooled_clone(&mut self.ckpt_pool, committed);
                     let new_chain = Detector::pooled_clone(&mut self.ckpt_pool, committed);
@@ -962,26 +1200,16 @@ impl Detector {
                         });
                     }
                     let seg = &mut self.segs[cur];
-                    let job = SealedJob {
+                    let inputs = ReplayInputs {
                         cfg,
-                        program: Arc::clone(&self.program),
                         start,
                         end,
                         instr_count: seg.instr_count,
                         log: std::mem::take(&mut seg.log),
-                        trace: self.trace_pool.pop().unwrap_or_default(),
                     };
                     seg.state = SegmentState::Checking;
                     let base_instr = seg.base_instr;
-                    let farm = self.farm.get_or_insert_with(|| Farm::new(threads, replay_job));
-                    let ticket = farm.submit(job);
-                    self.pending.push_back(PendingCheck {
-                        ticket,
-                        seal_seq: self.seal_seq,
-                        slot: cur,
-                        ready_at: at,
-                        base_instr,
-                    });
+                    self.dispatch(inputs, self.seal_seq, cur, at, base_instr);
                 }
             }
             DetectionMode::CheckpointOnly => {

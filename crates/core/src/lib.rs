@@ -73,11 +73,13 @@ pub use log::{EntryKind, LogEntry, Segment, SegmentLog, SegmentReader, SegmentSt
 pub use paradet_checker::{ClockDomain, DomainSet, FarmSpec, SchedPolicyKind, SchedulePolicy};
 pub use paradet_isa::MAX_UOPS_PER_INSN;
 pub use recovery::{
-    run_recovery, RecoveryDisposition, RecoveryPolicy, RecoveryReport, TrialFaults,
+    run_recovery, run_recovery_from, RecoveryDisposition, RecoveryPolicy, RecoveryReport,
+    TrialFaults,
 };
 pub use scratch::SimScratch;
 pub use system::{
     normalized_slowdown, run_unchecked, run_unchecked_shared, PairedSystem, RunReport,
+    SystemSnapshot,
 };
 
 #[cfg(test)]

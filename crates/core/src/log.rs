@@ -97,6 +97,26 @@ impl SegmentLog {
         self.undos.clear();
     }
 
+    /// Appends every entry of `other`.
+    pub(crate) fn extend_from(&mut self, other: &SegmentLog) {
+        self.kinds.extend_from_slice(&other.kinds);
+        self.widths.extend_from_slice(&other.widths);
+        self.addrs.extend_from_slice(&other.addrs);
+        self.values.extend_from_slice(&other.values);
+        self.commit_times.extend_from_slice(&other.commit_times);
+        self.undos.extend_from_slice(&other.undos);
+    }
+
+    /// Bytes the entries occupy, every column counted.
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.len()
+            * (size_of::<EntryKind>()
+                + size_of::<MemWidth>()
+                + 3 * size_of::<u64>()
+                + size_of::<Time>())
+    }
+
     /// Smallest per-column capacity (for pool diagnostics).
     pub fn capacity(&self) -> usize {
         self.kinds

@@ -34,7 +34,7 @@
 
 use crate::config::SystemConfig;
 use crate::scratch::SimScratch;
-use crate::system::PairedSystem;
+use crate::system::{PairedSystem, SystemSnapshot};
 use paradet_isa::{ArchState, FlatMemory, NoNondet, Program};
 use paradet_mem::{ArrayFault, Time};
 use paradet_ooo::{ArmedFault, FaultKind};
@@ -77,6 +77,20 @@ impl TrialFaults {
         self.core.iter().flat_map(move |f| {
             (0..count).map(move |k| ArmedFault::new(f.at_instr + k * period, f.target))
         })
+    }
+
+    /// The latest instruction count from which a trial of these faults may
+    /// start off a snapshot of the clean run (see
+    /// [`PairedSystem::snapshot`]) and stay bit-identical to a trial
+    /// started from scratch: the first main-core strike, since no strike
+    /// changes anything before it fires. Array and log faults count data
+    /// accesses or seals from system start, so they pin the trial to the
+    /// start. `u64::MAX` when nothing is armed.
+    pub fn clean_prefix(&self) -> u64 {
+        if self.array.is_some() || self.log_fault.is_some() {
+            return 0;
+        }
+        self.strikes().map(|f| f.at_instr).min().unwrap_or(u64::MAX)
     }
 }
 
@@ -150,11 +164,29 @@ pub fn run_recovery(
     faults: &TrialFaults,
     policy: &RecoveryPolicy,
 ) -> RecoveryReport {
+    run_recovery_from(cfg, program, scratch, max_instrs, faults, policy, None)
+}
+
+/// [`run_recovery`] whose first attempt resumes from `start`: a snapshot of
+/// a clean run of `program` under `cfg` with recovery tracking on, taken
+/// at or before [`TrialFaults::clean_prefix`]. The report is bit-identical
+/// to [`run_recovery`]'s (determinism invariant 13); only the fault-free
+/// prefix is not simulated again. `None` starts from the program entry.
+pub fn run_recovery_from(
+    cfg: &SystemConfig,
+    program: &Arc<Program>,
+    scratch: &mut SimScratch,
+    max_instrs: u64,
+    faults: &TrialFaults,
+    policy: &RecoveryPolicy,
+    mut start: Option<&SystemSnapshot>,
+) -> RecoveryReport {
+    debug_assert!(start.is_none_or(|s| s.instrs() <= faults.clean_prefix()));
     // Global strikes, each with whether it is consumed. Permanent strikes
     // re-arm on every attempt; others are consumed by firing.
     let mut strikes: Vec<(ArmedFault, bool)> = faults.strikes().map(|f| (f, false)).collect();
     let permanent = faults.kind == FaultKind::Permanent;
-    // Resume point: None = fresh run from the program entry.
+    // Resume point: None = the first attempt, from `start` or the entry.
     let mut resume: Option<(ArchState, FlatMemory)> = None;
     let mut base = 0u64; // global retired instructions at the resume point
     let mut retries = 0u32;
@@ -163,9 +195,12 @@ pub fn run_recovery(
     let mut recovery_fs = 0u64;
 
     loop {
-        let mut sys = match resume.take() {
-            Some((state, mem)) => PairedSystem::new_resumed(*cfg, program, scratch, &state, mem),
-            None => PairedSystem::new_with_scratch(*cfg, program, scratch),
+        let mut sys = match (resume.take(), start.take()) {
+            (Some((state, mem)), _) => {
+                PairedSystem::new_resumed(*cfg, program, scratch, &state, mem)
+            }
+            (None, Some(snap)) => PairedSystem::from_snapshot(snap, scratch),
+            (None, None) => PairedSystem::new_with_scratch(*cfg, program, scratch),
         };
         sys.enable_recovery_tracking();
         if faults.checker_miss {
@@ -192,7 +227,8 @@ pub fn run_recovery(
             armed.push((i, f));
         }
 
-        let report = sys.run(max_instrs.saturating_sub(base));
+        // A system restored from a snapshot has already retired its prefix.
+        let report = sys.run(max_instrs.saturating_sub(base + sys.instrs()));
 
         // A non-permanent strike is consumed once it actually fired
         // (gated strikes — e.g. a store-value flip with no store yet —

@@ -3,12 +3,13 @@
 
 use crate::config::SystemConfig;
 use crate::delay::DelayStats;
-use crate::detector::{Detector, DetectorStats, DomainReport, RollbackPlan};
+use crate::detector::{Detector, DetectorSnapshot, DetectorStats, DomainReport, RollbackPlan};
 use crate::error::DetectedError;
 use crate::scratch::SimScratch;
 use paradet_isa::{ArchState, FlatMemory, Program};
-use paradet_mem::{ArrayFault, HierStats, MemHier, Time};
-use paradet_ooo::{ArmedFault, CoreError, CoreStats, NullSink, OooCore};
+use paradet_mem::{ArrayFault, HierSnapshot, HierStats, MemHier, Time};
+use paradet_ooo::{ArmedFault, CoreSnapshot, CoreStats, NullSink, OooCore};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Complete result of one simulated run.
@@ -79,6 +80,44 @@ impl RunReport {
         } else {
             100.0 * self.core.cycles_skipped as f64 / self.main_cycles as f64
         }
+    }
+}
+
+/// A paired system frozen between two blocks (see
+/// [`PairedSystem::snapshot`]), in compact form: large tables as the
+/// entries that differ from reset, functional memory as its diff from the
+/// program's data image, in-flight checks as their shared replay inputs.
+#[derive(Debug, Clone)]
+pub struct SystemSnapshot {
+    cfg: SystemConfig,
+    core: CoreSnapshot,
+    hier: HierSnapshot,
+    det: DetectorSnapshot,
+}
+
+impl SystemSnapshot {
+    /// Macro-ops the main core had retired when the snapshot was taken.
+    pub fn instrs(&self) -> u64 {
+        self.core.instrs()
+    }
+
+    /// Approximate bytes this snapshot holds on its own (see
+    /// [`shared_bytes`](SystemSnapshot::shared_bytes) for the rest).
+    pub fn bytes(&self) -> usize {
+        self.core.bytes() + self.hier.bytes() + self.det.bytes()
+    }
+
+    /// Bytes of the in-flight checks' replay inputs the snapshots in
+    /// `snaps` carry, each shared input counted once however many
+    /// snapshots share it.
+    pub fn shared_bytes<'a>(snaps: impl IntoIterator<Item = &'a SystemSnapshot>) -> usize {
+        let mut seen = HashSet::new();
+        snaps
+            .into_iter()
+            .flat_map(|s| s.det.shared_inputs())
+            .filter(|&(addr, _)| seen.insert(addr))
+            .map(|(_, bytes)| bytes)
+            .sum()
     }
 }
 
@@ -171,6 +210,38 @@ impl PairedSystem {
         }
     }
 
+    /// A compact copy of the system, to start later runs from this point
+    /// with [`PairedSystem::from_snapshot`]. In-flight checks keep running
+    /// and still fold at their own simulation points, so this run
+    /// continues exactly as if no snapshot had been taken.
+    pub fn snapshot(&mut self) -> SystemSnapshot {
+        SystemSnapshot {
+            cfg: self.cfg,
+            core: self.core.snapshot(),
+            hier: self.hier.snapshot(self.core.program()),
+            det: self.det.snapshot(),
+        }
+    }
+
+    /// Rebuilds the system `snap` was taken of, drawing buffers from
+    /// `scratch`. Replay is pure, so the snapshot's in-flight checks are
+    /// simply dispatched again.
+    ///
+    /// A restored system is bit-identical to the original from this point
+    /// on (determinism invariant 13, snapshot transparency): advancing it
+    /// — with faults armed at or after [`SystemSnapshot::instrs`] — gives
+    /// the run the original would have.
+    pub fn from_snapshot(snap: &SystemSnapshot, scratch: &mut SimScratch) -> PairedSystem {
+        let core = OooCore::from_snapshot(&snap.core);
+        let program = Arc::clone(core.program());
+        PairedSystem {
+            hier: MemHier::from_snapshot(&snap.hier, &program),
+            det: Detector::from_snapshot(&snap.cfg, program, &snap.det, scratch),
+            core,
+            cfg: snap.cfg,
+        }
+    }
+
     /// Tears the system down, returning its reusable allocations to
     /// `scratch` for the next [`PairedSystem::new_with_scratch`].
     pub fn recycle_into(self, scratch: &mut SimScratch) {
@@ -251,27 +322,28 @@ impl PairedSystem {
         self.core.unfired_faults()
     }
 
+    /// Macro-ops the main core has retired.
+    pub fn instrs(&self) -> u64 {
+        self.core.stats.committed_instrs
+    }
+
     /// Runs until the program halts, crashes, or `max_instrs` instructions
     /// retire; then finalizes all outstanding checks and reports.
     pub fn run(&mut self, max_instrs: u64) -> RunReport {
-        let mut n = 0u64;
-        let mut crashed = false;
-        while n < max_instrs {
-            // One basic block per call (a fired PC fault ends it early).
-            match self.core.step_block(&mut self.hier, &mut self.det, max_instrs - n) {
-                Ok(out) => {
-                    n += out.instrs;
-                    if out.halted {
-                        break;
-                    }
-                }
-                Err(CoreError::Halted) => break,
-                Err(CoreError::Crashed(_)) => {
-                    crashed = true;
-                    break;
-                }
-            }
-        }
+        self.advance(max_instrs);
+        self.finalize()
+    }
+
+    /// Runs until the program halts, crashes, or `max_instrs` more
+    /// instructions retire, leaving outstanding checks in flight; returns
+    /// the instructions retired. Any split of a budget across `advance`
+    /// calls runs exactly like one call.
+    pub fn advance(&mut self, max_instrs: u64) -> u64 {
+        self.core.run(&mut self.hier, &mut self.det, max_instrs)
+    }
+
+    /// Finalizes all outstanding checks and reports on the run so far.
+    pub fn finalize(&mut self) -> RunReport {
         // Hold "termination" until every outstanding check completes
         // (§IV-H), sealing the residual partial segment.
         let at = self.core.now();
@@ -289,7 +361,7 @@ impl PairedSystem {
             main_time: at,
             wall_time: at.max(self.det.all_checks_done_at()),
             halted: self.core.halted(),
-            crashed,
+            crashed: self.core.crashed().is_some(),
             errors: self.det.errors.clone(),
             delays: self.det.delays.clone(),
             store_delays: self.det.store_delays.clone(),
@@ -326,23 +398,7 @@ pub fn run_unchecked_shared(
     let mut hier = MemHier::new(&cfg.mem_config(), 0);
     hier.data.load_image(program);
     let mut core = OooCore::new_shared(cfg.main, Arc::clone(program));
-    let mut n = 0u64;
-    let mut crashed = false;
-    while n < max_instrs {
-        match core.step_block(&mut hier, &mut NullSink, max_instrs - n) {
-            Ok(out) => {
-                n += out.instrs;
-                if out.halted {
-                    break;
-                }
-            }
-            Err(CoreError::Halted) => break,
-            Err(CoreError::Crashed(_)) => {
-                crashed = true;
-                break;
-            }
-        }
-    }
+    core.run(&mut hier, &mut NullSink, max_instrs);
     let at = core.now();
     RunReport {
         instrs: core.stats.committed_instrs,
@@ -350,7 +406,7 @@ pub fn run_unchecked_shared(
         main_time: at,
         wall_time: at,
         halted: core.halted(),
-        crashed,
+        crashed: core.crashed().is_some(),
         errors: Vec::new(),
         delays: DelayStats::new(),
         store_delays: DelayStats::new(),

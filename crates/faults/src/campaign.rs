@@ -8,10 +8,10 @@
 //! depend on which other sites or trials the campaign happens to run.
 
 use paradet_core::{
-    run_recovery, PairedSystem, RecoveryDisposition, RecoveryPolicy, SimScratch, SystemConfig,
-    TrialFaults,
+    run_recovery_from, PairedSystem, RecoveryDisposition, RecoveryPolicy, SimScratch, SystemConfig,
+    SystemSnapshot, TrialFaults,
 };
-use paradet_isa::{FReg, Program, Reg};
+use paradet_isa::{ArchState, FReg, FlatMemory, ImageDiff, Program, Reg};
 use paradet_mem::{ArrayFault, ArrayKind, Time};
 use paradet_ooo::{ArmedFault, FaultKind, FaultTarget};
 use paradet_workloads::Workload;
@@ -426,8 +426,9 @@ pub fn trial_seed(seed: u64, site: FaultSite, trial: u64) -> u64 {
 ///
 /// A pure function of its arguments: no shared RNG stream, so the fault is
 /// independent of which other sites/trials the campaign runs, their order,
-/// and the thread count. (`instrs` must be ≥ 2, which every campaign
-/// satisfies by construction.) For the eight legacy sites the draw order
+/// and the thread count. `instrs` must be at least [`MIN_CAMPAIGN_INSTRS`]
+/// (the CLI rejects smaller budgets): strikes land in `1..instrs * 8 / 10`,
+/// which is empty below it. For the eight legacy sites the draw order
 /// is the historic one (`at_instr`, then the target) — the same `(seed,
 /// site, trial)` yields the same fault it always did.
 ///
@@ -494,7 +495,16 @@ pub fn trial_plan(
 /// For the eight legacy sites this is byte-for-byte the fault this
 /// function has always returned.
 pub fn trial_fault(seed: u64, site: FaultSite, trial: u64, instrs: u64) -> ArmedFault {
-    let plan = trial_plan(seed, site, trial, instrs, FaultKind::Transient);
+    representative_fault(&trial_plan(seed, site, trial, instrs, FaultKind::Transient))
+}
+
+/// The smallest per-trial budget a campaign accepts: strikes are drawn
+/// from `1..instrs * 8 / 10`, which is empty below 3.
+pub const MIN_CAMPAIGN_INSTRS: u64 = 3;
+
+/// [`trial_fault`] of an already-drawn plan: the draws do not depend on
+/// the plan's kind, so any kind's plan gives the same fault.
+fn representative_fault(plan: &TrialFaults) -> ArmedFault {
     plan.core.first().copied().unwrap_or_else(|| {
         let at = plan.array.map(|a| a.at_access).unwrap_or(0);
         ArmedFault::new(at, FaultTarget::PcBit { bit: 2 })
@@ -505,7 +515,8 @@ pub fn trial_fault(seed: u64, site: FaultSite, trial: u64, instrs: u64) -> Armed
 const OVERDETECTION_STREAM: u64 = 0xFACE;
 
 /// The shared golden-run context every trial classifies against: the built
-/// program plus the clean run's report and final architectural state.
+/// program, the clean run's report, final architectural state and final
+/// memory, and the snapshots trials start from.
 ///
 /// One-shot campaigns build this once per campaign; each shard process of a
 /// sharded campaign rebuilds it independently (the golden run is
@@ -515,21 +526,60 @@ const OVERDETECTION_STREAM: u64 = 0xFACE;
 pub(crate) struct Golden {
     pub(crate) program: Arc<Program>,
     report: paradet_core::RunReport,
-    state: paradet_isa::ArchState,
-    mem: paradet_isa::FlatMemory,
+    state: ArchState,
+    /// The final memory as its diff from the program's data image.
+    mem: ImageDiff,
+    /// Snapshots of the clean run at every fifth of the budget below the
+    /// strike window's end, ascending; the first is at the entry.
+    snapshots: Vec<SystemSnapshot>,
 }
 
-/// Builds the workload program and runs it clean.
+impl Golden {
+    /// The latest snapshot a trial of `plan` may start from (see
+    /// [`TrialFaults::clean_prefix`]).
+    fn snapshot_for(&self, plan: &TrialFaults) -> Option<&SystemSnapshot> {
+        let limit = plan.clean_prefix();
+        self.snapshots.iter().rev().find(|s| s.instrs() <= limit)
+    }
+
+    /// Whether `mem` holds exactly the golden run's final memory.
+    fn mem_matches(&self, mem: &FlatMemory) -> bool {
+        mem.diff_from_image(&self.program) == self.mem
+    }
+}
+
+/// Builds the workload program and runs it clean, snapshotting the run
+/// at every fifth of the budget below the strike window's end. A recovery
+/// campaign's golden run tracks rollback state, so its snapshots carry the
+/// window of unvalidated segments its trials would have.
+///
+/// Capture reads every filled cache line and every stored-to memory word,
+/// a few percent of the golden run per snapshot: fifths keep that setup
+/// cost small while a trial still skips most of its prefix.
 pub(crate) fn prepare_golden(cfg: &CampaignConfig) -> Golden {
     let program = Arc::new(cfg.workload.build(cfg.workload.iters_for_instrs(cfg.instrs)));
     // Golden run (same detection config so timing-visible state like
     // instruction counts is comparable).
     let mut gold_sys = PairedSystem::new_shared(cfg.system, &program);
-    let report = gold_sys.run(cfg.instrs);
+    if cfg.recovery.is_some() {
+        gold_sys.enable_recovery_tracking();
+    }
+    let (step, window_end) = ((cfg.instrs / 5).max(1), cfg.instrs * 8 / 10);
+    let mut snapshots = Vec::new();
+    let mut at = 0;
+    while at < window_end {
+        let due = at - gold_sys.instrs();
+        if gold_sys.advance(due) < due {
+            break; // halted or crashed: nothing left to snapshot
+        }
+        snapshots.push(gold_sys.snapshot());
+        at += step;
+    }
+    let report = gold_sys.run(cfg.instrs - gold_sys.instrs());
     assert!(!report.detected(), "golden run must be clean");
     let state = gold_sys.core().committed_state().clone();
-    let mem = gold_sys.hier().data.clone();
-    Golden { program, report, state, mem }
+    let mem = gold_sys.hier().data.diff_from_image(&program);
+    Golden { program, report, state, mem, snapshots }
 }
 
 /// Runs and classifies grid point `(site, trial)` — a pure function of the
@@ -543,8 +593,8 @@ pub(crate) fn run_point(
     trial: u64,
     scratch: &mut SimScratch,
 ) -> TrialResult {
-    let fault = trial_fault(cfg.seed, site, trial, cfg.instrs);
     let plan = trial_plan(cfg.seed, site, trial, cfg.instrs, cfg.fault_kind);
+    let fault = representative_fault(&plan);
     let (outcome, detect_latency, recovery_fs) = match &cfg.recovery {
         Some(policy) => run_trial_recover(cfg, golden, &plan, policy, scratch),
         None => {
@@ -633,16 +683,20 @@ fn arm_plan(sys: &mut PairedSystem, plan: &TrialFaults) {
     }
 }
 
-/// Runs one detection-only trial with the plan's faults armed.
+/// Runs one detection-only trial with the plan's faults armed, from the
+/// latest golden snapshot the plan allows.
 fn run_trial(
     cfg: &CampaignConfig,
     golden: &Golden,
     plan: &TrialFaults,
     scratch: &mut SimScratch,
 ) -> (Outcome, Option<Time>) {
-    let mut sys = PairedSystem::new_with_scratch(cfg.system, &golden.program, scratch);
+    let mut sys = match golden.snapshot_for(plan) {
+        Some(snap) => PairedSystem::from_snapshot(snap, scratch),
+        None => PairedSystem::new_with_scratch(cfg.system, &golden.program, scratch),
+    };
     arm_plan(&mut sys, plan);
-    let report = sys.run(cfg.instrs);
+    let report = sys.run(cfg.instrs - sys.instrs());
     let outcome = if report.detected() {
         let latency = report.first_error().map(|e| e.confirm_time);
         (Outcome::Detected, latency)
@@ -652,7 +706,7 @@ fn run_trial(
         // No detection: compare final state with golden.
         let regs_differ =
             sys.core().committed_state().first_register_mismatch(&golden.state).is_some();
-        let mem_differs = sys.hier().data.first_difference(&golden.mem).is_some();
+        let mem_differs = !golden.mem_matches(&sys.hier().data);
         let counts_differ = report.instrs != golden.report.instrs;
         if regs_differ || mem_differs || counts_differ {
             (Outcome::SilentDataCorruption, None)
@@ -673,9 +727,10 @@ fn run_trial_recover(
     policy: &RecoveryPolicy,
     scratch: &mut SimScratch,
 ) -> (Outcome, Option<Time>, Option<u64>) {
-    let r = run_recovery(&cfg.system, &golden.program, scratch, cfg.instrs, plan, policy);
-    let matches_golden =
-        r.final_state == golden.state && r.final_mem.first_difference(&golden.mem).is_none();
+    let start = golden.snapshot_for(plan);
+    let r =
+        run_recovery_from(&cfg.system, &golden.program, scratch, cfg.instrs, plan, policy, start);
+    let matches_golden = r.final_state == golden.state && golden.mem_matches(&r.final_mem);
     let detect_latency = r.detected.then(|| Time::from_fs(r.detect_fs));
     let recovery_fs = (r.retries > 0).then_some(r.recovery_fs);
     let outcome = match r.disposition {
@@ -809,6 +864,91 @@ mod tests {
         // in which case the replay still validates.
         assert!(fp * 2 >= n, "expected mostly false positives, got {fp}/{n}");
         assert!(fp >= 1);
+    }
+
+    #[test]
+    fn trial_fault_is_the_first_strike_of_any_kinds_plan() {
+        let kinds = [
+            FaultKind::Transient,
+            FaultKind::Intermittent { period: 40, count: 3 },
+            FaultKind::Permanent,
+        ];
+        for site in FaultSite::extended() {
+            for trial in 0..8 {
+                let fault = trial_fault(42, site, trial, 20_000);
+                for kind in kinds {
+                    let plan = trial_plan(42, site, trial, 20_000, kind);
+                    assert_eq!(representative_fault(&plan), fault, "{site:?}/{trial} {kind:?}");
+                }
+            }
+        }
+    }
+
+    /// Invariant 13 at the campaign level: every trial classifies the same
+    /// whether it starts from a golden snapshot or from scratch, for every
+    /// site, fault kind, and detection-only or recovery campaigns.
+    #[test]
+    fn trials_from_snapshots_match_trials_from_scratch() {
+        let kinds = [
+            FaultKind::Transient,
+            FaultKind::Intermittent { period: 40, count: 3 },
+            FaultKind::Permanent,
+        ];
+        let configs =
+            kinds.into_iter().flat_map(|k| [(k, None), (k, Some(RecoveryPolicy::default()))]);
+        for (seed, (kind, recovery)) in configs.enumerate() {
+            let cfg = CampaignConfig {
+                instrs: 3_000,
+                sites: FaultSite::extended().to_vec(),
+                fault_kind: kind,
+                recovery,
+                seed: seed as u64,
+                ..CampaignConfig::default()
+            };
+            let golden = prepare_golden(&cfg);
+            assert_eq!(golden.snapshots.len(), 4);
+            let scratch_only = Golden { snapshots: Vec::new(), ..prepare_golden(&cfg) };
+            let mut scratch = SimScratch::new();
+            for site in FaultSite::extended() {
+                for trial in 0..2 {
+                    let resumed = run_point(&cfg, &golden, site, trial, &mut scratch);
+                    let fresh = run_point(&cfg, &scratch_only, site, trial, &mut scratch);
+                    assert_eq!(
+                        format!("{resumed:?}"),
+                        format!("{fresh:?}"),
+                        "{site:?}/{trial} {kind:?} recovery={}",
+                        cfg.recovery.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The golden snapshots of the default detection and recovery
+    /// campaigns stay far below the ~5 MB dense clones would cost.
+    #[test]
+    fn golden_snapshots_are_compact() {
+        let detect = CampaignConfig::default();
+        let recover = CampaignConfig {
+            fault_kind: FaultKind::Intermittent { period: 40, count: 3 },
+            recovery: Some(RecoveryPolicy::default()),
+            ..CampaignConfig::default()
+        };
+        for (name, cfg) in [("detect", detect), ("recover", recover)] {
+            let golden = prepare_golden(&cfg);
+            let own: Vec<usize> = golden.snapshots.iter().map(SystemSnapshot::bytes).collect();
+            let shared = SystemSnapshot::shared_bytes(&golden.snapshots);
+            let total = own.iter().sum::<usize>() + shared;
+            println!(
+                "{name}: {} snapshots at {:?} instrs; bytes per snapshot {own:?}; \
+                 shared in-flight inputs {shared}; total {total}; golden memory diff {}",
+                own.len(),
+                golden.snapshots.iter().map(SystemSnapshot::instrs).collect::<Vec<_>>(),
+                golden.mem.bytes()
+            );
+            assert_eq!(own.len(), 4);
+            assert!(total < 1 << 20, "{name}: snapshots hold {total} B");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! divergence between the binaries would read as a (spurious) fingerprint
 //! mismatch. Keeping the parsing here makes that impossible.
 
-use crate::campaign::{CampaignConfig, FaultSite};
+use crate::campaign::{CampaignConfig, FaultSite, MIN_CAMPAIGN_INSTRS};
 use crate::store::StoreError;
 use paradet_core::{RecoveryPolicy, SystemConfig};
 use paradet_ooo::FaultKind;
@@ -58,7 +58,8 @@ pub mod exit {
 /// The campaign-describing flags both binaries accept.
 pub const CONFIG_FLAGS_HELP: &str = "\
   --workload <name>         workload kernel (default freqmine)
-  --instrs <n>              dynamic instructions per trial (default 20000)
+  --instrs <n>              dynamic instructions per trial, at least 3
+                            (default 20000)
   --trials-per-site <n>     trials per fault-site class (default 50)
   --seed <n>                campaign RNG seed (default 42)
   --sites <a,b,...>         fault-site classes (default: the eight legacy
@@ -127,6 +128,9 @@ pub fn parse_campaign_flags(args: &mut Vec<String>) -> Result<(CampaignConfig, b
     }
     if let Some(v) = take_value(args, "--instrs")? {
         cfg.instrs = v.parse().map_err(|_| format!("bad --instrs `{v}`"))?;
+        if cfg.instrs < MIN_CAMPAIGN_INSTRS {
+            return Err(format!("--instrs must be at least {MIN_CAMPAIGN_INSTRS}, got {v}"));
+        }
         explicit = true;
     }
     if let Some(v) = take_value(args, "--trials-per-site")? {
@@ -261,6 +265,16 @@ mod tests {
         assert_eq!(cfg.sites, vec![FaultSite::Pc, FaultSite::IntReg]);
         assert!(!cfg.system.lfu_enabled);
         assert_eq!(args, argv(&["--dir", "x"]));
+    }
+
+    #[test]
+    fn budgets_below_the_minimum_are_rejected() {
+        for instrs in ["0", "1", "2"] {
+            let err = parse_campaign_flags(&mut argv(&["--instrs", instrs])).unwrap_err();
+            assert!(err.contains("at least 3"), "{instrs}: {err}");
+        }
+        let (cfg, _) = parse_campaign_flags(&mut argv(&["--instrs", "3"])).unwrap();
+        assert_eq!(cfg.instrs, 3);
     }
 
     #[test]

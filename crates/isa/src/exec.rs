@@ -10,7 +10,7 @@
 //! * the test suite, as the reference the out-of-order core must match.
 
 use crate::insn::{Instruction, MemWidth};
-use crate::program::Program;
+use crate::program::{DataImage, Program};
 use crate::reg::{FReg, Reg};
 use crate::uop::FMovKind;
 use std::fmt;
@@ -69,8 +69,49 @@ impl NondetSource for NoNondet {
 #[derive(Debug, Clone, Default)]
 struct PageTable {
     /// Power-of-two slot array, load factor kept ≤ 1/2.
-    slots: Vec<Option<(u64, Box<[u8; FlatMemory::PAGE]>)>>,
+    slots: Vec<Option<(u64, Page)>>,
     len: usize,
+}
+
+/// Bytes past a page's contents in its allocation: one bit per 8-byte
+/// word, set once the word is stored to (loading the data image does not
+/// count), so [`FlatMemory::diff_from_image`] reads only written words of
+/// pages no image covers.
+const WRITTEN_BYTES: usize = FlatMemory::PAGE / 64;
+
+/// A materialized page: its contents, then its written-word bitmap, in one
+/// allocation.
+#[derive(Debug, Clone)]
+struct Page(Box<[u8]>);
+
+impl Page {
+    fn zeroed() -> Page {
+        // Zeroed straight from the allocator (calloc): fresh OS pages
+        // arrive zero already, so materializing a page is one allocation,
+        // not a 4 KiB stack image plus a copy.
+        Page(vec![0u8; FlatMemory::PAGE + WRITTEN_BYTES].into_boxed_slice())
+    }
+
+    fn bytes(&self) -> &[u8; FlatMemory::PAGE] {
+        self.0[..FlatMemory::PAGE].try_into().expect("page-sized")
+    }
+
+    fn written(&self) -> &[u8; WRITTEN_BYTES] {
+        self.0[FlatMemory::PAGE..].try_into().expect("bitmap-sized")
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8; FlatMemory::PAGE] {
+        (&mut self.0[..FlatMemory::PAGE]).try_into().expect("page-sized")
+    }
+
+    /// Stores `src` at `off`, marking the words it touches written.
+    fn write(&mut self, off: usize, src: &[u8]) {
+        let (bytes, written) = self.0.split_at_mut(FlatMemory::PAGE);
+        bytes[off..off + src.len()].copy_from_slice(src);
+        for w in off / 8..=(off + src.len() - 1) / 8 {
+            written[w / 8] |= 1 << (w % 8);
+        }
+    }
 }
 
 impl PageTable {
@@ -83,7 +124,7 @@ impl PageTable {
         z ^ (z >> 31)
     }
 
-    fn get(&self, page: u64) -> Option<&[u8; FlatMemory::PAGE]> {
+    fn get(&self, page: u64) -> Option<&Page> {
         if self.slots.is_empty() {
             return None;
         }
@@ -98,7 +139,7 @@ impl PageTable {
         }
     }
 
-    fn get_or_insert(&mut self, page: u64) -> &mut [u8; FlatMemory::PAGE] {
+    fn get_or_insert(&mut self, page: u64) -> &mut Page {
         if self.slots.len() < 2 * (self.len + 1) {
             self.grow();
         }
@@ -109,14 +150,7 @@ impl PageTable {
                 Some(k) if k == page => break,
                 Some(_) => i = (i + 1) & mask,
                 None => {
-                    // Zeroed straight from the allocator (calloc): fresh OS
-                    // pages arrive zero already, so materializing a page is
-                    // one allocation, not a 4 KiB stack image plus a copy.
-                    let page_box: Box<[u8; FlatMemory::PAGE]> = vec![0u8; FlatMemory::PAGE]
-                        .into_boxed_slice()
-                        .try_into()
-                        .expect("boxed slice has PAGE bytes");
-                    self.slots[i] = Some((page, page_box));
+                    self.slots[i] = Some((page, Page::zeroed()));
                     self.len += 1;
                     break;
                 }
@@ -178,7 +212,7 @@ impl FlatMemory {
             while !rest.is_empty() {
                 let off = (addr & (Self::PAGE as u64 - 1)) as usize;
                 let n = rest.len().min(Self::PAGE - off);
-                let page = self.pages.get_or_insert(addr >> Self::PAGE_SHIFT);
+                let page = self.pages.get_or_insert(addr >> Self::PAGE_SHIFT).bytes_mut();
                 page[off..off + n].copy_from_slice(&rest[..n]);
                 addr += n as u64;
                 rest = &rest[n..];
@@ -189,7 +223,7 @@ impl FlatMemory {
     /// Reads one byte.
     pub fn read_byte(&self, addr: u64) -> u8 {
         match self.pages.get(addr >> Self::PAGE_SHIFT) {
-            Some(p) => p[(addr & (Self::PAGE as u64 - 1)) as usize],
+            Some(p) => p.bytes()[(addr & (Self::PAGE as u64 - 1)) as usize],
             None => 0,
         }
     }
@@ -197,7 +231,7 @@ impl FlatMemory {
     /// Writes one byte.
     pub fn write_byte(&mut self, addr: u64, val: u8) {
         let p = self.pages.get_or_insert(addr >> Self::PAGE_SHIFT);
-        p[(addr & (Self::PAGE as u64 - 1)) as usize] = val;
+        p.write((addr & (Self::PAGE as u64 - 1)) as usize, &[val]);
     }
 
     /// Number of resident pages (for tests and memory accounting).
@@ -207,21 +241,122 @@ impl FlatMemory {
 
     /// Compares the full contents of two memories.
     ///
-    /// Returns the first differing byte address, if any. Used by the fault
-    /// campaign to classify silent data corruption.
+    /// Returns the first differing byte address, if any.
     pub fn first_difference(&self, other: &FlatMemory) -> Option<u64> {
         let mut pages: Vec<u64> = self.pages.keys().chain(other.pages.keys()).collect();
         pages.sort_unstable();
         pages.dedup();
-        const ZEROS: [u8; FlatMemory::PAGE] = [0; FlatMemory::PAGE];
         for page in pages {
-            let a = self.pages.get(page).unwrap_or(&ZEROS);
-            let b = other.pages.get(page).unwrap_or(&ZEROS);
+            let a = self.pages.get(page).map_or(&ZERO_PAGE, Page::bytes);
+            let b = other.pages.get(page).map_or(&ZERO_PAGE, Page::bytes);
             if let Some(off) = a.iter().zip(b.iter()).position(|(x, y)| x != y) {
                 return Some((page << Self::PAGE_SHIFT) + off as u64);
             }
         }
         None
+    }
+
+    /// The aligned 8-byte words of this memory that differ from
+    /// `program`'s data image (bytes outside the image count as zero).
+    ///
+    /// Pages an image touches are compared in full; on every other page
+    /// only the words ever stored to can be nonzero, so only those are
+    /// read. Two memories hold the same bytes exactly when their diffs
+    /// against the same image are equal, so the fault campaign classifies
+    /// silent data corruption by comparing a trial's diff with the golden
+    /// run's.
+    pub fn diff_from_image(&self, program: &Program) -> ImageDiff {
+        let mut pages: Vec<u64> = self.pages.keys().collect();
+        for img in program.data().iter().filter(|img| !img.bytes.is_empty()) {
+            let last = img.base + img.bytes.len() as u64 - 1;
+            pages.extend((img.base >> Self::PAGE_SHIFT)..=(last >> Self::PAGE_SHIFT));
+        }
+        pages.sort_unstable();
+        pages.dedup();
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+        let mut overlay = [0u8; Self::PAGE];
+        let mut words = Vec::new();
+        for page in pages {
+            let (base, end) = (page << Self::PAGE_SHIFT, (page + 1) << Self::PAGE_SHIFT);
+            let actual = self.pages.get(page);
+            let touches =
+                |img: &&DataImage| img.base < end && base < img.base + img.bytes.len() as u64;
+            if !program.data().iter().any(|img| touches(&img)) {
+                // No image here: the page reads zero but where stored to.
+                let Some(p) = actual else { continue };
+                for (byte, &bits) in p.written().iter().enumerate() {
+                    let mut bits = bits;
+                    while bits != 0 {
+                        let w = 8 * byte + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let value = word(&p.bytes()[8 * w..8 * w + 8]);
+                        if value != 0 {
+                            words.push((base + 8 * w as u64, value));
+                        }
+                    }
+                }
+                continue;
+            }
+            // The page's image bytes: borrowed when one image covers the
+            // whole page, else overlaid on zeros.
+            let covering = program
+                .data()
+                .iter()
+                .find(|img| img.base <= base && end <= img.base + img.bytes.len() as u64);
+            let expected: &[u8] = match covering {
+                Some(img) => &img.bytes[(base - img.base) as usize..(end - img.base) as usize],
+                None => {
+                    overlay.fill(0);
+                    for img in program.data().iter().filter(touches) {
+                        let lo = img.base.max(base);
+                        let hi = (img.base + img.bytes.len() as u64).min(end);
+                        let src = (lo - img.base) as usize..(hi - img.base) as usize;
+                        overlay[(lo - base) as usize..(hi - base) as usize]
+                            .copy_from_slice(&img.bytes[src]);
+                    }
+                    &overlay
+                }
+            };
+            let actual = actual.map_or(&ZERO_PAGE, Page::bytes);
+            let pairs = actual.chunks_exact(8).zip(expected.chunks_exact(8));
+            for (i, (a, e)) in pairs.enumerate() {
+                if word(a) != word(e) {
+                    words.push((base + 8 * i as u64, word(a)));
+                }
+            }
+        }
+        words.shrink_to_fit();
+        ImageDiff { words }
+    }
+
+    /// Rebuilds the memory an [`ImageDiff`] was taken of: `program`'s data
+    /// image with the diff's words written over it.
+    pub fn from_image_diff(program: &Program, diff: &ImageDiff) -> FlatMemory {
+        let mut mem = FlatMemory::new();
+        mem.load_image(program);
+        for &(addr, value) in &diff.words {
+            mem.store(addr, MemWidth::D, value);
+        }
+        mem
+    }
+}
+
+/// An all-zero page: what a page no table has materialized reads as.
+const ZERO_PAGE: [u8; FlatMemory::PAGE] = [0; FlatMemory::PAGE];
+
+/// A memory's contents as the aligned 8-byte words that differ from a
+/// program's data image (see [`FlatMemory::diff_from_image`]): small when a
+/// run has written little of a large image.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ImageDiff {
+    /// `(word address, value)`, ascending by address.
+    words: Vec<(u64, u64)>,
+}
+
+impl ImageDiff {
+    /// Bytes the diff's words occupy.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.words.as_slice())
     }
 }
 
@@ -235,7 +370,7 @@ impl MemoryIface for FlatMemory {
             match self.pages.get(addr >> Self::PAGE_SHIFT) {
                 Some(p) => {
                     let mut buf = [0u8; 8];
-                    buf[..n].copy_from_slice(&p[off..off + n]);
+                    buf[..n].copy_from_slice(&p.bytes()[off..off + n]);
                     u64::from_le_bytes(buf)
                 }
                 None => 0,
@@ -254,7 +389,7 @@ impl MemoryIface for FlatMemory {
         let off = (addr & (Self::PAGE as u64 - 1)) as usize;
         if off + n <= Self::PAGE {
             let p = self.pages.get_or_insert(addr >> Self::PAGE_SHIFT);
-            p[off..off + n].copy_from_slice(&val.to_le_bytes()[..n]);
+            p.write(off, &val.to_le_bytes()[..n]);
         } else {
             for i in 0..width.bytes() {
                 self.write_byte(addr + i, (val >> (8 * i)) as u8);
@@ -269,8 +404,8 @@ impl MemoryIface for FlatMemory {
             // One page lookup covers both the pre-image read and the write.
             let p = self.pages.get_or_insert(addr >> Self::PAGE_SHIFT);
             let mut buf = [0u8; 8];
-            buf[..n].copy_from_slice(&p[off..off + n]);
-            p[off..off + n].copy_from_slice(&val.to_le_bytes()[..n]);
+            buf[..n].copy_from_slice(&p.bytes()[off..off + n]);
+            p.write(off, &val.to_le_bytes()[..n]);
             u64::from_le_bytes(buf)
         } else {
             let old = self.load(addr, width);
@@ -728,6 +863,59 @@ mod tests {
     use super::*;
     use crate::asm::ProgramBuilder;
     use crate::insn::AluOp;
+
+    /// [`FlatMemory::diff_from_image`] against a brute-force word-by-word
+    /// comparison, and [`FlatMemory::from_image_diff`] as its inverse:
+    /// images at unaligned bases sharing a page, stores of every width
+    /// (some across page boundaries, some back to the image's value), on
+    /// image pages and on pages no image covers.
+    #[test]
+    fn image_diff_is_exact_and_restores_the_memory() {
+        let mut b = ProgramBuilder::new();
+        b.data_at(0x10_0003, (0..5000u32).map(|i| (i * 7) as u8).collect());
+        b.data_at(0x10_2000 - 5, vec![0xAB; 9]);
+        b.halt();
+        let program = b.build();
+        let mut mem = FlatMemory::new();
+        mem.load_image(&program);
+        let mut x = 0x1234_5678_9ABC_DEF0u64;
+        for k in 0..400u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let addr = match k % 3 {
+                0 => 0x10_0000 + (x >> 40) % 0x3000,
+                1 => 0x40_0FFC + (x >> 50) % 16,
+                _ => 0x80_0000 + ((x >> 40) % 0x2000) * 8,
+            };
+            let width =
+                [MemWidth::B, MemWidth::H, MemWidth::W, MemWidth::D][(x >> 20) as usize % 4];
+            let val = if k % 5 == 0 { mem.load(addr, width) } else { x };
+            mem.store(addr, width, val);
+        }
+        mem.write_byte(0x90_0001, 0);
+        mem.write_byte(0x90_1001, 7);
+
+        let mut image = FlatMemory::new();
+        image.load_image(&program);
+        let mut brute = Vec::new();
+        let mut pages: Vec<u64> = mem.pages.keys().chain(image.pages.keys()).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        for page in pages {
+            for w in 0..(FlatMemory::PAGE as u64 / 8) {
+                let addr = (page << FlatMemory::PAGE_SHIFT) + 8 * w;
+                let (m, i) = (mem.load(addr, MemWidth::D), image.load(addr, MemWidth::D));
+                if m != i {
+                    brute.push((addr, m));
+                }
+            }
+        }
+        let diff = mem.diff_from_image(&program);
+        assert_eq!(diff.words, brute);
+        assert!(!diff.words.is_empty() && diff.words.len() < 2000);
+        let restored = FlatMemory::from_image_diff(&program, &diff);
+        assert_eq!(restored.first_difference(&mem), None);
+        assert_eq!(restored.diff_from_image(&program), diff);
+    }
 
     fn run_to_halt(b: ProgramBuilder) -> (ArchState, FlatMemory) {
         let p = b.build();

@@ -55,12 +55,13 @@ mod uop;
 
 pub use asm::{Label, ProgramBuilder};
 pub use exec::{
-    ArchState, ExecError, FlatMemory, MemAccessList, MemoryIface, NoNondet, NondetSource, StepInfo,
+    ArchState, ExecError, FlatMemory, ImageDiff, MemAccessList, MemoryIface, NoNondet,
+    NondetSource, StepInfo,
 };
 pub use insn::{AluOp, BranchCond, FpuOp, Instruction, MemWidth};
 pub use program::{
-    BasicBlock, BlockExit, DataImage, PreUop, Program, UopClass, NO_REG_SLOT, N_UOP_CLASSES,
-    TEXT_BASE,
+    BasicBlock, BlockExit, DataImage, PreUop, Program, UopClass, INSN_BYTES, NO_REG_SLOT,
+    N_UOP_CLASSES, TEXT_BASE,
 };
 pub use reg::{FReg, Reg};
 pub use uop::{crack, DstReg, FMovKind, MemKind, MicroOp, SrcReg, UopKind, MAX_UOPS_PER_INSN};

@@ -8,6 +8,7 @@
 //! of the main core vs. checker cores), at a fraction of the cost of a
 //! message-passing model. See DESIGN.md §5.1.
 
+use crate::sparse::{count_nonzero_bytes, nonzero_bytes, Sparse};
 use crate::time::Time;
 
 /// Static configuration of one cache.
@@ -80,6 +81,32 @@ pub struct AccessResult {
     pub done: Time,
     /// Whether the access hit.
     pub hit: bool,
+}
+
+/// One filled line's metadata, as a [`CacheSnapshot`] stores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Line {
+    tag: u64,
+    flags: u8,
+    ready_fs: u64,
+    lru: u64,
+}
+
+/// A cache's state in compact form (see [`Cache::snapshot`]).
+#[derive(Debug, Clone)]
+pub(crate) struct CacheSnapshot {
+    cfg: CacheConfig,
+    lines: Sparse<Line>,
+    mshr_busy: Vec<Time>,
+    lru_clock: u64,
+    stats: CacheStats,
+}
+
+impl CacheSnapshot {
+    /// Bytes the snapshot's filled lines and MSHRs occupy.
+    pub(crate) fn bytes(&self) -> usize {
+        self.lines.bytes() + std::mem::size_of_val(self.mshr_busy.as_slice())
+    }
 }
 
 /// A set-associative, write-back, write-allocate cache with LRU replacement
@@ -275,6 +302,43 @@ impl Cache {
         AccessResult { done: fill_done + self.cfg.hit_latency, hit: false }
     }
 
+    /// A compact copy of this cache: the metadata of every line ever
+    /// filled, plus the MSHRs, LRU clock and statistics. Lines are never
+    /// invalidated, so a line whose flags are clear has never been filled
+    /// and still holds its reset metadata — the scan reads only the flag
+    /// array.
+    pub(crate) fn snapshot(&self) -> CacheSnapshot {
+        let live = count_nonzero_bytes(&self.flags);
+        let lines = Sparse::gather(live, nonzero_bytes(&self.flags), |i| Line {
+            tag: self.tags[i],
+            flags: self.flags[i],
+            ready_fs: self.ready_fs[i],
+            lru: self.lru[i],
+        });
+        CacheSnapshot {
+            cfg: self.cfg,
+            lines,
+            mshr_busy: self.mshr_busy.clone(),
+            lru_clock: self.lru_clock,
+            stats: self.stats,
+        }
+    }
+
+    /// Rebuilds the cache a [`snapshot`](Cache::snapshot) was taken of.
+    pub(crate) fn from_snapshot(snap: &CacheSnapshot) -> Cache {
+        let mut cache = Cache::new(snap.cfg);
+        for (i, line) in snap.lines.iter() {
+            cache.tags[i] = line.tag;
+            cache.flags[i] = line.flags;
+            cache.ready_fs[i] = line.ready_fs;
+            cache.lru[i] = line.lru;
+        }
+        cache.mshr_busy.clone_from(&snap.mshr_busy);
+        cache.lru_clock = snap.lru_clock;
+        cache.stats = snap.stats;
+        cache
+    }
+
     /// Inserts a line as a prefetch fill completing at `ready_at`, evicting
     /// LRU if necessary. Does nothing if the line is already resident.
     pub fn insert_prefetch(&mut self, addr: u64, ready_at: Time) {
@@ -433,6 +497,26 @@ mod tests {
         let r = c.access(0x2000, false, Time::from_ns(6), &mut next.fill());
         assert!(r.hit);
         assert_eq!(c.stats.prefetch_fills, 1);
+    }
+
+    #[test]
+    fn snapshot_restores_an_identical_cache() {
+        let mut c = Cache::new(cfg_small());
+        let mut next = NextLevel::new(Time::from_ns(10));
+        c.access(0x0000, true, Time::ZERO, &mut next.fill());
+        c.access(0x0040, false, Time::from_ns(1), &mut next.fill());
+        c.insert_prefetch(0x2000, Time::from_ns(5));
+        let snap = c.snapshot();
+        assert_eq!(snap.lines.iter().count(), 3, "only filled lines are kept");
+        let mut d = Cache::from_snapshot(&snap);
+        assert_eq!(format!("{c:?}"), format!("{d:?}"));
+        // Both copies evolve identically from here.
+        for addr in [0x0080, 0x0000, 0x0100, 0x2000] {
+            let a = c.access(addr, false, Time::from_ns(20), &mut next.fill());
+            let b = d.access(addr, false, Time::from_ns(20), &mut next.fill());
+            assert_eq!(a, b);
+        }
+        assert_eq!(format!("{c:?}"), format!("{d:?}"));
     }
 
     #[test]

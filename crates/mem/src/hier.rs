@@ -15,11 +15,11 @@
 //! image is the correct model — core-internal faults are injected at the
 //! core level, never in memory).
 
-use crate::cache::{Cache, CacheConfig, CacheStats};
+use crate::cache::{Cache, CacheConfig, CacheSnapshot, CacheStats};
 use crate::dram::{Dram, DramConfig, DramStats};
 use crate::prefetch::{PrefetchStats, PrefetcherConfig, StridePrefetcher};
 use crate::time::{Freq, Time};
-use paradet_isa::FlatMemory;
+use paradet_isa::{FlatMemory, ImageDiff, Program};
 
 /// Static configuration of the entire memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +116,7 @@ pub struct HierStats {
 /// own `MemConfig` template — cold, exactly as a dedicated run at that
 /// clock would start — and route misses into the *shared* L2/DRAM via
 /// [`MemHier::checker_ifetch_cycle_via`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CheckerPath {
     l0: Vec<Cache>,
     l1i: Cache,
@@ -129,6 +129,23 @@ impl CheckerPath {
         CheckerPath {
             l0: (0..n_checkers).map(|_| Cache::new(cfg.checker_l0)).collect(),
             l1i: Cache::new(cfg.checker_l1i),
+        }
+    }
+
+    /// A compact copy of the path: each cache as the metadata of its filled
+    /// lines.
+    pub fn snapshot(&self) -> CheckerPathSnapshot {
+        CheckerPathSnapshot {
+            l0: self.l0.iter().map(Cache::snapshot).collect(),
+            l1i: self.l1i.snapshot(),
+        }
+    }
+
+    /// Rebuilds the path a [`snapshot`](CheckerPath::snapshot) was taken of.
+    pub fn from_snapshot(snap: &CheckerPathSnapshot) -> CheckerPath {
+        CheckerPath {
+            l0: snap.l0.iter().map(Cache::from_snapshot).collect(),
+            l1i: Cache::from_snapshot(&snap.l1i),
         }
     }
 
@@ -170,6 +187,20 @@ impl CheckerPath {
     }
 }
 
+/// A [`CheckerPath`] in compact form (see [`CheckerPath::snapshot`]).
+#[derive(Debug, Clone)]
+pub struct CheckerPathSnapshot {
+    l0: Vec<CacheSnapshot>,
+    l1i: CacheSnapshot,
+}
+
+impl CheckerPathSnapshot {
+    /// Bytes the path's cache snapshots occupy.
+    pub fn bytes(&self) -> usize {
+        self.l0.iter().map(CacheSnapshot::bytes).sum::<usize>() + self.l1i.bytes()
+    }
+}
+
 /// Which memory array an [`ArrayFault`] strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrayKind {
@@ -200,6 +231,33 @@ pub struct ArrayFault {
     pub at_access: u64,
     /// Bit flipped within the struck byte (taken modulo 8).
     pub bit: u8,
+}
+
+/// A [`MemHier`] in compact form (see [`MemHier::snapshot`]).
+#[derive(Debug, Clone)]
+pub struct HierSnapshot {
+    data: ImageDiff,
+    l1i: CacheSnapshot,
+    l1d: CacheSnapshot,
+    l2: CacheSnapshot,
+    dram: Dram,
+    prefetcher: StridePrefetcher,
+    prefetch_enabled: bool,
+    checker: CheckerPathSnapshot,
+    array_fault: Option<ArrayFault>,
+    daccesses: u64,
+}
+
+impl HierSnapshot {
+    /// Bytes the snapshot's memory diff and cache snapshots occupy (the
+    /// DRAM and prefetcher copies are a few hundred bytes and not counted).
+    pub fn bytes(&self) -> usize {
+        self.data.bytes()
+            + self.l1i.bytes()
+            + self.l1d.bytes()
+            + self.l2.bytes()
+            + self.checker.bytes()
+    }
 }
 
 /// The composed, shared memory hierarchy.
@@ -235,6 +293,41 @@ impl MemHier {
             checker: CheckerPath::new(cfg, n_checkers),
             array_fault: None,
             daccesses: 0,
+        }
+    }
+
+    /// A compact copy of the hierarchy: every cache as the metadata of its
+    /// filled lines, and the functional memory as its diff from `program`'s
+    /// data image — the image this hierarchy was loaded with.
+    pub fn snapshot(&self, program: &Program) -> HierSnapshot {
+        HierSnapshot {
+            data: self.data.diff_from_image(program),
+            l1i: self.l1i.snapshot(),
+            l1d: self.l1d.snapshot(),
+            l2: self.l2.snapshot(),
+            dram: self.dram.clone(),
+            prefetcher: self.prefetcher.clone(),
+            prefetch_enabled: self.prefetch_enabled,
+            checker: self.checker.snapshot(),
+            array_fault: self.array_fault,
+            daccesses: self.daccesses,
+        }
+    }
+
+    /// Rebuilds the hierarchy a [`snapshot`](MemHier::snapshot) of
+    /// `program`'s run was taken of.
+    pub fn from_snapshot(snap: &HierSnapshot, program: &Program) -> MemHier {
+        MemHier {
+            data: FlatMemory::from_image_diff(program, &snap.data),
+            l1i: Cache::from_snapshot(&snap.l1i),
+            l1d: Cache::from_snapshot(&snap.l1d),
+            l2: Cache::from_snapshot(&snap.l2),
+            dram: snap.dram.clone(),
+            prefetcher: snap.prefetcher.clone(),
+            prefetch_enabled: snap.prefetch_enabled,
+            checker: CheckerPath::from_snapshot(&snap.checker),
+            array_fault: snap.array_fault,
+            daccesses: snap.daccesses,
         }
     }
 

@@ -27,10 +27,15 @@ mod cache;
 mod dram;
 mod hier;
 mod prefetch;
+mod sparse;
 mod time;
 
 pub use cache::{AccessResult, Cache, CacheConfig, CacheStats};
 pub use dram::{Dram, DramConfig, DramStats};
-pub use hier::{ArrayFault, ArrayKind, CheckerPath, HierStats, MemConfig, MemHier};
+pub use hier::{
+    ArrayFault, ArrayKind, CheckerPath, CheckerPathSnapshot, HierSnapshot, HierStats, MemConfig,
+    MemHier,
+};
 pub use prefetch::{PrefetchStats, PrefetcherConfig, StridePrefetcher};
+pub use sparse::Sparse;
 pub use time::{CycleDiv, Freq, Time};

@@ -28,12 +28,12 @@
 
 use crate::config::OooConfig;
 use crate::fault::{ArmedFault, FaultTarget};
-use crate::predictor::TournamentPredictor;
+use crate::predictor::{PredictorSnapshot, TournamentPredictor};
 use crate::resources::{FifoOccupancy, SlotPool, UnorderedOccupancy};
 use crate::types::{CommitEvent, CommitGate, DetectionSink, MemEffect};
 use paradet_isa::{
     ArchState, DstReg, ExecError, Instruction, MemWidth, MicroOp, NondetSource, PreUop, Program,
-    Reg, SrcReg, UopClass, UopKind, MAX_UOPS_PER_INSN, NO_REG_SLOT,
+    Reg, SrcReg, UopClass, UopKind, INSN_BYTES, MAX_UOPS_PER_INSN, NO_REG_SLOT, TEXT_BASE,
 };
 use paradet_mem::{CycleDiv, MemHier, Time};
 use std::collections::VecDeque;
@@ -148,8 +148,31 @@ impl NondetSource for SuppliedNondet {
     }
 }
 
+/// An [`OooCore`] in compact form (see [`OooCore::snapshot`]).
+#[derive(Debug, Clone)]
+pub struct CoreSnapshot {
+    /// The core, its predictor a table-less placeholder.
+    core: OooCore,
+    /// The predictor, tables sparse.
+    pred: PredictorSnapshot,
+}
+
+impl CoreSnapshot {
+    /// Macro-ops the core had retired when the snapshot was taken.
+    pub fn instrs(&self) -> u64 {
+        self.core.stats.committed_instrs
+    }
+
+    /// Bytes the snapshot occupies: the core's inline state and the
+    /// predictor's sparse tables (the resource windows' few-KB ring
+    /// buffers are not counted).
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of::<OooCore>() + self.pred.bytes()
+    }
+}
+
 /// The out-of-order main core.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct OooCore {
     cfg: OooConfig,
     /// Reciprocal for the core clock period: `to_cycle` runs on every
@@ -284,9 +307,44 @@ impl OooCore {
         core
     }
 
+    /// A compact copy of the core between two [`step_block`] calls: the
+    /// predictor's tables as their entries that differ from reset,
+    /// everything else cloned. Armed
+    /// faults are copied too; a fault armed on the restored core at or
+    /// after [`CoreSnapshot::instrs`] changes nothing before it fires.
+    ///
+    /// [`step_block`]: OooCore::step_block
+    pub fn snapshot(&mut self) -> CoreSnapshot {
+        // Swap the dense predictor out so the clone does not copy it.
+        let placeholder = TournamentPredictor::placeholder(self.cfg.predictor);
+        let pred = std::mem::replace(&mut self.pred, placeholder);
+        let control_pcs: Vec<u64> = (self.program.text().iter().enumerate())
+            .filter(|(_, insn)| {
+                matches!(
+                    insn,
+                    Instruction::Branch { .. } | Instruction::Jal { .. } | Instruction::Jalr { .. }
+                )
+            })
+            .map(|(i, _)| TEXT_BASE + i as u64 * INSN_BYTES)
+            .collect();
+        let snap = CoreSnapshot { core: self.clone(), pred: pred.snapshot(&control_pcs) };
+        self.pred = pred;
+        snap
+    }
+
+    /// Rebuilds the core a [`snapshot`](OooCore::snapshot) was taken of.
+    pub fn from_snapshot(snap: &CoreSnapshot) -> OooCore {
+        OooCore { pred: TournamentPredictor::from_snapshot(&snap.pred), ..snap.core.clone() }
+    }
+
     /// The core's configuration.
     pub fn config(&self) -> &OooConfig {
         &self.cfg
+    }
+
+    /// The program the core runs.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
     }
 
     /// The committed architectural state (used by the detection system to

@@ -40,7 +40,7 @@ mod predictor;
 mod resources;
 mod types;
 
-pub use crate::core::{BlockOutcome, CoreError, CoreStats, OooCore};
+pub use crate::core::{BlockOutcome, CoreError, CoreSnapshot, CoreStats, OooCore};
 pub use config::{LatencyTable, OooConfig};
 pub use fault::{ArmedFault, FaultKind, FaultTarget};
 pub use predictor::{DirectionPrediction, PredictorConfig, PredictorStats, TournamentPredictor};

@@ -5,6 +5,8 @@
 //! (an Alpha-21264-style tournament predictor, which is also what gem5's
 //! `TournamentBP` implements).
 
+use paradet_mem::Sparse;
+
 /// Static predictor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredictorConfig {
@@ -61,6 +63,11 @@ impl PredictorStats {
     }
 }
 
+/// Reset value of the 3-bit local counters (weakly not taken).
+const LOCAL_RESET: u8 = 3;
+/// Reset value of the 2-bit global and chooser counters.
+const GLOBAL_RESET: u8 = 1;
+
 #[inline]
 fn counter_update(c: &mut u8, taken: bool, max: u8) {
     if taken {
@@ -97,6 +104,35 @@ pub struct TournamentPredictor {
     pub stats: PredictorStats,
 }
 
+/// A [`TournamentPredictor`] in compact form (see
+/// [`TournamentPredictor::snapshot`]).
+#[derive(Debug, Clone)]
+pub(crate) struct PredictorSnapshot {
+    cfg: PredictorConfig,
+    local_history: Sparse<u16>,
+    local_counters: Sparse<u8>,
+    global_counters: Sparse<u8>,
+    chooser: Sparse<u8>,
+    ghr: u64,
+    btb: Sparse<Option<(u64, u64)>>,
+    ras: Vec<u64>,
+    ras_top: usize,
+    ras_len: usize,
+    stats: PredictorStats,
+}
+
+impl PredictorSnapshot {
+    /// Bytes the snapshot's tables occupy.
+    pub(crate) fn bytes(&self) -> usize {
+        self.local_history.bytes()
+            + self.local_counters.bytes()
+            + self.global_counters.bytes()
+            + self.chooser.bytes()
+            + self.btb.bytes()
+            + std::mem::size_of_val(self.ras.as_slice())
+    }
+}
+
 /// A direction prediction together with the evidence used, so the update
 /// path can train exactly the structures that were consulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,9 +162,9 @@ impl TournamentPredictor {
         }
         TournamentPredictor {
             local_history: vec![0; cfg.local_entries],
-            local_counters: vec![3; 1 << cfg.local_history_bits],
-            global_counters: vec![1; cfg.global_entries],
-            chooser: vec![1; cfg.chooser_entries],
+            local_counters: vec![LOCAL_RESET; 1 << cfg.local_history_bits],
+            global_counters: vec![GLOBAL_RESET; cfg.global_entries],
+            chooser: vec![GLOBAL_RESET; cfg.chooser_entries],
             ghr: 0,
             btb: vec![None; cfg.btb_entries],
             ras: vec![0; cfg.ras_depth],
@@ -139,8 +175,80 @@ impl TournamentPredictor {
         }
     }
 
+    /// A predictor with no tables, standing in inside a
+    /// [`CoreSnapshot`](crate::CoreSnapshot) for the one whose tables the
+    /// snapshot carries sparse. Never consulted: restoring the core
+    /// replaces it.
+    pub(crate) fn placeholder(cfg: PredictorConfig) -> TournamentPredictor {
+        TournamentPredictor {
+            cfg,
+            local_history: Vec::new(),
+            local_counters: Vec::new(),
+            global_counters: Vec::new(),
+            chooser: Vec::new(),
+            ghr: 0,
+            btb: Vec::new(),
+            ras: Vec::new(),
+            ras_top: 0,
+            ras_len: 0,
+            stats: PredictorStats::default(),
+        }
+    }
+
+    /// A compact copy of the predictor: each table as the entries that
+    /// differ from its reset value (see [`Sparse`]). Only control transfers
+    /// train the PC-indexed local-history and BTB tables, so those are read
+    /// at the indices of `control_pcs` — every PC a control transfer can
+    /// retire at — instead of scanned; the history-indexed tables are.
+    pub(crate) fn snapshot(&self, control_pcs: &[u64]) -> PredictorSnapshot {
+        let indices = |idx: &dyn Fn(u64) -> usize| {
+            let mut v: Vec<usize> = control_pcs.iter().map(|&pc| idx(pc)).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let local = indices(&|pc| self.local_idx(pc));
+        let btb = indices(&|pc| self.btb_idx(pc));
+        PredictorSnapshot {
+            cfg: self.cfg,
+            local_history: Sparse::gather(local.len(), local.into_iter(), |i| {
+                self.local_history[i]
+            }),
+            local_counters: Sparse::of(&self.local_counters, LOCAL_RESET),
+            global_counters: Sparse::of(&self.global_counters, GLOBAL_RESET),
+            chooser: Sparse::of(&self.chooser, GLOBAL_RESET),
+            ghr: self.ghr,
+            btb: Sparse::gather(btb.len(), btb.into_iter(), |i| self.btb[i]),
+            ras: self.ras.clone(),
+            ras_top: self.ras_top,
+            ras_len: self.ras_len,
+            stats: self.stats,
+        }
+    }
+
+    /// Rebuilds the predictor a [`snapshot`](TournamentPredictor::snapshot)
+    /// was taken of.
+    pub(crate) fn from_snapshot(snap: &PredictorSnapshot) -> TournamentPredictor {
+        let mut p = TournamentPredictor::new(snap.cfg);
+        snap.local_history.restore(&mut p.local_history);
+        snap.local_counters.restore(&mut p.local_counters);
+        snap.global_counters.restore(&mut p.global_counters);
+        snap.chooser.restore(&mut p.chooser);
+        snap.btb.restore(&mut p.btb);
+        p.ghr = snap.ghr;
+        p.ras.clone_from(&snap.ras);
+        p.ras_top = snap.ras_top;
+        p.ras_len = snap.ras_len;
+        p.stats = snap.stats;
+        p
+    }
+
     fn local_idx(&self, pc: u64) -> usize {
         ((pc >> 2) as usize) & (self.cfg.local_entries - 1)
+    }
+
+    fn btb_idx(&self, pc: u64) -> usize {
+        ((pc >> 2) as usize) & (self.cfg.btb_entries - 1)
     }
 
     fn global_idx(&self) -> usize {
@@ -194,8 +302,7 @@ impl TournamentPredictor {
     /// Looks up the BTB for the target of the (taken) control transfer at
     /// `pc`.
     pub fn btb_lookup(&mut self, pc: u64) -> Option<u64> {
-        let idx = ((pc >> 2) as usize) & (self.cfg.btb_entries - 1);
-        match self.btb[idx] {
+        match self.btb[self.btb_idx(pc)] {
             Some((tag, target)) if tag == pc => {
                 self.stats.btb_hits += 1;
                 Some(target)
@@ -209,7 +316,7 @@ impl TournamentPredictor {
 
     /// Installs or updates a BTB entry.
     pub fn btb_update(&mut self, pc: u64, target: u64) {
-        let idx = ((pc >> 2) as usize) & (self.cfg.btb_entries - 1);
+        let idx = self.btb_idx(pc);
         self.btb[idx] = Some((pc, target));
     }
 
@@ -238,6 +345,22 @@ mod tests {
 
     fn predictor() -> TournamentPredictor {
         TournamentPredictor::new(PredictorConfig::default())
+    }
+
+    #[test]
+    fn snapshot_restores_an_identical_predictor() {
+        let mut p = predictor();
+        for i in 0..200u64 {
+            let pc = 0x1000 + 4 * (i % 7);
+            let pred = p.predict_direction(pc);
+            p.update_direction(pc, pred, i % 3 != 0);
+            p.btb_update(pc, pc + 64);
+            p.ras_push(pc + 4);
+        }
+        let snap = p.snapshot(&(0..7).map(|k| 0x1000 + 4 * k).collect::<Vec<_>>());
+        assert!(snap.bytes() < 4096, "a short history stays sparse: {} B", snap.bytes());
+        let q = TournamentPredictor::from_snapshot(&snap);
+        assert_eq!(format!("{p:?}"), format!("{q:?}"));
     }
 
     #[test]
