@@ -342,6 +342,24 @@ impl PairedSystem {
         self.core.run(&mut self.hier, &mut self.det, max_instrs)
     }
 
+    /// [`advance`](PairedSystem::advance) that also returns after the
+    /// first block during which a check failed. Folds run in seal order
+    /// (invariant 1), so the first error recorded has the lowest seal and
+    /// its confirmation time — the running maximum of finish times up to
+    /// that seal — is already final: [`finalize`](PairedSystem::finalize)
+    /// then reports the same [`first_error`](RunReport::first_error) as a
+    /// run to the full budget.
+    pub fn advance_until_error(&mut self, max_instrs: u64) -> u64 {
+        let mut n = 0;
+        while n < max_instrs && self.det.errors.is_empty() {
+            match self.core.step_block(&mut self.hier, &mut self.det, max_instrs - n) {
+                Ok(out) => n += out.instrs,
+                Err(_) => break,
+            }
+        }
+        n
+    }
+
     /// Finalizes all outstanding checks and reports on the run so far.
     pub fn finalize(&mut self) -> RunReport {
         // Hold "termination" until every outstanding check completes

@@ -26,23 +26,38 @@
 //! without `--partial` (the error names which shard to resume), 6 store
 //! written by an incompatible schema version, 1 other store errors.
 
-use paradet_faults::cli::{exit, parse_campaign_flags, reject_unknown, take_switch, take_value};
+use paradet_faults::cli::{
+    exit, parse_campaign_flags, reject_unknown, take_switch, take_value, wants_help,
+};
 use paradet_faults::{
     completeness_table, merge_campaign, merge_campaign_partial, merged_table, partial_result_table,
     StoreError,
 };
 use std::path::PathBuf;
 
-fn usage() -> ! {
-    eprintln!(
+fn usage_text() -> String {
+    format!(
         "usage: campaign-merge --dir <dir> [--partial] [--out <csv>] [config flags]\n\
          \n  \
-         --partial                 merge whatever checkpoints exist, rendering per-shard\n                            completeness instead of refusing incomplete campaigns\n\
+         --partial                 merge whatever checkpoints exist, rendering per-shard\n                            completeness instead of refusing incomplete campaigns\n  \
+         --help                    print this text and exit\n\
          \n\
          campaign config (optional; when given, the directory's manifest must match):\n{}",
         paradet_faults::cli::CONFIG_FLAGS_HELP
-    );
+    )
+}
+
+fn usage() -> ! {
+    eprintln!("{}", usage_text());
     std::process::exit(exit::USAGE);
+}
+
+/// The parsed value, or the error reported with the usage text.
+fn or_usage<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("campaign-merge: {e}");
+        usage();
+    })
 }
 
 fn fail(e: &StoreError) -> ! {
@@ -52,21 +67,18 @@ fn fail(e: &StoreError) -> ! {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let (cfg, explicit) = parse_campaign_flags(&mut args).unwrap_or_else(|e| {
-        eprintln!("campaign-merge: {e}");
-        usage();
-    });
+    if wants_help(&args) {
+        println!("{}", usage_text());
+        return;
+    }
+    let (cfg, explicit) = or_usage(parse_campaign_flags(&mut args));
     let partial = take_switch(&mut args, "--partial");
-    let Some(dir) = take_value(&mut args, "--dir").unwrap_or_else(|_| usage()).map(PathBuf::from)
-    else {
+    let Some(dir) = or_usage(take_value(&mut args, "--dir")).map(PathBuf::from) else {
         eprintln!("campaign-merge: --dir is required");
         usage();
     };
-    let out = take_value(&mut args, "--out").unwrap_or_else(|_| usage()).map(PathBuf::from);
-    if let Err(e) = reject_unknown(&args) {
-        eprintln!("campaign-merge: {e}");
-        usage();
-    }
+    let out = or_usage(take_value(&mut args, "--out")).map(PathBuf::from);
+    or_usage(reject_unknown(&args));
 
     let expect = if explicit { Some(&cfg) } else { None };
     if partial {

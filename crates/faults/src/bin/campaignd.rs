@@ -40,7 +40,9 @@
 //! the supervisor exports both to its children via `--chaos`.
 
 use paradet_faults::chaosfs::{ChaosFs, ChaosScript, KillMode};
-use paradet_faults::cli::{exit, parse_campaign_flags, reject_unknown, take_switch, take_value};
+use paradet_faults::cli::{
+    exit, parse_campaign_flags, reject_unknown, take_parsed, take_switch, take_value, wants_help,
+};
 use paradet_faults::supervisor::{supervise_processes, ShardCommand, ShardFate, SupervisePolicy};
 use paradet_faults::{
     coverage_table, merge_campaign, merged_table, real_fs, recovery_table, run_campaign,
@@ -49,8 +51,8 @@ use paradet_faults::{
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn usage() -> ! {
-    eprintln!(
+fn usage_text() -> String {
+    format!(
         "usage: campaignd (--one-shot | --shard i/n | --supervise n) [options]\n\
          \n\
          modes:\n  \
@@ -71,12 +73,25 @@ fn usage() -> ! {
          --chaos <script>          chaos script exported to children (fault-injection hook)\n\
          \n\
          output:\n  \
-         --out <csv>               write the coverage table as CSV (one-shot/supervise)\n\
+         --out <csv>               write the coverage table as CSV (one-shot/supervise)\n  \
+         --help                    print this text and exit\n\
          \n\
          campaign config:\n{}",
         paradet_faults::cli::CONFIG_FLAGS_HELP
-    );
+    )
+}
+
+fn usage() -> ! {
+    eprintln!("{}", usage_text());
     std::process::exit(exit::USAGE);
+}
+
+/// The parsed value, or the error reported with the usage text.
+fn or_usage<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("campaignd: {e}");
+        usage();
+    })
 }
 
 fn fail(e: &StoreError) -> ! {
@@ -86,48 +101,26 @@ fn fail(e: &StoreError) -> ! {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = parse_campaign_flags(&mut args);
-    let (cfg, _) = match parsed {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("campaignd: {e}");
-            usage();
-        }
-    };
+    if wants_help(&args) {
+        println!("{}", usage_text());
+        return;
+    }
+    let (cfg, _) = or_usage(parse_campaign_flags(&mut args));
 
     let one_shot = take_switch(&mut args, "--one-shot");
-    let shard_arg = take_value(&mut args, "--shard").unwrap_or_else(|e| {
-        eprintln!("campaignd: {e}");
-        usage();
-    });
-    let supervise_arg = take_value(&mut args, "--supervise").unwrap_or_else(|_| usage());
-    let dir_arg = take_value(&mut args, "--dir").unwrap_or_else(|_| usage());
-    let resume_arg = take_value(&mut args, "--resume").unwrap_or_else(|_| usage());
-    let every: u64 = take_value(&mut args, "--checkpoint-every")
-        .unwrap_or_else(|_| usage())
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(25);
-    let exit_after: Option<u64> = take_value(&mut args, "--exit-after-checkpoints")
-        .unwrap_or_else(|_| usage())
-        .map(|v| v.parse().unwrap_or_else(|_| usage()));
-    let max_restarts: u32 = take_value(&mut args, "--max-restarts")
-        .unwrap_or_else(|_| usage())
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(3);
-    let heartbeat_timeout_ms: u64 = take_value(&mut args, "--heartbeat-timeout-ms")
-        .unwrap_or_else(|_| usage())
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(30_000);
-    let backoff_base_ms: u64 = take_value(&mut args, "--backoff-base-ms")
-        .unwrap_or_else(|_| usage())
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(200);
-    let chaos = take_value(&mut args, "--chaos").unwrap_or_else(|_| usage());
-    let out = take_value(&mut args, "--out").unwrap_or_else(|_| usage()).map(PathBuf::from);
-    if let Err(e) = reject_unknown(&args) {
-        eprintln!("campaignd: {e}");
-        usage();
-    }
+    let shard_arg = or_usage(take_value(&mut args, "--shard"));
+    let supervise_arg: Option<u32> = or_usage(take_parsed(&mut args, "--supervise"));
+    let dir_arg = or_usage(take_value(&mut args, "--dir"));
+    let resume_arg = or_usage(take_value(&mut args, "--resume"));
+    let every: u64 = or_usage(take_parsed(&mut args, "--checkpoint-every")).unwrap_or(25);
+    let exit_after: Option<u64> = or_usage(take_parsed(&mut args, "--exit-after-checkpoints"));
+    let max_restarts: u32 = or_usage(take_parsed(&mut args, "--max-restarts")).unwrap_or(3);
+    let heartbeat_timeout_ms: u64 =
+        or_usage(take_parsed(&mut args, "--heartbeat-timeout-ms")).unwrap_or(30_000);
+    let backoff_base_ms: u64 = or_usage(take_parsed(&mut args, "--backoff-base-ms")).unwrap_or(200);
+    let chaos = or_usage(take_value(&mut args, "--chaos"));
+    let out = or_usage(take_value(&mut args, "--out")).map(PathBuf::from);
+    or_usage(reject_unknown(&args));
 
     match (one_shot, shard_arg, supervise_arg) {
         (true, None, None) => {
@@ -192,11 +185,7 @@ fn main() {
                 dir.display()
             );
         }
-        (false, None, Some(n)) => {
-            let shards: u32 = n.parse().unwrap_or_else(|_| {
-                eprintln!("campaignd: --supervise wants a shard count");
-                usage();
-            });
+        (false, None, Some(shards)) => {
             if shards == 0 {
                 eprintln!("campaignd: --supervise needs at least one shard");
                 usage();

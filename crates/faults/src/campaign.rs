@@ -448,12 +448,16 @@ pub fn trial_plan(
     let mut plan = TrialFaults { kind, ..TrialFaults::default() };
     match site {
         FaultSite::IntRegMulti => {
-            // A multi-cell upset: 2–3 bits of one register, one event.
+            // A multi-cell upset: 2–3 distinct bits of one register, one
+            // event. A repeated bit would flip back, so it is redrawn.
             let reg = Reg::from_index(rng.gen_range(1..16));
-            let n = rng.gen_range(2..4);
-            for _ in 0..n {
+            let n: usize = rng.gen_range(2..4);
+            while plan.core.len() < n {
                 let bit = rng.gen_range(0..64);
-                plan.core.push(ArmedFault::new(at_instr, FaultTarget::IntRegBit { reg, bit }));
+                let flip = ArmedFault::new(at_instr, FaultTarget::IntRegBit { reg, bit });
+                if !plan.core.contains(&flip) {
+                    plan.core.push(flip);
+                }
             }
         }
         FaultSite::CacheArray => {
@@ -684,7 +688,10 @@ fn arm_plan(sys: &mut PairedSystem, plan: &TrialFaults) {
 }
 
 /// Runs one detection-only trial with the plan's faults armed, from the
-/// latest golden snapshot the plan allows.
+/// latest golden snapshot the plan allows. The trial ends at its first
+/// error ([`PairedSystem::advance_until_error`]): `Detected` outranks every
+/// other outcome, and the first error's confirmation time is final once
+/// it is recorded (determinism invariant 14).
 fn run_trial(
     cfg: &CampaignConfig,
     golden: &Golden,
@@ -696,7 +703,8 @@ fn run_trial(
         None => PairedSystem::new_with_scratch(cfg.system, &golden.program, scratch),
     };
     arm_plan(&mut sys, plan);
-    let report = sys.run(cfg.instrs - sys.instrs());
+    sys.advance_until_error(cfg.instrs - sys.instrs());
+    let report = sys.finalize();
     let outcome = if report.detected() {
         let latency = report.first_error().map(|e| e.confirm_time);
         (Outcome::Detected, latency)
@@ -884,6 +892,28 @@ mod tests {
         }
     }
 
+    #[test]
+    fn multi_bit_upsets_flip_distinct_bits() {
+        for seed in [1, 7, 42, 1234] {
+            for trial in 0..1_000 {
+                let plan =
+                    trial_plan(seed, FaultSite::IntRegMulti, trial, 20_000, FaultKind::Transient);
+                let mut bits: Vec<u8> = plan
+                    .core
+                    .iter()
+                    .map(|f| match f.target {
+                        FaultTarget::IntRegBit { bit, .. } => bit,
+                        other => panic!("seed {seed} trial {trial}: {other:?}"),
+                    })
+                    .collect();
+                assert!((2..=3).contains(&bits.len()), "seed {seed} trial {trial}: {bits:?}");
+                bits.sort_unstable();
+                bits.dedup();
+                assert_eq!(bits.len(), plan.core.len(), "seed {seed} trial {trial} repeats a bit");
+            }
+        }
+    }
+
     /// Invariant 13 at the campaign level: every trial classifies the same
     /// whether it starts from a golden snapshot or from scratch, for every
     /// site, fault kind, and detection-only or recovery campaigns.
@@ -922,6 +952,72 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A detection trial run from scratch to its full budget and
+    /// classified against the golden run — the reference for a trial that
+    /// ends at its first error.
+    fn full_budget_trial(
+        cfg: &CampaignConfig,
+        golden: &Golden,
+        site: FaultSite,
+        trial: u64,
+    ) -> TrialResult {
+        let plan = trial_plan(cfg.seed, site, trial, cfg.instrs, cfg.fault_kind);
+        let mut sys = PairedSystem::new_shared(cfg.system, &golden.program);
+        arm_plan(&mut sys, &plan);
+        let report = sys.run(cfg.instrs);
+        let (outcome, detect_latency) = if report.detected() {
+            (Outcome::Detected, report.first_error().map(|e| e.confirm_time))
+        } else if report.crashed {
+            (Outcome::Crashed, None)
+        } else if sys.core().committed_state().first_register_mismatch(&golden.state).is_some()
+            || !golden.mem_matches(&sys.hier().data)
+            || report.instrs != golden.report.instrs
+        {
+            (Outcome::SilentDataCorruption, None)
+        } else {
+            (Outcome::Masked, None)
+        };
+        let fault = representative_fault(&plan);
+        TrialResult { site, fault, outcome, detect_latency, recovery_fs: None }
+    }
+
+    /// Invariant 14's detection cut: a trial that ends at its first error
+    /// classifies exactly like one run to the full budget, for every
+    /// site and fault kind.
+    #[test]
+    fn trials_ended_at_the_first_error_match_full_runs() {
+        let kinds = [
+            FaultKind::Transient,
+            FaultKind::Intermittent { period: 40, count: 3 },
+            FaultKind::Permanent,
+        ];
+        let mut detected = 0;
+        for (seed, kind) in kinds.into_iter().enumerate() {
+            let cfg = CampaignConfig {
+                instrs: 3_000,
+                sites: FaultSite::extended().to_vec(),
+                fault_kind: kind,
+                seed: seed as u64,
+                ..CampaignConfig::default()
+            };
+            let golden = prepare_golden(&cfg);
+            let mut scratch = SimScratch::new();
+            for site in FaultSite::extended() {
+                for trial in 0..4 {
+                    let early = run_point(&cfg, &golden, site, trial, &mut scratch);
+                    let full = full_budget_trial(&cfg, &golden, site, trial);
+                    assert_eq!(
+                        format!("{early:?}"),
+                        format!("{full:?}"),
+                        "{site:?}/{trial} {kind:?}"
+                    );
+                    detected += u32::from(early.outcome == Outcome::Detected);
+                }
+            }
+        }
+        assert!(detected >= 40, "only {detected} of 156 trials detected");
     }
 
     /// The golden snapshots of the default detection and recovery

@@ -103,6 +103,21 @@ pub fn take_value(args: &mut Vec<String>, name: &str) -> Result<Option<String>, 
     Ok(Some(v))
 }
 
+/// Removes `--name <value>` from `args` and parses the value; the error
+/// names the flag and the value.
+pub fn take_parsed<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    take_value(args, name)?.map(|v| v.parse().map_err(|_| format!("bad {name} `{v}`"))).transpose()
+}
+
+/// Whether `args` asks for the usage text (`--help` or `-h`), which the
+/// binaries print to stdout before parsing anything else.
+pub fn wants_help(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--help" || a == "-h")
+}
+
 /// Removes the bare switch `--name` from `args`, returning whether it was
 /// present.
 pub fn take_switch(args: &mut Vec<String>, name: &str) -> bool {
@@ -126,19 +141,19 @@ pub fn parse_campaign_flags(args: &mut Vec<String>) -> Result<(CampaignConfig, b
         cfg.workload = Workload::by_name(&w).ok_or_else(|| format!("unknown workload `{w}`"))?;
         explicit = true;
     }
-    if let Some(v) = take_value(args, "--instrs")? {
-        cfg.instrs = v.parse().map_err(|_| format!("bad --instrs `{v}`"))?;
-        if cfg.instrs < MIN_CAMPAIGN_INSTRS {
-            return Err(format!("--instrs must be at least {MIN_CAMPAIGN_INSTRS}, got {v}"));
+    if let Some(instrs) = take_parsed(args, "--instrs")? {
+        if instrs < MIN_CAMPAIGN_INSTRS {
+            return Err(format!("--instrs must be at least {MIN_CAMPAIGN_INSTRS}, got {instrs}"));
         }
+        cfg.instrs = instrs;
         explicit = true;
     }
-    if let Some(v) = take_value(args, "--trials-per-site")? {
-        cfg.trials_per_site = v.parse().map_err(|_| format!("bad --trials-per-site `{v}`"))?;
+    if let Some(trials) = take_parsed(args, "--trials-per-site")? {
+        cfg.trials_per_site = trials;
         explicit = true;
     }
-    if let Some(v) = take_value(args, "--seed")? {
-        cfg.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
+    if let Some(seed) = take_parsed(args, "--seed")? {
+        cfg.seed = seed;
         explicit = true;
     }
     if let Some(v) = take_value(args, "--sites")? {
@@ -166,8 +181,7 @@ pub fn parse_campaign_flags(args: &mut Vec<String>) -> Result<(CampaignConfig, b
         cfg.recovery = Some(RecoveryPolicy::default());
         explicit = true;
     }
-    if let Some(v) = take_value(args, "--max-retries")? {
-        let max_retries = v.parse().map_err(|_| format!("bad --max-retries `{v}`"))?;
+    if let Some(max_retries) = take_parsed(args, "--max-retries")? {
         let base = cfg.recovery.unwrap_or_default();
         cfg.recovery = Some(RecoveryPolicy { max_retries, ..base });
         explicit = true;

@@ -435,6 +435,11 @@ impl OooCore {
     /// [`CoreError::Crashed`] if the PC has left the text segment (possible
     /// only under fault injection). A wild control transfer is observed by
     /// the *next* call's block lookup.
+    // Inlined into every block loop: with two loops stepping a detector
+    // (`PairedSystem::advance` through `run`, and `advance_until_error`)
+    // the compiler otherwise keeps the kernel out of line, and full
+    // detection ran slower that way on a 2-core host.
+    #[inline(always)]
     pub fn step_block<S: DetectionSink + ?Sized>(
         &mut self,
         hier: &mut MemHier,

@@ -9,10 +9,14 @@
 //! Alongside it, the forward-progress guarantee (no fault kind in the
 //! sphere is ever `Unrecoverable`), the no-silent-corruption corollary
 //! (an honest checker farm never lets a strike escape: undetected implies
-//! golden-identical), and bit-level determinism of the driver itself.
+//! golden-identical), bit-level determinism of the driver itself, and the
+//! premise of its oracle re-execution (determinism invariant 14): with no
+//! fault armed, a resumed paired system never detects and ends exactly
+//! where the functional oracle does.
 
 use paradet::detect::{
-    run_recovery, RecoveryDisposition, RecoveryPolicy, SimScratch, SystemConfig, TrialFaults,
+    run_recovery, PairedSystem, RecoveryDisposition, RecoveryPolicy, SimScratch, SystemConfig,
+    TrialFaults,
 };
 use paradet::isa::{AluOp, ArchState, FlatMemory, NoNondet, Program, ProgramBuilder, Reg};
 use paradet::ooo::{ArmedFault, FaultKind, FaultTarget};
@@ -236,5 +240,38 @@ proptest! {
         prop_assert_eq!(a.recovery_fs, b.recovery_fs);
         prop_assert_eq!(&a.final_state, &b.final_state);
         prop_assert_eq!(a.final_mem.first_difference(&b.final_mem), None);
+    }
+
+    /// The premise of running fault-free re-executions on the functional
+    /// oracle: a paired system resumed at any point of a clean run before
+    /// its halt (where every rollback target lies: a segment starts before
+    /// halt), with no fault armed, never detects, and ends with exactly the
+    /// state, memory, `halted` and `crashed` that `ArchState::run_blocks`
+    /// gives from the same start and budget — at every farm width and log
+    /// size.
+    #[test]
+    fn fault_free_resumed_run_matches_the_oracle(
+        iters in 20i64..120,
+        seeds in proptest::collection::vec(any::<u64>(), 4),
+        body in proptest::collection::vec(arb_body_op(), 0..6),
+        resume_pct in 0u64..100,
+        budget in 0u64..2_500,
+        cfg in arb_geometry(),
+    ) {
+        let program = random_kernel(iters, &seeds, &body);
+        let resume_at = resume_pct * golden(&program).0.retired / 100;
+        let mut state = ArchState::at_entry(&program);
+        let mut mem = FlatMemory::new();
+        mem.load_image(&program);
+        state.run_blocks(&program, &mut mem, &mut NoNondet, resume_at).expect("clean prefix");
+        let mut scratch = SimScratch::new();
+        let mut sys = PairedSystem::new_resumed(cfg, &program, &mut scratch, &state, mem.clone());
+        let report = sys.run(budget);
+        let crashed = state.run_blocks(&program, &mut mem, &mut NoNondet, budget).is_err();
+
+        prop_assert!(!report.detected(), "a fault-free run detected {:?}", report.first_error());
+        prop_assert_eq!((report.halted, report.crashed), (state.halted, crashed));
+        prop_assert_eq!(sys.core().committed_state(), &state);
+        prop_assert_eq!(sys.dismantle(&mut scratch).first_difference(&mem), None);
     }
 }

@@ -269,6 +269,8 @@ proptest! {
     /// Invariant 13: a trial resumed from the latest snapshot its plan
     /// allows equals the trial run from scratch — for plans from every
     /// site class and every fault kind, detection-only and under recovery.
+    /// A detection trial ended at its first error, as campaigns run it,
+    /// reports the same first error (invariant 14).
     #[test]
     fn trials_from_snapshots_equal_trials_from_scratch(
         program in arb_kernel(),
@@ -301,12 +303,25 @@ proptest! {
             let mut fresh = PairedSystem::new_shared(cfg, &program);
             arm(&mut fresh, &plan);
             let report = fresh.run(budget);
+            let first_error = report.first_error().cloned();
             let expected = outcome(fresh, report);
             let mut resumed = PairedSystem::from_snapshot(snap, &mut scratch);
             arm(&mut resumed, &plan);
             let report = resumed.run(budget - snap.instrs());
-            prop_assert_eq!(outcome(resumed, report), expected,
+            prop_assert_eq!(outcome(resumed, report), expected.clone(),
                 "{:?} {:?} from {}", site, kind, snap.instrs());
+
+            // Invariant 14: a resumed trial ended at its first error reports
+            // the full run's first error; with none it runs the whole budget.
+            let mut early = PairedSystem::from_snapshot(snap, &mut scratch);
+            arm(&mut early, &plan);
+            early.advance_until_error(budget - snap.instrs());
+            let report = early.finalize();
+            prop_assert_eq!(report.first_error(), first_error.as_ref(),
+                "{:?} {:?} from {}", site, kind, snap.instrs());
+            if first_error.is_none() {
+                prop_assert_eq!(outcome(early, report), expected);
+            }
         }
     }
 }
