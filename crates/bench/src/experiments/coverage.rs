@@ -9,6 +9,7 @@ use paradet_faults::{
 };
 use paradet_stats::{wilson_interval, Table};
 use paradet_workloads::Workload;
+use std::num::NonZeroU32;
 
 /// Formats the 95% Wilson interval on a rate of `successes` in `trials` as
 /// a percentage range.
@@ -32,12 +33,10 @@ fn site_row(t: &mut Table, workload: &str, site: &str, s: &SiteResult) {
 /// which is exactly the determinism contract CI's `campaign-shard` job
 /// enforces.
 fn campaign(cfg: &CampaignConfig) -> CampaignResult {
-    let shards = std::env::var("PARADET_CAMPAIGN_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|&n| n >= 2);
+    let shards = paradet_par::env_setting::<NonZeroU32>("PARADET_CAMPAIGN_SHARDS")
+        .map_or(1, NonZeroU32::get);
     match shards {
-        Some(n) => {
+        n @ 2.. => {
             let dir = std::env::temp_dir().join(format!(
                 "paradet-bench-shards-{}-{}",
                 std::process::id(),
@@ -49,7 +48,7 @@ fn campaign(cfg: &CampaignConfig) -> CampaignResult {
             let _ = std::fs::remove_dir_all(&dir);
             result
         }
-        None => run_campaign(cfg),
+        _ => run_campaign(cfg),
     }
 }
 

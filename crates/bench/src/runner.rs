@@ -9,6 +9,7 @@ use paradet_core::{run_unchecked_shared, DomainSet, PairedSystem, RunReport, Sys
 use paradet_isa::Program;
 use paradet_workloads::Workload;
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -16,9 +17,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// `PARADET_INSTRS` environment variable.
 pub const DEFAULT_INSTRS: u64 = 150_000;
 
-/// Reads the per-run instruction budget.
-pub fn instr_budget() -> u64 {
-    std::env::var("PARADET_INSTRS").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_INSTRS)
+/// The per-run instruction budget: `PARADET_INSTRS`, or `default` when it
+/// is unset.
+///
+/// # Panics
+///
+/// When `PARADET_INSTRS` is set to anything but a positive integer.
+pub fn instr_budget(default: u64) -> u64 {
+    paradet_par::env_setting::<NonZeroU64>("PARADET_INSTRS").map_or(default, NonZeroU64::get)
 }
 
 /// Where experiment CSVs are written (`EXPERIMENTS-data/` at the workspace
@@ -48,7 +54,7 @@ pub struct Runner {
 impl Runner {
     /// Creates a runner with the environment-configured budget.
     pub fn new() -> Runner {
-        Runner::with_instrs(instr_budget())
+        Runner::with_instrs(instr_budget(DEFAULT_INSTRS))
     }
 
     /// Creates a runner with an explicit budget.

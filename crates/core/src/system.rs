@@ -68,19 +68,6 @@ impl RunReport {
     pub fn ipc(&self) -> f64 {
         self.core.ipc()
     }
-
-    /// [`CoreStats::cycles_skipped`] as a percentage of the main core's
-    /// commit-timeline cycles: the cycles the core crossed in a quiescent
-    /// dispatch jump or a log-full commit jump. 0 on the exhaustive path
-    /// (`SystemConfig::with_event_skip(false)`), which crosses the same
-    /// stalls but accounts nothing.
-    pub fn cycles_skipped_pct(&self) -> f64 {
-        if self.main_cycles == 0 {
-            0.0
-        } else {
-            100.0 * self.core.cycles_skipped as f64 / self.main_cycles as f64
-        }
-    }
 }
 
 /// A paired system frozen between two blocks (see

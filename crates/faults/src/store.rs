@@ -32,7 +32,7 @@
 //! `(seed, script)` pair.
 //!
 //! The workspace is deliberately dependency-free (no serde); the JSON here
-//! is hand-rendered and hand-scanned, like `BENCH_speed.json`.
+//! is hand-rendered and hand-scanned.
 
 use crate::campaign::{CampaignConfig, FaultSite, Outcome};
 use crate::shard::ShardSpec;
@@ -935,7 +935,7 @@ fn json_unescape(s: &str) -> String {
 }
 
 /// Scans `"key": "value"` out of our own JSON (not a general parser — the
-/// format is ours, as with `BENCH_speed.json`).
+/// format is ours).
 fn str_field(json: &str, key: &str) -> Option<String> {
     let tag = format!("\"{key}\": \"");
     let at = json.find(&tag)? + tag.len();

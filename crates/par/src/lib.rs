@@ -8,6 +8,9 @@
 //! persistent ticketed worker pool ([`Farm`]) for streams of owned jobs
 //! (the decoupled checker farm), and a thread-count policy
 //! ([`num_threads`]) driven by the `PARADET_THREADS` environment variable.
+//! It also holds [`env_setting`], the one reader of the workspace's numeric
+//! environment settings (`PARADET_THREADS`, `PARADET_INSTRS`,
+//! `PARADET_TRIALS`, `PARADET_CAMPAIGN_SHARDS`).
 //!
 //! # Determinism
 //!
@@ -24,7 +27,7 @@
 //!
 //! 1. a scoped programmatic override installed by [`with_threads`]
 //!    (used by the determinism test-suite; it nests and restores),
-//! 2. the `PARADET_THREADS` environment variable (clamped to ≥ 1),
+//! 2. the `PARADET_THREADS` environment variable (a positive integer),
 //! 3. [`std::thread::available_parallelism`].
 
 #![warn(missing_docs)]
@@ -35,6 +38,9 @@ mod farm;
 pub use farm::{Farm, Ticket};
 
 use std::cell::Cell;
+use std::fmt::Display;
+use std::num::NonZeroUsize;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 thread_local! {
@@ -63,6 +69,10 @@ fn enter_worker() {
 ///
 /// Resolution order: [`with_threads`] override, then `PARADET_THREADS`,
 /// then [`std::thread::available_parallelism`]; always at least 1.
+///
+/// # Panics
+///
+/// When `PARADET_THREADS` is set to anything but a positive integer.
 pub fn num_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(|o| o.get()) {
         return n.max(1);
@@ -74,12 +84,35 @@ pub fn num_threads() -> usize {
     // override above instead).
     static RESOLVED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *RESOLVED.get_or_init(|| {
-        if let Some(n) = std::env::var("PARADET_THREADS").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            return n.max(1);
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        env_setting::<NonZeroUsize>("PARADET_THREADS")
+            .or_else(|| std::thread::available_parallelism().ok())
+            .map_or(1, NonZeroUsize::get)
     })
+}
+
+/// Parses `value`, the value of the environment variable `name`, as a `T`;
+/// the error names both.
+fn parse_setting<T: FromStr>(name: &str, value: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value.parse().map_err(|e| format!("{name}={value}: {e}"))
+}
+
+/// Reads the environment variable `name` as a `T`; `None` when it is unset.
+/// A `NonZero*` type rejects zero.
+///
+/// # Panics
+///
+/// When the variable is set but does not parse as a `T`, with a message
+/// naming the variable and its value: a typo stops the run instead of
+/// silently running a default.
+pub fn env_setting<T: FromStr>(name: &str) -> Option<T>
+where
+    T::Err: Display,
+{
+    let value = std::env::var_os(name)?;
+    Some(parse_setting(name, &value.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// Runs `f` with [`num_threads`] forced to `n` on the current thread.
@@ -278,6 +311,26 @@ unsafe impl<R: Send> Sync for SendSlots<R> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroU64;
+
+    #[test]
+    fn settings_parse_or_name_the_variable_and_value() {
+        assert_eq!(parse_setting::<NonZeroU64>("PARADET_INSTRS", "3000").unwrap().get(), 3000);
+        assert_eq!(parse_setting::<u32>("PARADET_CAMPAIGN_SHARDS", "2"), Ok(2));
+        for (name, bad) in [
+            ("PARADET_INSTRS", "3k"),
+            ("PARADET_INSTRS", "0"),
+            ("PARADET_INSTRS", ""),
+            ("PARADET_INSTRS", " 3000"),
+            ("PARADET_THREADS", "two"),
+            ("PARADET_THREADS", "-1"),
+            ("PARADET_TRIALS", "1.5"),
+        ] {
+            let err = parse_setting::<NonZeroU64>(name, bad).unwrap_err();
+            assert!(err.starts_with(&format!("{name}={bad}: ")), "{err}");
+        }
+        assert!(parse_setting::<NonZeroU64>("PARADET_INSTRS", "0").unwrap_err().contains("zero"));
+    }
 
     #[test]
     fn par_map_preserves_order() {

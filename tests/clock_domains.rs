@@ -121,7 +121,7 @@ fn assert_sweep_identity(base: SystemConfig, program: &Arc<Program>, max_instrs:
 
 #[test]
 fn one_run_sweep_matches_dedicated_runs_per_workload() {
-    for w in [Workload::Bitcount, Workload::Stream, Workload::Randacc] {
+    for w in [Workload::Bitcount, Workload::Stream, Workload::Randacc, Workload::Swaptions] {
         let program = Arc::new(w.build(w.iters_for_instrs(3_000)));
         assert_sweep_identity(SystemConfig::paper_default(), &program, 3_000);
     }

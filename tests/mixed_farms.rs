@@ -87,14 +87,15 @@ fn uniform_round_robin_reproduces_the_fixed_ring() {
 /// random kernels).
 #[test]
 fn mixed_farm_policies_are_width_invariant_on_workloads() {
-    let w = Workload::Freqmine;
-    let program = Arc::new(w.build(w.iters_for_instrs(3_000)));
     let base = SystemConfig::paper_default().with_farm(FarmSpec::striped(&[2000, 1000, 250]));
-    for &policy in SchedPolicyKind::ALL.iter() {
-        let cfg = base.with_sched_policy(policy);
-        let serial = with_threads(1, || run_fingerprint(cfg, &program, 3_000));
-        let pooled = with_threads(4, || run_fingerprint(cfg, &program, 3_000));
-        assert_eq!(serial, pooled, "{policy:?} changed results with farm width");
+    for w in [Workload::Freqmine, Workload::Swaptions] {
+        let program = Arc::new(w.build(w.iters_for_instrs(3_000)));
+        for &policy in SchedPolicyKind::ALL.iter() {
+            let cfg = base.with_sched_policy(policy);
+            let serial = with_threads(1, || run_fingerprint(cfg, &program, 3_000));
+            let pooled = with_threads(4, || run_fingerprint(cfg, &program, 3_000));
+            assert_eq!(serial, pooled, "{}: {policy:?} changed results with farm width", w.name());
+        }
     }
 }
 

@@ -161,7 +161,9 @@ fn farm_sweep_config() -> SystemConfig {
     cfg
 }
 
-/// Farm width (serial fast path vs 8 pooled workers) is invisible.
+/// Farm width (serial fast path vs 8 pooled workers) is invisible: on a
+/// seal-heavy geometry, and on every workload at the paper's Table I
+/// configuration, skipped cycles included.
 #[test]
 fn farm_width_is_invisible_on_workload() {
     let w = paradet::workloads::Workload::Stream;
@@ -170,6 +172,13 @@ fn farm_width_is_invisible_on_workload() {
     let serial = with_threads(1, || run_fingerprint(cfg, &program, None, None, 5_000).0);
     let pooled = with_threads(8, || run_fingerprint(cfg, &program, None, None, 5_000).0);
     assert_eq!(serial, pooled, "farm width changed simulated results");
+    for w in paradet::workloads::Workload::all() {
+        let program = Arc::new(w.build(w.iters_for_instrs(3_000)));
+        let cfg = SystemConfig::paper_default();
+        let serial = with_threads(1, || run_fingerprint(cfg, &program, None, None, 3_000));
+        let pooled = with_threads(8, || run_fingerprint(cfg, &program, None, None, 3_000));
+        assert_eq!(serial, pooled, "{}: farm width changed simulated results", w.name());
+    }
 }
 
 /// An erroring segment (over-detection log fault) joins with identical
