@@ -410,11 +410,8 @@ pub struct Detector {
 
 /// Folds one secondary clock domain's timing for a finished replay — the
 /// per-domain half of a lazy-join point. The shared L2/DRAM is read
-/// strictly through the observe path (note the `&MemHier`), so folds of
-/// different domains are independent of each other and of the primary run:
-/// that independence is what lets `Detector::fold_next_pending` fan the
-/// domain set out over `paradet_par` workers, with in-place mutation
-/// keeping results in domain-set order by construction.
+/// strictly through the observe path (note the `&MemHier`), so a domain's
+/// fold mutates only that domain's own state and never the primary run's.
 #[allow(clippy::too_many_arguments)]
 fn fold_domain(
     d: &mut DomainState,
@@ -1004,58 +1001,13 @@ impl Detector {
             }
         }
         // Secondary clock domains fold the same replay trace, in set order,
-        // against their own checker cores and cache paths. Their I-fetch
-        // misses share L2/DRAM with the primary's, observe-only — exact
+        // against their own checker cores and cache paths, on this thread
+        // after the primary fold. Their I-fetch misses share L2/DRAM with
+        // the primary's, observe-only (the `&*hier` reborrow) — exact
         // whenever checker fetches resolve in the private L0/L1I or hit L2
         // at its constant hit latency.
-        //
-        // The folds are independent across domains (each owns its checker
-        // cores and cache path; the shared L2/DRAM is only *observed*, by
-        // the `&*hier` reborrow below), so fan them out over `paradet_par`
-        // workers at this join point — serial inside an already-parallel
-        // region (campaign trials), at one thread, and for short segments
-        // (scoped-thread spawn costs tens of microseconds per join, which
-        // only amortizes when each fold walks a substantial trace), where
-        // the in-place loop is also the reference ordering the parallel
-        // path reproduces bit for bit (see `domain_folds_parallel_identity`
-        // in `tests/parallel_determinism.rs`).
-        {
-            /// Smallest replayed-instruction count per segment for which the
-            /// per-join thread spawn is worth paying.
-            const PAR_FOLD_MIN_INSTRS: u64 = 256;
-            let hier_ro: &MemHier = hier;
-            let outcome = &replay;
-            if domains.len() > 1
-                && outcome.instrs >= PAR_FOLD_MIN_INSTRS
-                && !paradet_par::in_worker()
-                && paradet_par::num_threads() > 1
-            {
-                paradet_par::par_for_each_mut(domains, |_, d| {
-                    fold_domain(
-                        d,
-                        p.slot,
-                        p.ready_at,
-                        p.seal_seq,
-                        p.base_instr,
-                        outcome,
-                        log,
-                        hier_ro,
-                    );
-                });
-            } else {
-                for d in domains.iter_mut() {
-                    fold_domain(
-                        d,
-                        p.slot,
-                        p.ready_at,
-                        p.seal_seq,
-                        p.base_instr,
-                        outcome,
-                        log,
-                        hier_ro,
-                    );
-                }
-            }
+        for d in domains.iter_mut() {
+            fold_domain(d, p.slot, p.ready_at, p.seal_seq, p.base_instr, &replay, log, &*hier);
         }
         // The segment's storage frees when its check finishes; the entry
         // buffer comes home for the segment's next tour of the ring, unless

@@ -2,12 +2,12 @@
 //!
 //! The build environment has no crates.io access, so this crate vendors the
 //! small slice of rayon-style functionality the experiment pipeline needs,
-//! in the spirit of the `shims/` crates: [`scope`] (a thin wrapper over
-//! [`std::thread::scope`]), [`par_map`] / [`par_map_chunked`] /
-//! [`par_map_init`] (order-preserving parallel maps over a slice), a
-//! persistent ticketed worker pool ([`Farm`]) for streams of owned jobs
-//! (the decoupled checker farm), and a thread-count policy
-//! ([`num_threads`]) driven by the `PARADET_THREADS` environment variable.
+//! in the spirit of the `shims/` crates: [`par_map_chunked`] /
+//! [`par_map_init_chunked`] (order-preserving parallel maps over a slice,
+//! for campaign trials and experiment grids), a persistent ticketed worker
+//! pool ([`Farm`]) for streams of owned jobs (the decoupled checker farm),
+//! and a thread-count policy ([`num_threads`]) driven by the
+//! `PARADET_THREADS` environment variable.
 //! It also holds [`env_setting`], the one reader of the workspace's numeric
 //! environment settings (`PARADET_THREADS`, `PARADET_INSTRS`,
 //! `PARADET_TRIALS`, `PARADET_CAMPAIGN_SHARDS`).
@@ -78,8 +78,8 @@ pub fn num_threads() -> usize {
         return n.max(1);
     }
     // Resolved once per process: `available_parallelism` re-reads cgroup and
-    // procfs files on every call, and this function sits on per-seal fold
-    // joins in the simulation hot path. Nothing in the workspace mutates
+    // procfs files on every call, and the detector asks for the checker
+    // farm's width at every seal's dispatch. Nothing in the workspace mutates
     // `PARADET_THREADS` after startup (the test-suite uses the scoped
     // override above instead).
     static RESOLVED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
@@ -131,33 +131,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// A thin wrapper over [`std::thread::scope`], re-exported so callers that
-/// need irregular fork-join shapes (not a map over a slice) depend only on
-/// this crate's API.
-pub fn scope<'env, F, T>(f: F) -> T
-where
-    F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> T,
-{
-    std::thread::scope(f)
-}
-
-/// Order-preserving parallel map: `f(index, &item)` for every item, with
-/// results returned in input order.
-///
-/// Equivalent to [`par_map_chunked`] with an automatically chosen claim
-/// granularity (about four claims per worker, to balance load against
-/// atomic traffic).
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = num_threads();
-    let chunk = (items.len() / (workers * 4).max(1)).max(1);
-    par_map_chunked(chunk, items, f)
-}
-
 /// Order-preserving parallel map with an explicit claim granularity:
 /// workers claim `chunk` consecutive items at a time from a shared atomic
 /// cursor (work stealing by over-decomposition).
@@ -174,72 +147,14 @@ where
     par_map_init_chunked(chunk, items, || (), |(), i, t| f(i, t))
 }
 
-/// Order-preserving parallel map with per-worker scratch state: `init()`
-/// runs once on each worker thread, and its result is threaded through every
+/// Order-preserving parallel map with per-worker scratch state and an
+/// explicit claim granularity (see [`par_map_chunked`]): `init()` runs
+/// once on each worker thread, and its result is threaded through every
 /// call that worker makes.
 ///
 /// This is the allocation-recycling hook: a worker's scratch (e.g. pooled
 /// log-segment buffers) is reused across all items it processes instead of
 /// being reallocated per item.
-pub fn par_map_init<T, R, S, F, I>(items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let workers = num_threads();
-    let chunk = (items.len() / (workers * 4).max(1)).max(1);
-    par_map_init_chunked(chunk, items, init, f)
-}
-
-/// Order-preserving parallel mutation: runs `f(index, &mut item)` exactly
-/// once for every item, in place. Items keep their slice positions, so
-/// set-ordered results (e.g. per-domain fold outputs) stay in set order by
-/// construction.
-///
-/// Work is split into one contiguous block per worker (no work stealing):
-/// the intended use is a handful of same-cost items — the per-domain
-/// timing folds at a checker-farm join point — where claim traffic would
-/// cost more than it balances. Serial (no threads spawned) when
-/// [`num_threads`] is 1 or there is at most one item; panics propagate.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let workers = num_threads().min(items.len()).max(1);
-    if workers == 1 {
-        for (i, t) in items.iter_mut().enumerate() {
-            f(i, t);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(ci, block)| {
-                let f = &f;
-                s.spawn(move || {
-                    enter_worker();
-                    for (j, t) in block.iter_mut().enumerate() {
-                        f(ci * chunk + j, t);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            // Propagate worker panics to the caller.
-            if let Err(p) = h.join() {
-                std::panic::resume_unwind(p);
-            }
-        }
-    });
-}
-
-/// [`par_map_init`] with an explicit claim granularity.
 pub fn par_map_init_chunked<T, R, S, F, I>(chunk: usize, items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
@@ -335,7 +250,7 @@ mod tests {
     #[test]
     fn par_map_preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let got = with_threads(8, || par_map(&items, |i, &x| (i as u64) * 1000 + x * x));
+        let got = with_threads(8, || par_map_chunked(1, &items, |i, &x| (i as u64) * 1000 + x * x));
         let want: Vec<u64> =
             items.iter().enumerate().map(|(i, &x)| i as u64 * 1000 + x * x).collect();
         assert_eq!(got, want);
@@ -345,17 +260,17 @@ mod tests {
     fn thread_counts_agree_bitwise() {
         let items: Vec<u64> = (0..257).collect();
         let f = |i: usize, x: &u64| i as u64 ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let serial = with_threads(1, || par_map(&items, f));
+        let serial = with_threads(1, || par_map_chunked(1, &items, f));
         for n in [2, 3, 8, 33] {
-            assert_eq!(with_threads(n, || par_map(&items, f)), serial, "n={n}");
+            assert_eq!(with_threads(n, || par_map_chunked(1, &items, f)), serial, "n={n}");
         }
     }
 
     #[test]
     fn empty_and_single_item() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, |_, &x| x).is_empty());
-        assert_eq!(with_threads(8, || par_map(&[7u32], |i, &x| (i, x))), vec![(0, 7)]);
+        assert!(par_map_chunked(1, &empty, |_, &x| x).is_empty());
+        assert_eq!(with_threads(8, || par_map_chunked(1, &[7u32], |i, &x| (i, x))), vec![(0, 7)]);
     }
 
     #[test]
@@ -373,7 +288,8 @@ mod tests {
         let inits = AtomicUsize::new(0);
         let items: Vec<u32> = (0..64).collect();
         let got = with_threads(4, || {
-            par_map_init(
+            par_map_init_chunked(
+                1,
                 &items,
                 || {
                     inits.fetch_add(1, Ordering::Relaxed);
@@ -390,46 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_mut_visits_every_item_in_place() {
-        let mut items: Vec<u64> = (0..23).collect();
-        with_threads(4, || {
-            par_for_each_mut(&mut items, |i, x| *x = *x * 10 + i as u64);
-        });
-        let want: Vec<u64> = (0..23).map(|x| x * 10 + x).collect();
-        assert_eq!(items, want);
-    }
-
-    #[test]
-    fn par_for_each_mut_thread_counts_agree() {
-        let run = |n: usize| {
-            let mut items: Vec<u64> = (0..57).collect();
-            with_threads(n, || {
-                par_for_each_mut(&mut items, |i, x| {
-                    *x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i as u64;
-                });
-            });
-            items
-        };
-        let serial = run(1);
-        for n in [2, 3, 8] {
-            assert_eq!(run(n), serial, "n={n}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "fold boom")]
-    fn par_for_each_mut_panic_propagates() {
-        let mut items: Vec<u32> = (0..8).collect();
-        with_threads(4, || {
-            par_for_each_mut(&mut items, |_, x| {
-                if *x == 5 {
-                    panic!("fold boom");
-                }
-            });
-        });
-    }
-
-    #[test]
     fn with_threads_nests_and_restores() {
         assert_eq!(with_threads(3, num_threads), 3);
         with_threads(2, || {
@@ -440,24 +316,11 @@ mod tests {
     }
 
     #[test]
-    fn scope_joins_workers() {
-        let total = AtomicUsize::new(0);
-        scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    total.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         let items: Vec<u32> = (0..16).collect();
         with_threads(4, || {
-            par_map(&items, |_, &x| {
+            par_map_chunked(1, &items, |_, &x| {
                 if x == 9 {
                     panic!("boom");
                 }

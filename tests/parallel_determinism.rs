@@ -295,10 +295,10 @@ fn event_skip_matches_tick_with_clock_domains() {
     assert_eq!(skip, tick, "skip diverged from tick on a clock-domain run");
 }
 
-/// The parallel domain folds (`paradet_par::par_for_each_mut` at each join
-/// point) are bit-identical to the serial in-place loop: same per-domain
-/// rows at 1 and 4 workers. This is the thread-invariance contract of the
-/// "parallel domain folds" ROADMAP item.
+/// A run with four secondary clock domains is bit-identical at 1 and 4
+/// checker-farm workers: same per-domain rows, whichever worker replayed
+/// each segment. The domains fold serially on the simulation thread, so
+/// the farm's width must not reach them.
 #[test]
 fn domain_folds_parallel_identity() {
     use paradet::detect::DomainSet;
