@@ -82,8 +82,8 @@ impl DclsSystem {
     /// copy of the program (a single clone, not one per core).
     pub fn new(cfg: OooConfig, program: &Program) -> DclsSystem {
         let mem_cfg = MemConfig::paper_default(cfg.clock, cfg.clock);
-        let mut hier_a = MemHier::new(&mem_cfg, 0);
-        let mut hier_b = MemHier::new(&mem_cfg, 0);
+        let mut hier_a = MemHier::new(&mem_cfg);
+        let mut hier_b = MemHier::new(&mem_cfg);
         hier_a.data.load_image(program);
         hier_b.data.load_image(program);
         let program = std::sync::Arc::new(program.clone());

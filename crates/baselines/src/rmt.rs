@@ -28,7 +28,7 @@ pub struct RmtReport {
 /// Runs `program` with micro-op duplication enabled.
 pub fn run_rmt(cfg: OooConfig, program: &Program, max_instrs: u64) -> RmtReport {
     let cfg = OooConfig { rmt_duplicate: true, ..cfg };
-    let mut hier = MemHier::new(&MemConfig::paper_default(cfg.clock, cfg.clock), 0);
+    let mut hier = MemHier::new(&MemConfig::paper_default(cfg.clock, cfg.clock));
     hier.data.load_image(program);
     let mut core = OooCore::new(cfg, program);
     core.run(&mut hier, &mut NullSink, max_instrs);

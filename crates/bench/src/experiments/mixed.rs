@@ -1,6 +1,6 @@
 //! The mixed-speed checker-farm experiment: detection-latency
 //! distributions by scheduling policy (the MEEK/FlexStep regime — see
-//! `paradet_checker::SchedulePolicy`).
+//! `paradet_checker::SchedPolicyKind`).
 
 use super::par_grid;
 use crate::runner::{out_dir, Runner};

@@ -4,16 +4,15 @@
 //! expensive, purely functional phase (crack, architectural step, log
 //! comparison) that any worker thread can run, and
 //! [`CheckerCore::fold_timing`] is the cheap timing phase that consumes the
-//! replay's [`ReplayTrace`] against the shared [`MemHier`] and this core's
-//! `free_at` on the simulation thread. [`CheckerCore::run_segment`] chains
-//! the two for callers that want the classic one-call interface.
+//! replay's [`ReplayTrace`] against an I-fetch hook and this core's
+//! `free_at` on the simulation thread.
 
 use crate::replay::{CheckError, CheckOutcome, ReplayError, ReplaySource};
 use crate::trace::ReplayTrace;
 use paradet_isa::{
     ArchState, Instruction, MemWidth, MemoryIface, Program, UopClass, N_UOP_CLASSES,
 };
-use paradet_mem::{Freq, MemHier, Time};
+use paradet_mem::{Freq, Time};
 
 /// Functional-unit latencies of the checker pipeline, in checker cycles.
 ///
@@ -166,8 +165,6 @@ pub struct SegmentTask<'a> {
     /// Number of macro-instructions the main core committed in this segment
     /// — the checker's replay bound (§IV-J: it must never run past this).
     pub instr_count: u64,
-    /// Time at which the segment (and its end checkpoint) became available.
-    pub ready_at: Time,
 }
 
 /// An in-order checker core.
@@ -181,8 +178,8 @@ pub struct CheckerCore {
 }
 
 impl CheckerCore {
-    /// Creates checker core `id` (the index selects its L0 I-cache in the
-    /// shared [`MemHier`]).
+    /// Creates checker core `id` (the `core` its I-fetches name: the index
+    /// of its L0 I-cache on its checker-cache path).
     pub fn new(id: usize, cfg: CheckerConfig) -> CheckerCore {
         CheckerCore { id, cfg, free_at: Time::ZERO, stats: CheckerStats::default() }
     }
@@ -192,44 +189,26 @@ impl CheckerCore {
         &self.cfg
     }
 
-    /// Folds a finished replay's timing trace through the shared memory
-    /// hierarchy and this core's availability, in seal order: pipeline fill,
-    /// per-line I-fetches, in-order micro-op issue against the scoreboard,
-    /// and the end-of-segment register comparison.
+    /// Folds a finished replay's timing trace through an I-fetch hook and
+    /// this core's availability, in seal order: pipeline fill, per-line
+    /// I-fetches, in-order micro-op issue against the scoreboard, and the
+    /// end-of-segment register comparison.
+    ///
+    /// `ifetch(core, line, cycle, period_fs)` returns the cycle at which
+    /// the line is ready. The detector routes it through the checker-cache
+    /// path of the fold's clock (see `paradet_mem::CheckerPath`): one
+    /// shared [`ReplayTrace`](crate::ReplayTrace) can be folded once per
+    /// [`ClockDomain`](crate::ClockDomain), while everything else about the
+    /// fold — scoreboard, latency classes, pipeline fill — comes from this
+    /// core's own [`CheckerConfig`].
     ///
     /// `on_check(entry_index, check_time)` fires for every log entry that
     /// passed its check, in consumption order — the hook detection-delay
     /// accounting hangs off.
     ///
     /// Returns the verdict paired with the finish time; updates `free_at`
-    /// and the running statistics exactly as the eager one-call path did.
+    /// and the running statistics.
     pub fn fold_timing(
-        &mut self,
-        ready_at: Time,
-        replay: &ReplayOutcome,
-        hier: &mut MemHier,
-        on_check: impl FnMut(usize, Time),
-    ) -> CheckOutcome {
-        self.fold_timing_with(
-            ready_at,
-            replay,
-            |core, line, cycle, period| hier.checker_ifetch_cycle(core, line, cycle, period),
-            on_check,
-        )
-    }
-
-    /// [`fold_timing`](CheckerCore::fold_timing) with an explicit I-fetch
-    /// hook instead of a [`MemHier`]: `ifetch(core, line, cycle, period_fs)`
-    /// returns the cycle at which the line is ready.
-    ///
-    /// This is the multi-domain fold entry point: one shared
-    /// [`ReplayTrace`](crate::ReplayTrace) can be folded once per
-    /// [`ClockDomain`](crate::ClockDomain), each fold routing its I-fetches
-    /// through that domain's own checker-cache path (see
-    /// `paradet_mem::CheckerPath`) while everything else about the fold —
-    /// scoreboard, latency classes, pipeline fill — comes from this core's
-    /// own [`CheckerConfig`].
-    pub fn fold_timing_with(
         &mut self,
         ready_at: Time,
         replay: &ReplayOutcome,
@@ -282,25 +261,6 @@ impl CheckerCore {
         self.stats.busy_fs += finish_time.saturating_sub(start_time).as_fs();
         self.free_at = finish_time;
         CheckOutcome { finish_time, result: replay.result.clone(), instrs_replayed: replay.instrs }
-    }
-
-    /// Replays and checks one segment to completion, returning the verdict
-    /// and finish time. The core is busy until
-    /// [`finish_time`](CheckOutcome::finish_time).
-    ///
-    /// One-call convenience over the two-phase interface: a fresh
-    /// [`replay_segment`] immediately folded by
-    /// [`fold_timing`](CheckerCore::fold_timing). The decoupled farm calls
-    /// the phases separately (replay on a worker, fold at the join).
-    pub fn run_segment(
-        &mut self,
-        task: SegmentTask<'_>,
-        source: &mut dyn ReplaySource,
-        hier: &mut MemHier,
-    ) -> CheckOutcome {
-        let mut trace = ReplayTrace::new();
-        let replay = replay_segment(&self.cfg, task, source, &mut trace);
-        self.fold_timing(task.ready_at, &replay, hier, |_, _| {})
     }
 }
 
@@ -450,7 +410,7 @@ fn class_latency_lut(lat: &CheckerLatencies) -> [u64; N_UOP_CLASSES] {
 mod tests {
     use super::*;
     use paradet_isa::{AluOp, FlatMemory, NoNondet, ProgramBuilder, Reg};
-    use paradet_mem::MemConfig;
+    use paradet_mem::{CheckerPath, MemConfig, MemHier};
 
     /// A reference replay source backed by a vector of (is_store, addr,
     /// value) entries plus optional nondet values, as the golden model
@@ -563,23 +523,43 @@ mod tests {
         b
     }
 
-    fn mk_hier(n: usize) -> MemHier {
-        MemHier::new(&MemConfig::paper_default(Freq::from_mhz(3200), Freq::from_mhz(1000)), n)
+    /// The memory side of a one-class farm: the shared hierarchy and a
+    /// cold checker-cache path with `n` L0 caches at 1 GHz.
+    struct Mem {
+        hier: MemHier,
+        path: CheckerPath,
+    }
+
+    fn mk_mem(n: usize) -> Mem {
+        let cfg = MemConfig::paper_default(Freq::from_mhz(3200), Freq::from_mhz(1000));
+        Mem { hier: MemHier::new(&cfg), path: CheckerPath::new(&cfg, n) }
+    }
+
+    /// Replays one segment and folds its timing through `mem`'s checker
+    /// path: the detector's two phases, back to back.
+    fn run_segment(
+        core: &mut CheckerCore,
+        task: SegmentTask<'_>,
+        source: &mut dyn ReplaySource,
+        mem: &mut Mem,
+    ) -> CheckOutcome {
+        let replay = replay_segment(core.config(), task, source, &mut ReplayTrace::new());
+        let Mem { hier, path } = mem;
+        core.fold_timing(
+            Time::ZERO,
+            &replay,
+            |c, line, cycle, period| hier.checker_ifetch_cycle_on(path, c, line, cycle, period),
+            |_, _| {},
+        )
     }
 
     #[test]
     fn clean_segment_verifies() {
         let (program, start, end, count, mut src) = golden_segment(test_program());
-        let mut hier = mk_hier(1);
+        let mut mem = mk_mem(1);
         let mut core = CheckerCore::new(0, CheckerConfig::default());
-        let task = SegmentTask {
-            program: &program,
-            start: &start,
-            end: &end,
-            instr_count: count,
-            ready_at: Time::ZERO,
-        };
-        let out = core.run_segment(task, &mut src, &mut hier);
+        let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };
+        let out = run_segment(&mut core, task, &mut src, &mut mem);
         assert_eq!(out.result, Ok(()));
         assert_eq!(out.instrs_replayed, count);
         assert!(out.finish_time > Time::ZERO);
@@ -596,16 +576,10 @@ mod tests {
         // wrongly).
         let idx = src.entries.iter().position(|e| e.0 == 1).unwrap();
         src.entries[idx].2 ^= 0x10;
-        let mut hier = mk_hier(1);
+        let mut mem = mk_mem(1);
         let mut core = CheckerCore::new(0, CheckerConfig::default());
-        let task = SegmentTask {
-            program: &program,
-            start: &start,
-            end: &end,
-            instr_count: count,
-            ready_at: Time::ZERO,
-        };
-        let out = core.run_segment(task, &mut src, &mut hier);
+        let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };
+        let out = run_segment(&mut core, task, &mut src, &mut mem);
         assert!(
             matches!(
                 out.result,
@@ -622,16 +596,10 @@ mod tests {
         let (program, start, end, count, mut src) = golden_segment(test_program());
         let idx = src.entries.iter().position(|e| e.0 == 0).unwrap();
         src.entries[idx].1 ^= 0x8;
-        let mut hier = mk_hier(1);
+        let mut mem = mk_mem(1);
         let mut core = CheckerCore::new(0, CheckerConfig::default());
-        let task = SegmentTask {
-            program: &program,
-            start: &start,
-            end: &end,
-            instr_count: count,
-            ready_at: Time::ZERO,
-        };
-        let out = core.run_segment(task, &mut src, &mut hier);
+        let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };
+        let out = run_segment(&mut core, task, &mut src, &mut mem);
         assert!(matches!(
             out.result,
             Err(CheckError::Replay { error: ReplayError::LoadAddrMismatch { .. }, .. })
@@ -642,16 +610,10 @@ mod tests {
     fn corrupted_end_checkpoint_is_detected() {
         let (program, start, mut end, count, mut src) = golden_segment(test_program());
         end.set_x(Reg::X4, end.x(Reg::X4) ^ 1);
-        let mut hier = mk_hier(1);
+        let mut mem = mk_mem(1);
         let mut core = CheckerCore::new(0, CheckerConfig::default());
-        let task = SegmentTask {
-            program: &program,
-            start: &start,
-            end: &end,
-            instr_count: count,
-            ready_at: Time::ZERO,
-        };
-        let out = core.run_segment(task, &mut src, &mut hier);
+        let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };
+        let out = run_segment(&mut core, task, &mut src, &mut mem);
         assert_eq!(out.result, Err(CheckError::RegisterMismatch { reg: "x4".into() }));
     }
 
@@ -662,16 +624,10 @@ mod tests {
         // the address check fires (or the register check at worst).
         let (program, mut start, end, count, mut src) = golden_segment(test_program());
         start.pc += 4;
-        let mut hier = mk_hier(1);
+        let mut mem = mk_mem(1);
         let mut core = CheckerCore::new(0, CheckerConfig::default());
-        let task = SegmentTask {
-            program: &program,
-            start: &start,
-            end: &end,
-            instr_count: count,
-            ready_at: Time::ZERO,
-        };
-        let out = core.run_segment(task, &mut src, &mut hier);
+        let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };
+        let out = run_segment(&mut core, task, &mut src, &mut mem);
         assert!(out.result.is_err());
     }
 
@@ -679,16 +635,10 @@ mod tests {
     fn leftover_entries_are_detected() {
         let (program, start, end, count, mut src) = golden_segment(test_program());
         src.entries.push((0, 0xdead, 0));
-        let mut hier = mk_hier(1);
+        let mut mem = mk_mem(1);
         let mut core = CheckerCore::new(0, CheckerConfig::default());
-        let task = SegmentTask {
-            program: &program,
-            start: &start,
-            end: &end,
-            instr_count: count,
-            ready_at: Time::ZERO,
-        };
-        let out = core.run_segment(task, &mut src, &mut hier);
+        let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };
+        let out = run_segment(&mut core, task, &mut src, &mut mem);
         assert!(matches!(
             out.result,
             Err(CheckError::Divergence) | Err(CheckError::EntriesLeftOver)
@@ -699,18 +649,12 @@ mod tests {
     fn slower_clock_takes_longer() {
         let (program, start, end, count, mut src1) = golden_segment(test_program());
         let mut src2 = VecSource { entries: src1.entries.clone(), pos: 0, check_times: Vec::new() };
-        let mut hier = mk_hier(2);
+        let mut mem = mk_mem(2);
         let mut fast = CheckerCore::new(0, CheckerConfig::paper_default(Freq::from_mhz(2000)));
         let mut slow = CheckerCore::new(1, CheckerConfig::paper_default(Freq::from_mhz(250)));
-        let task = SegmentTask {
-            program: &program,
-            start: &start,
-            end: &end,
-            instr_count: count,
-            ready_at: Time::ZERO,
-        };
-        let f = fast.run_segment(task, &mut src1, &mut hier);
-        let s = slow.run_segment(task, &mut src2, &mut hier);
+        let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };
+        let f = run_segment(&mut fast, task, &mut src1, &mut mem);
+        let s = run_segment(&mut slow, task, &mut src2, &mut mem);
         assert_eq!(f.result, Ok(()));
         assert_eq!(s.result, Ok(()));
         assert!(
@@ -725,18 +669,12 @@ mod tests {
     fn core_stays_busy_between_segments() {
         let (program, start, end, count, mut src1) = golden_segment(test_program());
         let mut src2 = VecSource { entries: src1.entries.clone(), pos: 0, check_times: Vec::new() };
-        let mut hier = mk_hier(1);
+        let mut mem = mk_mem(1);
         let mut core = CheckerCore::new(0, CheckerConfig::default());
-        let task = SegmentTask {
-            program: &program,
-            start: &start,
-            end: &end,
-            instr_count: count,
-            ready_at: Time::ZERO,
-        };
-        let first = core.run_segment(task, &mut src1, &mut hier);
+        let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };
+        let first = run_segment(&mut core, task, &mut src1, &mut mem);
         // Second segment "ready" at time zero, but the core is busy.
-        let second = core.run_segment(task, &mut src2, &mut hier);
+        let second = run_segment(&mut core, task, &mut src2, &mut mem);
         assert!(second.finish_time > first.finish_time);
         assert_eq!(core.stats.segments, 2);
     }
@@ -754,16 +692,10 @@ mod tests {
         src.entries[idx].2 = 41;
         end.set_x(Reg::X1, 41);
         end.set_x(Reg::X2, 42);
-        let mut hier = mk_hier(1);
+        let mut mem = mk_mem(1);
         let mut core = CheckerCore::new(0, CheckerConfig::default());
-        let task = SegmentTask {
-            program: &program,
-            start: &start,
-            end: &end,
-            instr_count: count,
-            ready_at: Time::ZERO,
-        };
-        let out = core.run_segment(task, &mut src, &mut hier);
+        let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };
+        let out = run_segment(&mut core, task, &mut src, &mut mem);
         assert_eq!(out.result, Ok(()), "nondet value must come from the log");
     }
 }

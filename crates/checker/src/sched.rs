@@ -12,7 +12,7 @@
 //!   secondary domain re-clocks the *whole farm* uniformly for a
 //!   one-run sweep, while a `FarmSpec` makes the primary farm itself
 //!   heterogeneous.
-//! * [`SchedulePolicy`] decides, at each seal, which slot receives the
+//! * [`SchedPolicyKind`] decides, at each seal, which slot receives the
 //!   next segment and how many log entries that slot's segment may hold
 //!   before it seals. The scheduler sees exactly what the modelled
 //!   hardware would: each slot's clock and storage-busy window
@@ -20,15 +20,18 @@
 //!   a pure function of those inputs, so every policy is bit-identical
 //!   at any simulation thread count or farm width.
 //!
-//! [`RoundRobin`] is the uniform-compatible reference: it never reads the
-//! busy windows ([`SchedulePolicy::needs_busy_windows`] is `false`), so
-//! the detector keeps its lazy fold schedule and a uniform farm under
-//! round-robin is bit-identical to the fixed-ring design it replaces
-//! (invariant 11 in ARCHITECTURE.md). [`FastestFirst`] and
-//! [`DeadlineAware`] are dynamic: they pick the fastest free slot
-//! (earliest-release when none is free), and deadline-aware additionally
-//! sizes segments in proportion to slot speed under a fixed total SRAM
-//! budget — FlexStep's "fast checkers take long segments" regime.
+//! [`SchedPolicyKind::RoundRobin`] is the uniform-compatible reference: it
+//! never reads the busy windows
+//! ([`needs_busy_windows`](SchedPolicyKind::needs_busy_windows) is
+//! `false`), so the detector keeps its lazy fold schedule and a uniform
+//! farm under round-robin is bit-identical to the fixed-ring design it
+//! replaces (invariant 11 in ARCHITECTURE.md).
+//! [`FastestFirst`](SchedPolicyKind::FastestFirst) and
+//! [`DeadlineAware`](SchedPolicyKind::DeadlineAware) are dynamic: they
+//! pick the fastest free slot (earliest-release when none is free), and
+//! deadline-aware additionally sizes segments in proportion to slot speed
+//! under a fixed total SRAM budget — FlexStep's "fast checkers take long
+//! segments" regime.
 
 use crate::domain::ClockDomain;
 use paradet_mem::Time;
@@ -45,13 +48,14 @@ pub const MAX_FARM_PATTERN: usize = 16;
 /// Per-slot speed-class assignment for a checker farm.
 ///
 /// The default ([`FarmSpec::uniform`]) is the paper's homogeneous farm:
-/// no classes, every slot runs the system's primary checker
-/// configuration. A mixed farm names up to [`MAX_SPEED_CLASSES`] classes
+/// one speed class, the system's primary checker configuration, run by
+/// every slot. A mixed farm names up to [`MAX_SPEED_CLASSES`] classes
 /// (each a [`ClockDomain`]) and a tiling pattern of class indices;
 /// [`FarmSpec::striped`] is the common case — one class per clock,
 /// striped across slots in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FarmSpec {
+    /// Each class's clock domain; `None` is the primary checker.
     classes: [Option<ClockDomain>; MAX_SPEED_CLASSES],
     n_classes: usize,
     pattern: [u8; MAX_FARM_PATTERN],
@@ -59,15 +63,14 @@ pub struct FarmSpec {
 }
 
 impl FarmSpec {
-    /// The homogeneous farm: every slot runs the primary checker
-    /// configuration. [`class_of_slot`](FarmSpec::class_of_slot) is `None`
-    /// for every slot.
+    /// The homogeneous farm: a single speed class, the system's primary
+    /// checker configuration, which every slot runs.
     pub fn uniform() -> FarmSpec {
         FarmSpec {
             classes: [None; MAX_SPEED_CLASSES],
-            n_classes: 0,
+            n_classes: 1,
             pattern: [0; MAX_FARM_PATTERN],
-            pattern_len: 0,
+            pattern_len: 1,
         }
     }
 
@@ -84,13 +87,11 @@ impl FarmSpec {
             "a farm holds at most {MAX_SPEED_CLASSES} speed classes"
         );
         let mut spec = FarmSpec::uniform();
-        let mut pattern = [0u8; MAX_FARM_PATTERN];
         for (i, &mhz) in clocks.iter().enumerate() {
             spec.classes[i] = Some(ClockDomain::at_mhz(mhz));
-            pattern[i] = i as u8;
+            spec.pattern[i] = i as u8;
         }
         spec.n_classes = clocks.len();
-        spec.pattern = pattern;
         spec.pattern_len = clocks.len();
         spec
     }
@@ -121,37 +122,25 @@ impl FarmSpec {
         self
     }
 
-    /// Whether this is the homogeneous farm (no speed classes).
-    pub fn is_uniform(&self) -> bool {
-        self.n_classes == 0
-    }
-
-    /// Number of speed classes.
+    /// Number of speed classes (1 on a uniform farm).
     pub fn n_classes(&self) -> usize {
         self.n_classes
     }
 
-    /// The speed classes, in index order.
-    pub fn classes(&self) -> impl Iterator<Item = ClockDomain> + '_ {
-        self.classes[..self.n_classes]
-            .iter()
-            .map(|d| d.expect("spec invariant: first n_classes are Some"))
+    /// The [`ClockDomain`] speed class `class` runs, or `None` for a
+    /// uniform farm's class, which runs the system's primary checker
+    /// configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class >= n_classes()`.
+    pub fn class_domain(&self, class: usize) -> Option<ClockDomain> {
+        self.classes[..self.n_classes][class]
     }
 
-    /// The speed-class index slot `slot` belongs to, or `None` on a
-    /// uniform farm.
-    pub fn class_of_slot(&self, slot: usize) -> Option<usize> {
-        if self.n_classes == 0 {
-            None
-        } else {
-            Some(self.pattern[slot % self.pattern_len] as usize)
-        }
-    }
-
-    /// The [`ClockDomain`] slot `slot` runs, or `None` on a uniform farm
-    /// (the slot then runs the system's primary checker configuration).
-    pub fn domain_of_slot(&self, slot: usize) -> Option<ClockDomain> {
-        self.class_of_slot(slot).map(|c| self.classes[c].expect("class indices are in range"))
+    /// The speed-class index slot `slot` belongs to (0 on a uniform farm).
+    pub fn class_of_slot(&self, slot: usize) -> usize {
+        self.pattern[slot % self.pattern_len] as usize
     }
 }
 
@@ -173,7 +162,7 @@ pub struct SlotView {
     pub busy_until: Time,
 }
 
-/// Everything a [`SchedulePolicy`] may consult. Deliberately small and
+/// Everything a scheduling policy may consult. Deliberately small and
 /// fully deterministic: slot views, the previously filled slot, the seal
 /// time, and the capacity bounds.
 #[derive(Debug)]
@@ -195,61 +184,91 @@ pub struct ScheduleCtx<'a> {
 /// A checker-to-segment scheduling policy: at each seal, picks the slot
 /// that receives the next segment and sizes that slot's segment.
 ///
-/// Implementations must be pure functions of the [`ScheduleCtx`] — no
-/// interior mutability, no randomness — so scheduling is a pure function
-/// of (kernel, config, geometry) and results are bit-identical at any
-/// thread or farm width.
-pub trait SchedulePolicy: std::fmt::Debug + Sync {
-    /// Stable policy name (CLI flag value, CSV cell, JSON field).
-    fn name(&self) -> &'static str;
+/// Every policy is a pure function of the [`ScheduleCtx`] — no state, no
+/// randomness — so scheduling is a pure function of (kernel, config,
+/// geometry) and results are bit-identical at any thread or farm width.
+/// `Copy` so it can live in `SystemConfig`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SchedPolicyKind {
+    /// The paper's fixed ring: slot `(prev + 1) mod n`, every segment at
+    /// the even-split capacity. Never reads busy windows, so a uniform
+    /// farm under round-robin is bit-identical to the pre-policy design
+    /// (invariant 11). The default.
+    #[default]
+    RoundRobin,
+    /// Picks the fastest *free* slot (ties to the lowest index); when
+    /// every slot is busy, the earliest-releasing one (ties to the faster,
+    /// then the lower index). Segments stay at the even-split capacity.
+    FastestFirst,
+    /// FlexStep's regime: the slot choice of `FastestFirst`, plus segment
+    /// sizing proportional to slot speed under the fixed total SRAM
+    /// budget — a slot at clock `m` in a farm whose clocks sum to `Σ` gets
+    /// `base · n · m / Σ` entries (exactly `base` when speeds are
+    /// uniform), so fast checkers take long segments and slow checkers
+    /// short ones, equalizing per-segment service time.
+    DeadlineAware,
+}
 
-    /// Whether [`next_slot`](SchedulePolicy::next_slot) reads the slots'
-    /// busy windows. Static policies return `false`, letting the detector
-    /// keep its lazy fold schedule; for dynamic policies the detector
-    /// folds in-flight checks at each seal so the windows it hands over
-    /// are exact (see `Detector::seal` in `paradet-core`).
-    fn needs_busy_windows(&self) -> bool {
-        true
+impl SchedPolicyKind {
+    /// All shipped policies, in comparison order.
+    pub const ALL: [SchedPolicyKind; 3] = [
+        SchedPolicyKind::RoundRobin,
+        SchedPolicyKind::FastestFirst,
+        SchedPolicyKind::DeadlineAware,
+    ];
+
+    /// Stable policy name (a CSV cell of the mixed-farm experiment).
+    pub fn name(self) -> &'static str {
+        match self {
+            SchedPolicyKind::RoundRobin => "round-robin",
+            SchedPolicyKind::FastestFirst => "fastest-first",
+            SchedPolicyKind::DeadlineAware => "deadline-aware",
+        }
+    }
+
+    /// Whether [`next_slot`](SchedPolicyKind::next_slot) reads the slots'
+    /// busy windows. Round-robin does not, letting the detector keep its
+    /// lazy fold schedule; for the dynamic policies the detector folds
+    /// in-flight checks at each seal so the windows it hands over are
+    /// exact (see `Detector::seal` in `paradet-core`).
+    pub fn needs_busy_windows(self) -> bool {
+        match self {
+            SchedPolicyKind::RoundRobin => false,
+            SchedPolicyKind::FastestFirst | SchedPolicyKind::DeadlineAware => true,
+        }
     }
 
     /// The slot that receives the segment now starting to fill.
-    fn next_slot(&self, ctx: &ScheduleCtx) -> usize;
+    pub fn next_slot(self, ctx: &ScheduleCtx) -> usize {
+        match self {
+            SchedPolicyKind::RoundRobin => (ctx.prev_slot + 1) % ctx.slots.len(),
+            SchedPolicyKind::FastestFirst | SchedPolicyKind::DeadlineAware => {
+                fastest_free_slot(ctx)
+            }
+        }
+    }
 
     /// Entry capacity for the chosen slot's new segment. The detector
     /// clamps the result to at least `ctx.min_capacity`.
-    fn segment_capacity(&self, slot: usize, ctx: &ScheduleCtx) -> usize {
-        let _ = slot;
-        ctx.base_capacity
+    pub fn segment_capacity(self, slot: usize, ctx: &ScheduleCtx) -> usize {
+        match self {
+            SchedPolicyKind::RoundRobin | SchedPolicyKind::FastestFirst => ctx.base_capacity,
+            SchedPolicyKind::DeadlineAware => {
+                let sum: u128 = ctx.slots.iter().map(|s| s.mhz as u128).sum();
+                if sum == 0 {
+                    return ctx.base_capacity;
+                }
+                let total = ctx.base_capacity as u128 * ctx.slots.len() as u128;
+                let share = (total * ctx.slots[slot].mhz as u128 / sum) as usize;
+                share.max(ctx.min_capacity)
+            }
+        }
     }
 }
 
-/// The paper's fixed ring: slot `(prev + 1) mod n`, every segment at the
-/// even-split capacity. Never reads busy windows, so a uniform farm under
-/// round-robin is bit-identical to the pre-policy design (invariant 11).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundRobin;
-
-impl SchedulePolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn needs_busy_windows(&self) -> bool {
-        false
-    }
-
-    fn next_slot(&self, ctx: &ScheduleCtx) -> usize {
-        (ctx.prev_slot + 1) % ctx.slots.len()
-    }
-}
-
-/// Picks the fastest *free* slot (ties to the lowest index); when every
-/// slot is busy, the earliest-releasing one (ties to the faster, then the
-/// lower index). Segments stay at the even-split capacity.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FastestFirst;
-
-/// The slot choice shared by [`FastestFirst`] and [`DeadlineAware`].
+/// The slot choice of the two dynamic policies: the fastest free slot
+/// (ties to the lowest index), else the earliest-releasing one (ties to
+/// the faster, then the lower index).
 fn fastest_free_slot(ctx: &ScheduleCtx) -> usize {
     let free = ctx
         .slots
@@ -268,95 +287,9 @@ fn fastest_free_slot(ctx: &ScheduleCtx) -> usize {
         .0
 }
 
-impl SchedulePolicy for FastestFirst {
-    fn name(&self) -> &'static str {
-        "fastest-first"
-    }
-
-    fn next_slot(&self, ctx: &ScheduleCtx) -> usize {
-        fastest_free_slot(ctx)
-    }
-}
-
-/// FlexStep's regime: the slot choice of [`FastestFirst`], plus segment
-/// sizing proportional to slot speed under the fixed total SRAM budget —
-/// a slot at clock `m` in a farm whose clocks sum to `Σ` gets
-/// `base · n · m / Σ` entries (exactly `base` when speeds are uniform),
-/// so fast checkers take long segments and slow checkers short ones,
-/// equalizing per-segment service time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeadlineAware;
-
-impl SchedulePolicy for DeadlineAware {
-    fn name(&self) -> &'static str {
-        "deadline-aware"
-    }
-
-    fn next_slot(&self, ctx: &ScheduleCtx) -> usize {
-        fastest_free_slot(ctx)
-    }
-
-    fn segment_capacity(&self, slot: usize, ctx: &ScheduleCtx) -> usize {
-        let sum: u128 = ctx.slots.iter().map(|s| s.mhz as u128).sum();
-        if sum == 0 {
-            return ctx.base_capacity;
-        }
-        let total = ctx.base_capacity as u128 * ctx.slots.len() as u128;
-        let share = (total * ctx.slots[slot].mhz as u128 / sum) as usize;
-        share.max(ctx.min_capacity)
-    }
-}
-
-/// Selector for the shipped [`SchedulePolicy`] implementations — `Copy`
-/// so it can live in `SystemConfig`, parseable so `PARADET_SCHED_POLICY`
-/// and CLI flags can name one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicyKind {
-    /// [`RoundRobin`] — the uniform-compatible reference (default).
-    #[default]
-    RoundRobin,
-    /// [`FastestFirst`].
-    FastestFirst,
-    /// [`DeadlineAware`].
-    DeadlineAware,
-}
-
-impl SchedPolicyKind {
-    /// All shipped policies, in comparison order.
-    pub const ALL: [SchedPolicyKind; 3] = [
-        SchedPolicyKind::RoundRobin,
-        SchedPolicyKind::FastestFirst,
-        SchedPolicyKind::DeadlineAware,
-    ];
-
-    /// The policy implementation.
-    pub fn policy(self) -> &'static dyn SchedulePolicy {
-        match self {
-            SchedPolicyKind::RoundRobin => &RoundRobin,
-            SchedPolicyKind::FastestFirst => &FastestFirst,
-            SchedPolicyKind::DeadlineAware => &DeadlineAware,
-        }
-    }
-
-    /// The policy's stable name.
-    pub fn name(self) -> &'static str {
-        self.policy().name()
-    }
-
-    /// Parses a policy name (`round-robin` / `fastest-first` /
-    /// `deadline-aware`, with `rr` / `ff` / `da` short forms).
-    pub fn parse(s: &str) -> Option<SchedPolicyKind> {
-        match s {
-            "round-robin" | "rr" => Some(SchedPolicyKind::RoundRobin),
-            "fastest-first" | "ff" => Some(SchedPolicyKind::FastestFirst),
-            "deadline-aware" | "da" => Some(SchedPolicyKind::DeadlineAware),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::SchedPolicyKind::{DeadlineAware, FastestFirst, RoundRobin};
     use super::*;
 
     fn views(specs: &[(u64, u64)]) -> Vec<SlotView> {
@@ -379,18 +312,18 @@ mod tests {
     #[test]
     fn farm_spec_uniform_and_striped() {
         let u = FarmSpec::uniform();
-        assert!(u.is_uniform());
-        assert_eq!(u.class_of_slot(0), None);
-        assert_eq!(u.domain_of_slot(7), None);
+        assert_eq!(u.n_classes(), 1);
+        assert_eq!(u.class_of_slot(7), 0);
+        assert_eq!(u.class_domain(0), None);
         assert_eq!(u, FarmSpec::default());
 
         let s = FarmSpec::striped(&[2000, 1000, 250]);
-        assert!(!s.is_uniform());
         assert_eq!(s.n_classes(), 3);
-        let clocks: Vec<u64> = s.classes().map(|d| d.mhz()).collect();
+        let clocks: Vec<u64> = (0..3).map(|c| s.class_domain(c).unwrap().mhz()).collect();
         assert_eq!(clocks, vec![2000, 1000, 250]);
         // The pattern tiles: 0,1,2,0,1,2,...
-        let assigned: Vec<u64> = (0..6).map(|i| s.domain_of_slot(i).unwrap().mhz()).collect();
+        let assigned: Vec<u64> =
+            (0..6).map(|i| s.class_domain(s.class_of_slot(i)).unwrap().mhz()).collect();
         assert_eq!(assigned, vec![2000, 1000, 250, 2000, 1000, 250]);
     }
 
@@ -398,7 +331,8 @@ mod tests {
     fn farm_spec_custom_pattern() {
         // One fast slot for every three slow ones.
         let s = FarmSpec::striped(&[2000, 125]).with_pattern(&[0, 1, 1, 1]);
-        let assigned: Vec<u64> = (0..8).map(|i| s.domain_of_slot(i).unwrap().mhz()).collect();
+        let assigned: Vec<u64> =
+            (0..8).map(|i| s.class_domain(s.class_of_slot(i)).unwrap().mhz()).collect();
         assert_eq!(assigned, vec![2000, 125, 125, 125, 2000, 125, 125, 125]);
     }
 
@@ -485,8 +419,7 @@ mod tests {
         // the fast slots saturate. (An idle farm under fastest-first
         // legitimately picks slot 0 forever; starvation-freedom is a
         // property of the loaded regime.)
-        for kind in SchedPolicyKind::ALL {
-            let policy = kind.policy();
+        for policy in SchedPolicyKind::ALL {
             let mhz = [2000u64, 1000, 250, 250];
             let mut busy = [Time::ZERO; 4];
             let mut seen = [false; 4];
@@ -518,20 +451,16 @@ mod tests {
             assert!(
                 seen.iter().all(|&s| s),
                 "{}: a slot was never assigned work under sustained load: {seen:?}",
-                kind.name()
+                policy.name()
             );
         }
     }
 
     #[test]
-    fn kind_parses_and_names_round_trip() {
-        for kind in SchedPolicyKind::ALL {
-            assert_eq!(SchedPolicyKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(SchedPolicyKind::parse("rr"), Some(SchedPolicyKind::RoundRobin));
-        assert_eq!(SchedPolicyKind::parse("ff"), Some(SchedPolicyKind::FastestFirst));
-        assert_eq!(SchedPolicyKind::parse("da"), Some(SchedPolicyKind::DeadlineAware));
-        assert_eq!(SchedPolicyKind::parse("lottery"), None);
+    fn kind_names_are_stable() {
+        // The names are CSV cells of the mixed-farm experiment.
+        let names: Vec<&str> = SchedPolicyKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names, ["round-robin", "fastest-first", "deadline-aware"]);
         assert_eq!(SchedPolicyKind::default(), SchedPolicyKind::RoundRobin);
     }
 }

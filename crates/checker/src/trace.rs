@@ -11,9 +11,10 @@
 //!    and register dependencies of each micro-op, and how many log entries
 //!    passed their checks;
 //! 2. a cheap **timing fold** ([`CheckerCore::fold_timing`]
-//!    (crate::CheckerCore::fold_timing)) that walks this trace against the
-//!    shared memory hierarchy and the checker's `free_at`, on the
-//!    simulation thread, in seal order.
+//!    (crate::CheckerCore::fold_timing)) that walks this trace against an
+//!    I-fetch hook (the detector's checker-cache path for the fold's
+//!    clock) and the checker's `free_at`, on the simulation thread, in
+//!    seal order.
 //!
 //! The trace is a pure function of `(program, start checkpoint, entries,
 //! instr_count)`: it contains no times, so *when* (and on which host

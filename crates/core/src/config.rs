@@ -15,8 +15,6 @@ pub enum DetectionMode {
     /// configuration of Fig. 10 ("slowdown to the system from just
     /// checkpointing, without any checker core execution").
     CheckpointOnly,
-    /// Detection hardware absent (baseline timing).
-    Off,
 }
 
 /// Geometry of the partitioned load-store log.
@@ -82,22 +80,22 @@ pub struct SystemConfig {
     /// domain folds the same replay traces against its own checker cores
     /// and checker-cache path, in seal order. Empty by default.
     ///
-    /// Only meaningful in [`DetectionMode::Full`]: checkpoint-only and
-    /// detection-off runs fold no timing, so the set is ignored and
-    /// `RunReport::domains` comes back empty.
+    /// Only meaningful in [`DetectionMode::Full`]: checkpoint-only runs
+    /// fold no timing, so the set is ignored and `RunReport::domains`
+    /// comes back empty.
     ///
     /// [`checker`]: SystemConfig::checker
     pub extra_domains: DomainSet,
     /// Per-slot speed classes for the primary farm (MEEK/FlexStep mixed
-    /// farms). The default [`FarmSpec::uniform`] runs every slot at
+    /// farms). The default [`FarmSpec::uniform`] is one class at
     /// [`checker`](SystemConfig::checker) — the paper's homogeneous farm.
-    /// A mixed farm's slots each carry their own
+    /// A mixed farm's classes each carry their own
     /// [`ClockDomain`](paradet_checker::ClockDomain);
     /// [`checker`](SystemConfig::checker) remains
     /// the *primary clock* (main-core-facing memory latencies,
     /// [`mem_config`](SystemConfig::mem_config)), and
-    /// [`checker_config_for_slot`](SystemConfig::checker_config_for_slot)
-    /// resolves what each slot actually runs. Orthogonal to
+    /// [`class_checker`](SystemConfig::class_checker) resolves what each
+    /// class actually runs. Orthogonal to
     /// [`extra_domains`](SystemConfig::extra_domains), which re-clocks the
     /// whole farm uniformly per secondary domain.
     pub farm: FarmSpec,
@@ -109,23 +107,7 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// The paper's Table I configuration.
-    ///
-    /// Honors `PARADET_SCHED_POLICY` (read once per process), which forces
-    /// the scheduling policy — `round-robin` / `fastest-first` /
-    /// `deadline-aware` — so CI's policy leg can byte-diff a whole harness
-    /// run against the default without touching any call site.
     pub fn paper_default() -> SystemConfig {
-        static FORCED_POLICY: std::sync::OnceLock<SchedPolicyKind> = std::sync::OnceLock::new();
-        let sched_policy =
-            *FORCED_POLICY.get_or_init(|| match std::env::var("PARADET_SCHED_POLICY") {
-                Ok(v) => SchedPolicyKind::parse(&v).unwrap_or_else(|| {
-                    panic!(
-                        "PARADET_SCHED_POLICY={v}: unknown policy \
-                     (round-robin | fastest-first | deadline-aware)"
-                    )
-                }),
-                Err(_) => SchedPolicyKind::default(),
-            });
         SystemConfig {
             main: OooConfig::default(),
             checker: CheckerConfig::default(),
@@ -137,7 +119,7 @@ impl SystemConfig {
             interrupt_interval: None,
             extra_domains: DomainSet::new(),
             farm: FarmSpec::uniform(),
-            sched_policy,
+            sched_policy: SchedPolicyKind::RoundRobin,
         }
     }
 
@@ -202,14 +184,18 @@ impl SystemConfig {
         self
     }
 
+    /// The checker configuration speed class `class` of the primary farm
+    /// runs: its clock domain's on a mixed farm, and
+    /// [`checker`](SystemConfig::checker) for the one class of a uniform
+    /// farm.
+    pub fn class_checker(&self, class: usize) -> CheckerConfig {
+        self.farm.class_domain(class).map_or(self.checker, |d| d.checker)
+    }
+
     /// The checker configuration slot `slot` actually runs: its speed
-    /// class's on a mixed farm, [`checker`](SystemConfig::checker) on a
-    /// uniform one.
+    /// class's (see [`class_checker`](SystemConfig::class_checker)).
     pub fn checker_config_for_slot(&self, slot: usize) -> CheckerConfig {
-        match self.farm.domain_of_slot(slot) {
-            Some(d) => d.checker,
-            None => self.checker,
-        }
+        self.class_checker(self.farm.class_of_slot(slot))
     }
 
     /// The memory-system configuration implied by the core clocks.
@@ -218,8 +204,9 @@ impl SystemConfig {
     }
 
     /// The memory-system configuration with the checker-facing caches
-    /// clocked at `checker_clock` — the per-domain template secondary clock
-    /// domains clone their [`CheckerPath`](paradet_mem::CheckerPath) from.
+    /// clocked at `checker_clock` — the template every speed class and
+    /// secondary clock domain builds its
+    /// [`CheckerPath`](paradet_mem::CheckerPath) from.
     pub fn mem_config_for(&self, checker_clock: Freq) -> MemConfig {
         MemConfig::paper_default(self.main.clock, checker_clock)
     }
@@ -268,9 +255,14 @@ mod tests {
     #[test]
     fn slot_configs_follow_the_farm_spec() {
         let c = SystemConfig::paper_default();
-        assert!(c.farm.is_uniform());
+        assert_eq!(c.farm, FarmSpec::uniform());
         assert_eq!(c.sched_policy, SchedPolicyKind::RoundRobin);
         assert_eq!(c.checker_config_for_slot(5), c.checker);
+        // A uniform farm is one class at the primary checker: the class a
+        // one-clock striped farm at the primary clock derives too.
+        let one_class = c.with_farm(FarmSpec::striped(&[1000]));
+        assert_eq!(c.farm.n_classes(), 1);
+        assert_eq!(c.class_checker(0), one_class.class_checker(0));
 
         let m = c.with_farm(FarmSpec::striped(&[2000, 250]));
         assert_eq!(m.checker_config_for_slot(0).clock.mhz(), 2000);

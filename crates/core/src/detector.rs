@@ -17,8 +17,9 @@
 //! worker threads (`paradet_par::Farm`) — host parallelism that mirrors
 //! the paper's architectural parallelism, where checker cores genuinely
 //! run concurrently with the main core. The cheap **timing fold** then
-//! consumes the replay's trace against the shared [`MemHier`] and the
-//! checker's availability.
+//! consumes the replay's trace against the checker's availability and
+//! its speed class's checker-cache path, whose misses reach the shared
+//! [`MemHier`]'s L2/DRAM.
 //!
 //! Timing folds happen on the simulation thread, **lazily and in seal
 //! order**, at the first point the simulation actually needs a finish
@@ -37,7 +38,7 @@ use crate::log::{EntryKind, Segment, SegmentLog, SegmentReader, SegmentState};
 use crate::scratch::SimScratch;
 use paradet_checker::{
     replay_segment, CheckerConfig, CheckerCore, CheckerStats, ClockDomain, ReplayOutcome,
-    ReplayTrace, ScheduleCtx, SchedulePolicy, SegmentTask, SlotView,
+    ReplayTrace, SchedPolicyKind, ScheduleCtx, SegmentTask, SlotView,
 };
 use paradet_isa::{ArchState, Instruction, MemWidth, Program};
 use paradet_mem::{CheckerPath, CheckerPathSnapshot, MemHier, Time};
@@ -118,7 +119,6 @@ fn replay_job(mut job: SealedJob) -> DoneJob {
         start: &inputs.start,
         end: &inputs.end,
         instr_count: inputs.instr_count,
-        ready_at: Time::ZERO,
     };
     let mut reader = SegmentReader::new(&inputs.log);
     let outcome = replay_segment(&inputs.cfg, task, &mut reader, &mut job.trace);
@@ -335,25 +335,21 @@ pub struct Detector {
     interrupt_interval: Option<Time>,
     next_interrupt: Time,
     program: Arc<Program>,
-    /// The checker cores (public for statistics inspection). On a mixed
-    /// farm each slot runs its speed class's configuration
+    /// The checker cores (public for statistics inspection). Each slot
+    /// runs its speed class's configuration
     /// (`SystemConfig::checker_config_for_slot`).
     pub checkers: Vec<CheckerCore>,
-    /// The checker-to-segment scheduling policy (shipped policies are
-    /// zero-sized statics, so a `'static` borrow keeps the detector
-    /// allocation-free here).
-    policy: &'static dyn SchedulePolicy,
-    /// Per-slot speed-class index into [`class_paths`](Detector::class_paths),
-    /// `None` for slots on the primary clock (every slot, on a uniform
-    /// farm).
-    slot_class: Vec<Option<usize>>,
-    /// One private checker-cache path per mixed speed class, cold at
-    /// construction and clocked at the class clock (per-class hit
-    /// latencies). Unlike a secondary domain's observe-only path, these
-    /// belong to the *primary* farm: their misses mutate the shared
-    /// L2/DRAM through `MemHier::checker_ifetch_cycle_on`, in seal order.
-    /// Empty on uniform farms — those keep using the hierarchy's own
-    /// path, byte-for-byte as before (invariant 11).
+    /// The checker-to-segment scheduling policy.
+    policy: SchedPolicyKind,
+    /// Per-slot speed-class index into [`class_paths`](Detector::class_paths)
+    /// (0 for every slot of a uniform farm).
+    slot_class: Vec<usize>,
+    /// One private checker-cache path per speed class (a uniform farm has
+    /// one), cold at construction and clocked at the class clock
+    /// (per-class hit latencies). Unlike a secondary domain's observe-only
+    /// path, these belong to the *primary* farm: their misses mutate the
+    /// shared L2/DRAM through `MemHier::checker_ifetch_cycle_on`, in seal
+    /// order. Empty in checkpoint-only mode, which folds nothing.
     class_paths: Vec<CheckerPath>,
     /// Entries per segment at the uniform even split (the capacity
     /// reference dynamic sizing redistributes).
@@ -376,7 +372,7 @@ pub struct Detector {
     seal_seq: u64,
     finishes: Vec<Time>,
     /// The farm's worker pool, spawned on the first dispatch (never in
-    /// `CheckpointOnly`/`Off` modes).
+    /// `CheckpointOnly` mode).
     farm: Option<Farm<SealedJob, DoneJob>>,
     /// Dispatched checks whose timing has not been folded yet, oldest seal
     /// first.
@@ -433,7 +429,7 @@ fn fold_domain(
         busy_until,
         ..
     } = d;
-    let out = d_checkers[slot].fold_timing_with(
+    let out = d_checkers[slot].fold_timing(
         ready_at,
         outcome,
         |core, line, cycle, period| hier.checker_ifetch_cycle_via(path, core, line, cycle, period),
@@ -508,12 +504,14 @@ impl Detector {
             checkers: (0..cfg.n_checkers)
                 .map(|i| CheckerCore::new(i, cfg.checker_config_for_slot(i)))
                 .collect(),
-            policy: cfg.sched_policy.policy(),
+            policy: cfg.sched_policy,
             slot_class: (0..cfg.n_checkers).map(|i| cfg.farm.class_of_slot(i)).collect(),
-            class_paths: if cfg.mode == DetectionMode::Full && !cfg.farm.is_uniform() {
-                cfg.farm
-                    .classes()
-                    .map(|d| CheckerPath::new(&cfg.mem_config_for(d.checker.clock), cfg.n_checkers))
+            class_paths: if cfg.mode == DetectionMode::Full {
+                (0..cfg.farm.n_classes())
+                    .map(|c| {
+                        let clock = cfg.class_checker(c).clock;
+                        CheckerPath::new(&cfg.mem_config_for(clock), cfg.n_checkers)
+                    })
                     .collect()
             } else {
                 Vec::new()
@@ -570,10 +568,8 @@ impl Detector {
         // fully idle farm at t=0. For round-robin this resolves to slot 0
         // at the even-split capacity — exactly the fixed-ring start — so
         // the uniform default is untouched (invariant 11).
-        if cfg.mode != DetectionMode::Off {
-            let n = det.segs.len();
-            det.cur = det.schedule_next(n - 1, Time::ZERO);
-        }
+        let n = det.segs.len();
+        det.cur = det.schedule_next(n - 1, Time::ZERO);
         det
     }
 
@@ -884,9 +880,6 @@ impl Detector {
         at: Time,
         hier: &mut MemHier,
     ) {
-        if self.mode == DetectionMode::Off {
-            return;
-        }
         // Fold everything in flight (seal order) so segment states and
         // finish times below are settled.
         self.drain_pending(hier);
@@ -921,8 +914,8 @@ impl Detector {
     }
 
     /// Folds the timing of the **oldest** dispatched check — seal order is
-    /// the invariant that keeps `MemHier` folds, delay recording and error
-    /// ordering bit-identical to the inline path.
+    /// the invariant that keeps L2/DRAM traffic, delay recording and error
+    /// ordering bit-identical at any farm width.
     fn fold_next_pending(&mut self, hier: &mut MemHier) {
         let p = self.pending.pop_front().expect("fold with no pending check");
         let (replay, inputs) = redeem(&mut self.farm, p.ticket, p.inputs);
@@ -946,27 +939,18 @@ impl Detector {
             Ok(inputs) => &inputs.log,
             Err(shared) => &shared.log,
         };
-        // A mixed farm routes the slot's I-fetches through its speed
-        // class's own path (per-class clock and hit latencies), misses
-        // landing in the shared L2/DRAM at the same seal-order fold point
-        // the uniform path uses. Uniform farms keep the hierarchy's own
-        // checker path, untouched (invariant 11).
-        let outcome = match slot_class[p.slot] {
-            None => checkers[p.slot].fold_timing(p.ready_at, &replay, hier, |idx, now| {
-                record_delay(delays, store_delays, log, idx, now);
-            }),
-            Some(class) => {
-                let path = &mut class_paths[class];
-                checkers[p.slot].fold_timing_with(
-                    p.ready_at,
-                    &replay,
-                    |core, line, cycle, period| {
-                        hier.checker_ifetch_cycle_on(path, core, line, cycle, period)
-                    },
-                    |idx, now| record_delay(delays, store_delays, log, idx, now),
-                )
-            }
-        };
+        // The slot's I-fetches go through its speed class's own path
+        // (per-class clock and hit latencies), misses landing in the shared
+        // L2/DRAM at this seal-order fold point.
+        let path = &mut class_paths[slot_class[p.slot]];
+        let outcome = checkers[p.slot].fold_timing(
+            p.ready_at,
+            &replay,
+            |core, line, cycle, period| {
+                hier.checker_ifetch_cycle_on(path, core, line, cycle, period)
+            },
+            |idx, now| record_delay(delays, store_delays, log, idx, now),
+        );
         finishes.push(outcome.finish_time);
         // A lying checker reports "pass" regardless of the replay verdict
         // (missed-detection fault class); the segment then counts as
@@ -1169,7 +1153,6 @@ impl Detector {
                 self.finishes.push(at);
                 self.segs[cur].reset();
             }
-            DetectionMode::Off => unreachable!("seal is never called in Off mode"),
         }
         // Chain the checkpoint for the next segment, reusing the existing
         // allocation (`clone_from`) instead of cloning per seal.
@@ -1205,9 +1188,6 @@ impl DetectionSink for Detector {
         width: MemWidth,
         at: Time,
     ) {
-        if self.mode == DetectionMode::Off {
-            return;
-        }
         self.lfu.capture(rob_slot, addr, value, width, at);
     }
 
@@ -1218,10 +1198,6 @@ impl DetectionSink for Detector {
         committed: &ArchState,
         hier: &mut MemHier,
     ) -> CommitGate {
-        if self.mode == DetectionMode::Off {
-            return CommitGate::Accept;
-        }
-
         // ---- Lazy join ----------------------------------------------------
         // The commit stream has wrapped around to a segment whose check is
         // still in flight: fold the outstanding timing traces (in seal

@@ -70,7 +70,7 @@ pub use detector::{Detector, DetectorStats, DomainReport, RollbackPlan, SealAssi
 pub use error::DetectedError;
 pub use lfu::{LfuEntry, LfuStats, LoadForwardingUnit};
 pub use log::{EntryKind, LogEntry, Segment, SegmentLog, SegmentReader, SegmentState};
-pub use paradet_checker::{ClockDomain, DomainSet, FarmSpec, SchedPolicyKind, SchedulePolicy};
+pub use paradet_checker::{ClockDomain, DomainSet, FarmSpec, SchedPolicyKind};
 pub use paradet_isa::MAX_UOPS_PER_INSN;
 pub use recovery::{
     run_recovery, run_recovery_from, RecoveryDisposition, RecoveryPolicy, RecoveryReport,
@@ -173,18 +173,6 @@ mod tests {
         assert!(report.core.gate_pauses > 0);
         assert_eq!(report.delays.count(), 0, "no checker ever ran");
         assert_eq!(report.checker_segments, 0);
-    }
-
-    #[test]
-    fn off_mode_is_transparent() {
-        let program = store_loop(1000);
-        let cfg = SystemConfig::paper_default().with_mode(DetectionMode::Off);
-        let mut sys = PairedSystem::new(cfg, &program);
-        let report = sys.run_to_halt();
-        assert_eq!(report.detector.seals, 0);
-        assert_eq!(report.core.gate_pauses, 0);
-        let base = run_unchecked(&SystemConfig::paper_default(), &program, u64::MAX);
-        assert_eq!(report.main_cycles, base.main_cycles);
     }
 
     #[test]

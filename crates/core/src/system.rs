@@ -162,7 +162,7 @@ impl PairedSystem {
         program: &Arc<Program>,
         scratch: &mut SimScratch,
     ) -> PairedSystem {
-        let mut hier = MemHier::new(&cfg.mem_config(), cfg.n_checkers);
+        let mut hier = MemHier::new(&cfg.mem_config());
         hier.data.load_image(program);
         PairedSystem {
             core: OooCore::new_shared(cfg.main, Arc::clone(program)),
@@ -185,7 +185,7 @@ impl PairedSystem {
         state: &ArchState,
         mem: FlatMemory,
     ) -> PairedSystem {
-        let mut hier = MemHier::new(&cfg.mem_config(), cfg.n_checkers);
+        let mut hier = MemHier::new(&cfg.mem_config());
         hier.data = mem;
         let mut det = Detector::new_shared(&cfg, Arc::clone(program), scratch);
         det.resume_from(state);
@@ -387,9 +387,6 @@ impl PairedSystem {
 
 /// Runs `program` on an *unchecked* core (no detection hardware at all) and
 /// returns the report — the baseline for normalized-slowdown figures.
-///
-/// Equivalent to `SystemConfig { mode: Off, … }` but without the detection
-/// structures even being constructed.
 pub fn run_unchecked(cfg: &SystemConfig, program: &Program, max_instrs: u64) -> RunReport {
     run_unchecked_shared(cfg, &Arc::new(program.clone()), max_instrs)
 }
@@ -400,7 +397,7 @@ pub fn run_unchecked_shared(
     program: &Arc<Program>,
     max_instrs: u64,
 ) -> RunReport {
-    let mut hier = MemHier::new(&cfg.mem_config(), 0);
+    let mut hier = MemHier::new(&cfg.mem_config());
     hier.data.load_image(program);
     let mut core = OooCore::new_shared(cfg.main, Arc::clone(program));
     core.run(&mut hier, &mut NullSink, max_instrs);
@@ -432,6 +429,3 @@ pub fn normalized_slowdown(cfg: &SystemConfig, program: &Program, max_instrs: u6
     let full = sys.run(max_instrs);
     full.main_cycles as f64 / base.main_cycles.max(1) as f64
 }
-
-#[allow(unused_imports)]
-use crate::config as _config_doc_anchor;

@@ -1,14 +1,14 @@
-//! The composed memory hierarchy of the paradet system.
-//!
-//! One [`MemHier`] instance is shared by the main core and all checker
-//! cores, mirroring Figure 4 of the paper:
+//! The composed memory hierarchy of the paradet system, mirroring Figure 4
+//! of the paper:
 //!
 //! * main core: private L1I and L1D backed by a shared L2 with a stride
-//!   prefetcher, backed by DDR3 DRAM;
+//!   prefetcher, backed by DDR3 DRAM — one [`MemHier`];
 //! * checker cores: a tiny private L0 instruction cache each, a shared
 //!   checker L1I, then the main core's L2 ("connected to the main core's
-//!   L2", §IV-B). Checker cores have **no data cache**: all their data comes
-//!   from the load-store log.
+//!   L2", §IV-B) — one [`CheckerPath`] per checker clock, owned by the
+//!   detection hardware and fetching through the [`MemHier`]'s L2/DRAM.
+//!   Checker cores have **no data cache**: all their data comes from the
+//!   load-store log.
 //!
 //! Functional memory contents live in a single [`FlatMemory`] (the paper
 //! assumes caches and DRAM are ECC-protected, so a fault-free functional
@@ -107,14 +107,15 @@ pub struct HierStats {
     pub prefetch: PrefetchStats,
 }
 
-/// One clock domain's private checker instruction path: per-core L0 caches
-/// behind a shared checker L1I, both clocked at that domain's checker
-/// frequency (their hit latencies come from the domain's [`MemConfig`]).
+/// One checker clock's private instruction path: per-core L0 caches behind
+/// a shared checker L1I, both clocked at that clock (their hit latencies
+/// come from the [`MemConfig`] the path is built from).
 ///
-/// [`MemHier`] owns the primary domain's path; secondary clock domains
-/// (see `paradet_checker::ClockDomain`) each clone a fresh path from their
-/// own `MemConfig` template — cold, exactly as a dedicated run at that
-/// clock would start — and route misses into the *shared* L2/DRAM via
+/// Every path starts cold, exactly as a dedicated run at its clock would.
+/// Each speed class of the primary farm owns one, whose misses access the
+/// shared L2/DRAM through [`MemHier::checker_ifetch_cycle_on`]; each
+/// secondary clock domain (see `paradet_checker::ClockDomain`) owns one
+/// whose misses only observe them, through
 /// [`MemHier::checker_ifetch_cycle_via`].
 #[derive(Debug, Clone)]
 pub struct CheckerPath {
@@ -124,7 +125,7 @@ pub struct CheckerPath {
 
 impl CheckerPath {
     /// Builds a cold path with `n_checkers` L0 caches from `cfg`'s
-    /// checker-cache template.
+    /// checker-cache template (`checker_l0`, `checker_l1i`).
     pub fn new(cfg: &MemConfig, n_checkers: usize) -> CheckerPath {
         CheckerPath {
             l0: (0..n_checkers).map(|_| Cache::new(cfg.checker_l0)).collect(),
@@ -243,7 +244,6 @@ pub struct HierSnapshot {
     dram: Dram,
     prefetcher: StridePrefetcher,
     prefetch_enabled: bool,
-    checker: CheckerPathSnapshot,
     array_fault: Option<ArrayFault>,
     daccesses: u64,
 }
@@ -252,15 +252,12 @@ impl HierSnapshot {
     /// Bytes the snapshot's memory diff and cache snapshots occupy (the
     /// DRAM and prefetcher copies are a few hundred bytes and not counted).
     pub fn bytes(&self) -> usize {
-        self.data.bytes()
-            + self.l1i.bytes()
-            + self.l1d.bytes()
-            + self.l2.bytes()
-            + self.checker.bytes()
+        self.data.bytes() + self.l1i.bytes() + self.l1d.bytes() + self.l2.bytes()
     }
 }
 
-/// The composed, shared memory hierarchy.
+/// The main core's caches, the shared L2 and DRAM, and the functional
+/// memory contents.
 #[derive(Debug)]
 pub struct MemHier {
     /// Functional memory contents (ECC-protected per the paper's model).
@@ -271,7 +268,6 @@ pub struct MemHier {
     dram: Dram,
     prefetcher: StridePrefetcher,
     prefetch_enabled: bool,
-    checker: CheckerPath,
     /// An armed (not yet fired) array fault; `None` on every clean run, so
     /// the hot data path pays one never-taken branch.
     array_fault: Option<ArrayFault>,
@@ -280,8 +276,9 @@ pub struct MemHier {
 }
 
 impl MemHier {
-    /// Builds the hierarchy with `n_checkers` L0 caches.
-    pub fn new(cfg: &MemConfig, n_checkers: usize) -> MemHier {
+    /// Builds a cold hierarchy from `cfg`'s main-core, L2 and DRAM
+    /// configuration. The checker caches live in [`CheckerPath`]s.
+    pub fn new(cfg: &MemConfig) -> MemHier {
         MemHier {
             data: FlatMemory::new(),
             l1i: Cache::new(cfg.l1i),
@@ -290,7 +287,6 @@ impl MemHier {
             dram: Dram::new(cfg.dram),
             prefetcher: StridePrefetcher::new(cfg.prefetcher),
             prefetch_enabled: cfg.prefetch_enabled,
-            checker: CheckerPath::new(cfg, n_checkers),
             array_fault: None,
             daccesses: 0,
         }
@@ -308,7 +304,6 @@ impl MemHier {
             dram: self.dram.clone(),
             prefetcher: self.prefetcher.clone(),
             prefetch_enabled: self.prefetch_enabled,
-            checker: self.checker.snapshot(),
             array_fault: self.array_fault,
             daccesses: self.daccesses,
         }
@@ -325,7 +320,6 @@ impl MemHier {
             dram: snap.dram.clone(),
             prefetcher: snap.prefetcher.clone(),
             prefetch_enabled: snap.prefetch_enabled,
-            checker: CheckerPath::from_snapshot(&snap.checker),
             array_fault: snap.array_fault,
             daccesses: snap.daccesses,
         }
@@ -395,38 +389,45 @@ impl MemHier {
         .done
     }
 
-    /// [`checker_ifetch`](MemHier::checker_ifetch) in a checker core's
-    /// cycle domain: fetches `line` at cycle `cycle` of a clock whose
-    /// period is `period_fs` femtoseconds and returns the cycle at which
-    /// the line is ready.
+    /// Timed instruction fetch for checker core `core` through `path`, in
+    /// the checker's cycle domain: fetches `line` at cycle `cycle` of a
+    /// clock whose period is `period_fs` femtoseconds and returns the cycle
+    /// at which the line is ready. `path`'s L0 and L1I absorb the access,
+    /// and its misses access this hierarchy's shared L2/DRAM like any other
+    /// access (MSHRs, bank reservation and all — note the `&mut self`, in
+    /// contrast to the observe-only
+    /// [`checker_ifetch_cycle_via`](MemHier::checker_ifetch_cycle_via)).
     ///
-    /// This is the replayable I-fetch entry point of the decoupled checker
-    /// farm: a segment's functional replay records which lines it fetched,
-    /// and the timing fold replays that line trace through here *in seal
-    /// order* on the simulation thread — the hierarchy itself never sees a
-    /// worker thread, and the seal-order call sequence is what keeps timing
-    /// bit-identical at any farm width.
+    /// This is the primary farm's I-fetch entry point: a segment's
+    /// functional replay records which lines it fetched, and the timing
+    /// fold replays that line trace through here, through the path of the
+    /// checker's speed class, *in seal order* on the simulation thread.
+    /// The primary folds gate main-core stalls, so their L2/DRAM traffic
+    /// must land in the shared stream; the hierarchy never sees a worker
+    /// thread, and the seal-order call sequence keeps timing bit-identical
+    /// at any farm width.
     ///
     /// # Panics
     ///
-    /// Panics if `core >= n_checkers`.
-    pub fn checker_ifetch_cycle(
+    /// Panics if `core` has no L0 cache on `path`.
+    pub fn checker_ifetch_cycle_on(
         &mut self,
+        path: &mut CheckerPath,
         core: usize,
         line: u64,
         cycle: u64,
         period_fs: u64,
     ) -> u64 {
-        let done = self.checker_ifetch(core, line, Time::from_fs(cycle * period_fs));
+        let MemHier { l2, dram, .. } = self;
+        let done = path.ifetch(l2, dram, core, line, Time::from_fs(cycle * period_fs));
         done.as_fs().div_ceil(period_fs)
     }
 
-    /// [`checker_ifetch_cycle`](MemHier::checker_ifetch_cycle) through an
-    /// external [`CheckerPath`] instead of the hierarchy's own: `path`'s L0
-    /// and L1I absorb the access, and only their misses reach this
-    /// hierarchy's shared L2/DRAM — which they *observe* without mutating
-    /// (note the `&self`: a secondary domain's folds cannot perturb the
-    /// primary simulation, by construction).
+    /// [`checker_ifetch_cycle_on`](MemHier::checker_ifetch_cycle_on) whose
+    /// L1I misses *observe* this hierarchy's shared L2/DRAM without
+    /// mutating them (note the `&self`: a secondary domain's folds cannot
+    /// perturb the primary simulation, by construction). `path`'s own
+    /// caches fill as usual.
     ///
     /// This is how a secondary clock domain folds segment timing within one
     /// run: its path is private (per-domain cold caches at per-domain hit
@@ -458,46 +459,6 @@ impl MemHier {
         done.as_fs().div_ceil(period_fs)
     }
 
-    /// [`checker_ifetch_cycle`](MemHier::checker_ifetch_cycle) through an
-    /// external [`CheckerPath`] that *shares* this hierarchy's L2/DRAM
-    /// mutably: `path`'s L0 and L1I absorb the access, and its misses
-    /// access the shared outer hierarchy exactly as the primary path's
-    /// would (MSHRs, bank reservation, and all — note the `&mut self`,
-    /// in contrast to the observe-only
-    /// [`checker_ifetch_cycle_via`](MemHier::checker_ifetch_cycle_via)).
-    ///
-    /// This is the *primary-farm* route for mixed-speed farms: each speed
-    /// class owns a cold path clocked at the class clock (per-class hit
-    /// latencies), but the class's folds still gate main-core stalls, so
-    /// their L2/DRAM traffic must land in the shared stream — in seal
-    /// order, on the simulation thread, like every other fold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` has no L0 cache on `path`.
-    pub fn checker_ifetch_cycle_on(
-        &mut self,
-        path: &mut CheckerPath,
-        core: usize,
-        line: u64,
-        cycle: u64,
-        period_fs: u64,
-    ) -> u64 {
-        let MemHier { l2, dram, .. } = self;
-        let done = path.ifetch(l2, dram, core, line, Time::from_fs(cycle * period_fs));
-        done.as_fs().div_ceil(period_fs)
-    }
-
-    /// Timed instruction fetch on checker core `core`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core >= n_checkers`.
-    pub fn checker_ifetch(&mut self, core: usize, pc: u64, now: Time) -> Time {
-        let MemHier { checker, l2, dram, .. } = self;
-        checker.ifetch(l2, dram, core, pc, now)
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> HierStats {
         HierStats {
@@ -514,9 +475,12 @@ impl MemHier {
 mod tests {
     use super::*;
 
+    fn cfg() -> MemConfig {
+        MemConfig::paper_default(Freq::from_mhz(3200), Freq::from_mhz(1000))
+    }
+
     fn hier() -> MemHier {
-        let cfg = MemConfig::paper_default(Freq::from_mhz(3200), Freq::from_mhz(1000));
-        MemHier::new(&cfg, 12)
+        MemHier::new(&cfg())
     }
 
     #[test]
@@ -550,11 +514,7 @@ mod tests {
     #[test]
     fn prefetcher_hides_streaming_latency() {
         let mut ph = hier();
-        let cfg = MemConfig {
-            prefetch_enabled: false,
-            ..MemConfig::paper_default(Freq::from_mhz(3200), Freq::from_mhz(1000))
-        };
-        let mut nh = MemHier::new(&cfg, 0);
+        let mut nh = MemHier::new(&MemConfig { prefetch_enabled: false, ..cfg() });
         // Stream 512 lines with the same PC through both hierarchies.
         let (mut tp, mut tn) = (Time::ZERO, Time::ZERO);
         for i in 0..512u64 {
@@ -568,20 +528,42 @@ mod tests {
 
     #[test]
     fn checker_ifetch_path_works_and_shares_l2() {
-        let mut h = hier();
-        // Main core fetches a line; checker then fetches the same line.
-        let t1 = h.ifetch(0x1000, Time::ZERO);
-        let t2 = h.checker_ifetch(0, 0x1000, t1);
-        // Checker sees L0 miss + checker-L1I miss + L2 hit.
-        assert!(t2 - t1 < Time::from_ns(30), "checker fetch should hit in L2: {}", t2 - t1);
-        // Second checker fetch to the same line hits its private L0 (1 cycle
-        // at 1 GHz = 1 ns).
-        let t3 = h.checker_ifetch(0, 0x1008, t2);
-        assert_eq!(t3 - t2, Time::from_ns(1));
-        // A different checker's L0 is cold but the shared checker L1I is
-        // warm: L0 tag check (1) + shared L1I hit (2) + L0 readout (1).
-        let t4 = h.checker_ifetch(1, 0x1008, t3);
-        assert_eq!(t4 - t3, Time::from_ns(4));
+        // Both routes from a checker path into the shared L2, in cycles at
+        // 1 GHz: the primary farm's `_on` accesses it, a secondary
+        // domain's `_via` only observes it.
+        let period = Freq::from_mhz(1000).period().as_fs();
+        let mut ready = Vec::new();
+        for observe in [false, true] {
+            let mut h = hier();
+            let mut path = CheckerPath::new(&cfg(), 2);
+            let mut fetch = |h: &mut MemHier, core, line, cycle| {
+                if observe {
+                    h.checker_ifetch_cycle_via(&mut path, core, line, cycle, period)
+                } else {
+                    h.checker_ifetch_cycle_on(&mut path, core, line, cycle, period)
+                }
+            };
+            // Main core fetches a line; checker then fetches the same line.
+            let c1 = h.ifetch(0x1000, Time::ZERO).as_fs().div_ceil(period);
+            let after_main = h.stats();
+            // Checker sees L0 miss + checker-L1I miss + L2 hit.
+            let c2 = fetch(&mut h, 0, 0x1000, c1);
+            assert!(c2 - c1 < 30, "checker fetch should hit in L2: {} cycles", c2 - c1);
+            // Second checker fetch to the same line hits its private L0.
+            let c3 = fetch(&mut h, 0, 0x1008, c2);
+            assert_eq!(c3 - c2, 1);
+            // A different checker's L0 is cold but the shared checker L1I is
+            // warm: L0 tag check (1) + shared L1I hit (2) + L0 readout (1).
+            let c4 = fetch(&mut h, 1, 0x1008, c3);
+            assert_eq!(c4 - c3, 4);
+            if observe {
+                assert_eq!(h.stats(), after_main, "observing must not perturb the hierarchy");
+            } else {
+                assert_eq!(h.stats().l2.accesses, after_main.l2.accesses + 1);
+            }
+            ready.push([c2, c3, c4]);
+        }
+        assert_eq!(ready[0], ready[1], "both routes see the same hits");
     }
 
     #[test]

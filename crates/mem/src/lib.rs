@@ -1,13 +1,16 @@
 //! Memory hierarchy and simulated time for the paradet simulator.
 //!
-//! Implements the memory system of Table I of the paper: split 32 KiB L1
-//! caches, a 1 MiB shared L2 with stride prefetcher, DDR3-1600 DRAM, and the
-//! checker cores' L0 + shared-L1I instruction path (Fig. 4), factored as a
-//! [`CheckerPath`] so secondary clock domains can each clone a private
-//! path (at their own hit latencies) that *observes* the shared L2/DRAM
-//! without perturbing it ([`Cache::observe`], [`Dram::observe`]). Also
-//! home to the simulator's exact femtosecond [`Time`]/[`Freq`] types,
-//! which every other crate builds on.
+//! Implements the memory system of Table I of the paper: the main core's
+//! split 32 KiB L1 caches, a 1 MiB shared L2 with stride prefetcher and
+//! DDR3-1600 DRAM ([`MemHier`]), and the checker cores' L0 + shared-L1I
+//! instruction path (Fig. 4) as a separate [`CheckerPath`]. The detection
+//! hardware owns one path per checker clock: a primary-farm path's misses
+//! access the shared L2/DRAM ([`MemHier::checker_ifetch_cycle_on`]), and
+//! a secondary clock domain's path (at its own hit latencies) *observes*
+//! them without perturbing them ([`MemHier::checker_ifetch_cycle_via`],
+//! [`Cache::observe`], [`Dram::observe`]). Also home to the simulator's
+//! exact femtosecond [`Time`]/[`Freq`] types, which every other crate
+//! builds on.
 //!
 //! # Example
 //!
@@ -15,7 +18,7 @@
 //! use paradet_mem::{Freq, MemConfig, MemHier, Time};
 //!
 //! let cfg = MemConfig::paper_default(Freq::from_mhz(3200), Freq::from_mhz(1000));
-//! let mut hier = MemHier::new(&cfg, 12);
+//! let mut hier = MemHier::new(&cfg);
 //! let done = hier.dread(0x1000, 0x8000, Time::ZERO); // cold miss → DRAM
 //! assert!(done > Time::from_ns(30));
 //! ```

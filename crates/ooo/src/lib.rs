@@ -22,8 +22,7 @@
 //! let program = b.build();
 //!
 //! let cfg = OooConfig::default();
-//! let mut hier = MemHier::new(
-//!     &MemConfig::paper_default(cfg.clock, Freq::from_mhz(1000)), 0);
+//! let mut hier = MemHier::new(&MemConfig::paper_default(cfg.clock, Freq::from_mhz(1000)));
 //! let mut core = OooCore::new(cfg, &program);
 //! core.run(&mut hier, &mut NullSink, 1_000);
 //! assert!(core.halted());
@@ -56,7 +55,7 @@ mod tests {
     use paradet_mem::{Freq, MemConfig, MemHier, Time};
 
     fn hier_for(cfg: &OooConfig) -> MemHier {
-        MemHier::new(&MemConfig::paper_default(cfg.clock, Freq::from_mhz(1000)), 0)
+        MemHier::new(&MemConfig::paper_default(cfg.clock, Freq::from_mhz(1000)))
     }
 
     fn run_program(program: &Program) -> (OooCore, MemHier) {

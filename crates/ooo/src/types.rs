@@ -132,13 +132,10 @@ mod tests {
             b.build()
         };
         let state = ArchState::at_entry(&program);
-        let mut hier = MemHier::new(
-            &paradet_mem::MemConfig::paper_default(
-                paradet_mem::Freq::from_mhz(3200),
-                paradet_mem::Freq::from_mhz(1000),
-            ),
-            0,
-        );
+        let mut hier = MemHier::new(&paradet_mem::MemConfig::paper_default(
+            paradet_mem::Freq::from_mhz(3200),
+            paradet_mem::Freq::from_mhz(1000),
+        ));
         assert_eq!(NullSink.on_commit(&ev, Time::ZERO, &state, &mut hier), CommitGate::Accept);
     }
 }

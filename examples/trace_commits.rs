@@ -76,7 +76,7 @@ fn main() {
 
     println!("\ncommit trace (3.2 GHz main core):");
     let cfg = OooConfig::default();
-    let mut hier = MemHier::new(&MemConfig::paper_default(cfg.clock, Freq::from_mhz(1000)), 0);
+    let mut hier = MemHier::new(&MemConfig::paper_default(cfg.clock, Freq::from_mhz(1000)));
     hier.data.load_image(&program);
     let mut core = OooCore::new(cfg, &program);
     let mut sink = TracingSink { shown: 0, limit: 40 };

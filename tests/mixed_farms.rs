@@ -8,8 +8,8 @@
 //!   slots and dynamic segment sizing.
 //! * **Invariant 11**: the homogeneous farm under round-robin — whether
 //!   spelled as the plain default, an explicit `FarmSpec::uniform()`, or a
-//!   single-class striped farm that genuinely engages the per-class
-//!   machinery — reproduces the fixed-ring results bit for bit.
+//!   single-class striped farm at the primary clock — reproduces the
+//!   fixed-ring results bit for bit.
 //! * Scheduling is a **pure function** of (kernel, config, geometry): the
 //!   per-seal assignment trace is reproducible run over run.
 
@@ -54,11 +54,12 @@ fn farm_kernel(seeds: &[u64], ops: &[(AluOp, usize, usize)], iters: u64) -> Prog
 }
 
 /// Invariant 11, pinned on real workloads: the homogeneous farm under
-/// round-robin is the PR 4 fixed ring, however it is spelled. The
-/// single-class striped farm is the sharp edge: it routes every fold
-/// through the per-class cold path and `checker_ifetch_cycle_on`, and the
-/// detector (not the hierarchy) owns that path — yet with an identical
-/// per-slot configuration the results must not move.
+/// round-robin is the PR 4 fixed ring, however it is spelled. Every
+/// spelling folds through the detector's per-class path and
+/// `checker_ifetch_cycle_on`; the uniform default is one class at
+/// `SystemConfig::checker`, and a `striped(&[1000])` farm must derive the
+/// same class — the same clock, checker configuration and cold path — so
+/// the results must not move.
 #[test]
 fn uniform_round_robin_reproduces_the_fixed_ring() {
     for w in [Workload::Bitcount, Workload::Stream, Workload::Randacc] {

@@ -313,7 +313,7 @@ fn fingerprint(scenario: &str, seed: u64) -> String {
             // The baseline's report, plus the duplicating core's own
             // statistics and memory traffic, which that report sums away.
             let main = OooConfig { rmt_duplicate: true, ..cfg.main };
-            let mut hier = MemHier::new(&MemConfig::paper_default(main.clock, main.clock), 0);
+            let mut hier = MemHier::new(&MemConfig::paper_default(main.clock, main.clock));
             hier.data.load_image(&program);
             let mut core = OooCore::new_shared(main, Arc::clone(&program));
             core.run(&mut hier, &mut NullSink, BUDGET);
