@@ -29,10 +29,10 @@ pub use slowdown::{
 };
 pub use tables::{table1_config, table2_benchmarks};
 
-/// Evaluates `f` over the `rows × cols` grid in parallel (claim granularity
-/// 1 — every point is a whole simulation) and returns the results in
-/// row-major order, one `Vec` per row. Deterministic: the output layout
-/// depends only on the grid, never on scheduling.
+/// Evaluates `f` over the `rows × cols` grid in parallel (one whole
+/// simulation per point) and returns the results in row-major order, one
+/// `Vec` per row. Deterministic: the output layout depends only on the
+/// grid, never on scheduling.
 pub(crate) fn par_grid<R1, C, R, F>(rows: &[R1], cols: &[C], f: F) -> Vec<Vec<R>>
 where
     R1: Copy + Sync,
@@ -42,7 +42,7 @@ where
 {
     let points: Vec<(usize, usize)> =
         (0..rows.len()).flat_map(|i| (0..cols.len()).map(move |j| (i, j))).collect();
-    let flat = paradet_par::par_map_chunked(1, &points, |_, &(i, j)| f(rows[i], &cols[j]));
+    let flat = paradet_par::par_map(&points, || (), |(), _, &(i, j)| f(rows[i], &cols[j]));
     let mut it = flat.into_iter();
     (0..rows.len()).map(|_| it.by_ref().take(cols.len()).collect()).collect()
 }

@@ -2,10 +2,9 @@
 //!
 //! Checking is two-phase (see [`crate::trace`]): [`replay_segment`] is the
 //! expensive, purely functional phase (crack, architectural step, log
-//! comparison) that any worker thread can run, and
-//! [`CheckerCore::fold_timing`] is the cheap timing phase that consumes the
-//! replay's [`ReplayTrace`] against an I-fetch hook and this core's
-//! `free_at` on the simulation thread.
+//! comparison), and [`CheckerCore::fold_timing`] is the cheap timing phase
+//! that consumes the replay's [`ReplayTrace`] against an I-fetch hook and
+//! this core's `free_at` on the simulation thread.
 
 use crate::replay::{CheckError, CheckOutcome, ReplayError, ReplaySource};
 use crate::trace::ReplayTrace;
@@ -276,18 +275,17 @@ pub struct ReplayOutcome {
     pub loads: u64,
     /// Stores checked against the log.
     pub stores: u64,
-    /// The timing trace (taken by value into the outcome so farm jobs can
-    /// recycle its buffers).
+    /// The timing trace (taken by value into the outcome, so the caller
+    /// can hand its buffers to the next replay).
     pub trace: ReplayTrace,
 }
 
 /// The functional replay phase: architectural re-execution of one segment
 /// against its log, with no timing and no shared state.
 ///
-/// Needs only the shared program, the owned checkpoint pair and the sealed
-/// entries — everything a worker thread can hold — and leaves the timing
-/// facts in `trace` (cleared first; pass a recycled buffer to avoid
-/// allocation). The `source` sees [`Time::ZERO`] for every check `now`:
+/// Needs only the shared program, the checkpoint pair and the sealed
+/// entries, and leaves the timing facts in `trace` (cleared first; pass a
+/// recycled buffer to avoid allocation). The `source` sees [`Time::ZERO`] for every check `now`:
 /// real check times exist only in the fold.
 pub fn replay_segment(
     cfg: &CheckerConfig,

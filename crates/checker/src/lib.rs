@@ -13,9 +13,9 @@
 //! replay a [`ReplaySource`] and each timing fold an I-fetch hook, and
 //! this crate contributes the *core model* — timing and architectural
 //! replay. The two are decoupled: [`replay_segment`] is the purely
-//! functional phase (runnable on any worker thread of the checker farm),
-//! and [`CheckerCore::fold_timing`] replays its [`ReplayTrace`] through
-//! the I-fetch hook in seal order on the simulation thread.
+//! functional phase, a function of its inputs alone, and
+//! [`CheckerCore::fold_timing`] replays its [`ReplayTrace`] through the
+//! I-fetch hook in seal order on the simulation thread.
 //!
 //! Because the replay is clock-invariant, one replay can feed many folds:
 //! a [`ClockDomain`] names one checker clock/latency provisioning point,

@@ -18,7 +18,7 @@
 //!   hardware would: each slot's clock and storage-busy window
 //!   ([`SlotView`]), the previously filled slot, and the current time —
 //!   a pure function of those inputs, so every policy is bit-identical
-//!   at any simulation thread count or farm width.
+//!   at any thread count.
 //!
 //! [`SchedPolicyKind::RoundRobin`] is the uniform-compatible reference: it
 //! never reads the busy windows
@@ -186,7 +186,7 @@ pub struct ScheduleCtx<'a> {
 ///
 /// Every policy is a pure function of the [`ScheduleCtx`] — no state, no
 /// randomness — so scheduling is a pure function of (kernel, config,
-/// geometry) and results are bit-identical at any thread or farm width.
+/// geometry) and results are bit-identical at any thread count.
 /// `Copy` so it can live in `SystemConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicyKind {

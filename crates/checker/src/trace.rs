@@ -6,8 +6,7 @@
 //!
 //! 1. a **functional replay** ([`replay_segment`](crate::replay_segment))
 //!    that needs only the program, the start/end checkpoints and the log
-//!    entries — safe to run on any worker thread — and records here, per
-//!    replayed macro-op, the I-line it fetched (if new), the latency class
+//!    entries, and records here, per replayed macro-op, the I-line it fetched (if new), the latency class
 //!    and register dependencies of each micro-op, and how many log entries
 //!    passed their checks;
 //! 2. a cheap **timing fold** ([`CheckerCore::fold_timing`]
@@ -17,8 +16,8 @@
 //!    seal order.
 //!
 //! The trace is a pure function of `(program, start checkpoint, entries,
-//! instr_count)`: it contains no times, so *when* (and on which host
-//! thread) the replay ran can never leak into simulated timing.
+//! instr_count)`: it contains no times, so *when* the replay ran can never
+//! leak into simulated timing.
 
 /// Sentinel line address meaning "no new I-line fetched before this op".
 const SAME_LINE: u64 = u64::MAX;
@@ -52,7 +51,7 @@ pub(crate) struct TraceUop {
 /// docs).
 ///
 /// Buffers are reusable: [`clear`](ReplayTrace::clear) keeps allocations,
-/// and the checker farm recycles traces across jobs.
+/// and the detector reuses one trace for every replay.
 #[derive(Debug, Clone, Default)]
 pub struct ReplayTrace {
     ops: Vec<TraceOp>,

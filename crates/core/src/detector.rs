@@ -3,32 +3,28 @@
 //! [`Detector`] implements [`DetectionSink`]: it captures committed loads,
 //! stores and non-deterministic results into the current load-store log
 //! segment, seals segments (taking the register checkpoint and pausing
-//! commit for the copy latency), dispatches sealed segments to their
-//! checker cores, and stalls the main core when every segment is in use
-//! (§IV-D: "If all log segments are full, we stall the main core until a
-//! checker core finishes").
+//! commit for the copy latency), queues sealed segments for their checker
+//! cores, and stalls the main core when every segment is in use (§IV-D:
+//! "If all log segments are full, we stall the main core until a checker
+//! core finishes").
 //!
-//! # The decoupled checker farm
+//! # The checker farm
 //!
-//! Checking a sealed segment is two-phase (see `paradet-checker`). The
-//! expensive **functional replay** needs only the shared program, an owned
-//! start/end checkpoint pair and the sealed entries, so `seal` packages
-//! those into a [`SealedJob`] and dispatches it to a farm of persistent
-//! worker threads (`paradet_par::Farm`) — host parallelism that mirrors
-//! the paper's architectural parallelism, where checker cores genuinely
-//! run concurrently with the main core. The cheap **timing fold** then
-//! consumes the replay's trace against the checker's availability and
-//! its speed class's checker-cache path, whose misses reach the shared
-//! [`MemHier`]'s L2/DRAM.
-//!
-//! Timing folds happen on the simulation thread, **lazily and in seal
-//! order**, at the first point the simulation actually needs a finish
+//! The paper's checker cores run in parallel with the main core; the
+//! simulator models that parallelism in *simulated* time. Checking a
+//! sealed segment is two-phase (see `paradet-checker`). `seal` moves the
+//! segment's replay inputs — start/end checkpoint pair and sealed entries
+//! — into a queue of pending checks, in seal order. Each check is then
+//! **replayed and folded lazily, in seal order**, on the simulation
+//! thread, at the first point the simulation actually needs its finish
 //! time: when the segment ring wraps around to a still-checking segment
-//! (the stall decision in `on_commit`) and at [`Detector::finalize`].
-//! Those join points depend only on simulated state — never on how fast a
-//! worker happens to run — so delays, finish times, errors, checker
-//! statistics and cache statistics are bit-identical at any farm width,
-//! including the serial fast path.
+//! (the stall decision in `on_commit`), at a dynamic policy's seal, and
+//! at [`Detector::finalize`]. The **functional replay** runs there into
+//! one reused trace buffer, and the **timing fold** consumes its trace
+//! against the checker's availability and its speed class's
+//! checker-cache path, whose misses reach the shared [`MemHier`]'s
+//! L2/DRAM. Replay is pure, so only host time depends on when it runs;
+//! the fold points depend only on simulated state.
 
 use crate::config::{DetectionMode, SystemConfig};
 use crate::delay::DelayStats;
@@ -43,7 +39,6 @@ use paradet_checker::{
 use paradet_isa::{ArchState, Instruction, MemWidth, Program};
 use paradet_mem::{CheckerPath, CheckerPathSnapshot, MemHier, Time};
 use paradet_ooo::{CommitEvent, CommitGate, DetectionSink};
-use paradet_par::{Farm, Ticket};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -80,12 +75,12 @@ pub struct DetectorStats {
 }
 
 /// Everything besides the program that a checker needs to replay one
-/// sealed segment, owned so the job can leave the simulation thread: the
-/// chained start checkpoint (moved out of the detector), the committed end
-/// state (cloned into a scratch-pooled slot), and the log entries (moved
-/// out of the segment ring). Replay is a pure function of these and the
-/// program (invariant 3), so a snapshot shares an in-flight check's inputs
-/// and re-dispatches them on restore.
+/// sealed segment: the chained start checkpoint (moved out of the
+/// detector), the committed end state (cloned into a scratch-pooled slot),
+/// and the log entries (moved out of the segment ring). Replay is a pure
+/// function of these and the program (invariant 3), so a snapshot shares
+/// an in-flight check's inputs and the check replays at its fold wherever
+/// the run continues.
 #[derive(Debug)]
 struct ReplayInputs {
     cfg: CheckerConfig,
@@ -93,36 +88,6 @@ struct ReplayInputs {
     end: ArchState,
     instr_count: u64,
     log: SegmentLog,
-}
-
-/// One replay dispatched to the farm.
-#[derive(Debug)]
-struct SealedJob {
-    program: Arc<Program>,
-    inputs: Arc<ReplayInputs>,
-    trace: ReplayTrace,
-}
-
-/// A finished replay: the verdict + trace, and every buffer the job
-/// borrowed from the detector's pools, coming home.
-#[derive(Debug)]
-struct DoneJob {
-    outcome: ReplayOutcome,
-    inputs: Arc<ReplayInputs>,
-}
-
-/// The farm's job function: pure functional replay, no shared state.
-fn replay_job(mut job: SealedJob) -> DoneJob {
-    let inputs = job.inputs;
-    let task = SegmentTask {
-        program: &job.program,
-        start: &inputs.start,
-        end: &inputs.end,
-        instr_count: inputs.instr_count,
-    };
-    let mut reader = SegmentReader::new(&inputs.log);
-    let outcome = replay_segment(&inputs.cfg, task, &mut reader, &mut job.trace);
-    DoneJob { outcome, inputs }
 }
 
 /// One secondary clock domain's live state: its own checker cores
@@ -179,8 +144,7 @@ pub struct DomainReport {
 /// policy assigned the sealed segment to and the entry capacity that
 /// segment had. The log is what pins scheduling as a pure function of
 /// (kernel, config, geometry) — identical runs must produce identical
-/// assignment streams at any thread or farm width (see
-/// `tests/mixed_farms.rs`).
+/// assignment streams (see `tests/mixed_farms.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SealAssignment {
     /// Seal sequence number.
@@ -191,31 +155,19 @@ pub struct SealAssignment {
     pub capacity: usize,
 }
 
-/// Bookkeeping for one dispatched, not-yet-folded check, queued in seal
-/// order.
-#[derive(Debug)]
+/// One sealed, not-yet-folded check, queued in seal order. A snapshot
+/// carries the queue as it is.
+#[derive(Debug, Clone)]
 struct PendingCheck {
-    ticket: Ticket,
-    /// The job's inputs, shared so a snapshot can carry the check without
-    /// joining it.
+    /// The replay's inputs, shared so a snapshot can carry the check
+    /// without folding it.
     inputs: Arc<ReplayInputs>,
     seal_seq: u64,
-    /// Segment (= checker) index the job came from.
+    /// Segment (= checker) index the check came from.
     slot: usize,
     /// Seal time: when the segment and its end checkpoint became available.
     ready_at: Time,
     base_instr: u64,
-}
-
-/// An in-flight check as a [`DetectorSnapshot`] carries it: its seal
-/// bookkeeping and replay inputs, re-dispatched on restore.
-#[derive(Debug, Clone)]
-struct SnapshotCheck {
-    seal_seq: u64,
-    slot: usize,
-    ready_at: Time,
-    base_instr: u64,
-    inputs: Arc<ReplayInputs>,
 }
 
 /// Rollback bookkeeping for one sealed-but-not-yet-validated segment:
@@ -264,7 +216,7 @@ pub struct RollbackPlan {
 /// The detection hardware's simulated state between two commits, as a
 /// [`SystemSnapshot`](crate::SystemSnapshot) carries it (see
 /// [`Detector::snapshot`]). What the configuration rebuilds — mode,
-/// policy, the farm's workers, recycled buffers — is left out.
+/// policy, recycled buffers — is left out.
 #[derive(Debug, Clone)]
 pub(crate) struct DetectorSnapshot {
     next_interrupt: Time,
@@ -282,7 +234,7 @@ pub(crate) struct DetectorSnapshot {
     base_instr: u64,
     seal_seq: u64,
     finishes: Vec<Time>,
-    pending: Vec<SnapshotCheck>,
+    pending: VecDeque<PendingCheck>,
     delays: DelayStats,
     store_delays: DelayStats,
     errors: Vec<DetectedError>,
@@ -371,16 +323,12 @@ pub struct Detector {
     base_instr: u64,
     seal_seq: u64,
     finishes: Vec<Time>,
-    /// The farm's worker pool, spawned on the first dispatch (never in
-    /// `CheckpointOnly` mode).
-    farm: Option<Farm<SealedJob, DoneJob>>,
-    /// Dispatched checks whose timing has not been folded yet, oldest seal
-    /// first.
+    /// Sealed checks not replayed and folded yet, oldest seal first.
     pending: VecDeque<PendingCheck>,
-    /// Recycled `ArchState` slots for job checkpoints.
+    /// Recycled `ArchState` slots for replay checkpoints.
     ckpt_pool: Vec<ArchState>,
-    /// Recycled replay-trace buffers for jobs.
-    trace_pool: Vec<ReplayTrace>,
+    /// The replay-trace buffer every fold's replay reuses.
+    trace: ReplayTrace,
     /// Detection delays over all checked entries (Fig. 8).
     pub delays: DelayStats,
     /// Detection delays over stores only (Fig. 11/12).
@@ -446,20 +394,6 @@ fn fold_domain(
         });
     }
     busy_until[slot] = out.finish_time;
-}
-
-/// Joins a pending check's replay and releases the pending queue's share
-/// of its inputs (`queued`). The inputs come back owned (`Ok`) so their
-/// buffers can be recycled, or still shared with a snapshot (`Err`), which
-/// keeps them.
-fn redeem(
-    farm: &mut Option<Farm<SealedJob, DoneJob>>,
-    ticket: Ticket,
-    queued: Arc<ReplayInputs>,
-) -> (ReplayOutcome, Result<ReplayInputs, Arc<ReplayInputs>>) {
-    let done = farm.as_mut().expect("pending implies farm").join(ticket);
-    drop(queued);
-    (done.outcome, Arc::try_unwrap(done.inputs))
 }
 
 /// Records one passed entry's detection delay (commit → check).
@@ -552,10 +486,9 @@ impl Detector {
             base_instr: 0,
             seal_seq: 0,
             finishes: Vec::new(),
-            farm: None,
             pending: VecDeque::new(),
             ckpt_pool: scratch.take_ckpts(),
-            trace_pool: scratch.take_traces(),
+            trace: ReplayTrace::default(),
             delays: DelayStats::new(),
             store_delays: DelayStats::new(),
             errors: Vec::new(),
@@ -574,20 +507,9 @@ impl Detector {
     }
 
     /// The detector's simulated state, for a snapshot of the run. In-flight
-    /// checks keep running: the snapshot shares their inputs, and each
-    /// still folds at its own simulation point (invariant 1).
+    /// checks stay queued: the snapshot shares their inputs, and each still
+    /// replays and folds at its own simulation point (invariant 1).
     pub(crate) fn snapshot(&self) -> DetectorSnapshot {
-        let pending = self
-            .pending
-            .iter()
-            .map(|p| SnapshotCheck {
-                seal_seq: p.seal_seq,
-                slot: p.slot,
-                ready_at: p.ready_at,
-                base_instr: p.base_instr,
-                inputs: Arc::clone(&p.inputs),
-            })
-            .collect();
         let segs = self
             .segs
             .iter()
@@ -612,7 +534,7 @@ impl Detector {
             base_instr: self.base_instr,
             seal_seq: self.seal_seq,
             finishes: self.finishes.clone(),
-            pending,
+            pending: self.pending.clone(),
             delays: self.delays.clone(),
             store_delays: self.store_delays.clone(),
             errors: self.errors.clone(),
@@ -624,9 +546,10 @@ impl Detector {
     }
 
     /// Rebuilds the detector a [`snapshot`](Detector::snapshot) of a run
-    /// under `cfg` was taken of, drawing buffers from `scratch` and
-    /// re-dispatching the snapshot's in-flight checks, in seal order, to
-    /// a farm of its own.
+    /// under `cfg` was taken of, drawing buffers from `scratch`. The
+    /// snapshot's in-flight checks come back as its queue, their inputs
+    /// still shared with it; nothing replays here, each check replays at
+    /// its own fold.
     pub(crate) fn from_snapshot(
         cfg: &SystemConfig,
         program: Arc<Program>,
@@ -658,21 +581,7 @@ impl Detector {
         det.log_fault = snap.log_fault;
         det.rec.clone_from(&snap.rec);
         det.lie_miss = snap.lie_miss;
-        // Each job takes its checkpoint slots from the pool and its log
-        // buffer from its segment, as at a seal, so a restored run's
-        // buffers balance like any other run's.
-        for c in &snap.pending {
-            let mut log = std::mem::take(&mut det.segs[c.slot].log);
-            log.extend_from(&c.inputs.log);
-            let inputs = ReplayInputs {
-                cfg: c.inputs.cfg,
-                start: Detector::pooled_clone(&mut det.ckpt_pool, &c.inputs.start),
-                end: Detector::pooled_clone(&mut det.ckpt_pool, &c.inputs.end),
-                instr_count: c.inputs.instr_count,
-                log,
-            };
-            det.dispatch(inputs, c.seal_seq, c.slot, c.ready_at, c.base_instr);
-        }
+        det.pending.clone_from(&snap.pending);
         det
     }
 
@@ -724,27 +633,23 @@ impl Detector {
         Some(RollbackPlan { base_instr: front.base_instr, state: front.start.clone(), undo })
     }
 
-    /// Returns the detector's reusable allocations (segment entry buffers,
-    /// checkpoint slots, trace buffers) to `scratch` so the next
-    /// [`Detector::new_shared`] skips reallocating them. Joins any check
-    /// still in flight first.
+    /// Returns the detector's reusable allocations (segment entry buffers
+    /// and checkpoint slots) to `scratch` so the next
+    /// [`Detector::new_shared`] skips reallocating them. Checks still
+    /// pending are dropped unreplayed; the buffers of those a snapshot
+    /// does not share come home too.
     pub fn recycle_into(mut self, scratch: &mut SimScratch) {
-        // A run abandoned before finalize may leave unfolded checks; their
-        // results are moot, but the buffers come home.
-        while let Some(p) = self.pending.pop_front() {
-            let (outcome, inputs) = redeem(&mut self.farm, p.ticket, p.inputs);
-            if let Ok(inputs) = inputs {
+        for p in self.pending.drain(..) {
+            if let Ok(inputs) = Arc::try_unwrap(p.inputs) {
                 scratch.put_seg_buf(inputs.log);
                 self.ckpt_pool.push(inputs.start);
                 self.ckpt_pool.push(inputs.end);
             }
-            self.trace_pool.push(outcome.trace);
         }
         for seg in self.segs {
             scratch.put_seg_buf(seg.log);
         }
         scratch.put_ckpts(self.ckpt_pool);
-        scratch.put_traces(self.trace_pool);
     }
 
     /// Arms an over-detection fault: corrupts one bit of one log entry in
@@ -755,8 +660,8 @@ impl Detector {
         self.log_fault = Some((seal_seq, entry, bit));
     }
 
-    /// Time at which every launched check has finished. Complete only once
-    /// [`Detector::finalize`] has joined the farm.
+    /// Time at which every sealed check has finished. Complete only once
+    /// [`Detector::finalize`] has folded every pending check.
     pub fn all_checks_done_at(&self) -> Time {
         self.finishes.iter().copied().max().unwrap_or(Time::ZERO)
     }
@@ -870,7 +775,7 @@ impl Detector {
     }
 
     /// Seals whatever remains (entries and instructions since the last
-    /// boundary), checks it, and joins every outstanding check — used at
+    /// boundary), checks it, and folds every pending check — used at
     /// halt, crash, or experiment cutoff (§IV-H: process termination is
     /// held until checks complete).
     pub fn finalize(
@@ -902,23 +807,20 @@ impl Detector {
         self.confirm_errors();
     }
 
-    /// Worker count for a freshly spawned farm: serial inside an already-
-    /// parallel region (trial sweeps fan out *across* simulations), else
-    /// the configured thread count, never more than there are checkers.
-    fn farm_threads(n_checkers: usize) -> usize {
-        if paradet_par::in_worker() {
-            1
-        } else {
-            paradet_par::num_threads().min(n_checkers.max(1))
-        }
-    }
-
-    /// Folds the timing of the **oldest** dispatched check — seal order is
-    /// the invariant that keeps L2/DRAM traffic, delay recording and error
-    /// ordering bit-identical at any farm width.
+    /// Replays the **oldest** pending check and folds its timing — seal
+    /// order is the invariant that keeps L2/DRAM traffic, delay recording
+    /// and error ordering deterministic.
     fn fold_next_pending(&mut self, hier: &mut MemHier) {
         let p = self.pending.pop_front().expect("fold with no pending check");
-        let (replay, inputs) = redeem(&mut self.farm, p.ticket, p.inputs);
+        let inputs = &*p.inputs;
+        let task = SegmentTask {
+            program: &self.program,
+            start: &inputs.start,
+            end: &inputs.end,
+            instr_count: inputs.instr_count,
+        };
+        let mut reader = SegmentReader::new(&inputs.log);
+        let replay = replay_segment(&inputs.cfg, task, &mut reader, &mut self.trace);
         let Detector {
             checkers,
             slot_class,
@@ -930,15 +832,12 @@ impl Detector {
             finishes,
             errors,
             ckpt_pool,
-            trace_pool,
+            trace,
             rec,
             lie_miss,
             ..
         } = self;
-        let log = match &inputs {
-            Ok(inputs) => &inputs.log,
-            Err(shared) => &shared.log,
-        };
+        let log = &inputs.log;
         // The slot's I-fetches go through its speed class's own path
         // (per-class clock and hit latencies), misses landing in the shared
         // L2/DRAM at this seal-order fold point.
@@ -951,6 +850,9 @@ impl Detector {
             },
             |idx, now| record_delay(delays, store_delays, log, idx, now),
         );
+        // `finish_times` is indexed by seal sequence: each check folds
+        // exactly once, in seal order.
+        assert_eq!(p.seal_seq, finishes.len() as u64, "a check folded out of seal order or twice");
         finishes.push(outcome.finish_time);
         // A lying checker reports "pass" regardless of the replay verdict
         // (missed-detection fault class); the segment then counts as
@@ -995,57 +897,30 @@ impl Detector {
         }
         // The segment's storage frees when its check finishes; the entry
         // buffer comes home for the segment's next tour of the ring, unless
-        // a snapshot still shares it.
+        // a snapshot still shares it, and then the segment keeps the buffer
+        // it has.
         let seg = &mut segs[p.slot];
         seg.state = SegmentState::Busy { until: outcome.finish_time };
-        if let Ok(inputs) = inputs {
+        if let Ok(inputs) = Arc::try_unwrap(p.inputs) {
             seg.log = inputs.log;
             ckpt_pool.push(inputs.start);
             ckpt_pool.push(inputs.end);
         }
-        trace_pool.push(replay.trace);
+        *trace = replay.trace;
     }
 
-    /// Joins checks (oldest first) until `slot`'s check is folded.
+    /// Folds checks (oldest first) until `slot`'s check is folded.
     fn resolve_slot(&mut self, slot: usize, hier: &mut MemHier) {
         while self.segs[slot].state == SegmentState::Checking {
             self.fold_next_pending(hier);
         }
     }
 
-    /// Joins every outstanding check, in seal order.
+    /// Folds every pending check, in seal order.
     fn drain_pending(&mut self, hier: &mut MemHier) {
         while !self.pending.is_empty() {
             self.fold_next_pending(hier);
         }
-    }
-
-    /// Dispatches one replay to the farm (spawned on first use) and queues
-    /// its fold.
-    fn dispatch(
-        &mut self,
-        inputs: ReplayInputs,
-        seal_seq: u64,
-        slot: usize,
-        ready_at: Time,
-        base_instr: u64,
-    ) {
-        let inputs = Arc::new(inputs);
-        let job = SealedJob {
-            program: Arc::clone(&self.program),
-            inputs: Arc::clone(&inputs),
-            trace: self.trace_pool.pop().unwrap_or_default(),
-        };
-        let threads = Detector::farm_threads(self.segs.len());
-        let ticket = self.farm.get_or_insert_with(|| Farm::new(threads, replay_job)).submit(job);
-        self.pending.push_back(PendingCheck {
-            ticket,
-            inputs,
-            seal_seq,
-            slot,
-            ready_at,
-            base_instr,
-        });
     }
 
     /// Takes a pooled `ArchState` slot holding a copy of `src`.
@@ -1060,8 +935,8 @@ impl Detector {
     }
 
     /// Seals the current segment at `at`, whose end state is `committed`
-    /// after `instr_count` total retired instructions, and dispatches it to
-    /// its checker on the farm (finish time folded at the lazy join).
+    /// after `instr_count` total retired instructions, and queues its check
+    /// (replayed and folded at the lazy join).
     fn seal(
         &mut self,
         committed: &ArchState,
@@ -1098,9 +973,9 @@ impl Detector {
             seg.seal_time = at;
         }
 
-        // The farm path moves the chain checkpoint into the job and installs
-        // a pooled copy of `committed` in its place; every other path chains
-        // by `clone_from` below.
+        // Full detection moves the chain checkpoint into the check's inputs
+        // and installs a pooled copy of `committed` in its place; every
+        // other path chains by `clone_from` below.
         let mut chained = false;
         match self.mode {
             DetectionMode::Full => {
@@ -1114,39 +989,41 @@ impl Detector {
                         self.log_fault = None;
                     }
                 }
-                {
-                    // Package an owned job, dispatch it to the farm, and
-                    // let the main loop run ahead — the finish time is
-                    // folded at the lazy join.
-                    let cfg = *self.checkers[cur].config();
-                    let end = Detector::pooled_clone(&mut self.ckpt_pool, committed);
-                    let new_chain = Detector::pooled_clone(&mut self.ckpt_pool, committed);
-                    let start = std::mem::replace(&mut self.chain_ckpt, new_chain);
-                    chained = true;
-                    // Rollback bookkeeping: snapshot the start checkpoint
-                    // and the segment's store-undo rows before the log
-                    // moves into the job. The record is dropped when the
-                    // fold validates cleanly.
-                    if let Some(rec) = &mut self.rec {
-                        rec.seals.push_back(SealRecord {
-                            seal_seq: self.seal_seq,
-                            base_instr: self.segs[cur].base_instr,
-                            start: start.clone(),
-                            undo: self.segs[cur].log.undo_rows(),
-                        });
-                    }
-                    let seg = &mut self.segs[cur];
-                    let inputs = ReplayInputs {
+                // Move the check's inputs into the pending queue and let
+                // the main loop run ahead — the replay and its fold run at
+                // the lazy join.
+                let cfg = *self.checkers[cur].config();
+                let end = Detector::pooled_clone(&mut self.ckpt_pool, committed);
+                let new_chain = Detector::pooled_clone(&mut self.ckpt_pool, committed);
+                let start = std::mem::replace(&mut self.chain_ckpt, new_chain);
+                chained = true;
+                // Rollback bookkeeping: snapshot the start checkpoint and
+                // the segment's store-undo rows before the log moves into
+                // the queue. The record is dropped when the fold validates
+                // cleanly.
+                if let Some(rec) = &mut self.rec {
+                    rec.seals.push_back(SealRecord {
+                        seal_seq: self.seal_seq,
+                        base_instr: self.segs[cur].base_instr,
+                        start: start.clone(),
+                        undo: self.segs[cur].log.undo_rows(),
+                    });
+                }
+                let seg = &mut self.segs[cur];
+                seg.state = SegmentState::Checking;
+                self.pending.push_back(PendingCheck {
+                    inputs: Arc::new(ReplayInputs {
                         cfg,
                         start,
                         end,
                         instr_count: seg.instr_count,
                         log: std::mem::take(&mut seg.log),
-                    };
-                    seg.state = SegmentState::Checking;
-                    let base_instr = seg.base_instr;
-                    self.dispatch(inputs, self.seal_seq, cur, at, base_instr);
-                }
+                    }),
+                    seal_seq: self.seal_seq,
+                    slot: cur,
+                    ready_at: at,
+                    base_instr: seg.base_instr,
+                });
             }
             DetectionMode::CheckpointOnly => {
                 // Checkpoint costs are modelled; the segment frees at once.
@@ -1169,9 +1046,8 @@ impl Detector {
         // A dynamic policy reads every slot's storage-busy window, so the
         // in-flight checks must fold first — the modelled scheduler sits
         // next to the log SRAM and *sees* which checkers are busy. The
-        // drain is a deterministic simulation point, so results stay
-        // bit-identical at any farm width; round-robin skips it and keeps
-        // the fully lazy fold schedule.
+        // drain is a deterministic simulation point; round-robin skips it
+        // and keeps the fully lazy fold schedule.
         if self.policy.needs_busy_windows() {
             self.drain_pending(hier);
         }
@@ -1200,10 +1076,9 @@ impl DetectionSink for Detector {
     ) -> CommitGate {
         // ---- Lazy join ----------------------------------------------------
         // The commit stream has wrapped around to a segment whose check is
-        // still in flight: fold the outstanding timing traces (in seal
-        // order) before any stall/seal decision below reads its finish
-        // time. A deterministic simulation point — worker speed never
-        // shifts it.
+        // still pending: replay and fold the pending checks (in seal order)
+        // before any stall/seal decision below reads its finish time. A
+        // deterministic simulation point.
         if self.segs[self.cur].state == SegmentState::Checking {
             self.resolve_slot(self.cur, hier);
         }

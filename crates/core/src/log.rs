@@ -208,9 +208,9 @@ pub enum SegmentState {
     Free,
     /// Receiving committed entries from the main core.
     Filling,
-    /// Sealed and dispatched to the checker farm; the check's finish time
-    /// is not yet known (the main-core loop joins lazily, in seal order,
-    /// at the first point the simulation needs it).
+    /// Sealed and queued for its checker; the check's finish time is not
+    /// yet known (the detector replays and folds pending checks lazily, in
+    /// seal order, at the first point the simulation needs one).
     Checking,
     /// Check timing folded; the storage frees at `until`.
     Busy {
@@ -223,8 +223,8 @@ pub enum SegmentState {
 ///
 /// Start/end register checkpoints are *not* stored here: at seal time the
 /// detector's chained checkpoint (start) and the committed state (end) are
-/// both live, and the sealed job takes ownership of them — storing copies
-/// per segment was two redundant `ArchState` clones per seal.
+/// both live, and the sealed check takes ownership of them — storing
+/// copies per segment was two redundant `ArchState` clones per seal.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// Captured entries, in commit order (structure-of-arrays).

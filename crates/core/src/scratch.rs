@@ -10,7 +10,6 @@
 //! [`PairedSystem`]: crate::PairedSystem
 
 use crate::log::SegmentLog;
-use paradet_checker::ReplayTrace;
 use paradet_isa::ArchState;
 
 /// A per-worker pool of reusable simulation allocations.
@@ -39,12 +38,10 @@ use paradet_isa::ArchState;
 #[derive(Debug, Default)]
 pub struct SimScratch {
     seg_bufs: Vec<SegmentLog>,
-    /// Register-checkpoint slots for the farm's sealed jobs (the chained
-    /// start checkpoint moves into a job; the committed end state is cloned
-    /// into one of these pooled slots).
+    /// Register-checkpoint slots for sealed checks' replay inputs (the
+    /// chained start checkpoint moves into a check; the committed end
+    /// state is cloned into one of these pooled slots).
     ckpts: Vec<ArchState>,
-    /// Replay-trace buffers recycled across farm jobs.
-    traces: Vec<ReplayTrace>,
 }
 
 impl SimScratch {
@@ -85,20 +82,6 @@ impl SimScratch {
             self.ckpts.append(&mut ckpts);
         }
     }
-
-    /// Takes the whole replay-trace buffer pool.
-    pub fn take_traces(&mut self) -> Vec<ReplayTrace> {
-        std::mem::take(&mut self.traces)
-    }
-
-    /// Returns replay-trace buffers to the pool.
-    pub fn put_traces(&mut self, mut traces: Vec<ReplayTrace>) {
-        if self.traces.is_empty() {
-            self.traces = traces;
-        } else {
-            self.traces.append(&mut traces);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +90,8 @@ mod tests {
 
     /// Recycled buffers must be invisible to the simulation: a run built
     /// from another run's scratch reports exactly what a fresh-allocation
-    /// run reports.
+    /// run reports, also when that other run was recycled unfinished, with
+    /// checks still pending and some of them shared with a snapshot.
     #[test]
     fn recycled_runs_match_fresh_runs() {
         use crate::{PairedSystem, SystemConfig};
@@ -140,6 +124,20 @@ mod tests {
         }
         assert!(scratch.pooled_seg_bufs() > 0, "buffers actually round-tripped");
         assert_eq!(format!("{fresh:?}"), format!("{:?}", last.unwrap()));
+
+        let mut sys = PairedSystem::new_with_scratch(cfg, &program, &mut scratch);
+        sys.advance(500);
+        let snap = sys.snapshot();
+        let shared = sys.detector().stats.seals;
+        sys.advance(500);
+        // Every check is still pending: those sealed before the snapshot
+        // are shared with it, the later ones are not.
+        let det = sys.detector();
+        assert!(det.finish_times().is_empty() && 0 < shared && shared < det.stats.seals);
+        sys.recycle_into(&mut scratch);
+        drop(snap);
+        let report = PairedSystem::new_with_scratch(cfg, &program, &mut scratch).run_to_halt();
+        assert_eq!(format!("{fresh:?}"), format!("{report:?}"));
     }
 
     #[test]

@@ -198,8 +198,8 @@ impl PairedSystem {
     }
 
     /// A compact copy of the system, to start later runs from this point
-    /// with [`PairedSystem::from_snapshot`]. In-flight checks keep running
-    /// and still fold at their own simulation points, so this run
+    /// with [`PairedSystem::from_snapshot`]. Pending checks stay queued and
+    /// still replay and fold at their own simulation points, so this run
     /// continues exactly as if no snapshot had been taken.
     pub fn snapshot(&mut self) -> SystemSnapshot {
         SystemSnapshot {
@@ -211,8 +211,8 @@ impl PairedSystem {
     }
 
     /// Rebuilds the system `snap` was taken of, drawing buffers from
-    /// `scratch`. Replay is pure, so the snapshot's in-flight checks are
-    /// simply dispatched again.
+    /// `scratch`. Replay is pure, so the snapshot's pending checks are
+    /// queued again as they are, and each replays at its own fold.
     ///
     /// A restored system is bit-identical to the original from this point
     /// on (determinism invariant 13, snapshot transparency): advancing it

@@ -629,42 +629,22 @@ fn fold_trial(agg: &mut SiteResult, trial: &TrialResult) {
     agg.recovery_fs_sum += trial.recovery_fs.unwrap_or(0);
 }
 
-/// Folds grid-ordered trials into per-site aggregates, in `sites` order.
-/// Shared by the one-shot path and `campaign-merge`, so both produce the
-/// same aggregation of the same trials.
-pub(crate) fn aggregate(
+/// Tallies trials into per-site aggregates, one row per entry of `sites`
+/// in that order, each trial counted under its own `site`. Site tallies
+/// are integer sums, so trial order cannot matter: the one-shot path and
+/// the strict merge pass a full grid, the partial merge a sparse one.
+pub(crate) fn aggregate<'a>(
     sites: &[FaultSite],
-    trials: &[TrialResult],
+    trials: impl IntoIterator<Item = &'a TrialResult>,
 ) -> Vec<(FaultSite, SiteResult)> {
-    let trials_per_site = trials.len() / sites.len().max(1);
-    let mut per_site: Vec<(FaultSite, SiteResult)> = Vec::with_capacity(sites.len());
-    for (i, &site) in sites.iter().enumerate() {
-        let mut agg = SiteResult::default();
-        let base = i * trials_per_site;
-        for trial in &trials[base..base + trials_per_site] {
-            fold_trial(&mut agg, trial);
-        }
-        per_site.push((site, agg));
-    }
-    per_site
-}
-
-/// [`aggregate`] over a *sparse* grid — empty slots (trials a degraded
-/// shard never produced) simply don't count. Used by the partial merge;
-/// on a fully-populated grid it tallies exactly like [`aggregate`].
-pub(crate) fn aggregate_slots(
-    sites: &[FaultSite],
-    trials_per_site: u64,
-    slots: &[Option<TrialResult>],
-) -> Vec<(FaultSite, SiteResult)> {
-    let mut per_site: Vec<(FaultSite, SiteResult)> = Vec::with_capacity(sites.len());
-    for (i, &site) in sites.iter().enumerate() {
-        let mut agg = SiteResult::default();
-        let base = i * trials_per_site as usize;
-        for slot in slots[base..base + trials_per_site as usize].iter().flatten() {
-            fold_trial(&mut agg, slot);
-        }
-        per_site.push((site, agg));
+    let mut per_site: Vec<(FaultSite, SiteResult)> =
+        sites.iter().map(|&site| (site, SiteResult::default())).collect();
+    for trial in trials {
+        let (_, agg) = per_site
+            .iter_mut()
+            .find(|(site, _)| *site == trial.site)
+            .expect("every trial's site is one of the campaign's sites");
+        fold_trial(agg, trial);
     }
     per_site
 }
@@ -770,15 +750,14 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
 
     // One work item per (site, trial), in reporting order. Trial cost is
     // wildly uneven (a crash ends a run early; an SDC runs to the budget
-    // plus a full state diff), so claim granularity 1 for balance.
+    // plus a full state diff); `par_map` claims one trial at a time.
     let points = crate::shard::grid_points(&cfg.sites, cfg.trials_per_site);
     let trials: Vec<TrialResult> =
-        paradet_par::par_map_init_chunked(1, &points, SimScratch::new, |scratch, _, &(site, t)| {
+        paradet_par::par_map(&points, SimScratch::new, |scratch, _, &(site, t)| {
             run_point(cfg, &golden, site, t, scratch)
         });
 
-    // Aggregate per site; `trials` is site-major in `cfg.sites` order.
-    let per_site = aggregate(&cfg.sites, &trials);
+    let per_site = aggregate(&cfg.sites, trials.iter());
     CampaignResult { trials, per_site }
 }
 
@@ -791,7 +770,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
 pub fn run_overdetection_trials(cfg: &CampaignConfig, trials: u64) -> (u64, u64) {
     let program = Arc::new(cfg.workload.build(cfg.workload.iters_for_instrs(cfg.instrs)));
     let idx: Vec<u64> = (0..trials).collect();
-    let detected = paradet_par::par_map_init_chunked(1, &idx, SimScratch::new, |scratch, _, &t| {
+    let detected = paradet_par::par_map(&idx, SimScratch::new, |scratch, _, &t| {
         let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, OVERDETECTION_STREAM, t));
         let mut sys = PairedSystem::new_with_scratch(cfg.system, &program, scratch);
         sys.arm_log_fault(rng.gen_range(0..4), rng.gen_range(0..64), rng.gen_range(0..64));

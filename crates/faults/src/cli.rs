@@ -171,6 +171,11 @@ pub fn parse_campaign_flags(args: &mut Vec<String>) -> Result<(CampaignConfig, b
         if cfg.sites.is_empty() {
             return Err("--sites needs at least one site".to_string());
         }
+        // Trials tally under their own site, so a repeated site would
+        // merge two rows of the table into one.
+        if let Some(dup) = (1..cfg.sites.len()).find(|&i| cfg.sites[..i].contains(&cfg.sites[i])) {
+            return Err(format!("fault site `{}` listed twice", cfg.sites[dup].name()));
+        }
         explicit = true;
     }
     if let Some(v) = take_value(args, "--fault-kind")? {
@@ -305,6 +310,7 @@ mod tests {
         assert!(parse_campaign_flags(&mut argv(&["--fault-kind", "flaky"])).is_err());
         assert!(parse_campaign_flags(&mut argv(&["--fault-kind", "intermittent:40"])).is_err());
         assert!(parse_campaign_flags(&mut argv(&["--max-retries", "lots"])).is_err());
+        assert!(parse_campaign_flags(&mut argv(&["--sites", "pc,int-reg,pc"])).is_err());
     }
 
     #[test]

@@ -32,8 +32,7 @@
 //! (`campaign-shard` and `campaign-chaos` jobs).
 
 use crate::campaign::{
-    aggregate, aggregate_slots, prepare_golden, run_point, CampaignConfig, CampaignResult,
-    SiteResult, TrialResult,
+    aggregate, prepare_golden, run_point, CampaignConfig, CampaignResult, SiteResult, TrialResult,
 };
 use crate::shard::{shard_points, ShardSpec};
 use crate::store::{
@@ -155,13 +154,11 @@ pub fn run_campaign_shard_on(
         let mut at = resumed_from as usize;
         while at < points.len() {
             let chunk = &points[at..(at + every).min(points.len())];
-            let batch: Vec<TrialResult> = paradet_par::par_map_init_chunked(
-                1,
-                chunk,
-                SimScratch::new,
-                |scratch, _, &(site, t)| run_point(cfg, &golden, site, t, scratch),
-            );
-            // par_map_* is order-preserving: batch[j] is chunk[j]'s result.
+            let batch: Vec<TrialResult> =
+                paradet_par::par_map(chunk, SimScratch::new, |scratch, _, &(site, t)| {
+                    run_point(cfg, &golden, site, t, scratch)
+                });
+            // par_map is order-preserving: batch[j] is chunk[j]'s result.
             records.extend(batch.iter().zip(chunk).map(|(t, &(site, trial))| {
                 debug_assert_eq!(t.site, site);
                 let retries = match t.outcome {
@@ -312,7 +309,7 @@ pub fn merge_campaign_on(
             })
         })
         .collect::<Result<_, _>>()?;
-    let per_site = aggregate(&sites, &trials);
+    let per_site = aggregate(&sites, trials.iter());
     Ok((manifest, CampaignResult { trials, per_site }))
 }
 
@@ -428,7 +425,7 @@ pub fn merge_campaign_partial_on(
     }
 
     let completed = slots.iter().filter(|s| s.is_some()).count() as u64;
-    let per_site = aggregate_slots(&sites, manifest.trials_per_site, &slots);
+    let per_site = aggregate(&sites, slots.iter().flatten());
     let trials: Vec<TrialResult> = slots.into_iter().flatten().collect();
     Ok(PartialMerge {
         manifest,

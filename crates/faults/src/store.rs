@@ -363,11 +363,6 @@ pub fn read_manifest_on(fs: &dyn StoreFs, dir: &Path) -> Result<Manifest, StoreE
     Manifest::parse(&text)
 }
 
-/// [`read_manifest_on`] over the real filesystem.
-pub fn read_manifest(dir: &Path) -> Result<Manifest, StoreError> {
-    read_manifest_on(&RealFs, dir)
-}
-
 /// Writes the manifest if absent, or validates the existing one against
 /// this invocation (fingerprint and shard count must match). Returns the
 /// manifest in force.

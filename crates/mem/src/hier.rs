@@ -403,9 +403,8 @@ impl MemHier {
     /// fold replays that line trace through here, through the path of the
     /// checker's speed class, *in seal order* on the simulation thread.
     /// The primary folds gate main-core stalls, so their L2/DRAM traffic
-    /// must land in the shared stream; the hierarchy never sees a worker
-    /// thread, and the seal-order call sequence keeps timing bit-identical
-    /// at any farm width.
+    /// must land in the shared stream, and the seal-order call sequence
+    /// keeps it deterministic.
     ///
     /// # Panics
     ///

@@ -2,20 +2,20 @@
 //!
 //! The build environment has no crates.io access, so this crate vendors the
 //! small slice of rayon-style functionality the experiment pipeline needs,
-//! in the spirit of the `shims/` crates: [`par_map_chunked`] /
-//! [`par_map_init_chunked`] (order-preserving parallel maps over a slice,
-//! for campaign trials and experiment grids), a persistent ticketed worker
-//! pool ([`Farm`]) for streams of owned jobs (the decoupled checker farm),
+//! in the spirit of the `shims/` crates: [`par_map`] (an order-preserving
+//! parallel map over a slice, for campaign trials and experiment grids)
 //! and a thread-count policy ([`num_threads`]) driven by the
-//! `PARADET_THREADS` environment variable.
+//! `PARADET_THREADS` environment variable. Parallelism is across
+//! simulations only: one simulation, checker farm included, runs on one
+//! thread.
 //! It also holds [`env_setting`], the one reader of the workspace's numeric
 //! environment settings (`PARADET_THREADS`, `PARADET_INSTRS`,
 //! `PARADET_TRIALS`, `PARADET_CAMPAIGN_SHARDS`).
 //!
 //! # Determinism
 //!
-//! Every parallel map returns results **in input order**, and the worker
-//! count never influences *what* is computed for an item — only *where*.
+//! [`par_map`] returns results **in input order**, and the worker count
+//! never influences *what* is computed for an item — only *where*.
 //! Callers that also keep their per-item computations independent of
 //! execution order (paradet does this by deriving per-trial RNG seeds from
 //! the item's identity, never from a shared sequential stream) therefore get
@@ -33,10 +33,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod farm;
-
-pub use farm::{Farm, Ticket};
-
 use std::cell::Cell;
 use std::fmt::Display;
 use std::num::NonZeroUsize;
@@ -45,24 +41,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the current thread is a `paradet-par` worker (a parallel-map
-/// worker or a [`Farm`] worker).
-///
-/// Nested parallelism policy: code that *could* spin up its own pool (e.g.
-/// a simulation's checker farm) checks this and stays serial inside an
-/// already-parallel region, so a T-thread trial sweep does not explode into
-/// T × N threads.
-pub fn in_worker() -> bool {
-    IN_WORKER.with(|w| w.get())
-}
-
-/// Marks the current thread as a worker for [`in_worker`]. Called once at
-/// the top of every pool/map worker this crate spawns.
-fn enter_worker() {
-    IN_WORKER.with(|w| w.set(true));
 }
 
 /// The number of worker threads parallel maps on this thread will use.
@@ -77,17 +55,9 @@ pub fn num_threads() -> usize {
     if let Some(n) = THREAD_OVERRIDE.with(|o| o.get()) {
         return n.max(1);
     }
-    // Resolved once per process: `available_parallelism` re-reads cgroup and
-    // procfs files on every call, and the detector asks for the checker
-    // farm's width at every seal's dispatch. Nothing in the workspace mutates
-    // `PARADET_THREADS` after startup (the test-suite uses the scoped
-    // override above instead).
-    static RESOLVED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *RESOLVED.get_or_init(|| {
-        env_setting::<NonZeroUsize>("PARADET_THREADS")
-            .or_else(|| std::thread::available_parallelism().ok())
-            .map_or(1, NonZeroUsize::get)
-    })
+    env_setting::<NonZeroUsize>("PARADET_THREADS")
+        .or_else(|| std::thread::available_parallelism().ok())
+        .map_or(1, NonZeroUsize::get)
 }
 
 /// Parses `value`, the value of the environment variable `name`, as a `T`;
@@ -131,38 +101,23 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Order-preserving parallel map with an explicit claim granularity:
-/// workers claim `chunk` consecutive items at a time from a shared atomic
-/// cursor (work stealing by over-decomposition).
+/// Order-preserving parallel map with per-worker scratch state: workers
+/// claim one item at a time from a shared atomic cursor, which balances
+/// items of very uneven cost (fault trials that crash early vs. run to the
+/// budget). `init()` runs once on each worker thread, and its result is
+/// threaded through every call that worker makes.
 ///
-/// `chunk = 1` maximizes balance for items of very uneven cost (e.g. fault
-/// trials that crash early vs. run to the budget); larger chunks amortize
-/// the claim for cheap uniform items.
-pub fn par_map_chunked<T, R, F>(chunk: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_init_chunked(chunk, items, || (), |(), i, t| f(i, t))
-}
-
-/// Order-preserving parallel map with per-worker scratch state and an
-/// explicit claim granularity (see [`par_map_chunked`]): `init()` runs
-/// once on each worker thread, and its result is threaded through every
-/// call that worker makes.
-///
-/// This is the allocation-recycling hook: a worker's scratch (e.g. pooled
-/// log-segment buffers) is reused across all items it processes instead of
-/// being reallocated per item.
-pub fn par_map_init_chunked<T, R, S, F, I>(chunk: usize, items: &[T], init: I, f: F) -> Vec<R>
+/// The scratch is the allocation-recycling hook: a worker's scratch (e.g.
+/// pooled log-segment buffers) is reused across all items it processes
+/// instead of being reallocated per item. Callers with nothing to recycle
+/// pass `|| ()`.
+pub fn par_map<T, R, S, F, I>(items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    let chunk = chunk.max(1);
     let workers = num_threads().min(items.len()).max(1);
     if workers == 1 {
         // Serial fast path: no threads, no atomics — and the reference
@@ -184,24 +139,17 @@ where
                 let init = &init;
                 let slots = &slots;
                 s.spawn(move || {
-                    enter_worker();
                     let mut scratch = init();
                     loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= items.len() {
-                            break;
-                        }
-                        let end = (start + chunk).min(items.len());
-                        for (i, item) in items[start..end].iter().enumerate() {
-                            let idx = start + i;
-                            let r = f(&mut scratch, idx, item);
-                            // SAFETY: `idx` is claimed by exactly one worker
-                            // (the atomic cursor hands out disjoint ranges),
-                            // every slot outlives the scope, and the main
-                            // thread does not touch `out` until the scope
-                            // joins all workers.
-                            unsafe { *slots.0.add(idx) = Some(r) };
-                        }
+                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(idx) else { break };
+                        let r = f(&mut scratch, idx, item);
+                        // SAFETY: `idx` is claimed by exactly one worker
+                        // (the atomic cursor hands out each index once),
+                        // every slot outlives the scope, and the main
+                        // thread does not touch `out` until the scope
+                        // joins all workers.
+                        unsafe { *slots.0.add(idx) = Some(r) };
                     }
                 })
             })
@@ -250,7 +198,7 @@ mod tests {
     #[test]
     fn par_map_preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let got = with_threads(8, || par_map_chunked(1, &items, |i, &x| (i as u64) * 1000 + x * x));
+        let got = with_threads(8, || par_map(&items, || (), |(), i, &x| (i as u64) * 1000 + x * x));
         let want: Vec<u64> =
             items.iter().enumerate().map(|(i, &x)| i as u64 * 1000 + x * x).collect();
         assert_eq!(got, want);
@@ -259,27 +207,18 @@ mod tests {
     #[test]
     fn thread_counts_agree_bitwise() {
         let items: Vec<u64> = (0..257).collect();
-        let f = |i: usize, x: &u64| i as u64 ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let serial = with_threads(1, || par_map_chunked(1, &items, f));
+        let f = |_: &mut (), i: usize, x: &u64| i as u64 ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let serial = with_threads(1, || par_map(&items, || (), f));
         for n in [2, 3, 8, 33] {
-            assert_eq!(with_threads(n, || par_map_chunked(1, &items, f)), serial, "n={n}");
+            assert_eq!(with_threads(n, || par_map(&items, || (), f)), serial, "n={n}");
         }
     }
 
     #[test]
     fn empty_and_single_item() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map_chunked(1, &empty, |_, &x| x).is_empty());
-        assert_eq!(with_threads(8, || par_map_chunked(1, &[7u32], |i, &x| (i, x))), vec![(0, 7)]);
-    }
-
-    #[test]
-    fn chunked_claims_cover_all_items() {
-        let items: Vec<usize> = (0..100).collect();
-        for chunk in [1, 3, 7, 100, 1000] {
-            let got = with_threads(4, || par_map_chunked(chunk, &items, |_, &x| x + 1));
-            assert_eq!(got, (1..=100).collect::<Vec<_>>(), "chunk={chunk}");
-        }
+        assert!(par_map(&empty, || (), |(), _, &x| x).is_empty());
+        assert_eq!(with_threads(8, || par_map(&[7u32], || (), |(), i, &x| (i, x))), vec![(0, 7)]);
     }
 
     #[test]
@@ -288,8 +227,7 @@ mod tests {
         let inits = AtomicUsize::new(0);
         let items: Vec<u32> = (0..64).collect();
         let got = with_threads(4, || {
-            par_map_init_chunked(
-                1,
+            par_map(
                 &items,
                 || {
                     inits.fetch_add(1, Ordering::Relaxed);
@@ -320,12 +258,16 @@ mod tests {
     fn worker_panic_propagates() {
         let items: Vec<u32> = (0..16).collect();
         with_threads(4, || {
-            par_map_chunked(1, &items, |_, &x| {
-                if x == 9 {
-                    panic!("boom");
-                }
-                x
-            })
+            par_map(
+                &items,
+                || (),
+                |(), _, &x| {
+                    if x == 9 {
+                        panic!("boom");
+                    }
+                    x
+                },
+            )
         });
     }
 }

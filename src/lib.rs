@@ -20,7 +20,7 @@
 //! | [`baselines`] | `paradet-baselines` | dual-core lockstep and RMT |
 //! | [`model`] | `paradet-model` | analytic area/power model |
 //! | [`stats`] | `paradet-stats` | histograms, KDE, report tables |
-//! | [`par`] | `paradet-par` | scoped thread pool for trials and sweeps |
+//! | [`par`] | `paradet-par` | order-preserving parallel map across simulations (trials, sweep points) |
 //!
 //! # Quickstart
 //!

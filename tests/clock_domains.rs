@@ -5,13 +5,12 @@
 //! dedicated run at that clock — delays, store delays, per-seal finish
 //! times, errors and checker statistics — whenever the domain reports zero
 //! stall divergences; and the primary domain's results are bit-identical
-//! to a plain run with no domain set at all, at any farm width.
+//! to a plain run with no domain set at all.
 
 use paradet::checker::{CheckerStats, DomainSet};
 use paradet::detect::{DelayStats, DetectedError, PairedSystem, RunReport, SystemConfig};
 use paradet::isa::{AluOp, Program, ProgramBuilder, Reg};
 use paradet::mem::Time;
-use paradet::par::with_threads;
 use paradet::workloads::Workload;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -127,24 +126,6 @@ fn one_run_sweep_matches_dedicated_runs_per_workload() {
     }
 }
 
-#[test]
-fn one_run_sweep_is_farm_width_invariant() {
-    let w = Workload::Freqmine;
-    let program = Arc::new(w.build(w.iters_for_instrs(3_000)));
-    let base = SystemConfig::paper_default();
-    let serial = with_threads(1, || {
-        let (rep, primary) = one_run_sweep(base, &program, 3_000);
-        format!("{rep:?}|{primary}")
-    });
-    let pooled = with_threads(4, || {
-        let (rep, primary) = one_run_sweep(base, &program, 3_000);
-        format!("{rep:?}|{primary}")
-    });
-    assert_eq!(serial, pooled, "farm width changed one-run sweep results");
-    // And the sweep identity itself holds under a pooled farm.
-    with_threads(4, || assert_sweep_identity(base, &program, 3_000));
-}
-
 /// Mixed-speed farms × recovery (invariant 9 under the mixed-farm axis):
 /// a strike detected by the checker farm on a *mixed* farm still drives
 /// rollback + re-execution to a final architectural state bit-identical
@@ -215,10 +196,10 @@ fn sweep_kernel(seeds: &[u64], ops: &[(AluOp, usize, usize)], iters: u64) -> Pro
 }
 
 proptest! {
-    /// Random kernels × geometries × farm widths: wherever a domain
-    /// reports zero stall divergences, its one-run row is bit-identical to
-    /// a dedicated run at that clock; and the primary is always
-    /// bit-identical to the domain-free run. Small logs and low clocks make
+    /// Random kernels × geometries: wherever a domain reports zero stall
+    /// divergences, its one-run row is bit-identical to a dedicated run at
+    /// that clock; and the primary is always bit-identical to the
+    /// domain-free run. Small logs and low clocks make
     /// wrap-around stalls (and so genuine divergences) reachable — the
     /// counter's soundness is the property, not their absence.
     #[test]
@@ -234,7 +215,6 @@ proptest! {
         n_checkers in 1usize..5,
         log_sel in 0usize..3,
         timeout_sel in 0usize..3,
-        threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let program = Arc::new(sweep_kernel(&seeds, &ops, iters));
         let (log_bytes, timeout) =
@@ -242,36 +222,33 @@ proptest! {
         let base = SystemConfig::paper_default()
             .with_checkers(n_checkers)
             .with_log(log_bytes, timeout);
-        with_threads(threads, || {
-            let dedicated = dedicated_sweeps(base, &program, 1_500);
-            let (rep, primary_fp) = one_run_sweep(base, &program, 1_500);
+        let dedicated = dedicated_sweeps(base, &program, 1_500);
+        let (rep, primary_fp) = one_run_sweep(base, &program, 1_500);
 
-            // Primary invariance holds unconditionally.
-            let mut plain = PairedSystem::new_shared(base, &program);
-            let plain_rep = plain.run(1_500);
-            let plain_checkers: Vec<CheckerStats> =
-                plain.detector().checkers.iter().map(|c| c.stats).collect();
-            let plain_fp = domain_fingerprint(
-                &plain_rep.delays,
-                &plain_rep.store_delays,
-                plain.detector().finish_times(),
-                &plain_rep.errors,
-                &plain_checkers,
-            );
-            prop_assert_eq!(&primary_fp, &plain_fp, "primary perturbed by domain set");
+        // Primary invariance holds unconditionally.
+        let mut plain = PairedSystem::new_shared(base, &program);
+        let plain_rep = plain.run(1_500);
+        let plain_checkers: Vec<CheckerStats> =
+            plain.detector().checkers.iter().map(|c| c.stats).collect();
+        let plain_fp = domain_fingerprint(
+            &plain_rep.delays,
+            &plain_rep.store_delays,
+            plain.detector().finish_times(),
+            &plain_rep.errors,
+            &plain_checkers,
+        );
+        prop_assert_eq!(&primary_fp, &plain_fp, "primary perturbed by domain set");
 
-            // Soundness of the divergence certificate, per domain.
-            for (d, (ded_fp, ded_cycles)) in rep.domains.iter().zip(&dedicated) {
-                if d.stall_divergences == 0 {
-                    let fp = domain_fingerprint(
-                        &d.delays, &d.store_delays, &d.finishes, &d.errors, &d.checkers,
-                    );
-                    prop_assert_eq!(&fp, ded_fp,
-                        "undiverged {} MHz domain != dedicated run", d.domain.mhz());
-                    prop_assert_eq!(*ded_cycles, rep.main_cycles);
-                }
+        // Soundness of the divergence certificate, per domain.
+        for (d, (ded_fp, ded_cycles)) in rep.domains.iter().zip(&dedicated) {
+            if d.stall_divergences == 0 {
+                let fp = domain_fingerprint(
+                    &d.delays, &d.store_delays, &d.finishes, &d.errors, &d.checkers,
+                );
+                prop_assert_eq!(&fp, ded_fp,
+                    "undiverged {} MHz domain != dedicated run", d.domain.mhz());
+                prop_assert_eq!(*ded_cycles, rep.main_cycles);
             }
-            Ok(())
-        })?;
+        }
     }
 }

@@ -2,10 +2,6 @@
 //!
 //! The tentpole invariants:
 //!
-//! * **Every** policy on **every** farm spec is bit-identical at any farm
-//!   width — the two-phase split (functional replays on workers, timing
-//!   folds in seal order on the simulation thread) survives heterogeneous
-//!   slots and dynamic segment sizing.
 //! * **Invariant 11**: the homogeneous farm under round-robin — whether
 //!   spelled as the plain default, an explicit `FarmSpec::uniform()`, or a
 //!   single-class striped farm at the primary clock — reproduces the
@@ -15,7 +11,6 @@
 
 use paradet::detect::{FarmSpec, PairedSystem, SchedPolicyKind, SystemConfig};
 use paradet::isa::{AluOp, Program, ProgramBuilder, Reg};
-use paradet::par::with_threads;
 use paradet::workloads::Workload;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -83,23 +78,6 @@ fn uniform_round_robin_reproduces_the_fixed_ring() {
     }
 }
 
-/// Every policy's full result set on a genuinely mixed farm is invariant
-/// across farm widths, on a real workload (the proptest below drives
-/// random kernels).
-#[test]
-fn mixed_farm_policies_are_width_invariant_on_workloads() {
-    let base = SystemConfig::paper_default().with_farm(FarmSpec::striped(&[2000, 1000, 250]));
-    for w in [Workload::Freqmine, Workload::Swaptions] {
-        let program = Arc::new(w.build(w.iters_for_instrs(3_000)));
-        for &policy in SchedPolicyKind::ALL.iter() {
-            let cfg = base.with_sched_policy(policy);
-            let serial = with_threads(1, || run_fingerprint(cfg, &program, 3_000));
-            let pooled = with_threads(4, || run_fingerprint(cfg, &program, 3_000));
-            assert_eq!(serial, pooled, "{}: {policy:?} changed results with farm width", w.name());
-        }
-    }
-}
-
 fn arb_clocks() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(
         prop_oneof![Just(125u64), Just(250), Just(500), Just(1000), Just(2000)],
@@ -109,10 +87,9 @@ fn arb_clocks() -> impl Strategy<Value = Vec<u64>> {
 
 proptest! {
     /// Random kernels × geometries × per-slot speed assignments × policies:
-    /// (a) every policy is bit-identical at farm widths 1 and 4, and
-    /// (b) scheduling (the per-seal assignment trace, folded into the
-    /// fingerprint) is a pure function of (kernel, config, geometry) —
-    /// a repeat run reproduces it exactly.
+    /// every policy's results and its scheduling (the per-seal assignment
+    /// trace, folded into the fingerprint) are a pure function of (kernel,
+    /// config, geometry) — a repeat run reproduces them exactly.
     #[test]
     fn every_policy_is_width_invariant_and_pure(
         seeds in proptest::collection::vec(any::<u64>(), 4..9),
@@ -144,12 +121,9 @@ proptest! {
             .with_farm(farm);
         for &policy in SchedPolicyKind::ALL.iter() {
             let cfg = base.with_sched_policy(policy);
-            let serial = with_threads(1, || run_fingerprint(cfg, &program, 1_500));
-            let pooled = with_threads(4, || run_fingerprint(cfg, &program, 1_500));
-            prop_assert_eq!(&serial, &pooled,
-                "{:?} changed results with farm width", policy);
-            let again = with_threads(1, || run_fingerprint(cfg, &program, 1_500));
-            prop_assert_eq!(&serial, &again,
+            let first = run_fingerprint(cfg, &program, 1_500);
+            let again = run_fingerprint(cfg, &program, 1_500);
+            prop_assert_eq!(&first, &again,
                 "{:?} is not a pure function of (kernel, config)", policy);
         }
     }
@@ -170,25 +144,21 @@ proptest! {
         iters in 8u64..50,
         n_checkers in 1usize..7,
         log_sel in 0usize..3,
-        threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
         let program = Arc::new(farm_kernel(&seeds, &ops, iters));
         let base = SystemConfig::paper_default()
             .with_checkers(n_checkers)
             .with_log([1024, 4096, 16384][log_sel], None);
-        with_threads(threads, || {
-            let plain = run_fingerprint(base, &program, 1_500);
-            let explicit = run_fingerprint(
-                base.with_farm(FarmSpec::uniform())
-                    .with_sched_policy(SchedPolicyKind::RoundRobin),
-                &program,
-                1_500,
-            );
-            prop_assert_eq!(&plain, &explicit, "explicit uniform round-robin moved");
-            let one_class =
-                run_fingerprint(base.with_farm(FarmSpec::striped(&[1000])), &program, 1_500);
-            prop_assert_eq!(&plain, &one_class, "single-class striped farm moved");
-            Ok(())
-        })?;
+        let plain = run_fingerprint(base, &program, 1_500);
+        let explicit = run_fingerprint(
+            base.with_farm(FarmSpec::uniform())
+                .with_sched_policy(SchedPolicyKind::RoundRobin),
+            &program,
+            1_500,
+        );
+        prop_assert_eq!(&plain, &explicit, "explicit uniform round-robin moved");
+        let one_class =
+            run_fingerprint(base.with_farm(FarmSpec::striped(&[1000])), &program, 1_500);
+        prop_assert_eq!(&plain, &one_class, "single-class striped farm moved");
     }
 }

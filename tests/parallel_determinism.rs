@@ -90,9 +90,12 @@ fn site_reordering_preserves_per_trial_faults() {
 }
 
 // ---------------------------------------------------------------------------
-// Decoupled checker farm: 1 vs N farm workers must be bit-identical —
-// errors, delay stats, seal/finish times, checker stats, cache stats,
-// everything — on ANY input.
+// Event-driven cycle skipping: the skip path (OooConfig::event_skip, the
+// default) must be bit-identical to the exhaustive tick path on ANY
+// input — reports, finish times, checker stats, per-domain rows. The only
+// permitted difference is the `cycles_skipped` accounting itself, which the
+// tick path deliberately leaves at zero; fingerprints below zero it out on
+// both sides before comparing.
 // ---------------------------------------------------------------------------
 
 /// A loopy kernel with loads, stores, random arithmetic and (optionally) a
@@ -107,7 +110,8 @@ fn farm_kernel(seeds: &[u64], ops: &[(AluOp, usize, usize)], iters: u64, rdcycle
     let top = b.label_here();
     if rdcycle {
         // Timing-visible value through the log: any timing divergence
-        // between farm widths would cascade into a functional mismatch.
+        // between the skip and tick paths would cascade into a functional
+        // mismatch.
         b.rdcycle(Reg::X10);
     }
     for (i, &(op, ld_slot, st_slot)) in ops.iter().enumerate() {
@@ -161,105 +165,6 @@ fn farm_sweep_config() -> SystemConfig {
     cfg
 }
 
-/// Farm width (serial fast path vs 8 pooled workers) is invisible: on a
-/// seal-heavy geometry, and on every workload at the paper's Table I
-/// configuration, skipped cycles included.
-#[test]
-fn farm_width_is_invisible_on_workload() {
-    let w = paradet::workloads::Workload::Stream;
-    let program = Arc::new(w.build(w.iters_for_instrs(5_000)));
-    let cfg = farm_sweep_config();
-    let serial = with_threads(1, || run_fingerprint(cfg, &program, None, None, 5_000).0);
-    let pooled = with_threads(8, || run_fingerprint(cfg, &program, None, None, 5_000).0);
-    assert_eq!(serial, pooled, "farm width changed simulated results");
-    for w in paradet::workloads::Workload::all() {
-        let program = Arc::new(w.build(w.iters_for_instrs(3_000)));
-        let cfg = SystemConfig::paper_default();
-        let serial = with_threads(1, || run_fingerprint(cfg, &program, None, None, 3_000));
-        let pooled = with_threads(8, || run_fingerprint(cfg, &program, None, None, 3_000));
-        assert_eq!(serial, pooled, "{}: farm width changed simulated results", w.name());
-    }
-}
-
-/// An erroring segment (over-detection log fault) joins with identical
-/// timing at every farm width.
-#[test]
-fn farm_erroring_segment_is_identical() {
-    let w = paradet::workloads::Workload::Freqmine;
-    let program = Arc::new(w.build(w.iters_for_instrs(4_000)));
-    let cfg = farm_sweep_config();
-    let lf = Some((1u64, 7usize, 13u8));
-    let farm1 = with_threads(1, || run_fingerprint(cfg, &program, None, lf, 4_000).0);
-    let farm8 = with_threads(8, || run_fingerprint(cfg, &program, None, lf, 4_000).0);
-    assert!(farm1.contains("seal_seq: 1"), "the armed log fault must surface as an error");
-    assert_eq!(farm1, farm8);
-}
-
-proptest! {
-    /// Random programs × random farm/log geometries × random faults: the
-    /// decoupled farm at 1 and 4 worker threads produces bit-identical
-    /// errors, delay statistics, and seal/finish times.
-    #[test]
-    fn decoupled_farm_is_bit_identical(
-        seeds in proptest::collection::vec(any::<u64>(), 4..9),
-        ops in proptest::collection::vec(
-            (prop_oneof![
-                Just(AluOp::Add), Just(AluOp::Sub), Just(AluOp::Xor),
-                Just(AluOp::Mul), Just(AluOp::Div), Just(AluOp::Sll),
-            ], 0usize..16, 0usize..16),
-            1..8,
-        ),
-        iters in 8u64..60,
-        rdcycle in any::<bool>(),
-        n_checkers in 1usize..5,
-        mhz_sel in 0usize..3,
-        log_sel in 0usize..3,
-        timeout_sel in 0usize..3,
-        fault_sel in 0usize..4,
-        fault_instr in 1u64..400,
-        fault_bit in 0u8..64,
-    ) {
-        let program = Arc::new(farm_kernel(&seeds, &ops, iters, rdcycle));
-        let mhz = [250, 500, 1000][mhz_sel];
-        let (log_bytes, timeout) =
-            ([512, 1024, 8192][log_sel], [None, Some(48), Some(400)][timeout_sel]);
-        let cfg = SystemConfig::paper_default()
-            .with_checkers(n_checkers)
-            .with_checker_mhz(mhz)
-            .with_log(log_bytes, timeout);
-        // fault_sel: 0 = clean, 1 = register fault, 2 = PC fault,
-        // 3 = over-detection fault in the log itself.
-        let fault = match fault_sel {
-            1 => Some(ArmedFault::new(
-                fault_instr,
-                FaultTarget::IntRegBit { reg: Reg::X8, bit: fault_bit },
-            )),
-            2 => Some(ArmedFault::new(
-                fault_instr,
-                FaultTarget::PcBit { bit: 2 + (fault_bit % 8) },
-            )),
-            _ => None,
-        };
-        let log_fault =
-            if fault_sel == 3 { Some((fault_instr % 4, fault_bit as usize, fault_bit)) } else { None };
-
-        let serial =
-            with_threads(1, || run_fingerprint(cfg, &program, fault, log_fault, 2_000).0);
-        let pooled =
-            with_threads(4, || run_fingerprint(cfg, &program, fault, log_fault, 2_000).0);
-        prop_assert_eq!(&serial, &pooled, "farm width changed simulated results");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Event-driven cycle skipping: the skip path (OooConfig::event_skip, the
-// default) must be bit-identical to the exhaustive tick path on ANY
-// input — reports, finish times, checker stats, per-domain rows. The only
-// permitted difference is the `cycles_skipped` accounting itself, which the
-// tick path deliberately leaves at zero; fingerprints below zero it out on
-// both sides before comparing.
-// ---------------------------------------------------------------------------
-
 /// Skip vs tick over real workloads, including the stall-heavy small-log
 /// config whose wrap-around retries are exactly the jumps being skipped.
 #[test]
@@ -293,22 +198,6 @@ fn event_skip_matches_tick_with_clock_domains() {
     let (skip, _) = run_fingerprint(cfg.with_event_skip(true), &program, None, None, 5_000);
     let (tick, _) = run_fingerprint(cfg.with_event_skip(false), &program, None, None, 5_000);
     assert_eq!(skip, tick, "skip diverged from tick on a clock-domain run");
-}
-
-/// A run with four secondary clock domains is bit-identical at 1 and 4
-/// checker-farm workers: same per-domain rows, whichever worker replayed
-/// each segment. The domains fold serially on the simulation thread, so
-/// the farm's width must not reach them.
-#[test]
-fn domain_folds_parallel_identity() {
-    use paradet::detect::DomainSet;
-    let w = paradet::workloads::Workload::Stream;
-    let program = Arc::new(w.build(w.iters_for_instrs(5_000)));
-    let cfg = SystemConfig::paper_default()
-        .with_extra_domains(DomainSet::from_mhz(&[125, 250, 500, 2000]));
-    let serial = with_threads(1, || run_fingerprint(cfg, &program, None, None, 5_000).0);
-    let parallel = with_threads(4, || run_fingerprint(cfg, &program, None, None, 5_000).0);
-    assert_eq!(serial, parallel, "parallel domain folds changed simulated results");
 }
 
 proptest! {
