@@ -50,36 +50,20 @@ pub fn fig08_delay_density(r: &Runner) -> Table {
 
 /// Fig. 11: mean (a) and max (b) store-check delay vs checker clock
 /// (paper: mean halves as the clock doubles, saturating at high clocks).
-///
-/// One-run path: shares [`Runner::clock_sweep`]'s single simulation per
-/// workload with Fig. 9 — every clock's store-delay population comes from
-/// that run's secondary-domain folds, bit-identical to a dedicated run at
-/// that clock whenever the domain reports zero stall divergences (diverged
-/// domains fall back to a dedicated run).
+/// Each point is [`Runner::clock_point`]'s, shared with Fig. 9.
 pub fn fig11_freq_delay(r: &Runner) -> (Table, Table) {
     let mut mean_t =
         super::slowdown::clock_table("Fig. 11a: mean store-check delay (ns) vs checker clock");
     let mut max_t =
         super::slowdown::clock_table("Fig. 11b: max store-check delay (us) vs checker clock");
-    let cells = par_grid(&Workload::all(), &[()], |w, ()| {
-        let rep = r.clock_sweep(w, &CLOCK_SWEEP);
-        rep.domains
-            .iter()
-            .map(|d| {
-                if d.stall_divergences == 0 {
-                    (d.store_delays.mean_ns(), d.store_delays.max_ns())
-                } else {
-                    let cfg = SystemConfig::paper_default().with_checker_mhz(d.domain.mhz());
-                    let rep = r.run(&cfg, w);
-                    (rep.store_delays.mean_ns(), rep.store_delays.max_ns())
-                }
-            })
-            .collect::<Vec<(f64, f64)>>()
+    let cells = par_grid(&Workload::all(), &CLOCK_SWEEP, |w, &mhz| {
+        let d = &r.clock_point(w, mhz).store_delays;
+        (d.mean_ns(), d.max_ns())
     });
     for (w, row) in Workload::all().iter().zip(&cells) {
         let mut mean_row = vec![w.name().to_string()];
         let mut max_row = vec![w.name().to_string()];
-        for &(mean, max) in &row[0] {
+        for &(mean, max) in row {
             mean_row.push(format!("{mean:.0}"));
             max_row.push(format!("{:.1}", max / 1000.0));
         }

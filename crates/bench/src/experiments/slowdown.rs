@@ -39,34 +39,15 @@ pub fn fig07_slowdown(r: &Runner) -> Table {
 
 /// Fig. 9: slowdown when sweeping the checker-core clock
 /// (paper: compute-bound benchmarks suffer below 500 MHz, up to ~4.5x).
-///
-/// One-run path: each workload simulates **once**, with every sweep clock
-/// folded as a secondary [`ClockDomain`](paradet_core::ClockDomain). A
-/// domain row with zero stall divergences is bit-identical to a dedicated
-/// run at that clock (its slowdown is the shared main-core cycle count
-/// over the baseline); a diverged row — a clock slow enough that its
-/// dedicated run would have stalled the main core differently — falls back
-/// to a dedicated run, so the table is exact at every clock.
+/// Each point is [`Runner::clock_point`]'s: one run per workload carries
+/// every clock, and only the clocks whose rows it cannot certify exact run
+/// again on their own.
 pub fn fig09_freq_slowdown(r: &Runner) -> Table {
     let mut t = clock_table("Fig. 9: slowdown vs checker clock");
-    let cells = par_grid(&Workload::all(), &[()], |w, ()| {
-        let base = r.baseline(w).main_cycles.max(1);
-        let rep = r.clock_sweep(w, &CLOCK_SWEEP);
-        rep.domains
-            .iter()
-            .map(|d| {
-                if d.stall_divergences == 0 {
-                    rep.main_cycles as f64 / base as f64
-                } else {
-                    let cfg = SystemConfig::paper_default().with_checker_mhz(d.domain.mhz());
-                    r.slowdown(&cfg, w)
-                }
-            })
-            .collect::<Vec<f64>>()
-    });
+    let cells = par_grid(&Workload::all(), &CLOCK_SWEEP, |w, &mhz| r.clock_point(w, mhz).slowdown);
     for (w, row) in Workload::all().iter().zip(&cells) {
         let mut out = vec![w.name().to_string()];
-        out.extend(row[0].iter().map(|s| format!("{s:.3}")));
+        out.extend(row.iter().map(|s| format!("{s:.3}")));
         t.row(&out);
     }
     let _ = t.write_csv(&out_dir().join("fig09_freq_slowdown.csv"));
@@ -111,74 +92,27 @@ pub fn fig10_checkpoint_overhead(r: &Runner) -> Table {
 /// Fig. 13: slowdown across checker-core counts and clocks
 /// (paper: N cores at M MHz ≈ 2N cores at M/2 MHz).
 ///
-/// Core counts change segment geometry, so each count still needs its own
-/// simulation — but the three 12-core points (250/500/1000 MHz) share one
-/// run with the clocks folded as secondary domains, cutting the sweep from
-/// five simulations per workload to three. Diverged domains fall back to a
-/// dedicated run, as in [`fig09_freq_slowdown`].
+/// Core counts change segment geometry, so each count needs its own
+/// simulation; the Table I count's points are Fig. 9's
+/// [`Runner::clock_point`]s.
 pub fn fig13_core_scaling(r: &Runner) -> Table {
     let header: Vec<String> = std::iter::once("benchmark".to_string())
         .chain(CORE_SWEEP.iter().map(|(l, _, _)| l.to_string()))
         .collect();
     let href: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut t = Table::new("Fig. 13: slowdown vs checker core count and clock", &href);
-    // The distinct core counts of the sweep, each one simulation: the
-    // non-default counts run single-clock; the 12-core run carries every
-    // 12-core clock of the sweep as a domain.
-    let twelve_clocks: Vec<u64> =
-        CORE_SWEEP.iter().filter(|&&(_, c, _)| c == 12).map(|&(_, _, m)| m).collect();
-    #[derive(Clone, Copy)]
-    enum Point {
-        Single(usize, u64),
-        TwelveSweep,
-    }
-    let points: Vec<Point> = {
-        let mut pts: Vec<Point> = CORE_SWEEP
-            .iter()
-            .filter(|&&(_, c, _)| c != 12)
-            .map(|&(_, c, m)| Point::Single(c, m))
-            .collect();
-        pts.push(Point::TwelveSweep);
-        pts
-    };
-    let cells = par_grid(&Workload::all(), &points, |w, &p| match p {
-        Point::Single(cores, mhz) => {
+    let table1_cores = SystemConfig::paper_default().n_checkers;
+    let cells = par_grid(&Workload::all(), &CORE_SWEEP, |w, &(_, cores, mhz)| {
+        if cores == table1_cores {
+            r.clock_point(w, mhz).slowdown
+        } else {
             let cfg = SystemConfig::paper_default().with_checkers(cores).with_checker_mhz(mhz);
-            vec![((cores, mhz), r.slowdown(&cfg, w))]
-        }
-        Point::TwelveSweep => {
-            let base = r.baseline(w).main_cycles.max(1);
-            let cfg = SystemConfig::paper_default()
-                .with_checkers(12)
-                .with_extra_domains(paradet_core::DomainSet::from_mhz(&twelve_clocks));
-            let rep = r.run(&cfg, w);
-            rep.domains
-                .iter()
-                .map(|d| {
-                    let s = if d.stall_divergences == 0 {
-                        rep.main_cycles as f64 / base as f64
-                    } else {
-                        let cfg = SystemConfig::paper_default()
-                            .with_checkers(12)
-                            .with_checker_mhz(d.domain.mhz());
-                        r.slowdown(&cfg, w)
-                    };
-                    ((12, d.domain.mhz()), s)
-                })
-                .collect()
+            r.slowdown(&cfg, w)
         }
     });
     for (w, row) in Workload::all().iter().zip(&cells) {
-        let by_point: Vec<((usize, u64), f64)> = row.iter().flatten().copied().collect();
         let mut out = vec![w.name().to_string()];
-        for &(_, cores, mhz) in &CORE_SWEEP {
-            let s = by_point
-                .iter()
-                .find(|((c, m), _)| *c == cores && *m == mhz)
-                .expect("every sweep point simulated")
-                .1;
-            out.push(format!("{s:.3}"));
-        }
+        out.extend(row.iter().map(|s| format!("{s:.3}")));
         t.row(&out);
     }
     let _ = t.write_csv(&out_dir().join("fig13_core_scaling.csv"));

@@ -10,9 +10,10 @@
 //!
 //! The checker-clock sweeps (Fig. 9/11, and Fig. 13's 12-core points) run
 //! on the **one-run clock-domain path**: each workload simulates once with
-//! every sweep clock folded as a secondary domain
-//! ([`runner::Runner::clock_sweep`]), with automatic fallback to a
-//! dedicated run for any domain reporting stall divergences.
+//! every sweep clock folded as a secondary domain, and the three figures
+//! share each (workload, clock) point ([`runner::Runner::clock_point`]),
+//! which falls back to a dedicated run for any domain reporting stall
+//! divergences.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,14 +1,19 @@
 //! Sweep runner with baseline caching and common CLI conventions.
 //!
 //! The runner is shared by reference across the worker threads of a
-//! parallel sweep (see `paradet-par`): programs and unchecked baselines are
-//! cached behind interior mutability, so concurrent sweep points reuse them
-//! instead of recomputing, and no `&mut self` forces sequential use.
+//! parallel sweep (see `paradet-par`): programs, unchecked baselines and
+//! checker-clock points are cached behind interior mutability, so
+//! concurrent sweep points reuse them instead of recomputing, and no
+//! `&mut self` forces sequential use.
 
-use paradet_core::{run_unchecked_shared, DomainSet, PairedSystem, RunReport, SystemConfig};
+use crate::experiments::CLOCK_SWEEP;
+use paradet_core::{
+    run_unchecked_shared, DelayStats, DomainSet, PairedSystem, RunReport, SystemConfig,
+};
 use paradet_isa::Program;
 use paradet_workloads::Workload;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -35,20 +40,40 @@ pub fn out_dir() -> PathBuf {
     })
 }
 
-/// A sweep runner that caches built programs and the unchecked-baseline run
-/// per workload. All methods take `&self`; the caches are safe to hit from
-/// many sweep points at once, and a baseline is computed exactly once even
-/// under concurrency (late arrivals block on the in-flight computation
-/// rather than redoing it).
+/// A compute-once cache, safe to hit from many sweep points at once: each
+/// value is computed exactly once, and late arrivals block on the
+/// in-flight computation rather than redoing it.
+type OnceMap<K, V> = Mutex<HashMap<K, Arc<OnceLock<V>>>>;
+
+/// `map`'s value for `key`, computed by `init` on first use.
+fn once<K: Eq + Hash, V: Clone>(map: &OnceMap<K, V>, key: K, init: impl FnOnce() -> V) -> V {
+    let cell = Arc::clone(map.lock().expect("runner cache poisoned").entry(key).or_default());
+    cell.get_or_init(init).clone()
+}
+
+/// A sweep runner that caches, per workload, the built program, the
+/// unchecked-baseline run and the checker-clock points. All methods take
+/// `&self`, so parallel sweep points share the caches.
 #[derive(Debug, Default)]
 pub struct Runner {
     instrs: u64,
-    programs: Mutex<HashMap<&'static str, Arc<Program>>>,
-    baselines: Mutex<HashMap<&'static str, Arc<OnceLock<RunReport>>>>,
-    /// One-run clock-sweep reports (Fig. 9/11), keyed by workload: one
-    /// simulation carrying every sweep clock as a secondary domain, shared
-    /// by every experiment that consumes the sweep.
-    sweeps: Mutex<HashMap<&'static str, Arc<OnceLock<Arc<RunReport>>>>>,
+    programs: OnceMap<&'static str, Arc<Program>>,
+    baselines: OnceMap<&'static str, RunReport>,
+    /// One-run clock-sweep reports, keyed by workload: one simulation
+    /// carrying every [`CLOCK_SWEEP`] clock as a secondary domain.
+    sweeps: OnceMap<&'static str, Arc<RunReport>>,
+    /// Checker-clock points (Fig. 9, 11 and 13), keyed by workload and MHz.
+    points: OnceMap<(&'static str, u64), Arc<ClockPoint>>,
+}
+
+/// What the checker-clock figures read of one workload on the Table I
+/// system with its checkers at one clock (see [`Runner::clock_point`]).
+#[derive(Debug)]
+pub struct ClockPoint {
+    /// Normalized slowdown over the unchecked baseline (Fig. 9 and 13).
+    pub slowdown: f64,
+    /// Store-check delays (Fig. 11).
+    pub store_delays: DelayStats,
 }
 
 impl Runner {
@@ -70,12 +95,9 @@ impl Runner {
     /// The built program for `workload` at this runner's budget (cached,
     /// shared — no per-run deep clone).
     pub fn program(&self, workload: Workload) -> Arc<Program> {
-        let mut programs = self.programs.lock().expect("program cache poisoned");
-        Arc::clone(
-            programs.entry(workload.name()).or_insert_with(|| {
-                Arc::new(workload.build(workload.iters_for_instrs(self.instrs)))
-            }),
-        )
+        once(&self.programs, workload.name(), || {
+            Arc::new(workload.build(workload.iters_for_instrs(self.instrs)))
+        })
     }
 
     /// Runs `workload` under `cfg` with full detection.
@@ -89,15 +111,10 @@ impl Runner {
     /// (`SystemConfig::paper_default`; cached, computed at most once per
     /// workload even when parallel sweep points race for it).
     pub fn baseline(&self, workload: Workload) -> RunReport {
-        let cell = {
-            let mut baselines = self.baselines.lock().expect("baseline cache poisoned");
-            Arc::clone(baselines.entry(workload.name()).or_default())
-        };
-        cell.get_or_init(|| {
+        once(&self.baselines, workload.name(), || {
             let program = self.program(workload);
             run_unchecked_shared(&SystemConfig::paper_default(), &program, self.instrs)
         })
-        .clone()
     }
 
     /// Normalized slowdown of `cfg` over the unchecked [`baseline`].
@@ -119,32 +136,39 @@ impl Runner {
         full.main_cycles as f64 / base_cycles as f64
     }
 
-    /// The one-run checker-clock sweep for `workload` (cached; computed at
-    /// most once even when Fig. 9 and Fig. 11 race for it): a single
-    /// paper-default simulation with every clock in `clocks` folded as a
-    /// secondary domain, so `report.domains[i]` holds the `clocks[i]`
-    /// results of a dedicated run at that clock (exact whenever the row's
-    /// `stall_divergences` is zero).
-    pub fn clock_sweep(&self, workload: Workload, clocks: &[u64]) -> Arc<RunReport> {
-        let cell = {
-            let mut sweeps = self.sweeps.lock().expect("sweep cache poisoned");
-            Arc::clone(sweeps.entry(workload.name()).or_default())
-        };
-        let rep = Arc::clone(cell.get_or_init(|| {
-            let cfg = SystemConfig::paper_default().with_extra_domains(DomainSet::from_mhz(clocks));
+    /// `workload` on the Table I system with its checkers clocked at `mhz`
+    /// (cached; computed at most once even when Fig. 9, 11 and 13 race for
+    /// it), exactly as a dedicated run at that clock reports it. A
+    /// [`CLOCK_SWEEP`] clock is read from the one-run sweep's domain row
+    /// when that row reports no stall divergence, which certifies it
+    /// bit-identical to the dedicated run; any other point is that
+    /// dedicated run.
+    pub fn clock_point(&self, workload: Workload, mhz: u64) -> Arc<ClockPoint> {
+        once(&self.points, (workload.name(), mhz), || {
+            let base = self.baseline(workload).main_cycles.max(1);
+            let sweep = self.clock_sweep(workload);
+            let row = sweep.domains.iter().find(|d| d.domain.mhz() == mhz);
+            let (main_cycles, store_delays) = match row {
+                Some(d) if d.stall_divergences == 0 => (sweep.main_cycles, d.store_delays.clone()),
+                _ => {
+                    let cfg = SystemConfig::paper_default().with_checker_mhz(mhz);
+                    let rep = self.run(&cfg, workload);
+                    (rep.main_cycles, rep.store_delays)
+                }
+            };
+            Arc::new(ClockPoint { slowdown: main_cycles as f64 / base as f64, store_delays })
+        })
+    }
+
+    /// The one-run checker-clock sweep for `workload` (cached): a single
+    /// paper-default simulation with every [`CLOCK_SWEEP`] clock folded as
+    /// a secondary domain.
+    fn clock_sweep(&self, workload: Workload) -> Arc<RunReport> {
+        once(&self.sweeps, workload.name(), || {
+            let cfg =
+                SystemConfig::paper_default().with_extra_domains(DomainSet::from_mhz(&CLOCK_SWEEP));
             Arc::new(self.run(&cfg, workload))
-        }));
-        // The cache is keyed by workload alone; a later call with a
-        // different clock list would otherwise silently get the first
-        // call's sweep.
-        assert!(
-            rep.domains.len() == clocks.len()
-                && rep.domains.iter().zip(clocks).all(|(d, &mhz)| d.domain.mhz() == mhz),
-            "clock_sweep cache for {} holds clocks {:?}, not the requested {clocks:?}",
-            workload.name(),
-            rep.domains.iter().map(|d| d.domain.mhz()).collect::<Vec<_>>(),
-        );
-        rep
+        })
     }
 }
 

@@ -74,23 +74,6 @@ impl DelayStats {
         }
     }
 
-    /// Merges another population into this one (reservoir merging keeps the
-    /// earlier reservoir when full — adequate for reporting).
-    pub fn merge(&mut self, other: &DelayStats) {
-        self.count += other.count;
-        self.sum_fs += other.sum_fs;
-        self.max_fs = self.max_fs.max(other.max_fs);
-        self.min_fs = self.min_fs.min(other.min_fs);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        for &s in &other.reservoir {
-            if self.reservoir.len() < RESERVOIR {
-                self.reservoir.push(s);
-            }
-        }
-    }
-
     /// Number of recorded delays.
     pub fn count(&self) -> u64 {
         self.count
@@ -202,16 +185,5 @@ mod tests {
         }
         assert!(a.samples_fs().len() <= RESERVOIR);
         assert_eq!(a.samples_fs(), b.samples_fs(), "reservoir must be deterministic");
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = DelayStats::new();
-        let mut b = DelayStats::new();
-        a.record(Time::from_ns(1));
-        b.record(Time::from_ns(3));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean_ns() - 2.0).abs() < 1e-9);
     }
 }

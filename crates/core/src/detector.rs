@@ -37,7 +37,7 @@ use paradet_checker::{
     ReplayTrace, SchedPolicyKind, ScheduleCtx, SegmentTask, SlotView,
 };
 use paradet_isa::{ArchState, Instruction, MemWidth, Program};
-use paradet_mem::{CheckerPath, CheckerPathSnapshot, MemHier, Time};
+use paradet_mem::{CheckerPath, MemHier, Time};
 use paradet_ooo::{CommitEvent, CommitGate, DetectionSink};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -76,10 +76,10 @@ pub struct DetectorStats {
 
 /// Everything besides the program that a checker needs to replay one
 /// sealed segment: the chained start checkpoint (moved out of the
-/// detector), the committed end state (cloned into a scratch-pooled slot),
-/// and the log entries (moved out of the segment ring). Replay is a pure
-/// function of these and the program (invariant 3), so a snapshot shares
-/// an in-flight check's inputs and the check replays at its fold wherever
+/// detector), the committed end state, and the log entries (moved out of
+/// the segment ring). Replay is a pure function of these and the program
+/// (invariant 3), so the rollback window and any snapshot share an
+/// in-flight check's inputs, and the check replays at its fold wherever
 /// the run continues.
 #[derive(Debug)]
 struct ReplayInputs {
@@ -155,12 +155,12 @@ pub struct SealAssignment {
     pub capacity: usize,
 }
 
-/// One sealed, not-yet-folded check, queued in seal order. A snapshot
-/// carries the queue as it is.
+/// One sealed check, queued in seal order until it folds. The rollback
+/// window keeps a copy until the check validates.
 #[derive(Debug, Clone)]
 struct PendingCheck {
-    /// The replay's inputs, shared so a snapshot can carry the check
-    /// without folding it.
+    /// The replay's inputs, shared by the pending queue, the rollback
+    /// window and any snapshot.
     inputs: Arc<ReplayInputs>,
     seal_seq: u64,
     /// Segment (= checker) index the check came from.
@@ -170,29 +170,17 @@ struct PendingCheck {
     base_instr: u64,
 }
 
-/// Rollback bookkeeping for one sealed-but-not-yet-validated segment:
-/// everything needed to undo it if a check (of it or any earlier segment)
-/// fails.
-#[derive(Debug, Clone)]
-struct SealRecord {
-    seal_seq: u64,
-    /// Retired-instruction count at the segment's start checkpoint.
-    base_instr: u64,
-    /// Architectural state at the segment's start checkpoint.
-    start: ArchState,
-    /// `(addr, width, old_value)` per committed store, in commit order.
-    undo: Vec<(u64, MemWidth, u64)>,
-}
-
 /// Live rollback bookkeeping (present only when recovery tracking is
-/// enabled): the window of sealed-but-unvalidated segments, oldest first.
-/// A segment leaves the window when its check folds clean; the window
-/// freezes (`poisoned`) at the first failed check, so the front record is
-/// always the first errored segment — its start checkpoint is the last
-/// *validated* state of the run.
+/// enabled): the window of sealed-but-unvalidated checks, oldest first.
+/// Each shares its pending check's inputs, whose start checkpoint and
+/// store-undo column are everything needed to undo the segment. A check
+/// leaves the window when it folds clean; the window freezes (`poisoned`)
+/// at the first failed check, so the front check is always the first
+/// errored segment — its start checkpoint is the last *validated* state of
+/// the run.
 #[derive(Debug, Clone, Default)]
 struct RecoveryState {
-    seals: VecDeque<SealRecord>,
+    window: VecDeque<PendingCheck>,
     poisoned: bool,
 }
 
@@ -213,72 +201,15 @@ pub struct RollbackPlan {
     pub undo: Vec<(u64, MemWidth, u64)>,
 }
 
-/// The detection hardware's simulated state between two commits, as a
-/// [`SystemSnapshot`](crate::SystemSnapshot) carries it (see
-/// [`Detector::snapshot`]). What the configuration rebuilds — mode,
-/// policy, recycled buffers — is left out.
-#[derive(Debug, Clone)]
-pub(crate) struct DetectorSnapshot {
-    next_interrupt: Time,
-    checkers: Vec<CheckerCore>,
-    class_paths: Vec<CheckerPathSnapshot>,
-    assignments: Vec<SealAssignment>,
-    domains: Vec<DomainState>,
-    lfu: LoadForwardingUnit,
-    /// The segment ring. Only a filling segment keeps its entries: a
-    /// segment in any other state holds stale leftovers that are cleared
-    /// before it fills again.
-    segs: Vec<Segment>,
-    cur: usize,
-    chain_ckpt: ArchState,
-    base_instr: u64,
-    seal_seq: u64,
-    finishes: Vec<Time>,
-    pending: VecDeque<PendingCheck>,
-    delays: DelayStats,
-    store_delays: DelayStats,
-    errors: Vec<DetectedError>,
-    stats: DetectorStats,
-    log_fault: Option<(u64, usize, u8)>,
-    rec: Option<RecoveryState>,
-    lie_miss: bool,
-}
-
-impl DetectorSnapshot {
-    /// Bytes the snapshot holds on its own: log entries, delay samples,
-    /// finish times and scheduling decisions, rollback records, cache
-    /// paths. In-flight checks' inputs are shared and counted by
-    /// [`shared_inputs`](DetectorSnapshot::shared_inputs).
-    pub(crate) fn bytes(&self) -> usize {
-        use std::mem::size_of_val;
-        let rec = self.rec.iter().flat_map(|r| &r.seals);
-        size_of_val(self.checkers.as_slice())
-            + self.class_paths.iter().map(CheckerPathSnapshot::bytes).sum::<usize>()
-            + size_of_val(self.assignments.as_slice())
-            + self.domains.len() * std::mem::size_of::<DomainState>()
-            + self.segs.iter().map(|s| s.log.bytes()).sum::<usize>()
-            + size_of_val(self.finishes.as_slice())
-            + self.delays.bytes()
-            + self.store_delays.bytes()
-            + size_of_val(self.errors.as_slice())
-            + rec
-                .map(|s| std::mem::size_of::<SealRecord>() + size_of_val(s.undo.as_slice()))
-                .sum::<usize>()
-    }
-
-    /// `(address, bytes)` of every in-flight check's shared inputs: a
-    /// caller summing several snapshots counts each address once.
-    pub(crate) fn shared_inputs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.pending.iter().map(|c| {
-            let bytes = std::mem::size_of::<ReplayInputs>() + c.inputs.log.bytes();
-            (Arc::as_ptr(&c.inputs) as usize, bytes)
-        })
-    }
-}
-
 /// The detection hardware: load forwarding unit, partitioned log,
 /// checkpointing, and the checker-core farm.
-#[derive(Debug)]
+///
+/// A clone is the detector's part of a
+/// [`SystemSnapshot`](crate::SystemSnapshot): the pending queue and the
+/// rollback window share their checks' inputs, and every segment that is
+/// not filling holds no entries, so the clone copies little beyond the
+/// filling segment, the statistics and the checker-cache paths.
+#[derive(Debug, Clone)]
 pub struct Detector {
     mode: DetectionMode,
     lfu_enabled: bool,
@@ -325,9 +256,8 @@ pub struct Detector {
     finishes: Vec<Time>,
     /// Sealed checks not replayed and folded yet, oldest seal first.
     pending: VecDeque<PendingCheck>,
-    /// Recycled `ArchState` slots for replay checkpoints.
-    ckpt_pool: Vec<ArchState>,
-    /// The replay-trace buffer every fold's replay reuses.
+    /// The replay-trace buffer every fold's replay reuses, left empty
+    /// between folds.
     trace: ReplayTrace,
     /// Detection delays over all checked entries (Fig. 8).
     pub delays: DelayStats,
@@ -487,7 +417,6 @@ impl Detector {
             seal_seq: 0,
             finishes: Vec::new(),
             pending: VecDeque::new(),
-            ckpt_pool: scratch.take_ckpts(),
             trace: ReplayTrace::default(),
             delays: DelayStats::new(),
             store_delays: DelayStats::new(),
@@ -506,89 +435,55 @@ impl Detector {
         det
     }
 
-    /// The detector's simulated state, for a snapshot of the run. In-flight
-    /// checks stay queued: the snapshot shares their inputs, and each still
-    /// replays and folds at its own simulation point (invariant 1).
-    pub(crate) fn snapshot(&self) -> DetectorSnapshot {
-        let segs = self
-            .segs
-            .iter()
-            .map(|seg| Segment {
-                log: match seg.state {
-                    SegmentState::Filling => seg.log.clone(),
-                    _ => SegmentLog::new(),
-                },
-                ..*seg
-            })
-            .collect();
-        DetectorSnapshot {
-            next_interrupt: self.next_interrupt,
-            checkers: self.checkers.clone(),
-            class_paths: self.class_paths.iter().map(CheckerPath::snapshot).collect(),
-            assignments: self.assignments.clone(),
-            domains: self.domains.clone(),
-            lfu: self.lfu.clone(),
-            segs,
-            cur: self.cur,
-            chain_ckpt: self.chain_ckpt.clone(),
-            base_instr: self.base_instr,
-            seal_seq: self.seal_seq,
-            finishes: self.finishes.clone(),
-            pending: self.pending.clone(),
-            delays: self.delays.clone(),
-            store_delays: self.store_delays.clone(),
-            errors: self.errors.clone(),
-            stats: self.stats,
-            log_fault: self.log_fault,
-            rec: self.rec.clone(),
-            lie_miss: self.lie_miss,
-        }
-    }
-
-    /// Rebuilds the detector a [`snapshot`](Detector::snapshot) of a run
-    /// under `cfg` was taken of, drawing buffers from `scratch`. The
-    /// snapshot's in-flight checks come back as its queue, their inputs
+    /// Rebuilds the detector `snap` is a clone of (see
+    /// [`PairedSystem::snapshot`](crate::PairedSystem::snapshot)), drawing
+    /// segment entry buffers from `scratch`. The snapshot's in-flight
+    /// checks and rollback window come back as they are, their inputs
     /// still shared with it; nothing replays here, each check replays at
     /// its own fold.
-    pub(crate) fn from_snapshot(
-        cfg: &SystemConfig,
-        program: Arc<Program>,
-        snap: &DetectorSnapshot,
-        scratch: &mut SimScratch,
-    ) -> Detector {
-        let mut det = Detector::new_shared(cfg, program, scratch);
-        det.next_interrupt = snap.next_interrupt;
-        det.checkers.clone_from(&snap.checkers);
-        det.class_paths = snap.class_paths.iter().map(CheckerPath::from_snapshot).collect();
-        det.assignments.clone_from(&snap.assignments);
-        det.domains.clone_from(&snap.domains);
-        det.lfu.clone_from(&snap.lfu);
-        for (seg, s) in det.segs.iter_mut().zip(&snap.segs) {
-            let mut log = std::mem::take(&mut seg.log);
-            log.extend_from(&s.log);
-            log.ensure_capacity(s.capacity);
-            *seg = Segment { log, ..*s };
+    pub(crate) fn from_snapshot(snap: &Detector, scratch: &mut SimScratch) -> Detector {
+        let mut det = snap.clone();
+        for seg in &mut det.segs {
+            let mut log = Segment::with_buffer(seg.capacity, scratch.take_seg_buf()).log;
+            log.extend_from(&seg.log);
+            seg.log = log;
         }
-        det.cur = snap.cur;
-        det.chain_ckpt.clone_from(&snap.chain_ckpt);
-        det.base_instr = snap.base_instr;
-        det.seal_seq = snap.seal_seq;
-        det.finishes.clone_from(&snap.finishes);
-        det.delays.clone_from(&snap.delays);
-        det.store_delays.clone_from(&snap.store_delays);
-        det.errors.clone_from(&snap.errors);
-        det.stats = snap.stats;
-        det.log_fault = snap.log_fault;
-        det.rec.clone_from(&snap.rec);
-        det.lie_miss = snap.lie_miss;
-        det.pending.clone_from(&snap.pending);
         det
     }
 
-    /// Turns on rollback bookkeeping: every sealed segment's start
-    /// checkpoint and store-undo rows are retained until its check
-    /// validates, so [`Detector::rollback_plan`] can reconstruct the last
-    /// validated state after a detected error. Full-detection mode only.
+    /// Bytes a clone of the detector holds on its own: log entries, delay
+    /// samples, finish times and scheduling decisions, checker-cache
+    /// paths. In-flight checks' inputs are shared and counted by
+    /// [`shared_inputs`](Detector::shared_inputs).
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.checkers.as_slice())
+            + self.class_paths.iter().map(CheckerPath::bytes).sum::<usize>()
+            + size_of_val(self.assignments.as_slice())
+            + self.domains.len() * std::mem::size_of::<DomainState>()
+            + self.segs.iter().map(|s| s.log.bytes()).sum::<usize>()
+            + size_of_val(self.finishes.as_slice())
+            + self.delays.bytes()
+            + self.store_delays.bytes()
+            + size_of_val(self.errors.as_slice())
+    }
+
+    /// `(address, bytes)` of the shared inputs of every check in flight or
+    /// in the rollback window: a caller summing several snapshots counts
+    /// each address once.
+    pub(crate) fn shared_inputs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let window = self.rec.iter().flat_map(|r| &r.window);
+        self.pending.iter().chain(window).map(|c| {
+            let bytes = std::mem::size_of::<ReplayInputs>() + c.inputs.log.bytes();
+            (Arc::as_ptr(&c.inputs) as usize, bytes)
+        })
+    }
+
+    /// Turns on rollback bookkeeping: every sealed check stays in the
+    /// rollback window, sharing its replay inputs (start checkpoint and
+    /// store-undo rows), until it validates, so
+    /// [`Detector::rollback_plan`] can reconstruct the last validated state
+    /// after a detected error. Full-detection mode only.
     /// A detector restored from a snapshot of a tracked run keeps the
     /// window of unvalidated segments it was restored with.
     pub fn enable_recovery_tracking(&mut self) {
@@ -625,31 +520,30 @@ impl Detector {
         if !rec.poisoned {
             return None;
         }
-        let front = rec.seals.front()?;
-        let mut undo = Vec::new();
-        for s in rec.seals.iter().rev() {
-            undo.extend(s.undo.iter().rev().copied());
-        }
-        Some(RollbackPlan { base_instr: front.base_instr, state: front.start.clone(), undo })
+        let front = rec.window.front()?;
+        let undo = rec.window.iter().rev().flat_map(|c| c.inputs.log.undo_rows().rev()).collect();
+        Some(RollbackPlan { base_instr: front.base_instr, state: front.inputs.start.clone(), undo })
     }
 
-    /// Returns the detector's reusable allocations (segment entry buffers
-    /// and checkpoint slots) to `scratch` so the next
-    /// [`Detector::new_shared`] skips reallocating them. Checks still
+    /// Returns the detector's segment entry buffers to `scratch` so the
+    /// next [`Detector::new_shared`] skips reallocating them. Checks still
     /// pending are dropped unreplayed; the buffers of those a snapshot
     /// does not share come home too.
-    pub fn recycle_into(mut self, scratch: &mut SimScratch) {
-        for p in self.pending.drain(..) {
-            if let Ok(inputs) = Arc::try_unwrap(p.inputs) {
+    pub fn recycle_into(self, scratch: &mut SimScratch) {
+        // The rollback window goes first, so the pending queue holds the
+        // last copy of every input no snapshot shares. A window check
+        // already folded after a failed check is dropped, not pooled: its
+        // segment holds a buffer of its own, and pooling both would grow
+        // the pool with every such run.
+        drop(self.rec);
+        for c in self.pending {
+            if let Ok(inputs) = Arc::try_unwrap(c.inputs) {
                 scratch.put_seg_buf(inputs.log);
-                self.ckpt_pool.push(inputs.start);
-                self.ckpt_pool.push(inputs.end);
             }
         }
         for seg in self.segs {
             scratch.put_seg_buf(seg.log);
         }
-        scratch.put_ckpts(self.ckpt_pool);
     }
 
     /// Arms an over-detection fault: corrupts one bit of one log entry in
@@ -789,11 +683,7 @@ impl Detector {
         // finish times below are settled.
         self.drain_pending(hier);
         let covered = instr_count.saturating_sub(self.base_instr);
-        // Entries in a non-Filling segment are stale leftovers from its
-        // previous tour of the ring (cleared lazily on reuse).
-        let has_pending = self.segs[self.cur].state == SegmentState::Filling
-            && !self.segs[self.cur].log.is_empty();
-        if covered > 0 || has_pending {
+        if covered > 0 || !self.segs[self.cur].log.is_empty() {
             // Wait for the current segment's storage if it is still busy.
             let until = match self.segs[self.cur].state {
                 SegmentState::Busy { until } => until,
@@ -831,7 +721,6 @@ impl Detector {
             store_delays,
             finishes,
             errors,
-            ckpt_pool,
             trace,
             rec,
             lie_miss,
@@ -862,12 +751,12 @@ impl Detector {
             Ok(()) => {
                 if let Some(rec) = rec {
                     if !rec.poisoned {
+                        let validated = rec.window.pop_front();
                         debug_assert_eq!(
-                            rec.seals.front().map(|s| s.seal_seq),
+                            validated.map(|c| c.seal_seq),
                             Some(p.seal_seq),
                             "folds run in seal order"
                         );
-                        rec.seals.pop_front();
                     }
                 }
             }
@@ -879,8 +768,8 @@ impl Detector {
                     confirm_time: Time::ZERO,
                     base_instr: p.base_instr,
                 });
-                // Freeze the unvalidated window: the front record is now
-                // the first errored segment, the rollback target.
+                // Freeze the unvalidated window: its front check is now the
+                // first errored segment, the rollback target.
                 if let Some(rec) = rec {
                     rec.poisoned = true;
                 }
@@ -896,17 +785,21 @@ impl Detector {
             fold_domain(d, p.slot, p.ready_at, p.seal_seq, p.base_instr, &replay, log, &*hier);
         }
         // The segment's storage frees when its check finishes; the entry
-        // buffer comes home for the segment's next tour of the ring, unless
-        // a snapshot still shares it, and then the segment keeps the buffer
-        // it has.
+        // buffer comes home empty for the segment's next tour of the ring,
+        // unless the rollback window or a snapshot still shares it, and
+        // then the segment gets a new one. The trace buffer waits empty
+        // for the next replay, so a clone copies neither.
         let seg = &mut segs[p.slot];
         seg.state = SegmentState::Busy { until: outcome.finish_time };
-        if let Ok(inputs) = Arc::try_unwrap(p.inputs) {
-            seg.log = inputs.log;
-            ckpt_pool.push(inputs.start);
-            ckpt_pool.push(inputs.end);
+        match Arc::try_unwrap(p.inputs) {
+            Ok(inputs) => {
+                seg.log = inputs.log;
+                seg.log.clear();
+            }
+            Err(_) => seg.log.ensure_capacity(seg.capacity),
         }
         *trace = replay.trace;
+        trace.clear();
     }
 
     /// Folds checks (oldest first) until `slot`'s check is folded.
@@ -920,17 +813,6 @@ impl Detector {
     fn drain_pending(&mut self, hier: &mut MemHier) {
         while !self.pending.is_empty() {
             self.fold_next_pending(hier);
-        }
-    }
-
-    /// Takes a pooled `ArchState` slot holding a copy of `src`.
-    fn pooled_clone(pool: &mut Vec<ArchState>, src: &ArchState) -> ArchState {
-        match pool.pop() {
-            Some(mut slot) => {
-                slot.clone_from(src);
-                slot
-            }
-            None => src.clone(),
         }
     }
 
@@ -959,24 +841,18 @@ impl Detector {
         }
 
         let cur = self.cur;
-        {
-            let seg = &mut self.segs[cur];
-            // An entry-less timeout/final seal may find the segment Free or
-            // holding stale entries from its previous tour of the ring
-            // (storage is reclaimed lazily): begin its fill retroactively.
-            if seg.state != SegmentState::Filling {
-                seg.reset();
-                seg.state = SegmentState::Filling;
-                seg.base_instr = self.base_instr;
-            }
-            seg.instr_count = instr_count - seg.base_instr;
-            seg.seal_time = at;
+        let seg = &mut self.segs[cur];
+        // Only a filling segment holds entries. An entry-less timeout/final
+        // seal may find the segment free or busy past its check: begin its
+        // fill retroactively.
+        debug_assert!(seg.state == SegmentState::Filling || seg.log.is_empty());
+        if seg.state != SegmentState::Filling {
+            seg.state = SegmentState::Filling;
+            seg.base_instr = self.base_instr;
         }
-
-        // Full detection moves the chain checkpoint into the check's inputs
-        // and installs a pooled copy of `committed` in its place; every
-        // other path chains by `clone_from` below.
-        let mut chained = false;
+        seg.instr_count = instr_count - seg.base_instr;
+        // Chain the checkpoint: the committed state starts the next segment.
+        let start = std::mem::replace(&mut self.chain_ckpt, committed.clone());
         match self.mode {
             DetectionMode::Full => {
                 // §IV-I over-detection: flip the armed bit just before the
@@ -993,29 +869,13 @@ impl Detector {
                 // the main loop run ahead — the replay and its fold run at
                 // the lazy join.
                 let cfg = *self.checkers[cur].config();
-                let end = Detector::pooled_clone(&mut self.ckpt_pool, committed);
-                let new_chain = Detector::pooled_clone(&mut self.ckpt_pool, committed);
-                let start = std::mem::replace(&mut self.chain_ckpt, new_chain);
-                chained = true;
-                // Rollback bookkeeping: snapshot the start checkpoint and
-                // the segment's store-undo rows before the log moves into
-                // the queue. The record is dropped when the fold validates
-                // cleanly.
-                if let Some(rec) = &mut self.rec {
-                    rec.seals.push_back(SealRecord {
-                        seal_seq: self.seal_seq,
-                        base_instr: self.segs[cur].base_instr,
-                        start: start.clone(),
-                        undo: self.segs[cur].log.undo_rows(),
-                    });
-                }
                 let seg = &mut self.segs[cur];
                 seg.state = SegmentState::Checking;
-                self.pending.push_back(PendingCheck {
+                let check = PendingCheck {
                     inputs: Arc::new(ReplayInputs {
                         cfg,
                         start,
-                        end,
+                        end: committed.clone(),
                         instr_count: seg.instr_count,
                         log: std::mem::take(&mut seg.log),
                     }),
@@ -1023,18 +883,19 @@ impl Detector {
                     slot: cur,
                     ready_at: at,
                     base_instr: seg.base_instr,
-                });
+                };
+                // Rollback bookkeeping: the window shares the check's
+                // inputs until its fold validates it.
+                if let Some(rec) = &mut self.rec {
+                    rec.window.push_back(check.clone());
+                }
+                self.pending.push_back(check);
             }
             DetectionMode::CheckpointOnly => {
                 // Checkpoint costs are modelled; the segment frees at once.
                 self.finishes.push(at);
                 self.segs[cur].reset();
             }
-        }
-        // Chain the checkpoint for the next segment, reusing the existing
-        // allocation (`clone_from`) instead of cloning per seal.
-        if !chained {
-            self.chain_ckpt.clone_from(committed);
         }
         self.assignments.push(SealAssignment {
             seal_seq: self.seal_seq,
@@ -1147,10 +1008,10 @@ impl DetectionSink for Detector {
         let covered = instr_count - self.base_instr;
 
         let seg = &self.segs[self.cur];
-        let space_seal = seg.state == SegmentState::Filling && !seg.has_space_for_macro();
+        let space_seal = !seg.has_space_for_macro();
         let timeout_seal = self.timeout.is_some_and(|t| covered >= t);
         let interrupt_seal = at >= self.next_interrupt;
-        let pending = seg.state == SegmentState::Filling && !seg.log.is_empty();
+        let pending = !seg.log.is_empty();
         // Timeout/interrupt seals of an entry-less segment whose storage is
         // still being checked are deferred to the next boundary; a halt must
         // wait for the storage instead.

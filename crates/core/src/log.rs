@@ -176,11 +176,10 @@ impl SegmentLog {
     /// entry's `(addr, width, pre-store value)`. Rolling a segment back
     /// means writing these back **in reverse order** (overlapping stores
     /// must unwind newest-first).
-    pub fn undo_rows(&self) -> Vec<(u64, MemWidth, u64)> {
+    pub fn undo_rows(&self) -> impl DoubleEndedIterator<Item = (u64, MemWidth, u64)> + '_ {
         (0..self.len())
             .filter(|&i| self.kinds[i] == EntryKind::Store)
             .map(|i| (self.addrs[i], self.widths[i], self.undos[i]))
-            .collect()
     }
 
     /// Entry `i` as a row view.
@@ -227,7 +226,8 @@ pub enum SegmentState {
 /// copies per segment was two redundant `ArchState` clones per seal.
 #[derive(Debug, Clone)]
 pub struct Segment {
-    /// Captured entries, in commit order (structure-of-arrays).
+    /// Captured entries, in commit order (structure-of-arrays). Empty
+    /// unless the segment is filling: a seal moves them into the check.
     pub log: SegmentLog,
     /// Entry capacity (3 KiB / 18 B ≈ 170 at Table I settings).
     pub capacity: usize,
@@ -237,8 +237,6 @@ pub struct Segment {
     pub base_instr: u64,
     /// Number of macro-instructions covered (set at seal).
     pub instr_count: u64,
-    /// Seal time.
-    pub seal_time: Time,
 }
 
 impl Segment {
@@ -253,14 +251,7 @@ impl Segment {
     pub fn with_buffer(capacity: usize, mut buffer: SegmentLog) -> Segment {
         buffer.clear();
         buffer.ensure_capacity(capacity);
-        Segment {
-            log: buffer,
-            capacity,
-            state: SegmentState::Free,
-            base_instr: 0,
-            instr_count: 0,
-            seal_time: Time::ZERO,
-        }
+        Segment { log: buffer, capacity, state: SegmentState::Free, base_instr: 0, instr_count: 0 }
     }
 
     /// Clears the segment back to `Free` for reuse (the entry buffer's
@@ -465,6 +456,7 @@ mod tests {
         log.push(EntryKind::Store, 0x20, 2, MemWidth::W, Time::ZERO, 7);
         log.push(EntryKind::Nondet, 0, 3, MemWidth::D, Time::ZERO, 0);
         log.push(EntryKind::Store, 0x28, 4, MemWidth::D, Time::ZERO, 9);
-        assert_eq!(log.undo_rows(), vec![(0x20, MemWidth::W, 7), (0x28, MemWidth::D, 9)]);
+        let rows: Vec<_> = log.undo_rows().collect();
+        assert_eq!(rows, vec![(0x20, MemWidth::W, 7), (0x28, MemWidth::D, 9)]);
     }
 }

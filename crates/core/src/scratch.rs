@@ -1,16 +1,17 @@
 //! Recycled allocations for back-to-back simulations.
 //!
-//! Fault campaigns and sweeps construct a fresh [`PairedSystem`] per trial;
-//! before this existed, every construction reallocated each log segment's
-//! entry buffer (12 × 170 entries at Table I settings) just to drop them a
-//! few milliseconds later. A [`SimScratch`] is a small pool, owned by one
-//! worker thread, that carries those buffers from a finished system into
-//! the next one.
+//! Fault campaigns and sweeps construct a fresh [`PairedSystem`] per trial,
+//! or restore one from a snapshot; before this existed, every construction
+//! reallocated each log segment's entry buffer (12 × 170 entries at Table I
+//! settings) just to drop them a few milliseconds later. A [`SimScratch`]
+//! is a small pool, owned by one worker thread, that carries those buffers
+//! from a finished system into the next one. Segment buffers are the only
+//! thing it pools: everything else a detector owns is either small or, like
+//! the register checkpoints, free of heap memory.
 //!
 //! [`PairedSystem`]: crate::PairedSystem
 
 use crate::log::SegmentLog;
-use paradet_isa::ArchState;
 
 /// A per-worker pool of reusable simulation allocations.
 ///
@@ -38,10 +39,6 @@ use paradet_isa::ArchState;
 #[derive(Debug, Default)]
 pub struct SimScratch {
     seg_bufs: Vec<SegmentLog>,
-    /// Register-checkpoint slots for sealed checks' replay inputs (the
-    /// chained start checkpoint moves into a check; the committed end
-    /// state is cloned into one of these pooled slots).
-    ckpts: Vec<ArchState>,
 }
 
 impl SimScratch {
@@ -67,21 +64,6 @@ impl SimScratch {
     pub fn pooled_seg_bufs(&self) -> usize {
         self.seg_bufs.len()
     }
-
-    /// Takes the whole checkpoint-slot pool (returned wholesale by
-    /// [`Detector::recycle_into`](crate::Detector::recycle_into)).
-    pub fn take_ckpts(&mut self) -> Vec<ArchState> {
-        std::mem::take(&mut self.ckpts)
-    }
-
-    /// Returns checkpoint slots to the pool.
-    pub fn put_ckpts(&mut self, mut ckpts: Vec<ArchState>) {
-        if self.ckpts.is_empty() {
-            self.ckpts = ckpts;
-        } else {
-            self.ckpts.append(&mut ckpts);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +73,8 @@ mod tests {
     /// Recycled buffers must be invisible to the simulation: a run built
     /// from another run's scratch reports exactly what a fresh-allocation
     /// run reports, also when that other run was recycled unfinished, with
-    /// checks still pending and some of them shared with a snapshot.
+    /// checks still pending and some of them shared with a snapshot or
+    /// with the rollback window.
     #[test]
     fn recycled_runs_match_fresh_runs() {
         use crate::{PairedSystem, SystemConfig};
@@ -138,6 +121,32 @@ mod tests {
         drop(snap);
         let report = PairedSystem::new_with_scratch(cfg, &program, &mut scratch).run_to_halt();
         assert_eq!(format!("{fresh:?}"), format!("{report:?}"));
+
+        // The rollback window shares every pending check's inputs, and
+        // still each segment's buffer and each pending check's comes home.
+        let mut scratch = SimScratch::new();
+        let mut sys = PairedSystem::new_with_scratch(cfg, &program, &mut scratch);
+        sys.enable_recovery_tracking();
+        sys.advance(500);
+        let det = sys.detector();
+        let pending = det.stats.seals as usize - det.finish_times().len();
+        assert!(pending > 0, "checks still pending");
+        let buffers = det.checkers.len() + pending;
+        sys.recycle_into(&mut scratch);
+        assert_eq!(scratch.pooled_seg_bufs(), buffers);
+        let report = PairedSystem::new_with_scratch(cfg, &program, &mut scratch).run_to_halt();
+        assert_eq!(format!("{fresh:?}"), format!("{report:?}"));
+
+        // After a failed check the window keeps every later check's
+        // buffer while its segment takes a new one: the pool gets one per
+        // segment back, not both, so it does not grow run after run.
+        let mut scratch = SimScratch::new();
+        let mut sys = PairedSystem::new_with_scratch(cfg, &program, &mut scratch);
+        sys.enable_recovery_tracking();
+        sys.arm_log_fault(0, 0, 0);
+        assert!(sys.run_to_halt().detected() && sys.rollback_plan().is_some());
+        sys.recycle_into(&mut scratch);
+        assert_eq!(scratch.pooled_seg_bufs(), cfg.n_checkers);
     }
 
     #[test]

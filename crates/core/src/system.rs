@@ -3,7 +3,7 @@
 
 use crate::config::SystemConfig;
 use crate::delay::DelayStats;
-use crate::detector::{Detector, DetectorSnapshot, DetectorStats, DomainReport, RollbackPlan};
+use crate::detector::{Detector, DetectorStats, DomainReport, RollbackPlan};
 use crate::error::DetectedError;
 use crate::scratch::SimScratch;
 use paradet_isa::{ArchState, FlatMemory, Program};
@@ -73,13 +73,14 @@ impl RunReport {
 /// A paired system frozen between two blocks (see
 /// [`PairedSystem::snapshot`]), in compact form: large tables as the
 /// entries that differ from reset, functional memory as its diff from the
-/// program's data image, in-flight checks as their shared replay inputs.
+/// program's data image, and the detection hardware as a plain clone,
+/// whose in-flight checks share their replay inputs with the run.
 #[derive(Debug, Clone)]
 pub struct SystemSnapshot {
     cfg: SystemConfig,
     core: CoreSnapshot,
     hier: HierSnapshot,
-    det: DetectorSnapshot,
+    det: Detector,
 }
 
 impl SystemSnapshot {
@@ -198,15 +199,17 @@ impl PairedSystem {
     }
 
     /// A compact copy of the system, to start later runs from this point
-    /// with [`PairedSystem::from_snapshot`]. Pending checks stay queued and
-    /// still replay and fold at their own simulation points, so this run
-    /// continues exactly as if no snapshot had been taken.
+    /// with [`PairedSystem::from_snapshot`]. The detector's part is a
+    /// clone: its pending checks and rollback window share their replay
+    /// inputs with this run, whose checks still replay and fold at their
+    /// own simulation points, so it continues exactly as if no snapshot
+    /// had been taken.
     pub fn snapshot(&mut self) -> SystemSnapshot {
         SystemSnapshot {
             cfg: self.cfg,
             core: self.core.snapshot(),
             hier: self.hier.snapshot(self.core.program()),
-            det: self.det.snapshot(),
+            det: self.det.clone(),
         }
     }
 
@@ -220,10 +223,9 @@ impl PairedSystem {
     /// the run the original would have.
     pub fn from_snapshot(snap: &SystemSnapshot, scratch: &mut SimScratch) -> PairedSystem {
         let core = OooCore::from_snapshot(&snap.core);
-        let program = Arc::clone(core.program());
         PairedSystem {
-            hier: MemHier::from_snapshot(&snap.hier, &program),
-            det: Detector::from_snapshot(&snap.cfg, program, &snap.det, scratch),
+            hier: MemHier::from_snapshot(&snap.hier, core.program()),
+            det: Detector::from_snapshot(&snap.det, scratch),
             core,
             cfg: snap.cfg,
         }

@@ -101,14 +101,6 @@ impl FaultSite {
         ]
     }
 
-    /// Whether faults at this site strike *inside* the paper's detection
-    /// sphere (the main core + the logged dataflow). Array faults are
-    /// outside it — the paper assumes ECC there — so campaigns must not
-    /// count their escapes against checker coverage.
-    pub fn in_detection_sphere(self) -> bool {
-        !matches!(self, FaultSite::CacheArray | FaultSite::DramArray)
-    }
-
     /// A stable identifier mixed into per-trial seeds. Tied to the site
     /// class itself (not its position in `CampaignConfig::sites`), so
     /// reordering or subsetting the site list never changes the faults any

@@ -49,7 +49,7 @@ pub use chaosfs::{ChaosFs, ChaosScript, KillMode};
 pub use paradet_core::RecoveryPolicy;
 pub use paradet_ooo::FaultKind;
 pub use service::{
-    completeness_table, coverage_cells, coverage_table, merge_campaign, merge_campaign_on,
+    ci95, completeness_table, coverage_cells, coverage_table, merge_campaign, merge_campaign_on,
     merge_campaign_partial, merge_campaign_partial_on, merged_table, partial_result_table,
     recovery_cells, recovery_table, run_campaign_shard, run_campaign_shard_on,
     run_campaign_sharded, PartialMerge, ShardCompleteness, ShardRunOptions, ShardRunSummary,

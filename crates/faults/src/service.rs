@@ -444,8 +444,9 @@ pub fn merge_campaign_partial(
     merge_campaign_partial_on(&real_fs(), dir, expect)
 }
 
-/// Convenience used by tests and the bench sharded path: runs every shard
-/// of `cfg` (serially, in this process) into `dir`, then merges.
+/// Runs every shard of `cfg` (serially, in this process) into `dir`, then
+/// merges: the sharded store path end to end, for tests that compare it
+/// with the one-shot [`run_campaign`](crate::run_campaign).
 pub fn run_campaign_sharded(
     cfg: &CampaignConfig,
     shards: u32,
@@ -459,8 +460,9 @@ pub fn run_campaign_sharded(
 }
 
 /// Formats the 95% Wilson interval on `successes/trials` as a percentage
-/// range — the exact cell format of the `fault_coverage` experiment.
-fn ci95(successes: u64, trials: u64) -> String {
+/// range: the interval cell of every coverage row, and of the
+/// `fault_coverage` experiment's over-detection row.
+pub fn ci95(successes: u64, trials: u64) -> String {
     let (lo, hi) = wilson_interval(successes, trials, 1.96);
     format!("[{:.0}%, {:.0}%]", lo * 100.0, hi * 100.0)
 }

@@ -128,16 +128,6 @@ impl SuperviseOutcome {
     pub fn all_completed(&self) -> bool {
         self.fates.iter().all(|f| matches!(f, ShardFate::Completed { .. }))
     }
-
-    /// Indices of quarantined shards.
-    pub fn degraded_shards(&self) -> Vec<u32> {
-        self.fates
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| matches!(f, ShardFate::Degraded { .. }))
-            .map(|(i, _)| i as u32)
-            .collect()
-    }
 }
 
 /// How to spawn one shard worker.

@@ -234,11 +234,6 @@ impl FlatMemory {
         p.write((addr & (Self::PAGE as u64 - 1)) as usize, &[val]);
     }
 
-    /// Number of resident pages (for tests and memory accounting).
-    pub fn resident_pages(&self) -> usize {
-        self.pages.len
-    }
-
     /// Compares the full contents of two memories.
     ///
     /// Returns the first differing byte address, if any.

@@ -402,19 +402,6 @@ pub enum Instruction {
 }
 
 impl Instruction {
-    /// Whether this macro-op performs at least one memory access.
-    pub fn is_mem(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Load { .. }
-                | Instruction::Store { .. }
-                | Instruction::Ldp { .. }
-                | Instruction::Stp { .. }
-                | Instruction::FLoad { .. }
-                | Instruction::FStore { .. }
-        )
-    }
-
     /// Whether this macro-op is a control-flow instruction.
     pub fn is_control(&self) -> bool {
         matches!(

@@ -63,17 +63,6 @@ pub struct CacheStats {
     pub mshr_stalls: u64,
 }
 
-impl CacheStats {
-    /// Miss rate over demand accesses (0 when idle).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// The outcome of a timed cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessResult {
@@ -322,6 +311,16 @@ impl Cache {
             lru_clock: self.lru_clock,
             stats: self.stats,
         }
+    }
+
+    /// Bytes the line metadata and MSHRs occupy.
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.tags.as_slice())
+            + size_of_val(self.flags.as_slice())
+            + size_of_val(self.ready_fs.as_slice())
+            + size_of_val(self.lru.as_slice())
+            + size_of_val(self.mshr_busy.as_slice())
     }
 
     /// Rebuilds the cache a [`snapshot`](Cache::snapshot) was taken of.

@@ -133,21 +133,10 @@ impl CheckerPath {
         }
     }
 
-    /// A compact copy of the path: each cache as the metadata of its filled
-    /// lines.
-    pub fn snapshot(&self) -> CheckerPathSnapshot {
-        CheckerPathSnapshot {
-            l0: self.l0.iter().map(Cache::snapshot).collect(),
-            l1i: self.l1i.snapshot(),
-        }
-    }
-
-    /// Rebuilds the path a [`snapshot`](CheckerPath::snapshot) was taken of.
-    pub fn from_snapshot(snap: &CheckerPathSnapshot) -> CheckerPath {
-        CheckerPath {
-            l0: snap.l0.iter().map(Cache::from_snapshot).collect(),
-            l1i: Cache::from_snapshot(&snap.l1i),
-        }
+    /// Bytes the path's caches occupy (about 16 KB at Table I settings);
+    /// a snapshot clones the path whole.
+    pub fn bytes(&self) -> usize {
+        self.l0.iter().map(Cache::bytes).sum::<usize>() + self.l1i.bytes()
     }
 
     /// Timed instruction fetch for core `core`, missing into `l2`/`dram`.
@@ -185,20 +174,6 @@ impl CheckerPath {
                 .done
             })
             .done
-    }
-}
-
-/// A [`CheckerPath`] in compact form (see [`CheckerPath::snapshot`]).
-#[derive(Debug, Clone)]
-pub struct CheckerPathSnapshot {
-    l0: Vec<CacheSnapshot>,
-    l1i: CacheSnapshot,
-}
-
-impl CheckerPathSnapshot {
-    /// Bytes the path's cache snapshots occupy.
-    pub fn bytes(&self) -> usize {
-        self.l0.iter().map(CacheSnapshot::bytes).sum::<usize>() + self.l1i.bytes()
     }
 }
 

@@ -35,10 +35,7 @@ mod time;
 
 pub use cache::{AccessResult, Cache, CacheConfig, CacheStats};
 pub use dram::{Dram, DramConfig, DramStats};
-pub use hier::{
-    ArrayFault, ArrayKind, CheckerPath, CheckerPathSnapshot, HierSnapshot, HierStats, MemConfig,
-    MemHier,
-};
+pub use hier::{ArrayFault, ArrayKind, CheckerPath, HierSnapshot, HierStats, MemConfig, MemHier};
 pub use prefetch::{PrefetchStats, PrefetcherConfig, StridePrefetcher};
 pub use sparse::Sparse;
 pub use time::{CycleDiv, Freq, Time};

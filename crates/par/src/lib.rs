@@ -10,7 +10,7 @@
 //! thread.
 //! It also holds [`env_setting`], the one reader of the workspace's numeric
 //! environment settings (`PARADET_THREADS`, `PARADET_INSTRS`,
-//! `PARADET_TRIALS`, `PARADET_CAMPAIGN_SHARDS`).
+//! `PARADET_TRIALS`).
 //!
 //! # Determinism
 //!
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn settings_parse_or_name_the_variable_and_value() {
         assert_eq!(parse_setting::<NonZeroU64>("PARADET_INSTRS", "3000").unwrap().get(), 3000);
-        assert_eq!(parse_setting::<u32>("PARADET_CAMPAIGN_SHARDS", "2"), Ok(2));
+        assert_eq!(parse_setting::<u32>("PARADET_TRIALS", "2"), Ok(2));
         for (name, bad) in [
             ("PARADET_INSTRS", "3k"),
             ("PARADET_INSTRS", "0"),

@@ -12,10 +12,10 @@
 //! * [`Table`]/[`write_csv`] — the aligned text tables `run_all` prints
 //!   and the CSVs under `EXPERIMENTS-data/` that ARCHITECTURE.md's figure
 //!   atlas indexes;
-//! * [`Mergeable`]/[`BinomialTally`]/[`MomentAccumulator`] — exactly-
-//!   mergeable partial aggregates for sharded campaigns: shard processes
-//!   tally integers, `campaign-merge` folds the tallies, and every float a
-//!   table prints is derived from merged integers at render time.
+//! * [`Mergeable`] — the merge law of partial aggregates for sharded
+//!   campaigns: shard processes tally integers, `campaign-merge` folds the
+//!   tallies, and every float a table prints is derived from merged
+//!   integers at render time.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -26,6 +26,6 @@ mod summary;
 mod table;
 
 pub use kde::{gaussian_kde, KdePoint};
-pub use merge::{BinomialTally, Mergeable, MomentAccumulator};
+pub use merge::Mergeable;
 pub use summary::{wilson_interval, Summary};
 pub use table::{write_csv, Table};

@@ -1,210 +1,22 @@
-//! Mergeable accumulators for sharded/partial aggregation.
+//! The merge law of sharded/partial aggregation.
 //!
 //! Sharded fault campaigns classify trials in separate processes and fold
 //! the partial aggregates together afterwards (`campaign-merge`). For the
 //! merged coverage tables to be *byte-identical* to a one-shot run, the
-//! accumulators must merge exactly — which is why the types here are
-//! integer tallies and order-insensitive extrema, not floating-point
-//! running means: every floating-point statistic in a coverage table is
-//! derived from merged integers at render time, never merged itself.
+//! aggregates must merge exactly — which is why they are integer tallies
+//! and order-insensitive extrema, not floating-point running means: every
+//! floating-point statistic in a coverage table is derived from merged
+//! integers at render time, never merged itself.
 
-use crate::summary::wilson_interval;
-
-/// A partial aggregate that can absorb another partial of the same shape.
+/// A partial aggregate that can absorb another partial of the same shape
+/// (the campaign's per-site tally implements it).
 ///
-/// Laws (exercised by the unit tests here and the campaign shard/merge
-/// identity tests):
+/// Laws (exercised by the campaign shard/merge identity tests):
 ///
-/// * **associative + commutative** for the integer tallies below, so any
-///   shard order folds to the same value;
+/// * **associative + commutative**, so any shard order folds to the same
+///   value;
 /// * `a.merge_from(&Default::default())` leaves `a` unchanged (identity).
 pub trait Mergeable {
     /// Folds `other` into `self`.
     fn merge_from(&mut self, other: &Self);
-}
-
-/// An exactly-mergeable binomial tally: successes out of trials.
-///
-/// The campaign merge folds per-shard detection counts through this and
-/// computes rates and Wilson intervals only on the merged totals — integer
-/// addition is associative, so shard count and merge order can never change
-/// a rendered coverage cell.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BinomialTally {
-    /// Number of successes observed.
-    pub successes: u64,
-    /// Number of trials observed.
-    pub trials: u64,
-}
-
-impl BinomialTally {
-    /// A tally of `successes` out of `trials`.
-    pub fn new(successes: u64, trials: u64) -> BinomialTally {
-        BinomialTally { successes, trials }
-    }
-
-    /// Records one trial.
-    pub fn record(&mut self, success: bool) {
-        self.trials += 1;
-        self.successes += u64::from(success);
-    }
-
-    /// The point success rate (`1.0` for an empty tally, matching the
-    /// campaign convention that zero unmasked faults means full coverage).
-    pub fn rate(&self) -> f64 {
-        if self.trials == 0 {
-            1.0
-        } else {
-            self.successes as f64 / self.trials as f64
-        }
-    }
-
-    /// The `z`-sigma Wilson interval on the true rate (see
-    /// [`wilson_interval`]).
-    pub fn wilson(&self, z: f64) -> (f64, f64) {
-        wilson_interval(self.successes, self.trials, z)
-    }
-}
-
-impl Mergeable for BinomialTally {
-    fn merge_from(&mut self, other: &Self) {
-        self.successes += other.successes;
-        self.trials += other.trials;
-    }
-}
-
-/// A mergeable moment accumulator over an integer-valued series (campaign
-/// detection latencies in femtoseconds): count, sum, min, max.
-///
-/// Count/sum/min/max merge exactly in any order (u128 sum cannot overflow
-/// for any feasible campaign: 2^64 fs × 2^64 trials still fits). The mean
-/// is derived at render time from the merged sum, so a merged accumulator
-/// renders identically to a one-shot one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MomentAccumulator {
-    /// Number of recorded values.
-    pub count: u64,
-    /// Exact sum of recorded values.
-    pub sum: u128,
-    /// Minimum recorded value (`None` when empty).
-    pub min: Option<u64>,
-    /// Maximum recorded value (`None` when empty).
-    pub max: Option<u64>,
-}
-
-impl MomentAccumulator {
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        self.count += 1;
-        self.sum += u128::from(value);
-        self.min = Some(self.min.map_or(value, |m| m.min(value)));
-        self.max = Some(self.max.map_or(value, |m| m.max(value)));
-    }
-
-    /// The arithmetic mean, or `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
-impl Mergeable for MomentAccumulator {
-    fn merge_from(&mut self, other: &Self) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn binomial_merge_equals_one_shot() {
-        // Record 30 trials one-shot and as three shards; tallies and every
-        // derived statistic agree exactly.
-        let outcomes: Vec<bool> = (0..30).map(|i| i % 3 != 0).collect();
-        let mut one = BinomialTally::default();
-        for &o in &outcomes {
-            one.record(o);
-        }
-        let mut merged = BinomialTally::default();
-        for shard in 0..3 {
-            let mut part = BinomialTally::default();
-            for (i, &o) in outcomes.iter().enumerate() {
-                if i % 3 == shard {
-                    part.record(o);
-                }
-            }
-            merged.merge_from(&part);
-        }
-        assert_eq!(one, merged);
-        assert_eq!(one.wilson(1.96), merged.wilson(1.96));
-        assert!((one.rate() - 20.0 / 30.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn binomial_identity_and_commutativity() {
-        let mut a = BinomialTally::new(3, 7);
-        a.merge_from(&BinomialTally::default());
-        assert_eq!(a, BinomialTally::new(3, 7));
-        let mut ab = BinomialTally::new(3, 7);
-        ab.merge_from(&BinomialTally::new(2, 5));
-        let mut ba = BinomialTally::new(2, 5);
-        ba.merge_from(&BinomialTally::new(3, 7));
-        assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn empty_binomial_rate_is_full_coverage() {
-        assert_eq!(BinomialTally::default().rate(), 1.0);
-    }
-
-    #[test]
-    fn moments_merge_equals_one_shot() {
-        let values = [5u64, 1, 9, 4, 4, 100, 0];
-        let mut one = MomentAccumulator::default();
-        for &v in &values {
-            one.record(v);
-        }
-        let mut merged = MomentAccumulator::default();
-        for shard in 0..2 {
-            let mut part = MomentAccumulator::default();
-            for (i, &v) in values.iter().enumerate() {
-                if i % 2 == shard {
-                    part.record(v);
-                }
-            }
-            merged.merge_from(&part);
-        }
-        assert_eq!(one, merged);
-        assert_eq!(one.min, Some(0));
-        assert_eq!(one.max, Some(100));
-        assert!((one.mean() - 123.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn moments_merge_with_empty_sides() {
-        let mut a = MomentAccumulator::default();
-        a.record(3);
-        let empty = MomentAccumulator::default();
-        let mut x = a;
-        x.merge_from(&empty);
-        assert_eq!(x, a);
-        let mut y = empty;
-        y.merge_from(&a);
-        assert_eq!(y, a);
-        assert_eq!(empty.mean(), 0.0);
-    }
 }
