@@ -7,11 +7,13 @@
 //! campaign-merge --partial --dir camp/   # degraded campaigns: explicit accounting
 //! ```
 //!
-//! When any campaign config flag is given, the directory's manifest must
-//! fingerprint-match the described campaign — merging a directory that
-//! belongs to a different campaign (other seed, workload, fault model, or
-//! trial count) is refused rather than producing a plausible but wrong
-//! table. Without config flags the manifest is trusted as-is.
+//! The manifest must verify itself — its fingerprint is the digest of its
+//! own fields, and its text what those fields render to — so a torn or
+//! edited manifest is refused (exit 1). When any campaign config flag is
+//! given, the manifest must also fingerprint-match the described campaign
+//! — merging a directory that belongs to a different campaign (other
+//! seed, workload, fault model, or trial count) is refused rather than
+//! producing a plausible but wrong table.
 //!
 //! The strict merge refuses incomplete campaigns (exit 5). `--partial` is
 //! the explicit opt-out — the hand-off target when a supervised run
@@ -27,11 +29,11 @@
 //! written by an incompatible schema version, 1 other store errors.
 
 use paradet_faults::cli::{
-    exit, parse_campaign_flags, reject_unknown, take_switch, take_value, wants_help,
+    emit_table, exit, parse_campaign_flags, reject_unknown, take_switch, take_value, wants_help,
 };
 use paradet_faults::{
-    completeness_table, merge_campaign, merge_campaign_partial, merged_table, partial_result_table,
-    StoreError,
+    completeness_table, merge_campaign_on, merge_campaign_partial_on, merged_table,
+    partial_result_table, real_fs, StoreError,
 };
 use std::path::PathBuf;
 
@@ -82,41 +84,27 @@ fn main() {
 
     let expect = if explicit { Some(&cfg) } else { None };
     if partial {
-        let merge = merge_campaign_partial(&dir, expect).unwrap_or_else(|e| fail(&e));
+        let merge =
+            merge_campaign_partial_on(&real_fs(), &dir, expect).unwrap_or_else(|e| fail(&e));
         print!("{}", completeness_table(&merge).render());
-        let table = partial_result_table(&merge);
-        print!("{}", table.render());
         eprintln!(
             "partial merge: {}/{} grid points across {} shards, fingerprint {}",
             merge.completed, merge.grid, merge.manifest.shards, merge.manifest.fingerprint
         );
-        if let Some(path) = out {
-            table.write_csv(&path).unwrap_or_else(|e| {
-                eprintln!("campaign-merge: writing {}: {e}", path.display());
-                std::process::exit(exit::STORE);
-            });
-            eprintln!("wrote {}", path.display());
-        }
+        emit_table("campaign-merge", &partial_result_table(&merge), out.as_deref());
         return;
     }
 
-    let (manifest, result) = merge_campaign(&dir, expect).unwrap_or_else(|e| fail(&e));
-    // A recovery campaign (manifest records a policy) merges to the
-    // coverage-by-fault-class table, byte-identical to its one-shot; a
-    // detection-only campaign keeps the historic coverage table.
-    let table = merged_table(&manifest, &result);
-    print!("{}", table.render());
+    let (manifest, result) =
+        merge_campaign_on(&real_fs(), &dir, expect).unwrap_or_else(|e| fail(&e));
     eprintln!(
         "merged {} shards, {} trials, fingerprint {}",
         manifest.shards,
         result.trials.len(),
         manifest.fingerprint
     );
-    if let Some(path) = out {
-        table.write_csv(&path).unwrap_or_else(|e| {
-            eprintln!("campaign-merge: writing {}: {e}", path.display());
-            std::process::exit(exit::STORE);
-        });
-        eprintln!("wrote {}", path.display());
-    }
+    // A recovery campaign (manifest records a policy) merges to the
+    // coverage-by-fault-class table, byte-identical to its one-shot; a
+    // detection-only campaign keeps the historic coverage table.
+    emit_table("campaign-merge", &merged_table(&manifest, &result), out.as_deref());
 }

@@ -41,12 +41,14 @@
 
 use paradet_faults::chaosfs::{ChaosFs, ChaosScript, KillMode};
 use paradet_faults::cli::{
-    exit, parse_campaign_flags, reject_unknown, take_parsed, take_switch, take_value, wants_help,
+    emit_table, exit, parse_campaign_flags, reject_unknown, take_parsed, take_switch, take_value,
+    wants_help,
 };
+use paradet_faults::store::Manifest;
 use paradet_faults::supervisor::{supervise_processes, ShardCommand, ShardFate, SupervisePolicy};
 use paradet_faults::{
-    coverage_table, merge_campaign, merged_table, real_fs, recovery_table, run_campaign,
-    run_campaign_shard_on, DynFs, ShardRunOptions, ShardSpec, StoreError,
+    merge_campaign_on, merged_table, real_fs, run_campaign, run_campaign_shard_on, DynFs,
+    ShardRunOptions, ShardSpec, StoreError,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -124,21 +126,8 @@ fn main() {
 
     match (one_shot, shard_arg, supervise_arg) {
         (true, None, None) => {
-            let result = run_campaign(&cfg);
-            // Recovery campaigns render the coverage-by-fault-class table;
-            // detection-only campaigns keep the historic coverage table.
-            let table = match &cfg.recovery {
-                Some(_) => recovery_table(cfg.workload.name(), cfg.fault_kind.name(), &result),
-                None => coverage_table(cfg.workload.name(), &result),
-            };
-            print!("{}", table.render());
-            if let Some(path) = out {
-                table.write_csv(&path).unwrap_or_else(|e| {
-                    eprintln!("campaignd: writing {}: {e}", path.display());
-                    std::process::exit(exit::STORE);
-                });
-                eprintln!("wrote {}", path.display());
-            }
+            let table = merged_table(&Manifest::from_config(&cfg, 1), &run_campaign(&cfg));
+            emit_table("campaignd", &table, out.as_deref());
         }
         (false, Some(spec), None) => {
             let shard = ShardSpec::parse(&spec).unwrap_or_else(|e| {
@@ -224,22 +213,14 @@ fn main() {
             let outcome = supervise_processes(&cmd, &policy, |line| eprintln!("campaignd: {line}"));
             if outcome.all_completed() {
                 let (manifest, result) =
-                    merge_campaign(&dir, Some(&cfg)).unwrap_or_else(|e| fail(&e));
-                let table = merged_table(&manifest, &result);
-                print!("{}", table.render());
+                    merge_campaign_on(&real_fs(), &dir, Some(&cfg)).unwrap_or_else(|e| fail(&e));
                 eprintln!(
                     "supervised {} shards to completion, {} trials, fingerprint {}",
                     shards,
                     result.trials.len(),
                     manifest.fingerprint
                 );
-                if let Some(path) = out {
-                    table.write_csv(&path).unwrap_or_else(|e| {
-                        eprintln!("campaignd: writing {}: {e}", path.display());
-                        std::process::exit(exit::STORE);
-                    });
-                    eprintln!("wrote {}", path.display());
-                }
+                emit_table("campaignd", &merged_table(&manifest, &result), out.as_deref());
             } else {
                 for (i, fate) in outcome.fates.iter().enumerate() {
                     if let ShardFate::Degraded { restarts, reason } = fate {

@@ -212,8 +212,8 @@ pub enum Outcome {
 
 impl Outcome {
     /// The stable tag written into shard checkpoints. `Recovered` drops
-    /// its retry count here; the checkpoint record carries it in a
-    /// separate field and the merge re-attaches it.
+    /// its retry count here; the checkpoint line carries it in a
+    /// separate `retries` field, which the reader re-attaches.
     pub fn tag(self) -> &'static str {
         match self {
             Outcome::Detected => "detected",
@@ -228,7 +228,7 @@ impl Outcome {
 
     /// Parses a checkpoint [`tag`](Outcome::tag) back. A `recovered` tag
     /// parses as `Recovered { retries: 0 }`; the caller patches the count
-    /// from the record's own field.
+    /// from the line's own field.
     pub fn from_tag(tag: &str) -> Option<Outcome> {
         [
             Outcome::Detected,
@@ -244,12 +244,17 @@ impl Outcome {
     }
 }
 
-/// One trial's record.
+/// One trial's record: what the one-shot run returns, what a shard
+/// checkpoints (the fault excepted), and what the merge reads back.
 #[derive(Debug, Clone)]
 pub struct TrialResult {
     /// The site class.
     pub site: FaultSite,
-    /// The concrete fault.
+    /// The trial index within the site.
+    pub trial: u64,
+    /// The concrete fault. Checkpoints do not store it: it is pure in
+    /// `(seed, site, trial)`, and the checkpoint reader rebuilds it with
+    /// [`trial_fault`].
     pub fault: ArmedFault,
     /// The classification.
     pub outcome: Outcome,
@@ -598,7 +603,7 @@ pub(crate) fn run_point(
             (outcome, latency, None)
         }
     };
-    TrialResult { site, fault, outcome, detect_latency, recovery_fs }
+    TrialResult { site, trial, fault, outcome, detect_latency, recovery_fs }
 }
 
 /// Folds one trial into a site aggregate — the single tally shared by the
@@ -951,7 +956,7 @@ mod tests {
             (Outcome::Masked, None)
         };
         let fault = representative_fault(&plan);
-        TrialResult { site, fault, outcome, detect_latency, recovery_fs: None }
+        TrialResult { site, trial, fault, outcome, detect_latency, recovery_fs: None }
     }
 
     /// Invariant 14's detection cut: a trial that ends at its first error

@@ -10,7 +10,9 @@ use crate::campaign::{CampaignConfig, FaultSite, MIN_CAMPAIGN_INSTRS};
 use crate::store::StoreError;
 use paradet_core::{RecoveryPolicy, SystemConfig};
 use paradet_ooo::FaultKind;
+use paradet_stats::Table;
 use paradet_workloads::Workload;
+use std::path::Path;
 
 /// The one exit-code table of the campaign binaries. `campaignd`,
 /// `campaign-merge`, and the supervisor all map through here — a code
@@ -238,6 +240,20 @@ pub fn render_config_flags(cfg: &CampaignConfig) -> Vec<String> {
     flags
 }
 
+/// Prints `table` to stdout and, with `--out <csv>`, writes it as CSV:
+/// the one output path of both binaries. A CSV that cannot be written
+/// exits [`exit::STORE`], the message prefixed with `bin`.
+pub fn emit_table(bin: &str, table: &Table, out: Option<&Path>) {
+    print!("{}", table.render());
+    if let Some(path) = out {
+        if let Err(e) = table.write_csv(path) {
+            eprintln!("{bin}: writing {}: {e}", path.display());
+            std::process::exit(exit::STORE);
+        }
+        eprintln!("wrote {}", path.display());
+    }
+}
+
 /// Fails on any remaining `--flag` the binary didn't consume (typo guard:
 /// a misspelled flag must not silently fall back to a default config,
 /// where it would fingerprint as a different campaign).
@@ -251,6 +267,7 @@ pub fn reject_unknown(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Manifest;
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
@@ -315,7 +332,7 @@ mod tests {
 
     #[test]
     fn render_round_trips_through_parse() {
-        use crate::store::fingerprint;
+        let fingerprint = |cfg: &CampaignConfig| Manifest::from_config(cfg, 1).fingerprint;
         let configs = vec![
             CampaignConfig::default(),
             CampaignConfig {
@@ -342,8 +359,8 @@ mod tests {
             // The fingerprint is the equality that matters: it is what
             // gates a supervisor-respawned child against its parent.
             assert_eq!(
-                fingerprint(&back).hex(),
-                fingerprint(&cfg).hex(),
+                fingerprint(&back),
+                fingerprint(&cfg),
                 "render→parse must preserve the campaign identity of {cfg:?}"
             );
         }

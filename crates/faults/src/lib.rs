@@ -24,11 +24,15 @@
 //! Because each trial is a pure function of `(seed, site, trial)`, a
 //! campaign's work grid can be partitioned across processes ([`shard`]),
 //! checkpointed to disk and resumed after a crash or `SIGKILL`
-//! ([`store`], [`run_campaign_shard`]), and merged back
-//! ([`merge_campaign`]) into a result **bit-identical** to the one-shot
-//! in-memory [`run_campaign`]. The `campaignd` and `campaign-merge`
-//! binaries expose this as a service; CI proves the identity on every
-//! push.
+//! ([`store`], [`run_campaign_shard_on`]), and merged back
+//! ([`merge_campaign_on`]) into a result **bit-identical** to the one-shot
+//! in-memory [`run_campaign`]. Each store operation has one entry point,
+//! which takes the filesystem to run on: [`RealFs`] in production, a
+//! [`ChaosFs`] under test. Every reader verifies what it reads: a torn or
+//! edited manifest, a checkpoint line that fails its checksum or falls off
+//! its shard's slice, is a typed [`StoreError`], never a wrong table. The
+//! `campaignd` and `campaign-merge` binaries expose this as a service; CI
+//! proves the identity on every push.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -49,11 +53,10 @@ pub use chaosfs::{ChaosFs, ChaosScript, KillMode};
 pub use paradet_core::RecoveryPolicy;
 pub use paradet_ooo::FaultKind;
 pub use service::{
-    ci95, completeness_table, coverage_cells, coverage_table, merge_campaign, merge_campaign_on,
-    merge_campaign_partial, merge_campaign_partial_on, merged_table, partial_result_table,
-    recovery_cells, recovery_table, run_campaign_shard, run_campaign_shard_on,
-    run_campaign_sharded, PartialMerge, ShardCompleteness, ShardRunOptions, ShardRunSummary,
-    COMPLETENESS_HEADER, COVERAGE_HEADER, RECOVERY_HEADER,
+    ci95, completeness_table, coverage_cells, coverage_table, merge_campaign_on,
+    merge_campaign_partial_on, merged_table, partial_result_table, recovery_cells, recovery_table,
+    run_campaign_shard_on, run_campaign_sharded, PartialMerge, ShardCompleteness, ShardRunOptions,
+    ShardRunSummary, COMPLETENESS_HEADER, COVERAGE_HEADER, RECOVERY_HEADER,
 };
 pub use shard::ShardSpec;
 pub use store::{real_fs, DynFs, RealFs, StoreError, StoreFs};

@@ -19,16 +19,21 @@
 //!   ([`shard_points`]);
 //! * checkpoints are written atomically, so a kill leaves a valid prefix
 //!   of the slice and resume recomputes only the suffix;
-//! * the merge places each record back at its grid index and aggregates
-//!   with the same fold as the one-shot path
+//! * the checkpoint reader ([`read_checkpoint_on`]) accepts only a prefix
+//!   of the shard's slice and rebuilds each trial's fault, and the merge
+//!   places the `j`-th trial of shard `i/n` at grid index `i + j·n` and
+//!   aggregates with the same fold as the one-shot path
 //!   ([`aggregate`](crate::campaign)).
+//!
+//! Both merges take one walk over the shards; the strict one refuses any
+//! shard the walk could not fill, the partial one accounts for it.
 //!
 //! Invariant 12 strengthens this under *injected I/O faults* (see
 //! [`chaosfs`](crate::chaosfs) and [`supervisor`](crate::supervisor)):
 //! whatever a scripted chaos run does to the store, a supervised campaign
 //! either merges byte-identical to the one-shot golden or fails with a
-//! typed [`StoreError`] / an explicit [`merge_campaign_partial`] — never a
-//! silently wrong table. CI enforces both contracts on every push
+//! typed [`StoreError`] / an explicit [`merge_campaign_partial_on`] — never
+//! a silently wrong table. CI enforces both contracts on every push
 //! (`campaign-shard` and `campaign-chaos` jobs).
 
 use crate::campaign::{
@@ -36,13 +41,11 @@ use crate::campaign::{
 };
 use crate::shard::{shard_points, ShardSpec};
 use crate::store::{
-    ensure_manifest_on, fingerprint, read_checkpoint_on, read_manifest_on, read_status_on, real_fs,
+    ensure_manifest_on, read_checkpoint_on, read_manifest_on, read_status_on, real_fs,
     sweep_stale_tmp_on, write_checkpoint_on, write_status_on, DynFs, Manifest, ShardLock,
-    StoreError, TrialRecord,
+    StoreError,
 };
-use crate::trial_fault;
 use paradet_core::SimScratch;
-use paradet_mem::Time;
 use paradet_stats::{wilson_interval, Table};
 use std::path::Path;
 
@@ -91,9 +94,9 @@ pub struct ShardRunSummary {
 /// # Errors
 ///
 /// Fails if the directory's manifest or checkpoint fingerprints don't
-/// match `cfg` (see [`StoreError::FingerprintMismatch`]), if the shard's
-/// lock is held by a live process, if a finished checkpoint exists and
-/// `opts.resume` is not set, or on I/O.
+/// match `cfg` (see [`StoreError::FingerprintMismatch`]), if a store file
+/// fails verification, if the shard's lock is held by a live process, if a
+/// finished checkpoint exists and `opts.resume` is not set, or on I/O.
 pub fn run_campaign_shard_on(
     fs: &DynFs,
     dir: &Path,
@@ -101,8 +104,7 @@ pub fn run_campaign_shard_on(
     opts: &ShardRunOptions,
     mut on_checkpoint: impl FnMut(u64, u64),
 ) -> Result<ShardRunSummary, StoreError> {
-    let fp = fingerprint(cfg).hex();
-    ensure_manifest_on(fs.as_ref(), dir, cfg, opts.shard.count())?;
+    let manifest = ensure_manifest_on(fs.as_ref(), dir, cfg, opts.shard.count())?;
     let (_lock, took_over_dead) = ShardLock::acquire_on(fs, dir, opts.shard)?;
     sweep_stale_tmp_on(fs.as_ref(), dir);
     // A dead owner's lock means a kill mid-slice: resuming its checkpoint
@@ -112,8 +114,7 @@ pub fn run_campaign_shard_on(
     let points = shard_points(&cfg.sites, cfg.trials_per_site, opts.shard);
     let total = points.len() as u64;
 
-    let mut records: Vec<TrialRecord> = match read_checkpoint_on(fs.as_ref(), dir, opts.shard, &fp)?
-    {
+    let mut trials = match read_checkpoint_on(fs.as_ref(), dir, &manifest, opts.shard)? {
         Some(existing) if resume => existing,
         Some(_) => {
             return Err(StoreError::Locked(format!(
@@ -125,123 +126,70 @@ pub fn run_campaign_shard_on(
         }
         None => Vec::new(),
     };
-    // A checkpoint is always a prefix of the slice in slice order; verify
-    // so a corrupted or foreign file can't silently misalign the grid.
-    if records.len() > points.len() {
-        return Err(StoreError::Corrupt(format!(
-            "shard {} checkpoint has {} records for a {}-point slice",
-            opts.shard,
-            records.len(),
-            points.len()
-        )));
-    }
-    for (r, &(site, trial)) in records.iter().zip(&points) {
-        if r.site != site || r.trial != trial {
-            return Err(StoreError::Corrupt(format!(
-                "shard {} checkpoint diverges from its slice at ({}, {})",
-                opts.shard,
-                r.site.name(),
-                r.trial
-            )));
-        }
-    }
-    let resumed_from = records.len() as u64;
+    let resumed_from = trials.len() as u64;
     write_status_on(fs.as_ref(), dir, opts.shard, "running", resumed_from, total)?;
 
     if resumed_from < total {
         let golden = prepare_golden(cfg);
         let every = opts.checkpoint_every.max(1) as usize;
-        let mut at = resumed_from as usize;
-        while at < points.len() {
+        while trials.len() < points.len() {
+            let at = trials.len();
             let chunk = &points[at..(at + every).min(points.len())];
-            let batch: Vec<TrialResult> =
-                paradet_par::par_map(chunk, SimScratch::new, |scratch, _, &(site, t)| {
-                    run_point(cfg, &golden, site, t, scratch)
-                });
             // par_map is order-preserving: batch[j] is chunk[j]'s result.
-            records.extend(batch.iter().zip(chunk).map(|(t, &(site, trial))| {
-                debug_assert_eq!(t.site, site);
-                let retries = match t.outcome {
-                    crate::Outcome::Recovered { retries } => Some(retries),
-                    _ => None,
-                };
-                TrialRecord {
-                    site,
-                    trial,
-                    outcome: t.outcome,
-                    latency_fs: t.detect_latency.map(Time::as_fs),
-                    retries,
-                    recovery_fs: t.recovery_fs,
-                }
-            }));
-            at += chunk.len();
-            write_checkpoint_on(fs.as_ref(), dir, opts.shard, &fp, &records)?;
-            write_status_on(fs.as_ref(), dir, opts.shard, "running", at as u64, total)?;
-            on_checkpoint(at as u64, total);
+            let batch = paradet_par::par_map(chunk, SimScratch::new, |scratch, _, &(site, t)| {
+                run_point(cfg, &golden, site, t, scratch)
+            });
+            trials.extend(batch);
+            let done = trials.len() as u64;
+            write_checkpoint_on(fs.as_ref(), dir, &manifest, opts.shard, &trials)?;
+            write_status_on(fs.as_ref(), dir, opts.shard, "running", done, total)?;
+            on_checkpoint(done, total);
         }
     } else {
         // Nothing left (a resume of a finished shard): still refresh the
         // checkpoint so the file exists even for an empty slice.
-        write_checkpoint_on(fs.as_ref(), dir, opts.shard, &fp, &records)?;
+        write_checkpoint_on(fs.as_ref(), dir, &manifest, opts.shard, &trials)?;
     }
     write_status_on(fs.as_ref(), dir, opts.shard, "done", total, total)?;
     Ok(ShardRunSummary { resumed_from, done: total, total })
 }
 
-/// [`run_campaign_shard_on`] over the real filesystem.
-pub fn run_campaign_shard(
+/// The one walk both merges take: reads `dir`'s manifest (refused unless
+/// it describes `expect`, when given), then each shard's checkpoint under
+/// it, placing the trials at their grid indices. `per_shard` sees each
+/// shard in order with its slice length and what reading its checkpoint
+/// gave — `Ok(None)` when it has none, `Ok(Some(done))` for a verified
+/// prefix of `done` trials — and an error it returns ends the walk.
+/// Returns the manifest and the site-major grid, `None` where no
+/// checkpoint supplied the trial.
+fn walk_shards(
+    fs: &DynFs,
     dir: &Path,
-    cfg: &CampaignConfig,
-    opts: &ShardRunOptions,
-    on_checkpoint: impl FnMut(u64, u64),
-) -> Result<ShardRunSummary, StoreError> {
-    run_campaign_shard_on(&real_fs(), dir, cfg, opts, on_checkpoint)
-}
-
-fn check_expected(
-    dir: &Path,
-    manifest: &Manifest,
     expect: Option<&CampaignConfig>,
-) -> Result<(), StoreError> {
+    mut per_shard: impl FnMut(ShardSpec, u64, Result<Option<u64>, StoreError>) -> Result<(), StoreError>,
+) -> Result<(Manifest, Vec<Option<TrialResult>>), StoreError> {
+    let manifest = read_manifest_on(fs.as_ref(), dir)?;
     if let Some(cfg) = expect {
-        let mine = fingerprint(cfg).hex();
-        if manifest.fingerprint != mine {
-            return Err(StoreError::FingerprintMismatch {
-                expected: mine,
-                found: manifest.fingerprint.clone(),
-                detail: format!(
-                    "{} (workload={}, seed={}, instrs={}, trials_per_site={})",
-                    crate::store::manifest_path(dir).display(),
-                    manifest.workload,
-                    manifest.seed,
-                    manifest.instrs,
-                    manifest.trials_per_site
-                ),
-            });
-        }
+        manifest.check_config(dir, cfg)?;
     }
-    Ok(())
-}
-
-/// Reconstructs one checkpoint record at its grid slot. The fault is
-/// reconstructed, not stored: it is pure in `(seed, site, trial)`, which
-/// is the whole reason sharding can be bit-identical.
-fn place_record(
-    manifest: &Manifest,
-    sites: &[crate::campaign::FaultSite],
-    slots: &mut [Option<TrialResult>],
-    r: &TrialRecord,
-) {
-    let site_pos = sites.iter().position(|&s| s == r.site).expect("site from slice");
-    let g = site_pos * manifest.trials_per_site as usize + r.trial as usize;
-    let fault = trial_fault(manifest.seed, r.site, r.trial, manifest.instrs);
-    slots[g] = Some(TrialResult {
-        site: r.site,
-        fault,
-        outcome: r.outcome,
-        detect_latency: r.latency_fs.map(Time::from_fs),
-        recovery_fs: r.recovery_fs,
-    });
+    let (sites, n) = (&manifest.sites, manifest.shards as usize);
+    let mut grid = vec![None; sites.len() * manifest.trials_per_site as usize];
+    for i in 0..manifest.shards {
+        let shard = ShardSpec::new(i, manifest.shards);
+        let total = shard_points(sites, manifest.trials_per_site, shard).len() as u64;
+        let read = read_checkpoint_on(fs.as_ref(), dir, &manifest, shard).map(|trials| {
+            trials.map(|trials| {
+                let done = trials.len() as u64;
+                // Shard i/n owns grid indices i, i + n, i + 2n, ...
+                for (j, trial) in trials.into_iter().enumerate() {
+                    grid[i as usize + j * n] = Some(trial);
+                }
+                done
+            })
+        });
+        per_shard(shard, total, read)?;
+    }
+    Ok((manifest, grid))
 }
 
 /// Merges every shard checkpoint in `dir` into the campaign result,
@@ -257,68 +205,30 @@ fn place_record(
 /// # Errors
 ///
 /// Also fails if any shard checkpoint is missing or incomplete (the error
-/// names the shard to resume) or if any store file is corrupt. For a
-/// best-effort render of an incomplete campaign, use
-/// [`merge_campaign_partial`] instead.
+/// names the shard to resume) or if any store file fails verification. For
+/// a best-effort render of an incomplete campaign, use
+/// [`merge_campaign_partial_on`] instead.
 pub fn merge_campaign_on(
     fs: &DynFs,
     dir: &Path,
     expect: Option<&CampaignConfig>,
 ) -> Result<(Manifest, CampaignResult), StoreError> {
-    let manifest = read_manifest_on(fs.as_ref(), dir)?;
-    check_expected(dir, &manifest, expect)?;
-    let sites = manifest.site_list()?;
-    let grid_len = sites.len() * manifest.trials_per_site as usize;
-    let mut slots: Vec<Option<TrialResult>> = vec![None; grid_len];
-
-    for i in 0..manifest.shards {
-        let shard = ShardSpec::new(i, manifest.shards);
-        let points = shard_points(&sites, manifest.trials_per_site, shard);
-        let records = read_checkpoint_on(fs.as_ref(), dir, shard, &manifest.fingerprint)?
-            .ok_or_else(|| {
-                StoreError::Incomplete(format!(
-                    "shard {shard} has no checkpoint in {} — run it first",
-                    dir.display()
-                ))
-            })?;
-        if records.len() < points.len() {
-            return Err(StoreError::Incomplete(format!(
-                "shard {shard} has {}/{} trials — resume it before merging",
-                records.len(),
-                points.len()
-            )));
-        }
-        for (r, &(site, trial)) in records.iter().zip(&points) {
-            if r.site != site || r.trial != trial {
-                return Err(StoreError::Corrupt(format!(
-                    "shard {shard} checkpoint diverges from its slice at ({}, {})",
-                    r.site.name(),
-                    r.trial
-                )));
-            }
-            place_record(&manifest, &sites, &mut slots, r);
-        }
-    }
-
-    let trials: Vec<TrialResult> = slots
+    let (manifest, grid) = walk_shards(fs, dir, expect, |shard, total, read| match read? {
+        None => Err(StoreError::Incomplete(format!(
+            "shard {shard} has no checkpoint in {} — run it first",
+            dir.display()
+        ))),
+        Some(done) if done < total => Err(StoreError::Incomplete(format!(
+            "shard {shard} has {done}/{total} trials — resume it before merging"
+        ))),
+        Some(_) => Ok(()),
+    })?;
+    let trials: Vec<TrialResult> = grid
         .into_iter()
-        .enumerate()
-        .map(|(g, s)| {
-            s.ok_or_else(|| {
-                StoreError::Incomplete(format!("grid point {g} was produced by no shard"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let per_site = aggregate(&sites, trials.iter());
+        .collect::<Option<_>>()
+        .expect("complete shards fill the grid: their slices partition it");
+    let per_site = aggregate(&manifest.sites, trials.iter());
     Ok((manifest, CampaignResult { trials, per_site }))
-}
-
-/// [`merge_campaign_on`] over the real filesystem.
-pub fn merge_campaign(
-    dir: &Path,
-    expect: Option<&CampaignConfig>,
-) -> Result<(Manifest, CampaignResult), StoreError> {
-    merge_campaign_on(&real_fs(), dir, expect)
 }
 
 /// One shard's contribution to a partial merge.
@@ -337,9 +247,9 @@ pub struct ShardCompleteness {
 }
 
 /// A best-effort merge of an incomplete campaign, with explicit per-shard
-/// completeness accounting. Unlike [`merge_campaign`] this never refuses
-/// for missing trials: absent grid points simply don't count, and the
-/// caller renders *how much* of the campaign the table reflects.
+/// completeness accounting. Unlike [`merge_campaign_on`] this never
+/// refuses for missing trials: absent grid points simply don't count, and
+/// the caller renders *how much* of the campaign the table reflects.
 #[derive(Debug)]
 pub struct PartialMerge {
     /// The directory's manifest.
@@ -356,7 +266,8 @@ pub struct PartialMerge {
 
 impl PartialMerge {
     /// Whether every grid point was populated (the partial merge of a
-    /// complete campaign — its tables match [`merge_campaign`]'s exactly).
+    /// complete campaign — its tables match [`merge_campaign_on`]'s
+    /// exactly).
     pub fn is_complete(&self) -> bool {
         self.completed == self.grid
     }
@@ -367,11 +278,11 @@ impl PartialMerge {
 /// shard as degraded.
 ///
 /// Per shard: a missing checkpoint contributes nothing (`missing`); a
-/// checkpoint that is refused (corrupt, foreign fingerprint, wrong
-/// schema) contributes nothing (`corrupt`) — a partial table must still
-/// never include a record that failed verification; a valid prefix
-/// contributes its records (`partial`/`done`, or the status heartbeat's
-/// `degraded` tag when the supervisor quarantined the shard).
+/// checkpoint that is refused (corrupt, off its slice, foreign
+/// fingerprint, wrong schema) contributes nothing (`corrupt`) — a partial
+/// table must still never include a record that failed verification; a
+/// valid prefix contributes its records (`partial`/`done`, or the status
+/// heartbeat's `degraded` tag when the supervisor quarantined the shard).
 ///
 /// # Errors
 ///
@@ -382,66 +293,32 @@ pub fn merge_campaign_partial_on(
     dir: &Path,
     expect: Option<&CampaignConfig>,
 ) -> Result<PartialMerge, StoreError> {
-    let manifest = read_manifest_on(fs.as_ref(), dir)?;
-    check_expected(dir, &manifest, expect)?;
-    let sites = manifest.site_list()?;
-    let grid = sites.len() as u64 * manifest.trials_per_site;
-    let mut slots: Vec<Option<TrialResult>> = vec![None; grid as usize];
-    let mut completeness = Vec::with_capacity(manifest.shards as usize);
-
-    for i in 0..manifest.shards {
-        let shard = ShardSpec::new(i, manifest.shards);
-        let points = shard_points(&sites, manifest.trials_per_site, shard);
-        let total = points.len() as u64;
-        let (done, mut state) =
-            match read_checkpoint_on(fs.as_ref(), dir, shard, &manifest.fingerprint) {
-                Ok(Some(records)) => {
-                    // Same prefix discipline as the strict merge: stop at the
-                    // first divergence, keep the verified prefix.
-                    let mut done = 0u64;
-                    for (r, &(site, trial)) in records.iter().zip(&points) {
-                        if r.site != site || r.trial != trial {
-                            break;
-                        }
-                        place_record(&manifest, &sites, &mut slots, r);
-                        done += 1;
-                    }
-                    let state = if done == total { "done" } else { "partial" };
-                    (done, state.to_string())
-                }
-                Ok(None) => (0, "missing".to_string()),
-                Err(_) => (0, "corrupt".to_string()),
-            };
+    let mut completeness = Vec::new();
+    let (manifest, grid) = walk_shards(fs, dir, expect, |shard, total, read| {
+        let (done, state) = match read {
+            Ok(Some(done)) if done == total => (done, "done"),
+            Ok(Some(done)) => (done, "partial"),
+            Ok(None) => (0, "missing"),
+            Err(_) => (0, "corrupt"),
+        };
         // The supervisor's quarantine verdict (in the status heartbeat)
-        // outranks the generic "partial" label.
-        if state != "corrupt" && state != "done" {
-            if let Some(s) = read_status_on(fs.as_ref(), dir, shard) {
-                if s.state == "degraded" {
-                    state = "degraded".to_string();
-                }
-            }
-        }
-        completeness.push(ShardCompleteness { shard, done, total, state });
-    }
-
-    let completed = slots.iter().filter(|s| s.is_some()).count() as u64;
-    let per_site = aggregate(&sites, slots.iter().flatten());
-    let trials: Vec<TrialResult> = slots.into_iter().flatten().collect();
+        // outranks the generic "partial" and "missing" labels.
+        let degraded = matches!(state, "partial" | "missing")
+            && read_status_on(fs.as_ref(), dir, shard).is_some_and(|s| s.state == "degraded");
+        let state = if degraded { "degraded" } else { state };
+        completeness.push(ShardCompleteness { shard, done, total, state: state.to_string() });
+        Ok(())
+    })?;
+    let grid_len = grid.len() as u64;
+    let trials: Vec<TrialResult> = grid.into_iter().flatten().collect();
+    let per_site = aggregate(&manifest.sites, trials.iter());
     Ok(PartialMerge {
         manifest,
         completeness,
+        completed: trials.len() as u64,
         result: CampaignResult { trials, per_site },
-        completed,
-        grid,
+        grid: grid_len,
     })
-}
-
-/// [`merge_campaign_partial_on`] over the real filesystem.
-pub fn merge_campaign_partial(
-    dir: &Path,
-    expect: Option<&CampaignConfig>,
-) -> Result<PartialMerge, StoreError> {
-    merge_campaign_partial_on(&real_fs(), dir, expect)
 }
 
 /// Runs every shard of `cfg` (serially, in this process) into `dir`, then
@@ -452,11 +329,12 @@ pub fn run_campaign_sharded(
     shards: u32,
     dir: &Path,
 ) -> Result<CampaignResult, StoreError> {
+    let fs = real_fs();
     for i in 0..shards {
         let opts = ShardRunOptions { shard: ShardSpec::new(i, shards), ..Default::default() };
-        run_campaign_shard(dir, cfg, &opts, |_, _| {})?;
+        run_campaign_shard_on(&fs, dir, cfg, &opts, |_, _| {})?;
     }
-    Ok(merge_campaign(dir, Some(cfg))?.1)
+    Ok(merge_campaign_on(&fs, dir, Some(cfg))?.1)
 }
 
 /// Formats the 95% Wilson interval on `successes/trials` as a percentage
@@ -602,54 +480,48 @@ pub fn completeness_table(partial: &PartialMerge) -> Table {
     t
 }
 
-/// The `kind` cell label a manifest's recovery table uses: the Debug form
-/// `Intermittent { period: 40, count: 3 }` collapses to its lowercased
-/// head, matching what the one-shot path prints via `FaultKind::name()`.
-/// Shared by `campaign-merge` and the partial merge so both render the
-/// same bytes.
-pub fn manifest_kind_label(manifest: &Manifest) -> String {
-    manifest.fault_kind.split_whitespace().next().unwrap_or("transient").to_ascii_lowercase()
-}
-
-/// Whether a manifest records a recovery campaign (vs detection-only).
-pub fn manifest_is_recovery(manifest: &Manifest) -> bool {
-    manifest.recovery != "None" && !manifest.recovery.is_empty()
-}
-
-/// Renders a merged result with the table family the manifest calls for —
-/// the single render path of `campaignd --supervise`, `campaign-merge`,
-/// and the chaos harness, so "merged table ≡ one-shot table" stays a
-/// byte-level statement.
+/// Renders a campaign result with the table family its manifest calls
+/// for — the single render path of `campaignd` (one-shot and supervised),
+/// `campaign-merge`, and the chaos harness, so "merged table ≡ one-shot
+/// table" stays a byte-level statement.
 pub fn merged_table(manifest: &Manifest, result: &CampaignResult) -> Table {
-    if manifest_is_recovery(manifest) {
-        recovery_table(&manifest.workload, &manifest_kind_label(manifest), result)
-    } else {
-        coverage_table(&manifest.workload, result)
-    }
+    manifest_table(manifest, result, false)
 }
 
 /// Renders a partial merge's coverage (or recovery) table. Complete
 /// campaigns render with the standard titles — byte-identical to
-/// [`merge_campaign`]'s output — while genuinely partial ones carry a
+/// [`merge_campaign_on`]'s output — while genuinely partial ones carry a
 /// `PARTIAL` marker in the title so a truncated table can never pass as a
 /// full campaign downstream.
 pub fn partial_result_table(partial: &PartialMerge) -> Table {
-    if partial.is_complete() {
-        return merged_table(&partial.manifest, &partial.result);
+    manifest_table(&partial.manifest, &partial.result, !partial.is_complete())
+}
+
+/// The coverage table of a detection-only campaign, or the by-class table
+/// of a recovery one; its `kind` cell is the lowercased head of the
+/// manifest's `Debug` form of the fault kind, which is what
+/// `FaultKind::name()` returns.
+fn manifest_table(manifest: &Manifest, result: &CampaignResult, partial: bool) -> Table {
+    let label = &manifest.workload;
+    if manifest.recovery == "None" {
+        return match partial {
+            false => coverage_table(label, result),
+            true => coverage_table_titled(
+                "PARTIAL fault-injection coverage (incomplete campaign)",
+                label,
+                result,
+            ),
+        };
     }
-    let label = &partial.manifest.workload;
-    if manifest_is_recovery(&partial.manifest) {
-        recovery_table_titled(
+    let kind = manifest.fault_kind.split_whitespace().next().unwrap_or_default();
+    let kind = kind.to_ascii_lowercase();
+    match partial {
+        false => recovery_table(label, &kind, result),
+        true => recovery_table_titled(
             "PARTIAL fault recovery by class (incomplete campaign)",
             label,
-            &manifest_kind_label(&partial.manifest),
-            &partial.result,
-        )
-    } else {
-        coverage_table_titled(
-            "PARTIAL fault-injection coverage (incomplete campaign)",
-            label,
-            &partial.result,
-        )
+            &kind,
+            result,
+        ),
     }
 }

@@ -19,6 +19,14 @@
 //! of work; because trials are pure in `(seed, site, trial)`, re-running
 //! them on resume reproduces the identical results.
 //!
+//! Every reader verifies what it reads, because the filesystem under it
+//! may not keep that promise. The manifest's fingerprint is a digest of
+//! the manifest's own fields and the file must be exactly what those
+//! fields render to, so a torn or edited manifest is refused. Each
+//! checkpoint line carries its own checksum, and [`read_checkpoint_on`]
+//! checks the records against the shard's slice of the grid. A heartbeat
+//! that is not exactly what [`write_status_on`] writes reads as absent.
+//!
 //! # The filesystem seam ([`StoreFs`])
 //!
 //! Every filesystem operation the store performs — atomic writes,
@@ -34,8 +42,11 @@
 //! The workspace is deliberately dependency-free (no serde); the JSON here
 //! is hand-rendered and hand-scanned.
 
-use crate::campaign::{CampaignConfig, FaultSite, Outcome};
-use crate::shard::ShardSpec;
+use crate::campaign::{
+    trial_fault, CampaignConfig, FaultSite, Outcome, TrialResult, MIN_CAMPAIGN_INSTRS,
+};
+use crate::shard::{shard_points, ShardSpec};
+use paradet_mem::Time;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -183,56 +194,22 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// A campaign's config fingerprint: a 64-bit FNV-1a digest over the
-/// canonical rendering of everything that determines the trial grid and
-/// each trial's result — seed, workload, per-trial budget, trials per
-/// site, the site list (order included: it fixes grid positions), and the
-/// full `SystemConfig` (its `Debug` form, which covers the fault-model
-/// ablations such as `lfu_enabled`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fingerprint(u64);
-
-impl Fingerprint {
-    /// Renders as fixed-width hex (the manifest/checkpoint form).
-    pub fn hex(self) -> String {
-        format!("{:016x}", self.0)
+/// Refuses a store file whose recorded fingerprint `found` is not
+/// `expected`: the one place a [`StoreError::FingerprintMismatch`] is
+/// built.
+fn same_fingerprint(
+    expected: &str,
+    found: &str,
+    detail: impl FnOnce() -> String,
+) -> Result<(), StoreError> {
+    if expected == found {
+        return Ok(());
     }
-}
-
-impl fmt::Display for Fingerprint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.hex())
-    }
-}
-
-/// Computes the fingerprint of a campaign configuration.
-///
-/// Every field that can change a trial's fault or outcome is in the
-/// canonical string — including the temporal fault kind and the recovery
-/// policy, which change outcomes without changing the grid. Any new
-/// per-trial knob added to [`CampaignConfig`] must be appended here *and*
-/// to [`TrialRecord`] if it surfaces per trial, or resume/merge would mix
-/// incompatible campaigns.
-pub fn fingerprint(cfg: &CampaignConfig) -> Fingerprint {
-    let site_names: Vec<&str> = cfg.sites.iter().map(|s| s.name()).collect();
-    let canonical = format!(
-        "seed={}|workload={}|instrs={}|trials_per_site={}|sites={}|system={:?}|\
-         fault_kind={:?}|recovery={:?}",
-        cfg.seed,
-        cfg.workload.name(),
-        cfg.instrs,
-        cfg.trials_per_site,
-        site_names.join(","),
-        cfg.system,
-        cfg.fault_kind,
-        cfg.recovery,
-    );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in canonical.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    Fingerprint(h)
+    Err(StoreError::FingerprintMismatch {
+        expected: expected.to_string(),
+        found: found.to_string(),
+        detail: detail(),
+    })
 }
 
 /// `run_manifest.json`: the campaign identity a directory serves. Written
@@ -240,7 +217,8 @@ pub fn fingerprint(cfg: &CampaignConfig) -> Fingerprint {
 /// validates against it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Config fingerprint (hex form of [`fingerprint`]).
+    /// Config fingerprint: the digest of every other field but `shards`
+    /// (see [`Manifest::from_config`]).
     pub fingerprint: String,
     /// Campaign RNG seed.
     pub seed: u64,
@@ -250,51 +228,79 @@ pub struct Manifest {
     pub instrs: u64,
     /// Trials per site class.
     pub trials_per_site: u64,
-    /// Site-class names, in grid order.
-    pub sites: Vec<String>,
+    /// Site classes, in grid order.
+    pub sites: Vec<FaultSite>,
     /// Number of shards the grid is partitioned into.
     pub shards: u32,
-    /// Human-readable `SystemConfig` (diagnostic only; the fingerprint is
-    /// what gates resume/merge).
+    /// The `SystemConfig`, in its `Debug` form.
     pub system: String,
-    /// Human-readable temporal fault kind (diagnostic; fingerprinted).
+    /// The temporal fault kind, in its `Debug` form.
     pub fault_kind: String,
-    /// Human-readable recovery policy, `"None"` for detection-only
-    /// campaigns (diagnostic; fingerprinted).
+    /// The recovery policy, in its `Debug` form: `"None"` for
+    /// detection-only campaigns.
     pub recovery: String,
 }
 
 impl Manifest {
-    /// Builds the manifest a fresh campaign run writes.
+    /// Builds the manifest a fresh campaign run writes. Its fingerprint is
+    /// FNV-1a-64 over the canonical rendering of every field that
+    /// determines the trial grid and each trial's result — the site order
+    /// fixes grid positions, and `system` covers fault-model ablations such
+    /// as `lfu_enabled`. `shards` is left out: how a grid is split changes
+    /// no result, and the checkpoints' file names carry the count. A new
+    /// per-trial knob in [`CampaignConfig`] must become a manifest field,
+    /// or resume and merge would mix incompatible campaigns.
     pub fn from_config(cfg: &CampaignConfig, shards: u32) -> Manifest {
-        Manifest {
-            fingerprint: fingerprint(cfg).hex(),
+        let mut manifest = Manifest {
+            fingerprint: String::new(),
             seed: cfg.seed,
             workload: cfg.workload.name().to_string(),
             instrs: cfg.instrs,
             trials_per_site: cfg.trials_per_site,
-            sites: cfg.sites.iter().map(|s| s.name().to_string()).collect(),
+            sites: cfg.sites.clone(),
             shards,
             system: format!("{:?}", cfg.system),
             fault_kind: format!("{:?}", cfg.fault_kind),
             recovery: format!("{:?}", cfg.recovery),
-        }
+        };
+        manifest.fingerprint = manifest.digest();
+        manifest
     }
 
-    /// The site list parsed back into [`FaultSite`]s.
-    pub fn site_list(&self) -> Result<Vec<FaultSite>, StoreError> {
-        self.sites
-            .iter()
-            .map(|n| {
-                FaultSite::from_name(n)
-                    .ok_or_else(|| StoreError::Corrupt(format!("unknown fault site `{n}`")))
-            })
-            .collect()
+    /// The fingerprint these fields call for.
+    fn digest(&self) -> String {
+        let sites: Vec<&str> = self.sites.iter().map(|s| s.name()).collect();
+        fnv1a_hex(&format!(
+            "seed={}|workload={}|instrs={}|trials_per_site={}|sites={}|system={}|\
+             fault_kind={}|recovery={}",
+            self.seed,
+            self.workload,
+            self.instrs,
+            self.trials_per_site,
+            sites.join(","),
+            self.system,
+            self.fault_kind,
+            self.recovery,
+        ))
+    }
+
+    /// Refuses unless this manifest, read from `dir`, describes `cfg`.
+    pub(crate) fn check_config(&self, dir: &Path, cfg: &CampaignConfig) -> Result<(), StoreError> {
+        let mine = Manifest::from_config(cfg, self.shards);
+        same_fingerprint(&mine.fingerprint, &self.fingerprint, || {
+            format!(
+                "{} (workload={}, seed={}, instrs={}, trials_per_site={})",
+                manifest_path(dir).display(),
+                self.workload,
+                self.seed,
+                self.instrs,
+                self.trials_per_site
+            )
+        })
     }
 
     fn render(&self) -> String {
-        let sites =
-            self.sites.iter().map(|s| format!("\"{}\"", json_escape(s))).collect::<Vec<_>>();
+        let sites = self.sites.iter().map(|s| format!("\"{}\"", s.name())).collect::<Vec<_>>();
         format!(
             "{{\n  \"schema\": \"{}\",\n  \"fingerprint\": \"{}\",\n  \"seed\": {},\n  \
              \"workload\": \"{}\",\n  \"instrs\": {},\n  \"trials_per_site\": {},\n  \
@@ -314,6 +320,10 @@ impl Manifest {
         )
     }
 
+    /// Parses and verifies a manifest: every field present, `instrs` and
+    /// `shards` in the range a merge can use, the fingerprint the digest of
+    /// the fields, and the text exactly what the fields render to. A
+    /// manifest torn or edited anywhere is [`StoreError::Corrupt`].
     fn parse(text: &str) -> Result<Manifest, StoreError> {
         let schema = str_field(text, "schema")
             .ok_or_else(|| StoreError::Corrupt("manifest has no schema tag".into()))?;
@@ -323,25 +333,52 @@ impl Manifest {
                 expected: MANIFEST_SCHEMA.to_string(),
             });
         }
-        Ok(Manifest {
-            fingerprint: str_field(text, "fingerprint")
-                .ok_or_else(|| StoreError::Corrupt("manifest missing fingerprint".into()))?,
-            seed: u64_field(text, "seed")
-                .ok_or_else(|| StoreError::Corrupt("manifest missing seed".into()))?,
-            workload: str_field(text, "workload")
-                .ok_or_else(|| StoreError::Corrupt("manifest missing workload".into()))?,
-            instrs: u64_field(text, "instrs")
-                .ok_or_else(|| StoreError::Corrupt("manifest missing instrs".into()))?,
-            trials_per_site: u64_field(text, "trials_per_site")
-                .ok_or_else(|| StoreError::Corrupt("manifest missing trials_per_site".into()))?,
-            sites: str_array(text, "sites"),
-            shards: u64_field(text, "shards")
-                .ok_or_else(|| StoreError::Corrupt("manifest missing shards".into()))?
-                as u32,
-            system: str_field(text, "system").unwrap_or_default(),
-            fault_kind: str_field(text, "fault_kind").unwrap_or_default(),
-            recovery: str_field(text, "recovery").unwrap_or_default(),
-        })
+        let missing = |field: &str| StoreError::Corrupt(format!("manifest missing {field}"));
+        let text_of = |field: &str| str_field(text, field).ok_or_else(|| missing(field));
+        let number_of = |field: &str| u64_field(text, field).ok_or_else(|| missing(field));
+        let sites = str_array(text, "sites")
+            .into_iter()
+            .map(|n| {
+                FaultSite::from_name(&n)
+                    .ok_or_else(|| StoreError::Corrupt(format!("unknown fault site `{n}`")))
+            })
+            .collect::<Result<_, _>>()?;
+        let instrs = number_of("instrs")?;
+        if instrs < MIN_CAMPAIGN_INSTRS {
+            return Err(StoreError::Corrupt(format!(
+                "manifest instrs {instrs} is below the minimum {MIN_CAMPAIGN_INSTRS}"
+            )));
+        }
+        let shards = number_of("shards")?;
+        let shards = u32::try_from(shards).ok().filter(|&n| n > 0).ok_or_else(|| {
+            StoreError::Corrupt(format!("manifest shards {shards} is outside 1..={}", u32::MAX))
+        })?;
+        let manifest = Manifest {
+            fingerprint: text_of("fingerprint")?,
+            seed: number_of("seed")?,
+            workload: text_of("workload")?,
+            instrs,
+            trials_per_site: number_of("trials_per_site")?,
+            sites,
+            shards,
+            system: text_of("system")?,
+            fault_kind: text_of("fault_kind")?,
+            recovery: text_of("recovery")?,
+        };
+        let digest = manifest.digest();
+        if manifest.fingerprint != digest {
+            return Err(StoreError::Corrupt(format!(
+                "manifest fingerprint {} is not {digest}, the digest of its fields: \
+                 the manifest was edited",
+                manifest.fingerprint
+            )));
+        }
+        if manifest.render() != text {
+            return Err(StoreError::Corrupt(
+                "manifest is not the text its fields render to: it is torn or edited".into(),
+            ));
+        }
+        Ok(manifest)
     }
 }
 
@@ -350,7 +387,7 @@ pub fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("run_manifest.json")
 }
 
-/// Reads and parses `run_manifest.json` from `dir` through `fs`.
+/// Reads and verifies `run_manifest.json` from `dir` through `fs`.
 pub fn read_manifest_on(fs: &dyn StoreFs, dir: &Path) -> Result<Manifest, StoreError> {
     let path = manifest_path(dir);
     let text = fs.read_to_string(&path).map_err(|e| {
@@ -373,27 +410,14 @@ pub fn ensure_manifest_on(
     shards: u32,
 ) -> Result<Manifest, StoreError> {
     fs.create_dir_all(dir)?;
-    let mine = Manifest::from_config(cfg, shards);
     let path = manifest_path(dir);
     if !fs.exists(&path) {
+        let mine = Manifest::from_config(cfg, shards);
         atomic_write_on(fs, &path, &mine.render())?;
         return Ok(mine);
     }
     let found = read_manifest_on(fs, dir)?;
-    if found.fingerprint != mine.fingerprint {
-        return Err(StoreError::FingerprintMismatch {
-            expected: mine.fingerprint,
-            found: found.fingerprint,
-            detail: format!(
-                "{} (workload={}, seed={}, instrs={}, trials_per_site={})",
-                path.display(),
-                found.workload,
-                found.seed,
-                found.instrs,
-                found.trials_per_site
-            ),
-        });
-    }
+    found.check_config(dir, cfg)?;
     if found.shards != shards {
         return Err(StoreError::Corrupt(format!(
             "{} partitions the grid into {} shards, this invocation says {}",
@@ -405,58 +429,30 @@ pub fn ensure_manifest_on(
     Ok(found)
 }
 
-/// [`ensure_manifest_on`] over the real filesystem.
-pub fn ensure_manifest(
-    dir: &Path,
-    cfg: &CampaignConfig,
-    shards: u32,
-) -> Result<Manifest, StoreError> {
-    ensure_manifest_on(&RealFs, dir, cfg, shards)
-}
-
-/// One checkpointed trial: the grid point and its classification. The
-/// concrete fault is *not* stored — it is a pure function of
-/// `(seed, site, trial)` and is reconstructed on merge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrialRecord {
-    /// Site class of the point.
-    pub site: FaultSite,
-    /// Trial index within the site.
-    pub trial: u64,
-    /// Classification.
-    pub outcome: Outcome,
-    /// Detection latency in femtoseconds, when detected.
-    pub latency_fs: Option<u64>,
-    /// Rollbacks performed, for `recovered` outcomes (the tag drops the
-    /// count; this field and the tag reconstruct `Outcome::Recovered`).
-    pub retries: Option<u32>,
-    /// Modeled recovery cost in femtoseconds, when a rollback happened.
-    pub recovery_fs: Option<u64>,
-}
-
 /// Path of shard `shard`'s checkpoint inside `dir`.
 pub fn checkpoint_path(dir: &Path, shard: ShardSpec) -> PathBuf {
     dir.join(format!("shard-{}-of-{}.jsonl", shard.index(), shard.count()))
 }
 
-/// FNV-1a-64 over `prefix`, in the fixed-width hex the per-line `crc`
-/// field carries. The checksum covers everything on the line before
-/// `", \"crc\""`, so the reader needs no JSON canonicalization to verify.
-fn line_crc(prefix: &str) -> String {
+/// FNV-1a-64 over `text`, in fixed-width hex: the manifest's fingerprint
+/// and each checkpoint line's `crc`.
+fn fnv1a_hex(text: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in prefix.bytes() {
+    for b in text.bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     format!("{h:016x}")
 }
 
-/// Appends `line` to `out`, sealed with its [`line_crc`] as the final
-/// `crc` field. `line` must be an open JSON object (no closing brace).
+/// Appends `line` to `out`, sealed with its checksum as the final `crc`
+/// field. `line` must be an open JSON object (no closing brace). The
+/// checksum covers everything before `", \"crc\""`, so the reader needs no
+/// JSON canonicalization to verify.
 fn push_sealed(out: &mut String, line: &str) {
     out.push_str(line);
     out.push_str(", \"crc\": \"");
-    out.push_str(&line_crc(line));
+    out.push_str(&fnv1a_hex(line));
     out.push_str("\"}\n");
 }
 
@@ -466,45 +462,47 @@ fn check_sealed(line: &str) -> Option<&str> {
     let pos = line.rfind(", \"crc\": \"")?;
     let claim = line[pos..].strip_prefix(", \"crc\": \"")?.strip_suffix("\"}")?;
     let prefix = &line[..pos];
-    (claim == line_crc(prefix)).then_some(prefix)
+    (claim == fnv1a_hex(prefix)).then_some(prefix)
 }
 
-/// Atomically (re)writes shard `shard`'s checkpoint: a header line carrying
-/// the schema + fingerprint, then one line per completed trial in slice
-/// order. Every line — header included — is sealed with a FNV-1a checksum
-/// so bit rot from non-atomic storage (NFS, torn replication) is caught on
-/// read instead of corrupting a resumed campaign.
+/// Atomically (re)writes shard `shard`'s checkpoint under `manifest`: a
+/// header line carrying the schema + fingerprint, then one line per
+/// completed trial in slice order — its site, trial index, outcome,
+/// latency and recovery cost, not its fault. Every line — header
+/// included — is sealed with a FNV-1a checksum so bit rot from non-atomic
+/// storage (NFS, torn replication) is caught on read instead of corrupting
+/// a resumed campaign.
 pub fn write_checkpoint_on(
     fs: &dyn StoreFs,
     dir: &Path,
+    manifest: &Manifest,
     shard: ShardSpec,
-    fp: &str,
-    records: &[TrialRecord],
+    trials: &[TrialResult],
 ) -> Result<(), StoreError> {
-    let mut out = String::with_capacity(64 + records.len() * 96);
+    let mut out = String::with_capacity(64 + trials.len() * 96);
     push_sealed(
         &mut out,
         &format!(
             "{{\"schema\": \"{}\", \"fingerprint\": \"{}\", \"shard\": \"{}\"",
             CHECKPOINT_SCHEMA,
-            json_escape(fp),
+            json_escape(&manifest.fingerprint),
             shard
         ),
     );
-    for r in records {
+    for t in trials {
         let mut line = format!(
             "{{\"site\": \"{}\", \"trial\": {}, \"outcome\": \"{}\"",
-            r.site.name(),
-            r.trial,
-            r.outcome.tag()
+            t.site.name(),
+            t.trial,
+            t.outcome.tag()
         );
-        if let Some(fs) = r.latency_fs {
-            line.push_str(&format!(", \"latency_fs\": {fs}"));
+        if let Some(latency) = t.detect_latency {
+            line.push_str(&format!(", \"latency_fs\": {}", latency.as_fs()));
         }
-        if let Some(n) = r.retries {
-            line.push_str(&format!(", \"retries\": {n}"));
+        if let Outcome::Recovered { retries } = t.outcome {
+            line.push_str(&format!(", \"retries\": {retries}"));
         }
-        if let Some(fs) = r.recovery_fs {
+        if let Some(fs) = t.recovery_fs {
             line.push_str(&format!(", \"recovery_fs\": {fs}"));
         }
         push_sealed(&mut out, &line);
@@ -512,42 +510,36 @@ pub fn write_checkpoint_on(
     atomic_write_on(fs, &checkpoint_path(dir, shard), &out)
 }
 
-/// [`write_checkpoint_on`] over the real filesystem.
-pub fn write_checkpoint(
-    dir: &Path,
-    shard: ShardSpec,
-    fp: &str,
-    records: &[TrialRecord],
-) -> Result<(), StoreError> {
-    write_checkpoint_on(&RealFs, dir, shard, fp, records)
-}
-
-/// Reads shard `shard`'s checkpoint, if present, validating its header
-/// fingerprint against `expect_fp` and every line's checksum.
+/// Reads shard `shard`'s checkpoint, if present, under `manifest`: the
+/// header's fingerprint must be the manifest's, every line must pass its
+/// checksum, and the records must be a prefix of the shard's slice of the
+/// grid, in slice order. Each trial's fault is rebuilt with
+/// [`trial_fault`]: it is pure in `(seed, site, trial)`, which is the whole
+/// reason sharding can be bit-identical.
 ///
 /// A checksum failure on the **final** line is treated as a clean
 /// truncation (a partial append from foreign storage): the intact prefix
 /// is returned and resume recomputes the suffix — trials are pure in
 /// `(seed, site, trial)`, so the repaired campaign is bit-identical. A
-/// bad line anywhere *else* (or an intact line that doesn't parse) is
-/// real corruption and is refused.
+/// bad line anywhere *else*, an intact line that doesn't parse, or a
+/// record off or past the slice is real corruption and is refused.
 pub fn read_checkpoint_on(
     fs: &dyn StoreFs,
     dir: &Path,
+    manifest: &Manifest,
     shard: ShardSpec,
-    expect_fp: &str,
-) -> Result<Option<Vec<TrialRecord>>, StoreError> {
+) -> Result<Option<Vec<TrialResult>>, StoreError> {
     let path = checkpoint_path(dir, shard);
     let text = match fs.read_to_string(&path) {
         Ok(t) => t,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(StoreError::Io(e)),
     };
+    let corrupt = |what: String| StoreError::Corrupt(format!("{} {what}", path.display()));
     let all: Vec<&str> = text.lines().collect();
-    let header =
-        *all.first().ok_or_else(|| StoreError::Corrupt(format!("{} is empty", path.display())))?;
-    let schema = str_field(header, "schema")
-        .ok_or_else(|| StoreError::Corrupt(format!("{} header has no schema", path.display())))?;
+    let header = *all.first().ok_or_else(|| corrupt("is empty".into()))?;
+    let schema =
+        str_field(header, "schema").ok_or_else(|| corrupt("header has no schema".into()))?;
     if schema != CHECKPOINT_SCHEMA {
         return Err(StoreError::SchemaVersion {
             found: schema,
@@ -555,80 +547,57 @@ pub fn read_checkpoint_on(
         });
     }
     if check_sealed(header).is_none() {
-        return Err(StoreError::Corrupt(format!("{} header fails its checksum", path.display())));
+        return Err(corrupt("header fails its checksum".into()));
     }
     let fp = str_field(header, "fingerprint").unwrap_or_default();
-    if fp != expect_fp {
-        return Err(StoreError::FingerprintMismatch {
-            expected: expect_fp.to_string(),
-            found: fp,
-            detail: format!("checkpoint {}", path.display()),
-        });
-    }
-    let mut records = Vec::new();
+    same_fingerprint(&manifest.fingerprint, &fp, || format!("checkpoint {}", path.display()))?;
+    let slice = shard_points(&manifest.sites, manifest.trials_per_site, shard);
+    let mut trials = Vec::new();
     for (i, &line) in all.iter().enumerate().skip(1) {
         if line.trim().is_empty() {
             continue;
         }
-        if check_sealed(line).is_none() {
+        let Some(body) = check_sealed(line) else {
             if i == all.len() - 1 {
                 // Torn tail: the prefix is intact, resume recomputes the
                 // rest.
                 break;
             }
-            return Err(StoreError::Corrupt(format!(
-                "{} line {}: checksum failure mid-file",
-                path.display(),
-                i + 1
+            return Err(corrupt(format!("line {}: checksum failure mid-file", i + 1)));
+        };
+        let bad = |what: &str| corrupt(format!("line {}: {what}", i + 1));
+        let site = str_field(body, "site")
+            .and_then(|n| FaultSite::from_name(&n))
+            .ok_or_else(|| bad("no known site"))?;
+        let trial = u64_field(body, "trial").ok_or_else(|| bad("no trial"))?;
+        if slice.get(trials.len()) != Some(&(site, trial)) {
+            return Err(bad(&format!(
+                "({}, {trial}) is not point {} of shard {shard}'s {}-point slice",
+                site.name(),
+                trials.len(),
+                slice.len()
             )));
         }
-        let site_name = str_field(line, "site").ok_or_else(|| {
-            StoreError::Corrupt(format!("{} line {}: no site", path.display(), i + 1))
-        })?;
-        let site = FaultSite::from_name(&site_name).ok_or_else(|| {
-            StoreError::Corrupt(format!(
-                "{} line {}: unknown site `{site_name}`",
-                path.display(),
-                i + 1
-            ))
-        })?;
-        let trial = u64_field(line, "trial").ok_or_else(|| {
-            StoreError::Corrupt(format!("{} line {}: no trial", path.display(), i + 1))
-        })?;
-        let tag = str_field(line, "outcome").ok_or_else(|| {
-            StoreError::Corrupt(format!("{} line {}: no outcome", path.display(), i + 1))
-        })?;
-        let mut outcome = Outcome::from_tag(&tag).ok_or_else(|| {
-            StoreError::Corrupt(format!(
-                "{} line {}: unknown outcome `{tag}`",
-                path.display(),
-                i + 1
-            ))
-        })?;
-        let retries = u64_field(line, "retries").map(|n| n as u32);
-        if let Outcome::Recovered { .. } = outcome {
-            // The tag drops the retry count; the record field restores it.
-            outcome = Outcome::Recovered { retries: retries.unwrap_or(0) };
-        }
-        records.push(TrialRecord {
+        let outcome = match str_field(body, "outcome").and_then(|tag| Outcome::from_tag(&tag)) {
+            // The tag drops the retry count; the line's own field restores it.
+            Some(Outcome::Recovered { .. }) => Outcome::Recovered {
+                retries: u64_field(body, "retries")
+                    .and_then(|n| u32::try_from(n).ok())
+                    .ok_or_else(|| bad("recovered without a retry count"))?,
+            },
+            Some(outcome) => outcome,
+            None => return Err(bad("no known outcome")),
+        };
+        trials.push(TrialResult {
             site,
             trial,
+            fault: trial_fault(manifest.seed, site, trial, manifest.instrs),
             outcome,
-            latency_fs: u64_field(line, "latency_fs"),
-            retries,
-            recovery_fs: u64_field(line, "recovery_fs"),
+            detect_latency: u64_field(body, "latency_fs").map(Time::from_fs),
+            recovery_fs: u64_field(body, "recovery_fs"),
         });
     }
-    Ok(Some(records))
-}
-
-/// [`read_checkpoint_on`] over the real filesystem.
-pub fn read_checkpoint(
-    dir: &Path,
-    shard: ShardSpec,
-    expect_fp: &str,
-) -> Result<Option<Vec<TrialRecord>>, StoreError> {
-    read_checkpoint_on(&RealFs, dir, shard, expect_fp)
+    Ok(Some(trials))
 }
 
 /// Path of shard `shard`'s status heartbeat inside `dir`. The supervisor
@@ -646,32 +615,12 @@ pub fn write_status_on(
     done: u64,
     total: u64,
 ) -> Result<(), StoreError> {
-    let unix = std::time::SystemTime::now()
+    let updated_unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
-    let body = format!(
-        "{{\n  \"schema\": \"{}\",\n  \"shard\": \"{}\",\n  \"state\": \"{}\",\n  \
-         \"done\": {},\n  \"total\": {},\n  \"updated_unix\": {}\n}}\n",
-        STATUS_SCHEMA,
-        shard,
-        json_escape(state),
-        done,
-        total,
-        unix
-    );
-    atomic_write_on(fs, &status_path(dir, shard), &body)
-}
-
-/// [`write_status_on`] over the real filesystem.
-pub fn write_status(
-    dir: &Path,
-    shard: ShardSpec,
-    state: &str,
-    done: u64,
-    total: u64,
-) -> Result<(), StoreError> {
-    write_status_on(&RealFs, dir, shard, state, done, total)
+    let status = ShardStatus { state: state.to_string(), done, total, updated_unix };
+    atomic_write_on(fs, &status_path(dir, shard), &status.render(shard))
 }
 
 /// A parsed status heartbeat.
@@ -689,23 +638,36 @@ pub struct ShardStatus {
     pub updated_unix: u64,
 }
 
-/// Reads shard `shard`'s status heartbeat, if present. A malformed status
-/// file reads as `None` rather than an error — heartbeats are advisory
-/// (progress display, supervisor bookkeeping), never load-bearing for the
-/// merge.
+impl ShardStatus {
+    /// The heartbeat file of shard `shard` holding this status.
+    fn render(&self, shard: ShardSpec) -> String {
+        format!(
+            "{{\n  \"schema\": \"{}\",\n  \"shard\": \"{}\",\n  \"state\": \"{}\",\n  \
+             \"done\": {},\n  \"total\": {},\n  \"updated_unix\": {}\n}}\n",
+            STATUS_SCHEMA,
+            shard,
+            json_escape(&self.state),
+            self.done,
+            self.total,
+            self.updated_unix
+        )
+    }
+}
+
+/// Reads shard `shard`'s status heartbeat, if present. A heartbeat that is
+/// not exactly what [`write_status_on`] writes — torn, edited, another
+/// schema's or another shard's — reads as `None` rather than an error:
+/// heartbeats are advisory (progress display, supervisor bookkeeping),
+/// never load-bearing for the merge.
 pub fn read_status_on(fs: &dyn StoreFs, dir: &Path, shard: ShardSpec) -> Option<ShardStatus> {
     let text = fs.read_to_string(&status_path(dir, shard)).ok()?;
-    Some(ShardStatus {
+    let status = ShardStatus {
         state: str_field(&text, "state")?,
         done: u64_field(&text, "done")?,
         total: u64_field(&text, "total")?,
-        updated_unix: u64_field(&text, "updated_unix").unwrap_or(0),
-    })
-}
-
-/// [`read_status_on`] over the real filesystem.
-pub fn read_status(dir: &Path, shard: ShardSpec) -> Option<ShardStatus> {
-    read_status_on(&RealFs, dir, shard)
+        updated_unix: u64_field(&text, "updated_unix")?,
+    };
+    (status.render(shard) == text).then_some(status)
 }
 
 /// The boot token of a live process: a stable identifier of the process
@@ -821,11 +783,6 @@ impl ShardLock {
         let token = boot_token_of(std::process::id()).unwrap_or_else(|| "-".to_string());
         fs.write(&path, format!("{} {}\n", std::process::id(), token).as_bytes())?;
         Ok((ShardLock { fs: Arc::clone(fs), path }, took_over_dead))
-    }
-
-    /// [`ShardLock::acquire_on`] over the real filesystem.
-    pub fn acquire(dir: &Path, shard: ShardSpec) -> Result<(ShardLock, bool), StoreError> {
-        ShardLock::acquire_on(&real_fs(), dir, shard)
     }
 }
 
@@ -989,20 +946,49 @@ mod tests {
         dir
     }
 
+    fn fingerprint(cfg: &CampaignConfig) -> String {
+        Manifest::from_config(cfg, 1).fingerprint
+    }
+
     #[test]
     fn manifest_round_trips() {
         let cfg = CampaignConfig::default();
         let m = Manifest::from_config(&cfg, 3);
-        let parsed = Manifest::parse(&m.render()).unwrap();
+        let text = m.render();
+        let parsed = Manifest::parse(&text).unwrap();
         assert_eq!(m, parsed);
-        assert_eq!(parsed.site_list().unwrap(), cfg.sites);
+        assert_eq!(parsed.sites, cfg.sites);
+        let mut too_short = Manifest { instrs: 2, ..m.clone() };
+        too_short.fingerprint = too_short.digest();
+        for bad in [
+            // Self-consistent, but no strike window fits in 2 instructions.
+            too_short.render(),
+            // Self-consistent, but the shard count is no u32, or zero.
+            text.replace("\"shards\": 3,", "\"shards\": 4294967297,"),
+            text.replace("\"shards\": 3,", "\"shards\": 0,"),
+            // Edited under an unchanged fingerprint.
+            text.replace("\"trials_per_site\": 50,", "\"trials_per_site\": 2,"),
+            // Torn: the last 4 bytes lost, or only the closing brace.
+            text[..text.len() - 4].to_string(),
+            text[..text.len() - 2].to_string(),
+        ] {
+            assert_ne!(bad, text);
+            assert!(
+                matches!(Manifest::parse(&bad), Err(StoreError::Corrupt(_))),
+                "accepted:\n{bad}"
+            );
+        }
     }
 
     #[test]
     fn fingerprint_separates_configs() {
         let base = CampaignConfig::default();
         let f0 = fingerprint(&base);
-        assert_eq!(f0, fingerprint(&base.clone()));
+        // The digest of the manifest's fields is the fingerprint every v2
+        // store has recorded for this campaign, so those stores still
+        // verify.
+        assert_eq!(f0, "3da65f47c16d46f1");
+        assert_eq!(f0, Manifest::from_config(&base, 7).fingerprint, "shards are not identity");
         let seeds = CampaignConfig { seed: 43, ..base.clone() };
         assert_ne!(f0, fingerprint(&seeds));
         let workload = CampaignConfig { workload: Workload::Stream, ..base.clone() };
@@ -1025,65 +1011,74 @@ mod tests {
     fn ensure_manifest_rejects_mismatch() {
         let dir = tmpdir("manifest");
         let cfg = CampaignConfig::default();
-        ensure_manifest(&dir, &cfg, 2).unwrap();
+        ensure_manifest_on(&RealFs, &dir, &cfg, 2).unwrap();
         // Same config, same shards: fine (the resume path).
-        ensure_manifest(&dir, &cfg, 2).unwrap();
+        ensure_manifest_on(&RealFs, &dir, &cfg, 2).unwrap();
         // Different seed: refused.
         let other = CampaignConfig { seed: 7, ..cfg.clone() };
-        match ensure_manifest(&dir, &other, 2) {
+        match ensure_manifest_on(&RealFs, &dir, &other, 2) {
             Err(StoreError::FingerprintMismatch { .. }) => {}
             r => panic!("expected fingerprint mismatch, got {r:?}"),
         }
         // Different shard count: refused.
-        assert!(matches!(ensure_manifest(&dir, &cfg, 3), Err(StoreError::Corrupt(_))));
+        assert!(matches!(ensure_manifest_on(&RealFs, &dir, &cfg, 3), Err(StoreError::Corrupt(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn sample_records() -> Vec<TrialRecord> {
-        vec![
-            TrialRecord {
-                site: FaultSite::IntReg,
-                trial: 0,
-                outcome: Outcome::Detected,
-                latency_fs: Some(123_456),
-                retries: None,
-                recovery_fs: None,
-            },
-            TrialRecord {
-                site: FaultSite::Pc,
-                trial: 3,
-                outcome: Outcome::Masked,
-                latency_fs: None,
-                retries: None,
-                recovery_fs: None,
-            },
-            TrialRecord {
-                site: FaultSite::CheckerFalsePos,
-                trial: 7,
-                outcome: Outcome::Recovered { retries: 2 },
-                latency_fs: Some(9_999),
-                retries: Some(2),
-                recovery_fs: Some(42_000_000),
-            },
-        ]
+    /// A manifest over three site classes and `shard`'s whole slice under
+    /// it, its outcomes cycling through detected, masked and recovered.
+    fn sample(shard: ShardSpec) -> (Manifest, Vec<TrialResult>) {
+        let cfg = CampaignConfig {
+            trials_per_site: 4,
+            sites: vec![FaultSite::IntReg, FaultSite::Pc, FaultSite::CheckerFalsePos],
+            ..CampaignConfig::default()
+        };
+        let outcomes = [
+            (Outcome::Detected, Some(123_456), None),
+            (Outcome::Masked, None, None),
+            (Outcome::Recovered { retries: 2 }, Some(9_999), Some(42_000_000)),
+        ];
+        let trials = shard_points(&cfg.sites, cfg.trials_per_site, shard)
+            .into_iter()
+            .zip(outcomes.into_iter().cycle())
+            .map(|((site, trial), (outcome, latency, recovery_fs))| TrialResult {
+                site,
+                trial,
+                fault: trial_fault(cfg.seed, site, trial, cfg.instrs),
+                outcome,
+                detect_latency: latency.map(Time::from_fs),
+                recovery_fs,
+            })
+            .collect();
+        (Manifest::from_config(&cfg, shard.count()), trials)
     }
 
     #[test]
     fn checkpoint_round_trips() {
         let dir = tmpdir("ckpt");
         let shard = ShardSpec::new(0, 2);
-        let records = sample_records();
-        write_checkpoint(&dir, shard, "deadbeef", &records).unwrap();
-        let back = read_checkpoint(&dir, shard, "deadbeef").unwrap().unwrap();
-        assert_eq!(back, records);
+        let (manifest, trials) = sample(shard);
+        let read = || read_checkpoint_on(&RealFs, &dir, &manifest, shard);
+        write_checkpoint_on(&RealFs, &dir, &manifest, shard, &trials).unwrap();
+        let back = read().unwrap().unwrap();
+        assert_eq!(format!("{back:?}"), format!("{trials:?}"));
         assert_eq!(back[2].outcome, Outcome::Recovered { retries: 2 }, "retry count survives");
-        // Wrong fingerprint: refused.
+        // Under another campaign's manifest: refused.
+        let mut other = Manifest { seed: 7, ..manifest.clone() };
+        other.fingerprint = other.digest();
         assert!(matches!(
-            read_checkpoint(&dir, shard, "cafebabe"),
+            read_checkpoint_on(&RealFs, &dir, &other, shard),
             Err(StoreError::FingerprintMismatch { .. })
         ));
         // Absent shard: None.
-        assert!(read_checkpoint(&dir, ShardSpec::new(1, 2), "deadbeef").unwrap().is_none());
+        assert!(read_checkpoint_on(&RealFs, &dir, &manifest, ShardSpec::new(1, 2))
+            .unwrap()
+            .is_none());
+        // Records off the slice are refused though every checksum holds.
+        let mut swapped = trials.clone();
+        swapped.swap(0, 1);
+        write_checkpoint_on(&RealFs, &dir, &manifest, shard, &swapped).unwrap();
+        assert!(matches!(read(), Err(StoreError::Corrupt(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1091,7 +1086,8 @@ mod tests {
     fn interior_byte_flip_is_corrupt() {
         let dir = tmpdir("bitrot");
         let shard = ShardSpec::new(0, 1);
-        write_checkpoint(&dir, shard, "deadbeef", &sample_records()).unwrap();
+        let (manifest, trials) = sample(shard);
+        write_checkpoint_on(&RealFs, &dir, &manifest, shard, &trials).unwrap();
         let path = checkpoint_path(&dir, shard);
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a bit inside the *second* line (an interior trial record):
@@ -1101,7 +1097,10 @@ mod tests {
         bytes[second_line_start + 10] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         assert!(
-            matches!(read_checkpoint(&dir, shard, "deadbeef"), Err(StoreError::Corrupt(_))),
+            matches!(
+                read_checkpoint_on(&RealFs, &dir, &manifest, shard),
+                Err(StoreError::Corrupt(_))
+            ),
             "a flipped interior byte must fail the line checksum"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -1111,15 +1110,19 @@ mod tests {
     fn chopped_tail_repairs_to_prefix() {
         let dir = tmpdir("chop");
         let shard = ShardSpec::new(0, 1);
-        let records = sample_records();
-        write_checkpoint(&dir, shard, "deadbeef", &records).unwrap();
+        let (manifest, trials) = sample(shard);
+        write_checkpoint_on(&RealFs, &dir, &manifest, shard, &trials).unwrap();
         let path = checkpoint_path(&dir, shard);
         let text = std::fs::read_to_string(&path).unwrap();
         // Chop the file mid-way through its final line — a torn append.
         let chopped = &text[..text.len() - 17];
         std::fs::write(&path, chopped).unwrap();
-        let back = read_checkpoint(&dir, shard, "deadbeef").unwrap().unwrap();
-        assert_eq!(back, records[..2], "intact prefix survives, torn tail is dropped");
+        let back = read_checkpoint_on(&RealFs, &dir, &manifest, shard).unwrap().unwrap();
+        assert_eq!(
+            format!("{back:?}"),
+            format!("{:?}", &trials[..trials.len() - 1]),
+            "intact prefix survives, torn tail is dropped"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1132,7 +1135,7 @@ mod tests {
                   \"shard\": \"0/1\"}\n\
                   {\"site\": \"pc\", \"trial\": 0, \"outcome\": \"masked\"}\n";
         std::fs::write(checkpoint_path(&dir, shard), v1).unwrap();
-        match read_checkpoint(&dir, shard, "deadbeef") {
+        match read_checkpoint_on(&RealFs, &dir, &sample(shard).0, shard) {
             Err(StoreError::SchemaVersion { found, expected }) => {
                 assert_eq!(found, "paradet-campaign-ckpt/v1");
                 assert_eq!(expected, CHECKPOINT_SCHEMA);
@@ -1174,11 +1177,17 @@ mod tests {
     fn status_round_trips() {
         let dir = tmpdir("status");
         let shard = ShardSpec::new(1, 3);
-        write_status(&dir, shard, "running", 7, 12).unwrap();
-        let s = read_status(&dir, shard).expect("status readable");
+        write_status_on(&RealFs, &dir, shard, "running", 7, 12).unwrap();
+        let s = read_status_on(&RealFs, &dir, shard).expect("status readable");
         assert_eq!((s.state.as_str(), s.done, s.total), ("running", 7, 12));
         // Absent shard: None, not an error.
-        assert!(read_status(&dir, ShardSpec::new(2, 3)).is_none());
+        assert!(read_status_on(&RealFs, &dir, ShardSpec::new(2, 3)).is_none());
+        // Another split's heartbeat, or a torn one: None.
+        assert!(read_status_on(&RealFs, &dir, ShardSpec::new(1, 4)).is_none());
+        let path = status_path(&dir, shard);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() - 3]).unwrap();
+        assert!(read_status_on(&RealFs, &dir, shard).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1189,11 +1198,12 @@ mod tests {
         let dir = tmpdir("lock");
         let shard = ShardSpec::new(0, 1);
         let path = lock_path(&dir, shard);
+        let fs = real_fs();
 
         // A lock whose pid cannot exist (> kernel pid_max) — SIGKILLed
         // owner long gone: taken over without ceremony.
         std::fs::write(&path, "4194999999 12345\n").unwrap();
-        let (lock, took_over) = ShardLock::acquire(&dir, shard).unwrap();
+        let (lock, took_over) = ShardLock::acquire_on(&fs, &dir, shard).unwrap();
         assert!(took_over, "a dead owner's lock must be taken over");
         drop(lock);
         assert!(!path.exists(), "clean drop removes the lock");
@@ -1201,7 +1211,7 @@ mod tests {
         // Our own pid with a *stale* boot token — the pid-reuse shape (a
         // recycled pid on a different process instance): taken over.
         std::fs::write(&path, format!("{} not-a-real-token\n", std::process::id())).unwrap();
-        let (lock, took_over) = ShardLock::acquire(&dir, shard).unwrap();
+        let (lock, took_over) = ShardLock::acquire_on(&fs, &dir, shard).unwrap();
         assert!(took_over, "a recycled pid must read as a dead owner");
         drop(lock);
 
@@ -1209,7 +1219,7 @@ mod tests {
         // never us) with its real boot token: refused.
         if let Some(token) = boot_token_of(1) {
             std::fs::write(&path, format!("1 {token}\n")).unwrap();
-            match ShardLock::acquire(&dir, shard) {
+            match ShardLock::acquire_on(&fs, &dir, shard) {
                 Err(StoreError::Locked(m)) => {
                     assert!(m.contains("live process"), "error must say why: {m}")
                 }
@@ -1220,7 +1230,7 @@ mod tests {
 
         // Unparseable legacy lock: treated as dead, taken over.
         std::fs::write(&path, "garbage\n").unwrap();
-        let (_lock, took_over) = ShardLock::acquire(&dir, shard).unwrap();
+        let (_lock, took_over) = ShardLock::acquire_on(&fs, &dir, shard).unwrap();
         assert!(took_over);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1229,7 +1239,8 @@ mod tests {
     fn fresh_lock_acquires_and_releases() {
         let dir = tmpdir("lock2");
         let shard = ShardSpec::new(0, 1);
-        let (lock, took_over) = ShardLock::acquire(&dir, shard).unwrap();
+        let fs = real_fs();
+        let (lock, took_over) = ShardLock::acquire_on(&fs, &dir, shard).unwrap();
         assert!(!took_over, "a fresh acquire takes over nothing");
         // The lock file records our pid + boot token.
         let body = std::fs::read_to_string(lock_path(&dir, shard)).unwrap();
@@ -1237,7 +1248,7 @@ mod tests {
         assert_eq!(it.next().unwrap(), std::process::id().to_string());
         assert!(it.next().is_some(), "boot token recorded");
         drop(lock);
-        drop(ShardLock::acquire(&dir, shard).unwrap());
+        drop(ShardLock::acquire_on(&fs, &dir, shard).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

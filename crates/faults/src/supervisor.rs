@@ -18,7 +18,8 @@
 //! 4. after `max_restarts` failed restarts — or immediately on a
 //!    *non-retryable* exit (usage, fingerprint mismatch, live lock,
 //!    schema) — quarantines the shard as **degraded**, stamps its status
-//!    file, and moves on;
+//!    file, and moves on. A crash, a hang and a failing exit take the same
+//!    restart-or-quarantine decision;
 //! 5. on full success merges and prints the table byte-identical to the
 //!    one-shot; with quarantined shards it exits
 //!    [`DEGRADED`](crate::cli::exit::DEGRADED) and points at
@@ -30,13 +31,17 @@
 //! silent partial or corrupt merge. [`supervise_in_process`] is the
 //! proptest-facing harness that pins the invariant over random
 //! [`ChaosScript`]s × shard counts × kill points; the CI `campaign-chaos`
-//! job re-proves it through the real binaries.
+//! job re-proves it through the real binaries. Both supervisors take one
+//! policy: an error is retried unless its exit code
+//! ([`exit::code_for`]) is non-retryable, and a quarantined shard's status
+//! is stamped by one function.
 
 use crate::campaign::CampaignConfig;
 use crate::chaosfs::{ChaosFs, ChaosScript, KillMode, CHAOS_KILL};
+use crate::cli::exit;
 use crate::service::{run_campaign_shard_on, ShardRunOptions};
 use crate::shard::ShardSpec;
-use crate::store::{read_status, status_path, write_status, DynFs, StoreError};
+use crate::store::{read_status_on, status_path, write_status_on, DynFs, RealFs, StoreError};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -180,7 +185,7 @@ impl ShardCommand {
 /// a genuinely live lock owner, schema version. (See
 /// [`crate::cli::exit`].)
 fn non_retryable(code: i32) -> bool {
-    matches!(code, 2 | 3 | 4 | 6)
+    matches!(code, exit::USAGE | exit::FINGERPRINT_MISMATCH | exit::LOCKED | exit::SCHEMA_VERSION)
 }
 
 enum St {
@@ -248,7 +253,8 @@ pub fn supervise_processes(
                 St::Running { child, attempt, spawned } => {
                     all_done = false;
                     let attempt = *attempt;
-                    match child.try_wait() {
+                    // Why this incarnation failed, and whether a restart can help.
+                    let (reason, retryable) = match child.try_wait() {
                         Ok(Some(status)) if status.success() => {
                             log(&format!(
                                 "shard {spec}: completed ({} restart{})",
@@ -256,80 +262,42 @@ pub fn supervise_processes(
                                 if attempt == 1 { "" } else { "s" }
                             ));
                             *state = St::Done(ShardFate::Completed { restarts: attempt });
+                            continue;
                         }
-                        Ok(Some(status)) => {
-                            let code = status.code();
-                            let reason = match code {
-                                Some(c) => format!("exit code {c}"),
-                                None => "killed by signal".to_string(),
-                            };
-                            if code.is_some_and(non_retryable) {
-                                log(&format!("shard {spec}: {reason} (non-retryable)"));
-                                *state = quarantine(&cmd.dir, spec, attempt, reason, &mut log);
-                            } else if attempt >= policy.max_restarts {
-                                log(&format!("shard {spec}: {reason}; restart budget spent"));
-                                *state = quarantine(
-                                    &cmd.dir,
-                                    spec,
-                                    attempt,
-                                    format!("{reason} after {attempt} restarts"),
-                                    &mut log,
-                                );
-                            } else {
-                                let wait = backoff_ms(policy, shard, attempt + 1);
-                                log(&format!("shard {spec}: {reason}; restarting in {wait}ms"));
-                                *state = St::Pending {
-                                    at: Instant::now() + Duration::from_millis(wait),
-                                    attempt: attempt + 1,
-                                };
-                            }
-                        }
+                        Ok(Some(status)) => match status.code() {
+                            Some(c) => (format!("exit code {c}"), !non_retryable(c)),
+                            None => ("killed by signal".to_string(), true),
+                        },
                         Ok(None) => {
                             // Still running: heartbeat deadline. Grace:
                             // measure from spawn until the first status
                             // write appears.
                             let age =
                                 heartbeat_age(&cmd.dir, spec).unwrap_or_else(|| spawned.elapsed());
-                            if age > Duration::from_millis(policy.heartbeat_timeout_ms) {
-                                let _ = child.kill();
-                                let _ = child.wait();
-                                if attempt >= policy.max_restarts {
-                                    log(&format!("shard {spec}: hung; restart budget spent"));
-                                    *state = quarantine(
-                                        &cmd.dir,
-                                        spec,
-                                        attempt,
-                                        format!(
-                                            "heartbeat stale for {}ms after {attempt} restarts",
-                                            age.as_millis()
-                                        ),
-                                        &mut log,
-                                    );
-                                } else {
-                                    let wait = backoff_ms(policy, shard, attempt + 1);
-                                    log(&format!(
-                                        "shard {spec}: heartbeat stale ({}ms); killed, \
-                                         restarting in {wait}ms",
-                                        age.as_millis()
-                                    ));
-                                    *state = St::Pending {
-                                        at: Instant::now() + Duration::from_millis(wait),
-                                        attempt: attempt + 1,
-                                    };
-                                }
+                            if age <= Duration::from_millis(policy.heartbeat_timeout_ms) {
+                                continue;
                             }
+                            let _ = child.kill();
+                            let _ = child.wait();
+                            (format!("heartbeat stale for {}ms; killed", age.as_millis()), true)
                         }
-                        Err(e) => {
-                            log(&format!("shard {spec}: wait failed: {e}"));
-                            *state = quarantine(
-                                &cmd.dir,
-                                spec,
-                                attempt,
-                                format!("wait failed: {e}"),
-                                &mut log,
-                            );
+                        Err(e) => (format!("wait failed: {e}"), false),
+                    };
+                    *state = if !retryable {
+                        log(&format!("shard {spec}: {reason} (non-retryable)"));
+                        quarantine(&cmd.dir, spec, attempt, reason, &mut log)
+                    } else if attempt >= policy.max_restarts {
+                        log(&format!("shard {spec}: {reason}; restart budget spent"));
+                        let reason = format!("{reason} after {attempt} restarts");
+                        quarantine(&cmd.dir, spec, attempt, reason, &mut log)
+                    } else {
+                        let wait = backoff_ms(policy, shard, attempt + 1);
+                        log(&format!("shard {spec}: {reason}; restarting in {wait}ms"));
+                        St::Pending {
+                            at: Instant::now() + Duration::from_millis(wait),
+                            attempt: attempt + 1,
                         }
-                    }
+                    };
                 }
             }
         }
@@ -350,9 +318,8 @@ pub fn supervise_processes(
     }
 }
 
-/// Quarantines a shard: stamps its status file `degraded` (preserving the
-/// last known progress so `campaign-merge --partial` can account for it)
-/// and returns the terminal state.
+/// Quarantines a shard: stamps its status file `degraded` and returns the
+/// terminal state.
 fn quarantine(
     dir: &Path,
     spec: ShardSpec,
@@ -360,30 +327,29 @@ fn quarantine(
     reason: String,
     log: &mut impl FnMut(&str),
 ) -> St {
-    let (done, total) = read_status(dir, spec).map(|s| (s.done, s.total)).unwrap_or((0, 0));
-    if let Err(e) = write_status(dir, spec, "degraded", done, total) {
+    if let Err(e) = stamp_degraded(dir, spec) {
         log(&format!("shard {spec}: could not stamp degraded status: {e}"));
     }
     log(&format!("shard {spec}: QUARANTINED ({reason}); partial checkpoint kept"));
     St::Done(ShardFate::Degraded { restarts, reason })
 }
 
-/// Classifies an in-process shard error: can a restart help?
-fn retryable(e: &StoreError) -> bool {
-    match e {
-        StoreError::Io(_) | StoreError::Incomplete(_) => true,
-        StoreError::FingerprintMismatch { .. }
-        | StoreError::Corrupt(_)
-        | StoreError::SchemaVersion { .. }
-        | StoreError::Locked(_) => false,
-    }
+/// Stamps shard `spec`'s status `degraded`, keeping its last known
+/// progress so `campaign-merge --partial` can account for it: what both
+/// supervisors do to a quarantined shard.
+fn stamp_degraded(dir: &Path, spec: ShardSpec) -> Result<(), StoreError> {
+    let (done, total) = read_status_on(&RealFs, dir, spec).map_or((0, 0), |s| (s.done, s.total));
+    write_status_on(&RealFs, dir, spec, "degraded", done, total)
 }
 
 /// The in-process twin of [`supervise_processes`], for the invariant-12
 /// proptest: runs each shard's attempts with a fresh
 /// [`ChaosFs`]([`KillMode::Panic`]) per incarnation, catching scripted
 /// kill panics and retrying with resume — no real child processes, no
-/// wall-clock backoff, so thousands of random scripts run in seconds.
+/// wall-clock backoff, so thousands of random scripts run in seconds. A
+/// failed attempt is retried or quarantined exactly as
+/// [`supervise_processes`] treats a child exiting with
+/// [`exit::code_for`] of its error.
 ///
 /// Shards run sequentially (determinism of the *store* is what's under
 /// test; trial results are order-independent by purity).
@@ -398,8 +364,8 @@ pub fn supervise_in_process(
     let mut fates = Vec::with_capacity(shards as usize);
     for i in 0..shards {
         let spec = ShardSpec::new(i, shards);
-        let mut fate = None;
-        for attempt in 0..=max_restarts {
+        let mut attempt = 0;
+        let fate = loop {
             let fs: DynFs = Arc::new(ChaosFs::new(script.clone(), attempt, KillMode::Panic));
             let opts = ShardRunOptions {
                 shard: spec,
@@ -411,21 +377,12 @@ pub fn supervise_in_process(
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_campaign_shard_on(&fs, dir, cfg, &opts, |_, _| {})
             }));
-            match run {
-                Ok(Ok(_)) => {
-                    fate = Some(ShardFate::Completed { restarts: attempt });
-                    break;
+            let reason = match run {
+                Ok(Ok(_)) => break ShardFate::Completed { restarts: attempt },
+                Ok(Err(e)) if non_retryable(exit::code_for(&e)) => {
+                    break ShardFate::Degraded { restarts: attempt, reason: e.to_string() }
                 }
-                Ok(Err(e)) if !retryable(&e) => {
-                    fate = Some(ShardFate::Degraded { restarts: attempt, reason: e.to_string() });
-                    break;
-                }
-                Ok(Err(e)) => {
-                    if attempt == max_restarts {
-                        fate =
-                            Some(ShardFate::Degraded { restarts: attempt, reason: e.to_string() });
-                    }
-                }
+                Ok(Err(e)) => e.to_string(),
                 Err(payload) => {
                     // A scripted kill is expected chaos; any other panic
                     // is a real bug and must fail the harness.
@@ -434,19 +391,16 @@ pub fn supervise_in_process(
                     if !is_kill {
                         std::panic::resume_unwind(payload);
                     }
-                    if attempt == max_restarts {
-                        fate = Some(ShardFate::Degraded {
-                            restarts: attempt,
-                            reason: "scripted kill on every attempt".to_string(),
-                        });
-                    }
+                    "scripted kill".to_string()
                 }
+            };
+            if attempt == max_restarts {
+                break ShardFate::Degraded { restarts: attempt, reason };
             }
-        }
-        let fate = fate.expect("attempt loop always sets a fate");
+            attempt += 1;
+        };
         if let ShardFate::Degraded { .. } = &fate {
-            let (done, total) = read_status(dir, spec).map(|s| (s.done, s.total)).unwrap_or((0, 0));
-            let _ = write_status(dir, spec, "degraded", done, total);
+            let _ = stamp_degraded(dir, spec);
         }
         fates.push(fate);
     }

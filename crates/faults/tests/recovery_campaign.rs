@@ -5,7 +5,8 @@
 //! v1 stores from being silently misread.
 
 use paradet_faults::{
-    recovery_table, run_campaign, run_campaign_sharded, CampaignConfig, FaultSite, Outcome,
+    merge_campaign_on, real_fs, recovery_table, run_campaign, run_campaign_sharded, CampaignConfig,
+    FaultSite, Outcome, StoreError,
 };
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -114,6 +115,15 @@ fn two_shard_recovery_campaign_merges_byte_identical() {
     let t_one = recovery_table(cfg.workload.name(), cfg.fault_kind.name(), &one_shot).render();
     let t_merged = recovery_table(cfg.workload.name(), cfg.fault_kind.name(), &merged).render();
     assert_eq!(t_one, t_merged);
+    // A manifest that lost its last 4 bytes lost the end of its recovery
+    // policy: the merge refuses it rather than render a detection table.
+    let manifest = dir.join("run_manifest.json");
+    let text = std::fs::read(&manifest).unwrap();
+    std::fs::write(&manifest, &text[..text.len() - 4]).unwrap();
+    match merge_campaign_on(&real_fs(), &dir, Some(&cfg)) {
+        Err(StoreError::Corrupt(_)) => {}
+        r => panic!("a torn manifest must be refused, got {r:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -11,15 +11,24 @@
 //! a supervised run on a faulty disk. The process-level twin (real
 //! `campaignd --supervise` children under `--chaos`) lives in
 //! `crates/faults/tests/supervised_campaigns.rs`.
+//!
+//! The store readers are pinned here too: bytes damaged on disk, by a
+//! flip, an insertion or a truncation, read back as a typed refusal,
+//! never as a panic or a value the bytes do not say.
 
 use paradet::faults::chaosfs::CHAOS_KILL;
-use paradet::faults::supervisor::supervise_in_process;
+use paradet::faults::store::{
+    checkpoint_path, manifest_path, read_checkpoint_on, read_manifest_on, read_status_on,
+    status_path, Manifest, ShardStatus,
+};
+use paradet::faults::supervisor::{supervise_in_process, ShardFate};
 use paradet::faults::{
-    coverage_table, merge_campaign, merge_campaign_partial, merged_table, run_campaign,
-    CampaignConfig, ChaosScript, FaultSite, StoreError,
+    coverage_table, merge_campaign_on, merge_campaign_partial_on, merged_table, real_fs,
+    run_campaign, run_campaign_shard_on, CampaignConfig, ChaosScript, FaultSite, RealFs,
+    RecoveryPolicy, ShardRunOptions, ShardSpec, StoreError, TrialResult,
 };
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Once, OnceLock};
 
 /// Small enough that a case (≤ 3 restarts × ≤ 3 shards) stays in the
@@ -79,10 +88,31 @@ fn supervised_harness_without_chaos_is_byte_identical() {
         let script = ChaosScript::parse("").expect("empty script parses");
         let outcome = supervise_in_process(&cfg, &dir, shards, 2, &script, 2);
         assert!(outcome.all_completed(), "no chaos, no degradation: {:?}", outcome.fates);
-        let (manifest, result) = merge_campaign(&dir, Some(&cfg)).expect("merge");
+        let (manifest, result) = merge_campaign_on(&real_fs(), &dir, Some(&cfg)).expect("merge");
         assert_eq!(merged_table(&manifest, &result).render(), golden_table());
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Both supervisors take one policy. A manifest torn on the first
+/// incarnation reads as `Corrupt` — exit 1, which `campaignd --supervise`
+/// retries — so the in-process supervisor retries it too, up to its
+/// budget, then quarantines the shard; the strict merge refuses the store.
+#[test]
+fn in_process_supervisor_retries_corrupt_like_campaignd() {
+    quiet_chaos_kills();
+    let cfg = small_cfg();
+    let dir = tmpdir("torn-manifest");
+    let script = ChaosScript::parse("0:torn-manifest-write@0=-4;0:fail-ckpt-write@0")
+        .expect("script parses");
+    let outcome = supervise_in_process(&cfg, &dir, 1, 2, &script, 2);
+    assert!(
+        matches!(outcome.fates[..], [ShardFate::Degraded { restarts: 2, .. }]),
+        "{:?}",
+        outcome.fates
+    );
+    assert!(matches!(merge_campaign_on(&real_fs(), &dir, Some(&cfg)), Err(StoreError::Corrupt(_))));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -91,12 +121,12 @@ proptest! {
     /// renames, ENOSPC/EIO, lost locks, kills at any I/O point, on any
     /// incarnation — exactly two endings are legal:
     ///
-    /// * `merge_campaign` **succeeds** → the rendered table is
+    /// * `merge_campaign_on` **succeeds** → the rendered table is
     ///   byte-identical to the one-shot golden (checkpoints can lag or
     ///   tear, but never lie);
     /// * it **fails** → the error is a typed [`StoreError`], and an
     ///   *incomplete* campaign is still explicitly accountable:
-    ///   `merge_campaign_partial` renders per-shard completeness over the
+    ///   `merge_campaign_partial_on` renders per-shard completeness over the
     ///   verified prefixes instead of guessing.
     #[test]
     fn invariant_12_any_script_merges_golden_or_fails_typed(
@@ -110,7 +140,7 @@ proptest! {
         let dir = tmpdir(&format!("prop-{seed:016x}-{shards}-{every}"));
         let _outcome = supervise_in_process(&cfg, &dir, shards, every, &script, 2);
 
-        match merge_campaign(&dir, Some(&cfg)) {
+        match merge_campaign_on(&real_fs(), &dir, Some(&cfg)) {
             Ok((manifest, result)) => {
                 prop_assert_eq!(
                     merged_table(&manifest, &result).render(),
@@ -125,7 +155,7 @@ proptest! {
                 // actually reported degradation or a checkpoint write was
                 // silently dropped; either way the partial merge must
                 // account for every shard explicitly.
-                let partial = merge_campaign_partial(&dir, Some(&cfg));
+                let partial = merge_campaign_partial_on(&real_fs(), &dir, Some(&cfg));
                 prop_assert!(
                     partial.is_ok(),
                     "script `{}`: incomplete ({which}) but partial merge failed: {:?}",
@@ -148,6 +178,89 @@ proptest! {
                     !e.to_string().is_empty(),
                     "script `{}`: failure must carry a diagnosis", script.render()
                 );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A finished one-shard recovery campaign's store: the manifest, trials
+/// and status its readers return, and each file's name and text.
+type StoreFiles = (Manifest, Vec<TrialResult>, ShardStatus, [(PathBuf, String); 3]);
+
+fn store_files() -> &'static StoreFiles {
+    static FILES: OnceLock<StoreFiles> = OnceLock::new();
+    FILES.get_or_init(|| {
+        let cfg = CampaignConfig { recovery: Some(RecoveryPolicy::default()), ..small_cfg() };
+        let (dir, solo) = (tmpdir("reader-template"), ShardSpec::SOLO);
+        run_campaign_shard_on(&real_fs(), &dir, &cfg, &ShardRunOptions::default(), |_, _| {})
+            .expect("template shard");
+        let manifest = read_manifest_on(&RealFs, &dir).expect("manifest");
+        let trials = read_checkpoint_on(&RealFs, &dir, &manifest, solo).expect("ckpt").unwrap();
+        let status = read_status_on(&RealFs, &dir, solo).expect("status");
+        let texts = [manifest_path(&dir), checkpoint_path(&dir, solo), status_path(&dir, solo)]
+            .map(|p| (p.file_name().unwrap().into(), std::fs::read_to_string(&p).unwrap()));
+        let _ = std::fs::remove_dir_all(&dir);
+        (manifest, trials, status, texts)
+    })
+}
+
+/// Whether reader `file` (manifest, checkpoint, status) makes of the
+/// bytes now in `dir` a refusal or what those bytes say.
+fn reads_true(dir: &Path, file: usize) -> bool {
+    let (manifest, trials, status, texts) = store_files();
+    let damaged = std::fs::read(dir.join(&texts[file].0)).unwrap();
+    match file {
+        // No digest covers the split: a changed shard count reads as such,
+        // and a merge under it finds no checkpoint named for it.
+        0 => read_manifest_on(&RealFs, dir)
+            .map_or(true, |m| Manifest { shards: manifest.shards, ..m } == *manifest),
+        1 => match read_checkpoint_on(&RealFs, dir, manifest, ShardSpec::SOLO) {
+            Ok(Some(v)) => {
+                format!("{v:?}") == format!("{:?}", &trials[..v.len().min(trials.len())])
+            }
+            other => other.is_err(),
+        },
+        // Heartbeats carry no checksum: a changed value is another
+        // heartbeat, read exactly as the bytes spell it.
+        _ => read_status_on(&RealFs, dir, ShardSpec::SOLO).is_none_or(|s| {
+            let escaped = |v: &str| v.replace('\\', r"\\").replace('"', r#"\""#);
+            let quoted = |v: &str| format!("\"state\": \"{}\"", escaped(v).replace('\n', r"\n"));
+            let mut spelled = texts[2].1.replace(&quoted(&status.state), &quoted(&s.state));
+            for (key, old, new) in [
+                ("done", status.done, s.done),
+                ("total", status.total, s.total),
+                ("updated_unix", status.updated_unix, s.updated_unix),
+            ] {
+                spelled =
+                    spelled.replace(&format!("\"{key}\": {old}"), &format!("\"{key}\": {new}"));
+            }
+            spelled.as_bytes() == damaged
+        }),
+    }
+}
+
+proptest! {
+    /// Part 2 of "inputs can't crash it", for the store's readers: a byte
+    /// of a valid manifest, checkpoint or status file is flipped, a byte
+    /// inserted before it, or the file cut there. The manifest reader
+    /// returns a typed error or the original (a changed shard count
+    /// aside), the checkpoint reader a typed error or a prefix of the
+    /// original trials (a torn last line is a clean truncation), the
+    /// status reader `None` or exactly what the bytes spell — and none of
+    /// them panics.
+    #[test]
+    fn store_readers_refuse_damaged_bytes(at in any::<u64>(), byte in 1u8..=255) {
+        let dir = tmpdir(&format!("reader-{at:016x}-{byte}"));
+        for (file, (name, text)) in store_files().3.iter().enumerate() {
+            let i = (at % text.len() as u64) as usize;
+            let (mut flipped, mut inserted) = (text.clone().into_bytes(), text.clone().into_bytes());
+            flipped[i] ^= byte;
+            inserted.insert(i, byte);
+            for (how, bytes) in [("flip", flipped), ("insert", inserted), ("cut", text.as_bytes()[..i].to_vec())] {
+                std::fs::write(dir.join(name), &bytes).unwrap();
+                let read = std::panic::catch_unwind(|| reads_true(&dir, file));
+                prop_assert!(matches!(read, Ok(true)), "{how} 0x{byte:02x} at byte {i} of file {file}: {:?}", read.ok());
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -7,10 +7,11 @@
 //! drives the real binaries.)
 
 use paradet::faults::shard::{grid_points, shard_points, ShardSpec};
-use paradet::faults::store::fingerprint;
+use paradet::faults::store::{read_checkpoint_on, read_manifest_on, write_checkpoint_on, Manifest};
 use paradet::faults::{
-    coverage_table, merge_campaign, run_campaign, run_campaign_shard, run_campaign_sharded,
-    trial_fault, trial_seed, CampaignConfig, FaultSite, ShardRunOptions, StoreError,
+    coverage_table, merge_campaign_on, real_fs, run_campaign, run_campaign_shard_on,
+    run_campaign_sharded, trial_fault, trial_seed, CampaignConfig, FaultSite, RealFs,
+    ShardRunOptions, StoreError,
 };
 use paradet::par::with_threads;
 use proptest::prelude::*;
@@ -60,11 +61,12 @@ fn sharded_merge_is_bit_identical_to_one_shot() {
 fn interrupted_and_resumed_shard_merges_identically() {
     let cfg = small_cfg();
     let dir = tmpdir("resume");
+    let fs = real_fs();
     let shard0 =
         ShardRunOptions { shard: ShardSpec::new(0, 2), checkpoint_every: 2, resume: false };
     // First attempt dies after the first checkpoint (4 of 6 trials left).
     let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_campaign_shard(&dir, &cfg, &shard0, |done, _| {
+        run_campaign_shard_on(&fs, &dir, &cfg, &shard0, |done, _| {
             if done >= 2 {
                 panic!("injected interrupt");
             }
@@ -75,19 +77,19 @@ fn interrupted_and_resumed_shard_merges_identically() {
     // unwind released the lock file, so it is the existing checkpoint that
     // refuses; a real SIGKILL also leaves the lock — covered by the
     // process-level test in crates/faults).
-    match run_campaign_shard(&dir, &cfg, &shard0, |_, _| {}) {
+    match run_campaign_shard_on(&fs, &dir, &cfg, &shard0, |_, _| {}) {
         Err(StoreError::Locked(_)) => {}
         r => panic!("expected the stale lock to block, got {r:?}"),
     }
     // Resume finishes the slice (and reports what it picked up).
     let resumed = ShardRunOptions { resume: true, ..shard0 };
-    let summary = run_campaign_shard(&dir, &cfg, &resumed, |_, _| {}).expect("resume");
+    let summary = run_campaign_shard_on(&fs, &dir, &cfg, &resumed, |_, _| {}).expect("resume");
     assert_eq!(summary.resumed_from, 2, "resume must pick up the checkpointed prefix");
     assert_eq!(summary.done, summary.total);
     // Other shard, then merge: equal to one-shot.
     let shard1 = ShardRunOptions { shard: ShardSpec::new(1, 2), ..shard0 };
-    run_campaign_shard(&dir, &cfg, &shard1, |_, _| {}).expect("shard 1");
-    let (_, merged) = merge_campaign(&dir, Some(&cfg)).expect("merge");
+    run_campaign_shard_on(&fs, &dir, &cfg, &shard1, |_, _| {}).expect("shard 1");
+    let (_, merged) = merge_campaign_on(&fs, &dir, Some(&cfg)).expect("merge");
     let one_shot = run_campaign(&cfg);
     assert_eq!(format!("{:?}", one_shot.trials), format!("{:?}", merged.trials));
     assert_eq!(format!("{:?}", one_shot.per_site), format!("{:?}", merged.per_site));
@@ -101,8 +103,9 @@ fn interrupted_and_resumed_shard_merges_identically() {
 fn resume_and_merge_reject_fingerprint_mismatch() {
     let cfg = small_cfg();
     let dir = tmpdir("mismatch");
+    let fs = real_fs();
     let opts = ShardRunOptions { shard: ShardSpec::new(0, 1), checkpoint_every: 4, resume: false };
-    run_campaign_shard(&dir, &cfg, &opts, |_, _| {}).expect("shard");
+    run_campaign_shard_on(&fs, &dir, &cfg, &opts, |_, _| {}).expect("shard");
 
     for wrong in [
         CampaignConfig { seed: 43, ..cfg.clone() },
@@ -110,34 +113,50 @@ fn resume_and_merge_reject_fingerprint_mismatch() {
         CampaignConfig { workload: paradet::workloads::Workload::Stream, ..cfg.clone() },
     ] {
         let resumed = ShardRunOptions { resume: true, ..opts };
-        match run_campaign_shard(&dir, &wrong, &resumed, |_, _| {}) {
+        match run_campaign_shard_on(&fs, &dir, &wrong, &resumed, |_, _| {}) {
             Err(StoreError::FingerprintMismatch { .. }) => {}
             r => panic!("resume with a different config must be refused, got {r:?}"),
         }
-        match merge_campaign(&dir, Some(&wrong)) {
+        match merge_campaign_on(&fs, &dir, Some(&wrong)) {
             Err(StoreError::FingerprintMismatch { .. }) => {}
             r => panic!("merge with a different config must be refused, got {r:?}"),
         }
-        assert_ne!(fingerprint(&cfg), fingerprint(&wrong));
+        assert_ne!(
+            Manifest::from_config(&cfg, 1).fingerprint,
+            Manifest::from_config(&wrong, 1).fingerprint
+        );
     }
     // The matching config still merges fine.
-    assert!(merge_campaign(&dir, Some(&cfg)).is_ok());
+    assert!(merge_campaign_on(&fs, &dir, Some(&cfg)).is_ok());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Merging with an unfinished shard names the shard instead of producing a
-/// partial table.
+/// partial table, and a shard whose checkpoint holds a record past its
+/// slice is refused rather than trimmed.
 #[test]
 fn merge_refuses_incomplete_shards() {
     let cfg = small_cfg();
     let dir = tmpdir("incomplete");
+    let fs = real_fs();
     let opts = ShardRunOptions { shard: ShardSpec::new(0, 2), checkpoint_every: 4, resume: false };
-    run_campaign_shard(&dir, &cfg, &opts, |_, _| {}).expect("shard 0");
-    match merge_campaign(&dir, Some(&cfg)) {
+    run_campaign_shard_on(&fs, &dir, &cfg, &opts, |_, _| {}).expect("shard 0");
+    match merge_campaign_on(&fs, &dir, Some(&cfg)) {
         Err(StoreError::Incomplete(msg)) => {
             assert!(msg.contains("1/2"), "error must name the missing shard: {msg}")
         }
         r => panic!("expected Incomplete, got {r:?}"),
+    }
+    // One more record, checksummed like the rest, past shard 0's slice.
+    let manifest = read_manifest_on(&RealFs, &dir).expect("manifest");
+    let mut trials = read_checkpoint_on(&RealFs, &dir, &manifest, opts.shard)
+        .expect("checkpoint")
+        .expect("shard 0 ran");
+    trials.push(trials[0].clone());
+    write_checkpoint_on(&RealFs, &dir, &manifest, opts.shard, &trials).expect("rewrite");
+    match merge_campaign_on(&fs, &dir, Some(&cfg)) {
+        Err(StoreError::Corrupt(msg)) => assert!(msg.contains("slice"), "{msg}"),
+        r => panic!("a record past the slice must be refused, got {r:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
