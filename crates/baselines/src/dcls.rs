@@ -6,11 +6,9 @@
 //! commit streams. Detection latency is a few cycles; area and power are
 //! ~2×; performance overhead is negligible.
 
-use paradet_isa::{ArchState, Program};
+use paradet_isa::{ArchState, MemAccess, Program};
 use paradet_mem::{MemConfig, MemHier, Time};
-use paradet_ooo::{
-    ArmedFault, CommitEvent, CommitGate, DetectionSink, MemEffect, OooConfig, OooCore,
-};
+use paradet_ooo::{ArmedFault, CommitEvent, CommitGate, DetectionSink, OooConfig, OooCore};
 
 /// A detected lockstep mismatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +45,7 @@ impl DclsReport {
 /// replication, as in the paper's industry baselines).
 #[derive(Debug, Default)]
 struct StreamRecorder {
-    stores: Vec<(u64, MemEffect, Time)>,
+    stores: Vec<(u64, MemAccess, Time)>,
 }
 
 impl DetectionSink for StreamRecorder {

@@ -106,9 +106,6 @@ pub struct CheckerStats {
 /// Adapter: routes the golden model's memory interface to the log segment,
 /// capturing any replay error (the `MemoryIface` signature is infallible, so
 /// errors are latched and surfaced after the step).
-///
-/// Purely functional: check *times* are the timing fold's business, so the
-/// source sees [`Time::ZERO`] throughout.
 struct LogMemory<'a> {
     src: &'a mut dyn ReplaySource,
     error: Option<ReplayError>,
@@ -125,7 +122,7 @@ impl MemoryIface for LogMemory<'_> {
             return 0;
         }
         self.loads += 1;
-        match self.src.replay_load(addr, width, Time::ZERO) {
+        match self.src.replay_load(addr, width) {
             Ok(v) => {
                 self.passed += 1;
                 v
@@ -142,7 +139,7 @@ impl MemoryIface for LogMemory<'_> {
             return;
         }
         self.stores += 1;
-        match self.src.check_store(addr, val, width, Time::ZERO) {
+        match self.src.check_store(addr, val, width) {
             Ok(()) => self.passed += 1,
             Err(e) => self.error = Some(e),
         }
@@ -285,8 +282,8 @@ pub struct ReplayOutcome {
 ///
 /// Needs only the shared program, the checkpoint pair and the sealed
 /// entries, and leaves the timing facts in `trace` (cleared first; pass a
-/// recycled buffer to avoid allocation). The `source` sees [`Time::ZERO`] for every check `now`:
-/// real check times exist only in the fold.
+/// recycled buffer to avoid allocation). Check times exist only in the
+/// fold.
 pub fn replay_segment(
     cfg: &CheckerConfig,
     task: SegmentTask<'_>,
@@ -337,7 +334,7 @@ pub fn replay_segment(
             let passed_before = log.passed;
             match insn {
                 Instruction::RdCycle { rd } => {
-                    match log.src.replay_nondet(Time::ZERO) {
+                    match log.src.replay_nondet() {
                         Ok(v) => {
                             log.passed += 1;
                             state.set_x(rd, v);
@@ -417,16 +414,14 @@ mod tests {
     struct VecSource {
         entries: Vec<(u8, u64, u64)>, // kind 0=load,1=store,2=nondet
         pos: usize,
-        check_times: Vec<Time>,
     }
 
     impl ReplaySource for VecSource {
-        fn replay_load(&mut self, addr: u64, _w: MemWidth, now: Time) -> Result<u64, ReplayError> {
+        fn replay_load(&mut self, addr: u64, _w: MemWidth) -> Result<u64, ReplayError> {
             let Some(&(kind, a, v)) = self.entries.get(self.pos) else {
                 return Err(ReplayError::LogExhausted);
             };
             self.pos += 1;
-            self.check_times.push(now);
             if kind != 0 {
                 return Err(ReplayError::KindMismatch);
             }
@@ -436,18 +431,11 @@ mod tests {
             Ok(v)
         }
 
-        fn check_store(
-            &mut self,
-            addr: u64,
-            value: u64,
-            _w: MemWidth,
-            now: Time,
-        ) -> Result<(), ReplayError> {
+        fn check_store(&mut self, addr: u64, value: u64, _w: MemWidth) -> Result<(), ReplayError> {
             let Some(&(kind, a, v)) = self.entries.get(self.pos) else {
                 return Err(ReplayError::LogExhausted);
             };
             self.pos += 1;
-            self.check_times.push(now);
             if kind != 1 {
                 return Err(ReplayError::KindMismatch);
             }
@@ -460,12 +448,11 @@ mod tests {
             Ok(())
         }
 
-        fn replay_nondet(&mut self, now: Time) -> Result<u64, ReplayError> {
+        fn replay_nondet(&mut self) -> Result<u64, ReplayError> {
             let Some(&(kind, _, v)) = self.entries.get(self.pos) else {
                 return Err(ReplayError::LogExhausted);
             };
             self.pos += 1;
-            self.check_times.push(now);
             if kind != 2 {
                 return Err(ReplayError::KindMismatch);
             }
@@ -499,7 +486,7 @@ mod tests {
             }
             count += 1;
         }
-        let src = VecSource { entries, pos: 0, check_times: Vec::new() };
+        let src = VecSource { entries, pos: 0 };
         (program, start, state, count, src)
     }
 
@@ -563,8 +550,6 @@ mod tests {
         assert!(out.finish_time > Time::ZERO);
         assert_eq!(core.stats.loads, 5);
         assert_eq!(core.stats.stores, 5);
-        // Check timestamps are monotone non-decreasing.
-        assert!(src.check_times.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
@@ -646,7 +631,7 @@ mod tests {
     #[test]
     fn slower_clock_takes_longer() {
         let (program, start, end, count, mut src1) = golden_segment(test_program());
-        let mut src2 = VecSource { entries: src1.entries.clone(), pos: 0, check_times: Vec::new() };
+        let mut src2 = VecSource { entries: src1.entries.clone(), pos: 0 };
         let mut mem = mk_mem(2);
         let mut fast = CheckerCore::new(0, CheckerConfig::paper_default(Freq::from_mhz(2000)));
         let mut slow = CheckerCore::new(1, CheckerConfig::paper_default(Freq::from_mhz(250)));
@@ -666,7 +651,7 @@ mod tests {
     #[test]
     fn core_stays_busy_between_segments() {
         let (program, start, end, count, mut src1) = golden_segment(test_program());
-        let mut src2 = VecSource { entries: src1.entries.clone(), pos: 0, check_times: Vec::new() };
+        let mut src2 = VecSource { entries: src1.entries.clone(), pos: 0 };
         let mut mem = mk_mem(1);
         let mut core = CheckerCore::new(0, CheckerConfig::default());
         let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };

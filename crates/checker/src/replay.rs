@@ -60,10 +60,12 @@ impl std::error::Error for ReplayError {}
 
 /// A checker core's view of one load-store log segment.
 ///
-/// Implemented by the detection system (`paradet-core`); the `now`
-/// parameters let the log record per-entry detection delays (commit time →
-/// check time), which is the quantity Figures 8, 11 and 12 of the paper
-/// report.
+/// Implemented by the detection system (`paradet-core`). Purely functional:
+/// per-entry detection delays (commit time → check time, the quantity
+/// Figures 8, 11 and 12 of the paper report) are recorded by the timing
+/// fold's `on_check` hook (see [`CheckerCore::fold_timing`]).
+///
+/// [`CheckerCore::fold_timing`]: crate::CheckerCore::fold_timing
 pub trait ReplaySource {
     /// Consumes the next log entry as a load at `addr`, returning the value
     /// the main core loaded.
@@ -71,7 +73,7 @@ pub trait ReplaySource {
     /// # Errors
     ///
     /// Any [`ReplayError`] when the entry does not match.
-    fn replay_load(&mut self, addr: u64, width: MemWidth, now: Time) -> Result<u64, ReplayError>;
+    fn replay_load(&mut self, addr: u64, width: MemWidth) -> Result<u64, ReplayError>;
 
     /// Consumes the next log entry as a store of `value` to `addr`,
     /// checking both against the log.
@@ -79,13 +81,7 @@ pub trait ReplaySource {
     /// # Errors
     ///
     /// Any [`ReplayError`] when the entry does not match.
-    fn check_store(
-        &mut self,
-        addr: u64,
-        value: u64,
-        width: MemWidth,
-        now: Time,
-    ) -> Result<(), ReplayError>;
+    fn check_store(&mut self, addr: u64, value: u64, width: MemWidth) -> Result<(), ReplayError>;
 
     /// Consumes the next log entry as a non-deterministic result
     /// (`rdcycle`), returning the main core's value.
@@ -93,7 +89,7 @@ pub trait ReplaySource {
     /// # Errors
     ///
     /// Any [`ReplayError`] when the entry does not match.
-    fn replay_nondet(&mut self, now: Time) -> Result<u64, ReplayError>;
+    fn replay_nondet(&mut self) -> Result<u64, ReplayError>;
 
     /// Whether every entry of the segment has been consumed.
     fn exhausted(&self) -> bool;

@@ -308,7 +308,7 @@ impl<'a> SegmentReader<'a> {
 }
 
 impl ReplaySource for SegmentReader<'_> {
-    fn replay_load(&mut self, addr: u64, _width: MemWidth, _now: Time) -> Result<u64, ReplayError> {
+    fn replay_load(&mut self, addr: u64, _width: MemWidth) -> Result<u64, ReplayError> {
         let i = self.next_index()?;
         if self.log.kinds[i] != EntryKind::Load {
             return Err(ReplayError::KindMismatch);
@@ -319,13 +319,7 @@ impl ReplaySource for SegmentReader<'_> {
         Ok(self.log.values[i])
     }
 
-    fn check_store(
-        &mut self,
-        addr: u64,
-        value: u64,
-        width: MemWidth,
-        _now: Time,
-    ) -> Result<(), ReplayError> {
+    fn check_store(&mut self, addr: u64, value: u64, width: MemWidth) -> Result<(), ReplayError> {
         let i = self.next_index()?;
         if self.log.kinds[i] != EntryKind::Store {
             return Err(ReplayError::KindMismatch);
@@ -342,7 +336,7 @@ impl ReplaySource for SegmentReader<'_> {
         Ok(())
     }
 
-    fn replay_nondet(&mut self, _now: Time) -> Result<u64, ReplayError> {
+    fn replay_nondet(&mut self) -> Result<u64, ReplayError> {
         let i = self.next_index()?;
         if self.log.kinds[i] != EntryKind::Nondet {
             return Err(ReplayError::KindMismatch);
@@ -375,10 +369,10 @@ mod tests {
             (EntryKind::Nondet, 0, 99, 30),
         ]);
         let mut r = SegmentReader::new(&entries);
-        assert_eq!(r.replay_load(0x100, MemWidth::D, Time::from_ns(100)), Ok(7));
+        assert_eq!(r.replay_load(0x100, MemWidth::D), Ok(7));
         assert_eq!(r.consumed(), 1);
-        assert_eq!(r.check_store(0x108, 8, MemWidth::D, Time::from_ns(100)), Ok(()));
-        assert_eq!(r.replay_nondet(Time::from_ns(100)), Ok(99));
+        assert_eq!(r.check_store(0x108, 8, MemWidth::D), Ok(()));
+        assert_eq!(r.replay_nondet(), Ok(99));
         assert!(r.exhausted());
     }
 
@@ -386,7 +380,7 @@ mod tests {
     fn kind_mismatch_detected() {
         let entries = log_of(&[(EntryKind::Store, 0x100, 7, 0)]);
         let mut r = SegmentReader::new(&entries);
-        assert_eq!(r.replay_load(0x100, MemWidth::D, Time::ZERO), Err(ReplayError::KindMismatch));
+        assert_eq!(r.replay_load(0x100, MemWidth::D), Err(ReplayError::KindMismatch));
         // The mismatching entry is consumed — it is up to the timing fold
         // *not* to record a detection delay for it.
         assert_eq!(r.consumed(), 1);
@@ -399,14 +393,14 @@ mod tests {
         let mut entries = SegmentLog::new();
         entries.push(EntryKind::Store, 0x100, 0x1234_5678, MemWidth::W, Time::ZERO, 0);
         let mut r = SegmentReader::new(&entries);
-        assert_eq!(r.check_store(0x100, 0xFFFF_FFFF_1234_5678, MemWidth::W, Time::ZERO), Ok(()));
+        assert_eq!(r.check_store(0x100, 0xFFFF_FFFF_1234_5678, MemWidth::W), Ok(()));
     }
 
     #[test]
     fn exhaustion_detected() {
         let entries = SegmentLog::new();
         let mut r = SegmentReader::new(&entries);
-        assert_eq!(r.replay_load(0, MemWidth::D, Time::ZERO), Err(ReplayError::LogExhausted));
+        assert_eq!(r.replay_load(0, MemWidth::D), Err(ReplayError::LogExhausted));
     }
 
     #[test]

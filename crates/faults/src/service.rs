@@ -21,9 +21,9 @@
 //!   of the slice and resume recomputes only the suffix;
 //! * the checkpoint reader ([`read_checkpoint_on`]) accepts only a prefix
 //!   of the shard's slice and rebuilds each trial's fault, and the merge
-//!   places the `j`-th trial of shard `i/n` at grid index `i + j·n` and
-//!   aggregates with the same fold as the one-shot path
-//!   ([`aggregate`](crate::campaign)).
+//!   places the `j`-th trial of shard `i/n` at grid index `i + j·n`
+//!   ([`ShardSpec::point`]) and aggregates with the same fold as the
+//!   one-shot path ([`aggregate`](crate::campaign)).
 //!
 //! Both merges take one walk over the shards; the strict one refuses any
 //! shard the walk could not fill, the partial one accounts for it.
@@ -156,40 +156,43 @@ pub fn run_campaign_shard_on(
 
 /// The one walk both merges take: reads `dir`'s manifest (refused unless
 /// it describes `expect`, when given), then each shard's checkpoint under
-/// it, placing the trials at their grid indices. `per_shard` sees each
-/// shard in order with its slice length and what reading its checkpoint
-/// gave — `Ok(None)` when it has none, `Ok(Some(done))` for a verified
-/// prefix of `done` trials — and an error it returns ends the walk.
-/// Returns the manifest and the site-major grid, `None` where no
-/// checkpoint supplied the trial.
+/// it. `per_shard` sees each shard in order with its slice length and what
+/// reading its checkpoint gave — `Ok(None)` when it has none,
+/// `Ok(Some(done))` for a verified prefix of `done` trials — and an error
+/// it returns ends the walk. Returns the manifest and the trials the
+/// checkpoints supplied, in grid order.
 fn walk_shards(
     fs: &DynFs,
     dir: &Path,
     expect: Option<&CampaignConfig>,
     mut per_shard: impl FnMut(ShardSpec, u64, Result<Option<u64>, StoreError>) -> Result<(), StoreError>,
-) -> Result<(Manifest, Vec<Option<TrialResult>>), StoreError> {
+) -> Result<(Manifest, Vec<TrialResult>), StoreError> {
     let manifest = read_manifest_on(fs.as_ref(), dir)?;
     if let Some(cfg) = expect {
         manifest.check_config(dir, cfg)?;
     }
-    let (sites, n) = (&manifest.sites, manifest.shards as usize);
-    let mut grid = vec![None; sites.len() * manifest.trials_per_site as usize];
+    let mut slices = Vec::new();
     for i in 0..manifest.shards {
         let shard = ShardSpec::new(i, manifest.shards);
-        let total = shard_points(sites, manifest.trials_per_site, shard).len() as u64;
-        let read = read_checkpoint_on(fs.as_ref(), dir, &manifest, shard).map(|trials| {
-            trials.map(|trials| {
-                let done = trials.len() as u64;
-                // Shard i/n owns grid indices i, i + n, i + 2n, ...
-                for (j, trial) in trials.into_iter().enumerate() {
-                    grid[i as usize + j * n] = Some(trial);
-                }
-                done
-            })
-        });
+        let total = shard.slice_len(manifest.grid_len());
+        let (read, trials) = match read_checkpoint_on(fs.as_ref(), dir, &manifest, shard) {
+            Ok(Some(trials)) => (Ok(Some(trials.len() as u64)), trials),
+            Ok(None) => (Ok(None), Vec::new()),
+            Err(e) => (Err(e), Vec::new()),
+        };
         per_shard(shard, total, read)?;
+        slices.push(trials.into_iter());
     }
-    Ok((manifest, grid))
+    // Shard i/n's j-th trial is at grid index i + j·n, so row j of every
+    // shard in turn is the next stretch of the grid.
+    let mut trials = Vec::new();
+    loop {
+        let before = trials.len();
+        trials.extend(slices.iter_mut().filter_map(Iterator::next));
+        if trials.len() == before {
+            return Ok((manifest, trials));
+        }
+    }
 }
 
 /// Merges every shard checkpoint in `dir` into the campaign result,
@@ -213,7 +216,7 @@ pub fn merge_campaign_on(
     dir: &Path,
     expect: Option<&CampaignConfig>,
 ) -> Result<(Manifest, CampaignResult), StoreError> {
-    let (manifest, grid) = walk_shards(fs, dir, expect, |shard, total, read| match read? {
+    let (manifest, trials) = walk_shards(fs, dir, expect, |shard, total, read| match read? {
         None => Err(StoreError::Incomplete(format!(
             "shard {shard} has no checkpoint in {} — run it first",
             dir.display()
@@ -223,10 +226,11 @@ pub fn merge_campaign_on(
         ))),
         Some(_) => Ok(()),
     })?;
-    let trials: Vec<TrialResult> = grid
-        .into_iter()
-        .collect::<Option<_>>()
-        .expect("complete shards fill the grid: their slices partition it");
+    assert_eq!(
+        trials.len() as u64,
+        manifest.grid_len(),
+        "complete shards fill the grid: their slices partition it"
+    );
     let per_site = aggregate(&manifest.sites, trials.iter());
     Ok((manifest, CampaignResult { trials, per_site }))
 }
@@ -294,7 +298,7 @@ pub fn merge_campaign_partial_on(
     expect: Option<&CampaignConfig>,
 ) -> Result<PartialMerge, StoreError> {
     let mut completeness = Vec::new();
-    let (manifest, grid) = walk_shards(fs, dir, expect, |shard, total, read| {
+    let (manifest, trials) = walk_shards(fs, dir, expect, |shard, total, read| {
         let (done, state) = match read {
             Ok(Some(done)) if done == total => (done, "done"),
             Ok(Some(done)) => (done, "partial"),
@@ -309,15 +313,13 @@ pub fn merge_campaign_partial_on(
         completeness.push(ShardCompleteness { shard, done, total, state: state.to_string() });
         Ok(())
     })?;
-    let grid_len = grid.len() as u64;
-    let trials: Vec<TrialResult> = grid.into_iter().flatten().collect();
     let per_site = aggregate(&manifest.sites, trials.iter());
     Ok(PartialMerge {
-        manifest,
         completeness,
         completed: trials.len() as u64,
+        grid: manifest.grid_len(),
+        manifest,
         result: CampaignResult { trials, per_site },
-        grid: grid_len,
     })
 }
 

@@ -67,6 +67,24 @@ impl ShardSpec {
     pub fn owns(self, g: usize) -> bool {
         g % self.count as usize == self.index as usize
     }
+
+    /// How many points of a `grid`-point grid this shard owns.
+    pub(crate) fn slice_len(self, grid: u64) -> u64 {
+        grid.saturating_sub(self.index as u64).div_ceil(self.count as u64)
+    }
+
+    /// Point `j` of this shard's slice of the site-major grid over `sites`:
+    /// the one at grid index `i + j·n`, or `None` past the grid.
+    pub(crate) fn point(
+        self,
+        sites: &[FaultSite],
+        trials_per_site: u64,
+        j: u64,
+    ) -> Option<(FaultSite, u64)> {
+        let g = j.checked_mul(self.count as u64)?.checked_add(self.index as u64)?;
+        let site = sites.get(usize::try_from(g.checked_div(trials_per_site)?).ok()?)?;
+        Some((*site, g % trials_per_site))
+    }
 }
 
 impl fmt::Display for ShardSpec {
@@ -88,11 +106,9 @@ pub fn shard_points(
     trials_per_site: u64,
     shard: ShardSpec,
 ) -> Vec<(FaultSite, u64)> {
-    grid_points(sites, trials_per_site)
-        .into_iter()
-        .enumerate()
-        .filter(|&(g, _)| shard.owns(g))
-        .map(|(_, p)| p)
+    let grid = (sites.len() as u64).saturating_mul(trials_per_site);
+    (0..shard.slice_len(grid))
+        .map(|j| shard.point(sites, trials_per_site, j).expect("j is inside the slice"))
         .collect()
 }
 

@@ -45,7 +45,7 @@
 use crate::campaign::{
     trial_fault, CampaignConfig, FaultSite, Outcome, TrialResult, MIN_CAMPAIGN_INSTRS,
 };
-use crate::shard::{shard_points, ShardSpec};
+use crate::shard::ShardSpec;
 use paradet_mem::Time;
 use std::fmt;
 use std::io;
@@ -284,6 +284,12 @@ impl Manifest {
         ))
     }
 
+    /// Points in the campaign grid, `sites × trials_per_site`: a parsed
+    /// manifest's always fit a u64.
+    pub(crate) fn grid_len(&self) -> u64 {
+        (self.sites.len() as u64).saturating_mul(self.trials_per_site)
+    }
+
     /// Refuses unless this manifest, read from `dir`, describes `cfg`.
     pub(crate) fn check_config(&self, dir: &Path, cfg: &CampaignConfig) -> Result<(), StoreError> {
         let mine = Manifest::from_config(cfg, self.shards);
@@ -320,10 +326,11 @@ impl Manifest {
         )
     }
 
-    /// Parses and verifies a manifest: every field present, `instrs` and
-    /// `shards` in the range a merge can use, the fingerprint the digest of
-    /// the fields, and the text exactly what the fields render to. A
-    /// manifest torn or edited anywhere is [`StoreError::Corrupt`].
+    /// Parses and verifies a manifest: every field present, `instrs`,
+    /// `shards` and the grid size in the range a merge can use, the
+    /// fingerprint the digest of the fields, and the text exactly what the
+    /// fields render to. A manifest torn or edited anywhere is
+    /// [`StoreError::Corrupt`].
     fn parse(text: &str) -> Result<Manifest, StoreError> {
         let schema = str_field(text, "schema")
             .ok_or_else(|| StoreError::Corrupt("manifest has no schema tag".into()))?;
@@ -336,7 +343,7 @@ impl Manifest {
         let missing = |field: &str| StoreError::Corrupt(format!("manifest missing {field}"));
         let text_of = |field: &str| str_field(text, field).ok_or_else(|| missing(field));
         let number_of = |field: &str| u64_field(text, field).ok_or_else(|| missing(field));
-        let sites = str_array(text, "sites")
+        let sites: Vec<FaultSite> = str_array(text, "sites")
             .into_iter()
             .map(|n| {
                 FaultSite::from_name(&n)
@@ -353,12 +360,19 @@ impl Manifest {
         let shards = u32::try_from(shards).ok().filter(|&n| n > 0).ok_or_else(|| {
             StoreError::Corrupt(format!("manifest shards {shards} is outside 1..={}", u32::MAX))
         })?;
+        let trials_per_site = number_of("trials_per_site")?;
+        if (sites.len() as u64).checked_mul(trials_per_site).is_none() {
+            return Err(StoreError::Corrupt(format!(
+                "manifest grid of {} sites x {trials_per_site} trials overflows a u64",
+                sites.len()
+            )));
+        }
         let manifest = Manifest {
             fingerprint: text_of("fingerprint")?,
             seed: number_of("seed")?,
             workload: text_of("workload")?,
             instrs,
-            trials_per_site: number_of("trials_per_site")?,
+            trials_per_site,
             sites,
             shards,
             system: text_of("system")?,
@@ -551,7 +565,6 @@ pub fn read_checkpoint_on(
     }
     let fp = str_field(header, "fingerprint").unwrap_or_default();
     same_fingerprint(&manifest.fingerprint, &fp, || format!("checkpoint {}", path.display()))?;
-    let slice = shard_points(&manifest.sites, manifest.trials_per_site, shard);
     let mut trials = Vec::new();
     for (i, &line) in all.iter().enumerate().skip(1) {
         if line.trim().is_empty() {
@@ -570,12 +583,12 @@ pub fn read_checkpoint_on(
             .and_then(|n| FaultSite::from_name(&n))
             .ok_or_else(|| bad("no known site"))?;
         let trial = u64_field(body, "trial").ok_or_else(|| bad("no trial"))?;
-        if slice.get(trials.len()) != Some(&(site, trial)) {
+        let j = trials.len() as u64;
+        if shard.point(&manifest.sites, manifest.trials_per_site, j) != Some((site, trial)) {
             return Err(bad(&format!(
-                "({}, {trial}) is not point {} of shard {shard}'s {}-point slice",
+                "({}, {trial}) is not point {j} of shard {shard}'s {}-point slice",
                 site.name(),
-                trials.len(),
-                slice.len()
+                shard.slice_len(manifest.grid_len())
             )));
         }
         let outcome = match str_field(body, "outcome").and_then(|tag| Outcome::from_tag(&tag)) {
@@ -937,6 +950,7 @@ fn str_array(json: &str, key: &str) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::shard_points;
     use paradet_workloads::Workload;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -960,9 +974,14 @@ mod tests {
         assert_eq!(parsed.sites, cfg.sites);
         let mut too_short = Manifest { instrs: 2, ..m.clone() };
         too_short.fingerprint = too_short.digest();
+        let mut overflowing = Manifest { trials_per_site: u64::MAX / 2, ..m.clone() };
+        overflowing.fingerprint = overflowing.digest();
         for bad in [
             // Self-consistent, but no strike window fits in 2 instructions.
             too_short.render(),
+            // Self-consistent, but its sites x trials_per_site grid
+            // overflows a u64.
+            overflowing.render(),
             // Self-consistent, but the shard count is no u32, or zero.
             text.replace("\"shards\": 3,", "\"shards\": 4294967297,"),
             text.replace("\"shards\": 3,", "\"shards\": 0,"),

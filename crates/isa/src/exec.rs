@@ -373,7 +373,7 @@ impl MemoryIface for FlatMemory {
         } else {
             let mut v = 0u64;
             for i in 0..width.bytes() {
-                v |= (self.read_byte(addr + i) as u64) << (8 * i);
+                v |= (self.read_byte(addr.wrapping_add(i)) as u64) << (8 * i);
             }
             v
         }
@@ -387,7 +387,7 @@ impl MemoryIface for FlatMemory {
             p.write(off, &val.to_le_bytes()[..n]);
         } else {
             for i in 0..width.bytes() {
-                self.write_byte(addr + i, (val >> (8 * i)) as u8);
+                self.write_byte(addr.wrapping_add(i), (val >> (8 * i)) as u8);
             }
         }
     }
@@ -479,6 +479,11 @@ impl MemAccessList {
     /// The recorded accesses, in program order.
     pub fn as_slice(&self) -> &[MemAccess] {
         &self.buf[..self.len as usize]
+    }
+
+    /// The recorded accesses, in program order, for editing in place.
+    pub fn as_mut_slice(&mut self) -> &mut [MemAccess] {
+        &mut self.buf[..self.len as usize]
     }
 }
 
@@ -1003,6 +1008,11 @@ mod tests {
         assert_eq!(st.x(Reg::X5), 0x11);
         let mut m = mem;
         assert_eq!(m.load(base, MemWidth::D), 0x1122_3344_5566_7788);
+        // An access crossing the top of the address space wraps, like every
+        // other address computation.
+        m.store(u64::MAX - 3, MemWidth::D, 0x0102_0304_0506_0708);
+        assert_eq!(m.load(u64::MAX - 3, MemWidth::D), 0x0102_0304_0506_0708);
+        assert_eq!(m.read_byte(3), 0x01);
     }
 
     #[test]

@@ -409,6 +409,23 @@ impl Instruction {
             Instruction::Branch { .. } | Instruction::Jal { .. } | Instruction::Jalr { .. }
         )
     }
+
+    /// The base register, offset and width of this macro-op's memory
+    /// accesses, or `None` if it makes none. Its `k`-th access — the one
+    /// its `k`-th micro-op makes — is at `base + imm + 8k`, wrapping.
+    pub fn mem_operand(&self) -> Option<(Reg, i64, MemWidth)> {
+        use Instruction as I;
+        match *self {
+            I::Load { width, rs1, imm, .. } | I::Store { width, rs1, imm, .. } => {
+                Some((rs1, imm, width))
+            }
+            I::Ldp { rs1, imm, .. }
+            | I::Stp { rs1, imm, .. }
+            | I::FLoad { rs1, imm, .. }
+            | I::FStore { rs1, imm, .. } => Some((rs1, imm, MemWidth::D)),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Instruction {

@@ -13,7 +13,9 @@
 //! * [`Instruction`] — architectural *macro-ops*, including paired-memory
 //!   macro-ops ([`Instruction::Ldp`], [`Instruction::Stp`]) that crack into
 //!   several micro-ops, exercising the paper's segment-boundary rule (§IV-D);
-//! * [`MicroOp`]/[`crack`] — the micro-op form consumed by the pipelines;
+//! * [`PreUop`]/[`crack`] — the one micro-op form: each macro-op cracked
+//!   into its functional-unit class and scoreboard slots, which both
+//!   pipelines walk;
 //! * [`ArchState`] and [`step`](ArchState::step) — a functional golden-model
 //!   executor used by the checker cores, the fault-injection oracle and the
 //!   test suite;
@@ -55,13 +57,10 @@ mod uop;
 
 pub use asm::{Label, ProgramBuilder};
 pub use exec::{
-    ArchState, ExecError, FlatMemory, ImageDiff, MemAccessList, MemoryIface, NoNondet,
+    ArchState, ExecError, FlatMemory, ImageDiff, MemAccess, MemAccessList, MemoryIface, NoNondet,
     NondetSource, StepInfo,
 };
 pub use insn::{AluOp, BranchCond, FpuOp, Instruction, MemWidth};
-pub use program::{
-    BasicBlock, BlockExit, DataImage, PreUop, Program, UopClass, INSN_BYTES, NO_REG_SLOT,
-    N_UOP_CLASSES, TEXT_BASE,
-};
+pub use program::{BasicBlock, BlockExit, DataImage, Program, INSN_BYTES, TEXT_BASE};
 pub use reg::{FReg, Reg};
-pub use uop::{crack, DstReg, FMovKind, MemKind, MicroOp, SrcReg, UopKind, MAX_UOPS_PER_INSN};
+pub use uop::{crack, FMovKind, PreUop, UopClass, MAX_UOPS_PER_INSN, NO_REG_SLOT, N_UOP_CLASSES};

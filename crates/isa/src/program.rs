@@ -1,9 +1,9 @@
 //! Assembled programs: a read-only text segment plus initial data images,
-//! pre-cracked into micro-ops and pre-decoded into a basic-block
-//! superinstruction stream at construction.
+//! cracked into the pre-decoded [`PreUop`] stream and split into basic
+//! blocks at construction.
 
-use crate::insn::{AluOp, Instruction};
-use crate::uop::{DstReg, MemKind, MicroOp, SrcReg, UopKind};
+use crate::insn::Instruction;
+use crate::uop::PreUop;
 
 /// Base address of the read-only text segment.
 ///
@@ -15,128 +15,6 @@ pub const TEXT_BASE: u64 = 0x1000;
 
 /// Byte size of one instruction slot (for PC arithmetic).
 pub const INSN_BYTES: u64 = 4;
-
-/// Scoreboard-slot value meaning "no register": see [`PreUop::srcs`].
-pub const NO_REG_SLOT: u8 = u8::MAX;
-
-/// Static functional-unit / latency class of a pre-decoded micro-op.
-///
-/// Collapses the nested [`UopKind`] / [`AluOp`] / `FpuOp` matches that the
-/// hot loops would otherwise repeat per dynamic instruction into one flat
-/// discriminant: the out-of-order core's dispatch and the checker's latency
-/// lookup both switch on this single byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum UopClass {
-    /// Pipelined integer ALU op (add, logic, shifts, compares).
-    IntAlu = 0,
-    /// Integer multiply (unpipelined multiplier occupancy).
-    Mul,
-    /// Integer divide / remainder (unpipelined divider occupancy).
-    Div,
-    /// Pipelined floating-point ALU op.
-    FpAlu,
-    /// Floating-point divide (unpipelined).
-    FpDiv,
-    /// Fused multiply-add.
-    Fma,
-    /// Floating-point square root (unpipelined).
-    FSqrt,
-    /// Register move / conversion between int and fp files.
-    FMov,
-    /// Conditional branch.
-    Branch,
-    /// Unconditional direct jump (`jal`).
-    Jump,
-    /// Indirect jump (`jalr`).
-    JumpReg,
-    /// Memory load.
-    Load,
-    /// Memory store.
-    Store,
-    /// Non-deterministic cycle-counter read.
-    RdCycle,
-    /// No-op.
-    Nop,
-    /// Halt.
-    Halt,
-}
-
-/// Number of [`UopClass`] discriminants (sized for latency lookup tables).
-pub const N_UOP_CLASSES: usize = 16;
-
-impl UopClass {
-    /// Classifies one cracked micro-op.
-    fn of(u: &MicroOp) -> UopClass {
-        match u.kind {
-            UopKind::IntAlu { op, .. } => {
-                if matches!(op, AluOp::Div | AluOp::Rem) {
-                    UopClass::Div
-                } else if op.is_mul_div() {
-                    UopClass::Mul
-                } else {
-                    UopClass::IntAlu
-                }
-            }
-            UopKind::Mem { kind: MemKind::Load { .. }, .. } => UopClass::Load,
-            UopKind::Mem { kind: MemKind::Store, .. } => UopClass::Store,
-            UopKind::Branch { .. } => UopClass::Branch,
-            UopKind::Jump { .. } => UopClass::Jump,
-            UopKind::JumpReg { .. } => UopClass::JumpReg,
-            UopKind::FpAlu { op } => {
-                if op.is_div() {
-                    UopClass::FpDiv
-                } else {
-                    UopClass::FpAlu
-                }
-            }
-            UopKind::Fma => UopClass::Fma,
-            UopKind::FSqrt => UopClass::FSqrt,
-            UopKind::FMov { .. } => UopClass::FMov,
-            UopKind::RdCycle => UopClass::RdCycle,
-            UopKind::Nop => UopClass::Nop,
-            UopKind::Halt => UopClass::Halt,
-        }
-    }
-}
-
-/// One fused record of the pre-decoded superinstruction stream.
-///
-/// Everything the timing loops re-derive per dynamic micro-op — unit class
-/// and flat scoreboard slots of the source/destination registers (`0..32`
-/// integer, `32..64` floating-point, [`NO_REG_SLOT`] absent) — resolved once
-/// at program construction. Stored as a column parallel to the cracked
-/// micro-ops (same `cracked_idx` offsets), keeping the stream a flat
-/// struct-of-arrays run.
-#[derive(Debug, Clone, Copy)]
-pub struct PreUop {
-    /// Functional-unit / latency class.
-    pub class: UopClass,
-    /// Source registers as flat scoreboard slots.
-    pub srcs: [u8; 3],
-    /// Destination register as a flat scoreboard slot.
-    pub dst: u8,
-}
-
-impl PreUop {
-    fn of(u: &MicroOp) -> PreUop {
-        let mut srcs = [NO_REG_SLOT; 3];
-        for (o, s) in srcs.iter_mut().zip(u.srcs.iter()) {
-            if let Some(s) = s {
-                *o = match s {
-                    SrcReg::Int(r) => r.index() as u8,
-                    SrcReg::Fp(r) => 32 + r.index() as u8,
-                };
-            }
-        }
-        let dst = match u.dst {
-            Some(DstReg::Int(r)) => r.index() as u8,
-            Some(DstReg::Fp(r)) => 32 + r.index() as u8,
-            None => NO_REG_SLOT,
-        };
-        PreUop { class: UopClass::of(u), srcs, dst }
-    }
-}
 
 /// How a basic block exits, with static successor hints where the target is
 /// known at assembly time. Hints are indices into [`Program::blocks`];
@@ -207,18 +85,14 @@ pub struct Program {
     text: Vec<Instruction>,
     data: Vec<DataImage>,
     entry: u64,
-    /// Pre-cracked micro-ops of every text instruction, flattened.
-    /// Computed once at construction so the out-of-order core's decode and
-    /// the checker farm's replays never re-crack (or heap-allocate) per
-    /// dynamic instruction.
-    cracked: Vec<crate::MicroOp>,
-    /// Start offset of instruction `i`'s micro-ops in `cracked`
-    /// (`text.len() + 1` entries; the last is `cracked.len()`).
-    cracked_idx: Vec<u32>,
-    /// Pre-decoded superinstruction stream: one fused record per entry of
-    /// `cracked` (same `cracked_idx` offsets — another column of the same
-    /// struct-of-arrays layout).
+    /// The cracked micro-ops of every text instruction, flattened: the
+    /// pre-decoded superinstruction stream. Computed once at construction
+    /// so the out-of-order core's decode and the checker farm's replays
+    /// never re-crack (or heap-allocate) per dynamic instruction.
     pre: Vec<PreUop>,
+    /// Start offset of instruction `i`'s micro-ops in `pre`
+    /// (`text.len() + 1` entries; the last is `pre.len()`).
+    pre_idx: Vec<u32>,
     /// Basic blocks discovered at construction, in text order.
     blocks: Vec<BasicBlock>,
     /// Block id containing instruction `i` (`text.len()` entries).
@@ -232,16 +106,15 @@ impl Program {
     ///
     /// Panics if `entry` does not point at an instruction slot.
     pub fn from_parts(text: Vec<Instruction>, data: Vec<DataImage>, entry: u64) -> Program {
-        let mut cracked = Vec::with_capacity(text.len());
-        let mut cracked_idx = Vec::with_capacity(text.len() + 1);
+        let mut pre = Vec::with_capacity(text.len());
+        let mut pre_idx = Vec::with_capacity(text.len() + 1);
         for insn in &text {
-            cracked_idx.push(cracked.len() as u32);
-            cracked.extend(crate::crack(insn));
+            pre_idx.push(pre.len() as u32);
+            pre.extend(crate::crack(insn));
         }
-        cracked_idx.push(cracked.len() as u32);
-        let pre: Vec<PreUop> = cracked.iter().map(PreUop::of).collect();
+        pre_idx.push(pre.len() as u32);
         let (blocks, block_of) = discover_blocks(&text, entry);
-        let p = Program { text, data, entry, cracked, cracked_idx, pre, blocks, block_of };
+        let p = Program { text, data, entry, pre, pre_idx, blocks, block_of };
         assert!(p.instr_at(entry).is_some(), "entry point {entry:#x} is outside text");
         p
     }
@@ -260,24 +133,14 @@ impl Program {
         self.text.get(((pc - TEXT_BASE) / INSN_BYTES) as usize)
     }
 
-    /// The pre-decoded records of the instruction at text index `i`,
-    /// parallel to [`uops_of`](Program::uops_of).
+    /// The micro-ops of the instruction at text index `i` (identical to
+    /// `crack(text()[i])` without the per-call allocation).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn pre_uops_of(&self, i: usize) -> &[PreUop] {
-        &self.pre[self.cracked_idx[i] as usize..self.cracked_idx[i + 1] as usize]
-    }
-
-    /// The pre-cracked micro-ops of the instruction at text index `i`
-    /// (identical to `crack(text()[i])` without the per-call allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn uops_of(&self, i: usize) -> &[MicroOp] {
-        &self.cracked[self.cracked_idx[i] as usize..self.cracked_idx[i + 1] as usize]
+        &self.pre[self.pre_idx[i] as usize..self.pre_idx[i + 1] as usize]
     }
 
     /// The basic blocks discovered at construction, in text order.
@@ -325,7 +188,7 @@ impl Program {
         if self.blocks.is_empty() {
             return 0.0;
         }
-        self.cracked.len() as f64 / self.blocks.len() as f64
+        self.pre.len() as f64 / self.blocks.len() as f64
     }
 
     /// All instructions in text order.
@@ -536,7 +399,7 @@ mod tests {
 
     #[test]
     fn pre_decoded_stream_parallels_cracked_uops() {
-        use crate::{AluOp, Reg};
+        use crate::{crack, AluOp, Reg, UopClass, NO_REG_SLOT};
         let p = Program::from_parts(
             vec![
                 I::Op { op: AluOp::Mul, rd: Reg::X3, rs1: Reg::X1, rs2: Reg::X2 },
@@ -546,8 +409,8 @@ mod tests {
             vec![],
             TEXT_BASE,
         );
-        for i in 0..p.len() {
-            assert_eq!(p.pre_uops_of(i).len(), p.uops_of(i).len());
+        for (i, insn) in p.text().iter().enumerate() {
+            assert_eq!(p.pre_uops_of(i), crack(insn));
         }
         assert_eq!(p.pre_uops_of(0)[0].class, UopClass::Mul);
         assert_eq!(p.pre_uops_of(0)[0].srcs, [1, 2, NO_REG_SLOT]);

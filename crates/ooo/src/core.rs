@@ -30,10 +30,10 @@ use crate::config::OooConfig;
 use crate::fault::{ArmedFault, FaultTarget};
 use crate::predictor::{PredictorSnapshot, TournamentPredictor};
 use crate::resources::{FifoOccupancy, SlotPool, UnorderedOccupancy};
-use crate::types::{CommitEvent, CommitGate, DetectionSink, MemEffect};
+use crate::types::{CommitEvent, CommitGate, DetectionSink};
 use paradet_isa::{
-    ArchState, DstReg, ExecError, Instruction, MemWidth, MicroOp, NondetSource, PreUop, Program,
-    Reg, SrcReg, UopClass, UopKind, INSN_BYTES, MAX_UOPS_PER_INSN, NO_REG_SLOT, TEXT_BASE,
+    ArchState, ExecError, Instruction, MemAccess, NondetSource, PreUop, Program, Reg, UopClass,
+    INSN_BYTES, MAX_UOPS_PER_INSN, NO_REG_SLOT, TEXT_BASE,
 };
 use paradet_mem::{CycleDiv, MemHier, Time};
 use std::collections::VecDeque;
@@ -515,20 +515,15 @@ impl OooCore {
 
             // ---- Pre-decoded micro-ops + memory addresses -----------------
             // Timing addresses come from the pre-state: a register flip
-            // firing below lands after they are read.
-            let uops = program.uops_of(i);
+            // firing below lands after they are read. Micro-op `k` of a
+            // memory macro-op makes its `k`-th access, at `addr + 8k`.
             let pre = program.pre_uops_of(i);
-            let mut uop_addrs = [0u64; MAX_UOPS_PER_INSN];
-            for (k, u) in uops.iter().enumerate() {
-                if let UopKind::Mem { imm, .. } = u.kind {
-                    let base = match u.srcs[0] {
-                        Some(SrcReg::Int(r)) => self.state.x(r),
-                        None => 0,
-                        _ => unreachable!("memory base is an integer register"),
-                    };
-                    uop_addrs[k] = base.wrapping_add(imm as u64);
+            let (addr, bytes) = match insn.mem_operand() {
+                Some((base, imm, width)) => {
+                    (self.state.x(base).wrapping_add(imm as u64), width.bytes())
                 }
-            }
+                None => (0, 0),
+            };
 
             // ---- Fault arming ---------------------------------------------
             let flips = (self.instr_index >= self.next_fault_at).then(|| self.fire_due_faults(pre));
@@ -539,10 +534,10 @@ impl OooCore {
             let mut alu_units = [NO_UNIT; MAX_UOPS_PER_INSN];
             let mut resolve_cycle: Option<u64> = None;
             let mut nondet_value: Option<u64> = None;
-            for (k, u) in uops.iter().enumerate() {
-                let p = pre[k];
+            for (k, &p) in pre.iter().enumerate() {
+                let uop_addr = addr.wrapping_add(8 * k as u64);
                 let (complete, unit) =
-                    self.issue_uop(hier, pc, fetch_cycle, u, p, uop_addrs[k], false);
+                    self.issue_uop(hier, pc, fetch_cycle, p, uop_addr, bytes, false);
                 match p.class {
                     UopClass::Branch | UopClass::Jump | UopClass::JumpReg => {
                         resolve_cycle = Some(complete)
@@ -559,69 +554,39 @@ impl OooCore {
                     self.reg_ready[p.dst as usize] = complete;
                 }
                 if rmt {
-                    self.issue_rmt_duplicate(hier, pc, fetch_cycle, u, p, uop_addrs[k]);
+                    self.issue_rmt_duplicate(hier, pc, fetch_cycle, p);
                 }
             }
 
             // ---- Functional execution (oracle) + faults --------------------
             let mut nondet = SuppliedNondet(nondet_value);
-            let step = self.state.step_decoded(insn, &mut hier.data, &mut nondet);
-            // Both scratch lists live on the stack (≤ 2 accesses per
-            // macro-op): nothing on the per-instruction path allocates.
-            let mut mem_effects =
-                [MemEffect { is_store: false, addr: 0, value: 0, width: MemWidth::B, old: 0 }; 2];
-            // Captured (LFU) values default to the true loaded values.
-            let mut captured = [0u64; 2];
-            let (mut n_effects, mut n_captured) = (0usize, 0usize);
-            for a in step.mem.iter() {
-                mem_effects[n_effects] = MemEffect {
-                    is_store: a.is_store,
-                    addr: a.addr,
-                    value: a.value,
-                    width: a.width,
-                    old: a.old,
-                };
-                n_effects += 1;
-                if !a.is_store {
-                    captured[n_captured] = a.value;
-                    n_captured += 1;
-                }
+            let mut step = self.state.step_decoded(insn, &mut hier.data, &mut nondet);
+            // Access `k` is micro-op `k`'s. The LFU captures a load's value
+            // at cache access (§IV-C), before a fault below can corrupt it.
+            let mut captured = [0u64; MAX_UOPS_PER_INSN];
+            for (c, a) in captured.iter_mut().zip(&step.mem) {
+                *c = a.value;
             }
-            let mem_effects = &mut mem_effects[..n_effects];
             if let Some(flips) = flips {
-                self.apply_flips(flips, insn, mem_effects, &mut captured, hier);
+                self.apply_flips(flips, insn, step.mem.as_mut_slice(), &mut captured, hier);
             }
             if let Some(stuck) = self.stuck {
-                self.force_stuck(stuck, uops, &alu_units);
+                self.force_stuck(stuck, pre, &alu_units);
             }
 
             // ---- Load-forwarding-unit capture events ----------------------
-            {
-                let mut load_idx = 0usize;
-                // `(seq + k) % rob_entries`, maintained incrementally: one
-                // divide per instruction instead of one per uop.
-                let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
-                for (k, p) in pre.iter().enumerate() {
-                    if p.class == UopClass::Load {
-                        let eff = mem_effects
-                            .iter()
-                            .filter(|e| !e.is_store)
-                            .nth(load_idx)
-                            .copied()
-                            .expect("load uop has an effect");
-                        sink.on_load_executed(
-                            rob_slot,
-                            eff.addr,
-                            captured[load_idx],
-                            eff.width,
-                            self.to_time(completes[k]),
-                        );
-                        load_idx += 1;
-                    }
-                    rob_slot += 1;
-                    if rob_slot == self.cfg.rob_entries {
-                        rob_slot = 0;
-                    }
+            // `(seq + k) % rob_entries`, maintained incrementally: one
+            // divide per instruction instead of one per uop.
+            let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
+            for (k, p) in pre.iter().enumerate() {
+                if p.class == UopClass::Load {
+                    let a = step.mem[k];
+                    let at = self.to_time(completes[k]);
+                    sink.on_load_executed(rob_slot, a.addr, captured[k], a.width, at);
+                }
+                rob_slot += 1;
+                if rob_slot == self.cfg.rob_entries {
+                    rob_slot = 0;
                 }
             }
 
@@ -678,21 +643,14 @@ impl OooCore {
             }
 
             // ---- In-order commit with detection gating --------------------
-            let mut mem_iter = 0usize;
             // `(seq + k) % rob_entries`, maintained incrementally (see the
             // load capture loop above).
             let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
-            for (k, u) in uops.iter().enumerate() {
-                let class = pre[k].class;
+            for (k, p) in pre.iter().enumerate() {
+                let class = p.class;
                 let complete = completes[k];
                 let mut commit = (complete + 1).max(self.last_commit).max(self.commit_gate);
-                let mem = if matches!(class, UopClass::Load | UopClass::Store) {
-                    let e = mem_effects[mem_iter];
-                    mem_iter += 1;
-                    Some(e)
-                } else {
-                    None
-                };
+                let mem = step.mem.get(k).copied();
                 // Committed stores drain through the write buffer.
                 if let Some(e) = mem {
                     if e.is_store {
@@ -712,8 +670,8 @@ impl OooCore {
                     instr_index: self.instr_index,
                     pc,
                     insn,
-                    uop_index: u.uop_index,
-                    last: u.last,
+                    uop_index: k as u8,
+                    last: k + 1 == pre.len(),
                     mem,
                     nondet: if class == UopClass::RdCycle { step.nondet } else { None },
                     rob_slot,
@@ -768,7 +726,7 @@ impl OooCore {
                         self.stats.loads += 1;
                     }
                 }
-                match pre[k].dst {
+                match p.dst {
                     NO_REG_SLOT => {}
                     d if d < 32 => self.phys_int.push(commit),
                     _ => self.phys_fp.push(commit),
@@ -780,7 +738,7 @@ impl OooCore {
                 }
             }
 
-            self.seq += uops.len() as u64;
+            self.seq += pre.len() as u64;
             self.instr_index += 1;
             self.stats.committed_instrs += 1;
             self.stats.last_commit_cycle = self.last_commit;
@@ -800,9 +758,9 @@ impl OooCore {
 
     /// Dispatches, issues and executes one micro-op, returning its
     /// completion cycle and — for a simple integer-ALU op — the unit it ran
-    /// on ([`NO_UNIT`] otherwise). With `dup` set this is the micro-op's RMT
-    /// duplicate, whose loads read the load value queue instead of the
-    /// cache.
+    /// on ([`NO_UNIT`] otherwise). A load reads `bytes` at `addr`; with
+    /// `dup` set this is the micro-op's RMT duplicate, whose loads read the
+    /// load value queue instead of the cache.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn issue_uop(
@@ -810,9 +768,9 @@ impl OooCore {
         hier: &mut MemHier,
         pc: u64,
         fetch_cycle: u64,
-        u: &MicroOp,
         p: PreUop,
         addr: u64,
+        bytes: u64,
         dup: bool,
     ) -> (u64, usize) {
         let lat = self.cfg.lat;
@@ -920,8 +878,6 @@ impl OooCore {
                     // overlapping this access and still in flight at
                     // addr_known. The skip path elides the window walk when
                     // every store has provably left the window by then.
-                    let UopKind::Mem { width, .. } = u.kind else { unreachable!() };
-                    let bytes = width.bytes();
                     let fwd = if self.cfg.event_skip && addr_known >= self.stores_commit_max {
                         None
                     } else {
@@ -980,16 +936,8 @@ impl OooCore {
     /// window entries until it commits alongside the primary (approximated
     /// by its completion + 1).
     #[cold]
-    fn issue_rmt_duplicate(
-        &mut self,
-        hier: &mut MemHier,
-        pc: u64,
-        fetch_cycle: u64,
-        u: &MicroOp,
-        p: PreUop,
-        addr: u64,
-    ) {
-        let (c, _) = self.issue_uop(hier, pc, fetch_cycle, u, p, addr, true);
+    fn issue_rmt_duplicate(&mut self, hier: &mut MemHier, pc: u64, fetch_cycle: u64, p: PreUop) {
+        let (c, _) = self.issue_uop(hier, pc, fetch_cycle, p, 0, 0, true);
         self.rob.push(c + 1);
         self.iq.push(c);
         match p.class {
@@ -1048,14 +996,14 @@ impl OooCore {
     }
 
     /// Applies the post-execution overrides a fired fault left for this
-    /// instruction to memory, the architectural state, its memory effects
+    /// instruction to memory, the architectural state, its memory accesses
     /// and the LFU capture values.
     #[cold]
     fn apply_flips(
         &mut self,
         flips: PendingFlips,
         insn: Instruction,
-        mem_effects: &mut [MemEffect],
+        mem_effects: &mut [MemAccess],
         captured: &mut [u64; 2],
         hier: &mut MemHier,
     ) {
@@ -1123,17 +1071,17 @@ impl OooCore {
     fn force_stuck(
         &mut self,
         (unit, bit, value): (u8, u8, bool),
-        uops: &[MicroOp],
+        pre: &[PreUop],
         alu_units: &[usize; MAX_UOPS_PER_INSN],
     ) {
         let struck = unit as usize % self.cfg.int_alus;
-        for (u, &used) in uops.iter().zip(alu_units) {
-            if used == struck {
-                if let Some(DstReg::Int(r)) = u.dst {
-                    let mask = 1u64 << (bit & 63);
-                    let v = self.state.x(r);
-                    self.state.set_x(r, if value { v | mask } else { v & !mask });
-                }
+        for (p, &used) in pre.iter().zip(alu_units) {
+            // Slots below 32 are integer registers other than x0.
+            if used == struck && p.dst < 32 {
+                let r = Reg::from_index(p.dst as usize);
+                let mask = 1u64 << (bit & 63);
+                let v = self.state.x(r);
+                self.state.set_x(r, if value { v | mask } else { v & !mask });
             }
         }
     }

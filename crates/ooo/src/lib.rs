@@ -44,7 +44,7 @@ pub use config::{LatencyTable, OooConfig};
 pub use fault::{ArmedFault, FaultKind, FaultTarget};
 pub use predictor::{DirectionPrediction, PredictorConfig, PredictorStats, TournamentPredictor};
 pub use resources::{FifoOccupancy, SlotPool, UnorderedOccupancy};
-pub use types::{CommitEvent, CommitGate, DetectionSink, MemEffect, NullSink};
+pub use types::{CommitEvent, CommitGate, DetectionSink, NullSink};
 
 #[cfg(test)]
 mod tests {

@@ -1,24 +1,8 @@
 //! Events emitted by the core and the sink interface the detection
 //! hardware implements.
 
-use paradet_isa::{ArchState, Instruction, MemWidth};
+use paradet_isa::{ArchState, Instruction, MemAccess, MemWidth};
 use paradet_mem::{MemHier, Time};
-
-/// One committed memory effect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemEffect {
-    /// True for a store, false for a load.
-    pub is_store: bool,
-    /// Byte address.
-    pub addr: u64,
-    /// Value loaded (zero-extended raw) or stored (width-truncated).
-    pub value: u64,
-    /// Access width.
-    pub width: MemWidth,
-    /// For stores, the memory value at `addr` before the store (the undo
-    /// value checkpoint recovery rolls back with); zero for loads.
-    pub old: u64,
-}
 
 /// A micro-op commit notification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +19,9 @@ pub struct CommitEvent {
     pub uop_index: u8,
     /// Whether this micro-op retires the macro-op.
     pub last: bool,
-    /// Memory effect, if this micro-op accessed memory.
-    pub mem: Option<MemEffect>,
+    /// The oracle's record of this micro-op's memory access, if it made
+    /// one, with any fault override applied.
+    pub mem: Option<MemAccess>,
     /// Non-deterministic result (e.g. `rdcycle`), to be forwarded via the
     /// load-store log.
     pub nondet: Option<u64>,

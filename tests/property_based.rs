@@ -1,8 +1,8 @@
 //! Property-based tests over core data structures and invariants.
 
 use paradet::isa::{
-    crack, AluOp, ArchState, BranchCond, FlatMemory, Instruction, MemWidth, MemoryIface, NoNondet,
-    ProgramBuilder, Reg,
+    crack, AluOp, ArchState, BranchCond, FReg, FlatMemory, Instruction, MemWidth, MemoryIface,
+    NoNondet, ProgramBuilder, Reg, UopClass, TEXT_BASE,
 };
 use paradet::mem::{Cache, CacheConfig, Dram, DramConfig, Freq, Time};
 use paradet::ooo::{FifoOccupancy, SlotPool, UnorderedOccupancy};
@@ -74,24 +74,49 @@ proptest! {
         prop_assert_eq!(MemWidth::W.sign_extend(v & 0xffff_ffff), (v as u32 as i32 as i64) as u64);
     }
 
-    /// Cracking invariants: 1..=2 micro-ops, exactly one `last`, indices
-    /// sequential.
+    /// Cracking invariants: 1..=2 micro-ops, and a memory macro-op's
+    /// micro-ops make the oracle's accesses one for one: the `k`-th, a
+    /// load or store like its micro-op, at `mem_operand`'s
+    /// `base + imm + 8k` with its width.
     #[test]
-    fn cracking_invariants(rd in arb_reg(), rs1 in arb_reg(), rs2 in arb_reg(), imm in any::<i32>()) {
+    fn cracking_invariants(
+        rd in arb_reg(),
+        rs1 in arb_reg(),
+        rs2 in arb_reg(),
+        fd in (0usize..32).prop_map(FReg::from_index),
+        imm in any::<i32>(),
+        base in any::<u64>(),
+        w in 0usize..4,
+    ) {
+        let (width, imm) = ([MemWidth::B, MemWidth::H, MemWidth::W, MemWidth::D][w], imm as i64);
         let insns = [
             Instruction::Op { op: AluOp::Add, rd, rs1, rs2 },
-            Instruction::Load { width: MemWidth::D, signed: false, rd, rs1, imm: imm as i64 },
-            Instruction::Store { width: MemWidth::D, rs2, rs1, imm: imm as i64 },
-            Instruction::Ldp { rd1: rd, rd2: rs2, rs1, imm: imm as i64 },
-            Instruction::Stp { rs2a: rd, rs2b: rs2, rs1, imm: imm as i64 },
+            Instruction::Load { width, signed: w % 2 == 0, rd, rs1, imm },
+            Instruction::Store { width, rs2, rs1, imm },
+            Instruction::Ldp { rd1: rd, rd2: rs2, rs1, imm },
+            Instruction::Stp { rs2a: rd, rs2b: rs2, rs1, imm },
+            Instruction::FLoad { fd, rs1, imm },
+            Instruction::FStore { fs2: fd, rs1, imm },
         ];
         for insn in insns {
             let uops = crack(&insn);
             prop_assert!(!uops.is_empty() && uops.len() <= paradet::isa::MAX_UOPS_PER_INSN);
-            prop_assert_eq!(uops.iter().filter(|u| u.last).count(), 1);
-            prop_assert!(uops.last().unwrap().last);
-            for (i, u) in uops.iter().enumerate() {
-                prop_assert_eq!(u.uop_index as usize, i);
+            let mut state = ArchState::at_pc(TEXT_BASE);
+            state.set_x(rs1, base);
+            let base = state.x(rs1);
+            let info = state.step_decoded(insn, &mut FlatMemory::new(), &mut NoNondet);
+            let is_mem = |c: UopClass| matches!(c, UopClass::Load | UopClass::Store);
+            prop_assert_eq!(uops.iter().filter(|u| is_mem(u.class)).count(), info.mem.len());
+            let Some((reg, off, width)) = insn.mem_operand() else {
+                prop_assert!(info.mem.is_empty(), "{} accessed memory", insn);
+                continue;
+            };
+            prop_assert_eq!(reg, rs1);
+            for (k, a) in info.mem.iter().enumerate() {
+                prop_assert_eq!(uops[k].class == UopClass::Store, a.is_store);
+                let addr = base.wrapping_add(off as u64).wrapping_add(8 * k as u64);
+                prop_assert_eq!(a.addr, addr, "access {} of {}", k, insn);
+                prop_assert_eq!(a.width, width);
             }
         }
     }

@@ -7,11 +7,13 @@
 //! drives the real binaries.)
 
 use paradet::faults::shard::{grid_points, shard_points, ShardSpec};
-use paradet::faults::store::{read_checkpoint_on, read_manifest_on, write_checkpoint_on, Manifest};
+use paradet::faults::store::{
+    ensure_manifest_on, read_checkpoint_on, read_manifest_on, write_checkpoint_on, Manifest,
+};
 use paradet::faults::{
-    coverage_table, merge_campaign_on, real_fs, run_campaign, run_campaign_shard_on,
-    run_campaign_sharded, trial_fault, trial_seed, CampaignConfig, FaultSite, RealFs,
-    ShardRunOptions, StoreError,
+    coverage_table, merge_campaign_on, merge_campaign_partial_on, real_fs, run_campaign,
+    run_campaign_shard_on, run_campaign_sharded, trial_fault, trial_seed, CampaignConfig,
+    FaultSite, RealFs, ShardRunOptions, StoreError,
 };
 use paradet::par::with_threads;
 use proptest::prelude::*;
@@ -157,6 +159,21 @@ fn merge_refuses_incomplete_shards() {
     match merge_campaign_on(&fs, &dir, Some(&cfg)) {
         Err(StoreError::Corrupt(msg)) => assert!(msg.contains("slice"), "{msg}"),
         r => panic!("a record past the slice must be refused, got {r:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Only a self-consistent manifest, over a grid far too large to hold
+    // in memory: both merges account for it without building the grid.
+    let huge = CampaignConfig { trials_per_site: 1 << 60, ..cfg };
+    ensure_manifest_on(&RealFs, &dir, &huge, 2).expect("manifest");
+    match merge_campaign_on(&fs, &dir, Some(&huge)) {
+        Err(StoreError::Incomplete(msg)) => assert!(msg.contains("0/2"), "{msg}"),
+        r => panic!("expected Incomplete, got {r:?}"),
+    }
+    let partial = merge_campaign_partial_on(&fs, &dir, Some(&huge)).expect("partial merge");
+    assert_eq!((partial.completed, partial.grid), (0, 3 << 60));
+    for c in &partial.completeness {
+        assert_eq!((c.done, c.total, c.state.as_str()), (0, 3 << 59, "missing"), "{c:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
