@@ -1,15 +1,17 @@
 //! The in-order checker core: timing model and replay driver.
 //!
 //! Checking is two-phase (see [`crate::trace`]): [`replay_segment`] is the
-//! expensive, purely functional phase (crack, architectural step, log
+//! expensive, purely functional phase (architectural step, log
 //! comparison), and [`CheckerCore::fold_timing`] is the cheap timing phase
-//! that consumes the replay's [`ReplayTrace`] against an I-fetch hook and
-//! this core's `free_at` on the simulation thread.
+//! that walks the replay's path through the program's micro-ops against
+//! an I-fetch hook, this core's `free_at` and this core's latencies, on
+//! the simulation thread.
 
 use crate::replay::{CheckError, CheckOutcome, ReplayError, ReplaySource};
-use crate::trace::ReplayTrace;
+use crate::trace::{ReplayTrace, TraceOp};
 use paradet_isa::{
-    ArchState, Instruction, MemWidth, MemoryIface, Program, UopClass, N_UOP_CLASSES,
+    ArchState, Instruction, MemWidth, MemoryIface, Program, UopClass, INSN_BYTES, N_UOP_CLASSES,
+    TEXT_BASE,
 };
 use paradet_mem::{Freq, Time};
 
@@ -116,6 +118,22 @@ struct LogMemory<'a> {
     passed: u64,
 }
 
+impl LogMemory<'_> {
+    /// Consumes the next log entry as `rdcycle`'s value, the main core's.
+    fn nondet(&mut self) -> Option<u64> {
+        match self.src.replay_nondet() {
+            Ok(v) => {
+                self.passed += 1;
+                Some(v)
+            }
+            Err(e) => {
+                self.error = Some(e);
+                None
+            }
+        }
+    }
+}
+
 impl MemoryIface for LogMemory<'_> {
     fn load(&mut self, addr: u64, width: MemWidth) -> u64 {
         if self.error.is_some() {
@@ -185,15 +203,15 @@ impl CheckerCore {
         &self.cfg
     }
 
-    /// Folds a finished replay's timing trace through an I-fetch hook and
-    /// this core's availability, in seal order: pipeline fill, per-line
-    /// I-fetches, in-order micro-op issue against the scoreboard, and the
-    /// end-of-segment register comparison.
+    /// Folds a finished replay through an I-fetch hook and this core's
+    /// availability, in seal order: pipeline fill, per-line I-fetches,
+    /// in-order issue of the program's micro-ops along the replay's path
+    /// against the scoreboard, and the end-of-segment register comparison.
     ///
     /// `ifetch(core, line, cycle, period_fs)` returns the cycle at which
     /// the line is ready. The detector routes it through the checker-cache
     /// path of the fold's clock (see `paradet_mem::CheckerPath`): one
-    /// shared [`ReplayTrace`](crate::ReplayTrace) can be folded once per
+    /// shared [`ReplayTrace`] can be folded once per
     /// [`ClockDomain`](crate::ClockDomain), while everything else about the
     /// fold — scoreboard, latency classes, pipeline fill — comes from this
     /// core's own [`CheckerConfig`].
@@ -206,159 +224,100 @@ impl CheckerCore {
     /// and the running statistics.
     pub fn fold_timing(
         &mut self,
+        program: &Program,
         ready_at: Time,
-        replay: &ReplayOutcome,
+        replay: &ReplayTrace,
         mut ifetch: impl FnMut(usize, u64, u64, u64) -> u64,
         mut on_check: impl FnMut(usize, Time),
     ) -> CheckOutcome {
         let period = self.cfg.clock.period().as_fs();
+        let lat = class_latency_lut(&self.cfg.lat);
         let start_time = ready_at.max(self.free_at);
         // Convert to this core's cycle domain.
         let mut cycle = start_time.as_fs().div_ceil(period) + self.cfg.pipeline_depth;
 
         let mut reg_ready = [0u64; 64];
+        let mut line = u64::MAX;
         let mut line_ready = 0u64;
         let mut entry_idx = 0usize;
-        let id = self.id;
-        replay.trace.walk(|ev| match ev {
-            crate::trace::TraceEvent::Op(new_line) => {
-                // Fetch timing: one I-cache access per new line.
-                if let Some(line) = new_line {
-                    line_ready = ifetch(id, line, cycle, period);
-                }
-                cycle = cycle.max(line_ready);
+        for &TraceOp { idx, passed } in &replay.ops {
+            // Fetch timing: one I-cache access per new line.
+            let pc_line = (TEXT_BASE + u64::from(idx) * INSN_BYTES) & !63;
+            if pc_line != line {
+                line = pc_line;
+                line_ready = ifetch(self.id, line, cycle, period);
             }
-            crate::trace::TraceEvent::Uop(u) => {
-                // In-order issue, one micro-op per cycle, stalling on
-                // operand readiness (scoreboard with forwarding).
-                let issue = (cycle + 1).max(u.srcs_ready(&reg_ready));
-                u.retire(&mut reg_ready, issue + u.lat());
+            cycle = cycle.max(line_ready);
+            // In-order issue, one micro-op per cycle, stalling on operand
+            // readiness (scoreboard with forwarding).
+            for p in program.pre_uops_of(idx as usize) {
+                let issue = (cycle + 1).max(p.srcs_ready(&reg_ready));
+                p.retire(&mut reg_ready, issue + lat[p.class as usize]);
                 cycle = issue;
             }
-            crate::trace::TraceEvent::Checked(n) => {
-                // The check timestamp is the macro-op's issue time.
-                let now = Time::from_fs(cycle * period);
-                for _ in 0..n {
-                    on_check(entry_idx, now);
-                    entry_idx += 1;
-                }
+            // The check timestamp is the macro-op's issue time.
+            let now = Time::from_fs(cycle * period);
+            for _ in 0..passed {
+                on_check(entry_idx, now);
+                entry_idx += 1;
             }
-        });
+        }
 
         cycle += self.cfg.pipeline_depth + self.cfg.register_check_cycles;
         let finish_time = Time::from_fs(cycle * period);
         self.stats.segments += 1;
-        self.stats.instrs += replay.instrs;
+        self.stats.instrs += replay.ops.len() as u64;
         self.stats.loads += replay.loads;
         self.stats.stores += replay.stores;
-        if matches!(replay.result, Err(ref e) if !matches!(e, CheckError::Exec)) {
+        if matches!(replay.error, Some(ref e) if !matches!(e, CheckError::Exec)) {
             self.stats.errors += 1;
         }
         self.stats.busy_fs += finish_time.saturating_sub(start_time).as_fs();
         self.free_at = finish_time;
-        CheckOutcome { finish_time, result: replay.result.clone(), instrs_replayed: replay.instrs }
+        CheckOutcome { finish_time, result: replay.error.clone().map_or(Ok(()), Err) }
     }
-}
-
-/// The result of the functional replay phase: the verdict plus the
-/// [`ReplayTrace`] the timing fold consumes.
-#[derive(Debug, Clone)]
-pub struct ReplayOutcome {
-    /// `Ok` if the segment verified clean.
-    pub result: Result<(), CheckError>,
-    /// Macro-instructions replayed.
-    pub instrs: u64,
-    /// Loads replayed from the log.
-    pub loads: u64,
-    /// Stores checked against the log.
-    pub stores: u64,
-    /// The timing trace (taken by value into the outcome, so the caller
-    /// can hand its buffers to the next replay).
-    pub trace: ReplayTrace,
 }
 
 /// The functional replay phase: architectural re-execution of one segment
 /// against its log, with no timing and no shared state.
 ///
 /// Needs only the shared program, the checkpoint pair and the sealed
-/// entries, and leaves the timing facts in `trace` (cleared first; pass a
-/// recycled buffer to avoid allocation). Check times exist only in the
+/// entries, and overwrites `out` with the verdict and the path (pass a
+/// recycled trace to avoid allocation). Check times exist only in the
 /// fold.
-pub fn replay_segment(
-    cfg: &CheckerConfig,
-    task: SegmentTask<'_>,
-    source: &mut dyn ReplaySource,
-    out_trace: &mut ReplayTrace,
-) -> ReplayOutcome {
-    out_trace.clear();
+pub fn replay_segment(task: SegmentTask<'_>, source: &mut dyn ReplaySource, out: &mut ReplayTrace) {
+    out.clear();
     let mut state = task.start.clone();
-    let mut last_fetch_line = u64::MAX;
-    let mut instrs = 0u64;
-    let mut verdict: Result<(), CheckError> = Ok(());
-
     let mut log = LogMemory { src: source, error: None, loads: 0, stores: 0, passed: 0 };
 
     // Block-stepped replay: one [`Program::block_at`] lookup per basic
-    // block, and trace micro-ops emitted straight from the pre-decoded
-    // stream with per-class latencies. A wild control transfer surfaces
-    // as a failed block lookup at the next block boundary
-    // (`CheckError::Exec`).
-    let lut = class_latency_lut(&cfg.lat);
+    // block. A wild control transfer surfaces as a failed block lookup at
+    // the next block boundary (`CheckError::Exec`).
     let text = task.program.text();
-    'blocks: while instrs < task.instr_count && !state.halted {
+    'blocks: while (out.ops.len() as u64) < task.instr_count && !state.halted {
         let Some((block, off)) = task.program.block_at(state.pc) else {
-            verdict = Err(CheckError::Exec);
+            out.error = Some(CheckError::Exec);
             break;
         };
-        let first = (block.first + off) as usize;
-        let end = (block.first + block.len) as usize;
-        for (i, &insn) in text.iter().enumerate().take(end).skip(first) {
-            let pc = state.pc;
+        for idx in block.first + off..block.first + block.len {
             debug_assert_eq!(
-                pc,
-                paradet_isa::TEXT_BASE + i as u64 * 4,
+                state.pc,
+                TEXT_BASE + u64::from(idx) * INSN_BYTES,
                 "architectural PC out of sync with block walk"
             );
-            let line = pc & !63;
-            let new_line = if line != last_fetch_line {
-                last_fetch_line = line;
-                Some(line)
-            } else {
-                None
-            };
-            out_trace.begin_op(new_line);
-            for p in task.program.pre_uops_of(i) {
-                out_trace.push_uop(p.srcs, p.dst, lut[p.class as usize]);
-            }
-
+            let insn = text[idx as usize];
             let passed_before = log.passed;
-            match insn {
-                Instruction::RdCycle { rd } => {
-                    match log.src.replay_nondet() {
-                        Ok(v) => {
-                            log.passed += 1;
-                            state.set_x(rd, v);
-                        }
-                        Err(e) => {
-                            log.error = Some(e);
-                            state.set_x(rd, 0);
-                        }
-                    }
-                    state.pc += 4;
-                    state.retired += 1;
-                }
-                insn => {
-                    state.step_decoded(insn, &mut log, &mut paradet_isa::NoNondet);
-                }
-            }
-            instrs += 1;
-            out_trace.set_entries((log.passed - passed_before) as u8);
+            let mut nondet =
+                if matches!(insn, Instruction::RdCycle { .. }) { log.nondet() } else { None };
+            state.step_decoded(insn, &mut log, &mut nondet);
+            out.ops.push(TraceOp { idx, passed: (log.passed - passed_before) as u8 });
 
-            if let Some(e) = log.error {
-                verdict = Err(CheckError::Replay { at_instr: instrs - 1, error: e });
+            if let Some(error) = log.error {
+                let at_instr = out.ops.len() as u64 - 1;
+                out.error = Some(CheckError::Replay { at_instr, error });
                 break 'blocks;
             }
-            if state.halted || instrs >= task.instr_count {
+            if state.halted || out.ops.len() as u64 >= task.instr_count {
                 break 'blocks;
             }
         }
@@ -366,25 +325,21 @@ pub fn replay_segment(
 
     // End-of-segment validation (§IV-B): all entries consumed, then the
     // register checkpoint compared.
-    if verdict.is_ok() {
-        if instrs >= task.instr_count && !log.src.exhausted() {
-            // Replayed as many instructions as the main core committed
-            // but did not consume the log: divergence timeout.
-            verdict = Err(CheckError::Divergence);
-        } else if !log.src.exhausted() {
-            verdict = Err(CheckError::EntriesLeftOver);
-        } else if let Some(reg) = state.first_register_mismatch(task.end) {
-            verdict = Err(CheckError::RegisterMismatch { reg });
-        }
+    if out.error.is_none() {
+        out.error = if !log.src.exhausted() {
+            // Replaying as many instructions as the main core committed
+            // without consuming the log is the divergence timeout.
+            Some(if out.ops.len() as u64 >= task.instr_count {
+                CheckError::Divergence
+            } else {
+                CheckError::EntriesLeftOver
+            })
+        } else {
+            state.first_register_mismatch(task.end).map(|reg| CheckError::RegisterMismatch { reg })
+        };
     }
-
-    ReplayOutcome {
-        result: verdict,
-        instrs,
-        loads: log.loads,
-        stores: log.stores,
-        trace: std::mem::take(out_trace),
-    }
+    out.loads = log.loads;
+    out.stores = log.stores;
 }
 
 /// Per-[`UopClass`] checker latencies, indexed by the class discriminant.
@@ -528,9 +483,11 @@ mod tests {
         source: &mut dyn ReplaySource,
         mem: &mut Mem,
     ) -> CheckOutcome {
-        let replay = replay_segment(core.config(), task, source, &mut ReplayTrace::new());
+        let mut replay = ReplayTrace::default();
+        replay_segment(task, source, &mut replay);
         let Mem { hier, path } = mem;
         core.fold_timing(
+            task.program,
             Time::ZERO,
             &replay,
             |c, line, cycle, period| hier.checker_ifetch_cycle_on(path, c, line, cycle, period),
@@ -546,7 +503,7 @@ mod tests {
         let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };
         let out = run_segment(&mut core, task, &mut src, &mut mem);
         assert_eq!(out.result, Ok(()));
-        assert_eq!(out.instrs_replayed, count);
+        assert_eq!(core.stats.instrs, count);
         assert!(out.finish_time > Time::ZERO);
         assert_eq!(core.stats.loads, 5);
         assert_eq!(core.stats.stores, 5);
@@ -630,22 +587,36 @@ mod tests {
 
     #[test]
     fn slower_clock_takes_longer() {
-        let (program, start, end, count, mut src1) = golden_segment(test_program());
-        let mut src2 = VecSource { entries: src1.entries.clone(), pos: 0 };
-        let mut mem = mk_mem(2);
-        let mut fast = CheckerCore::new(0, CheckerConfig::paper_default(Freq::from_mhz(2000)));
-        let mut slow = CheckerCore::new(1, CheckerConfig::paper_default(Freq::from_mhz(250)));
+        // One replay, folded by three cores through cold paths of their
+        // own: each fold applies its own core's clock and latencies.
+        let (program, start, end, count, mut src) = golden_segment(test_program());
         let task = SegmentTask { program: &program, start: &start, end: &end, instr_count: count };
-        let f = run_segment(&mut fast, task, &mut src1, &mut mem);
-        let s = run_segment(&mut slow, task, &mut src2, &mut mem);
-        assert_eq!(f.result, Ok(()));
-        assert_eq!(s.result, Ok(()));
+        let mut replay = ReplayTrace::default();
+        replay_segment(task, &mut src, &mut replay);
+        let fold = |cfg: CheckerConfig| {
+            let Mem { mut hier, mut path } = mk_mem(1);
+            let out = CheckerCore::new(0, cfg).fold_timing(
+                &program,
+                Time::ZERO,
+                &replay,
+                |c, line, cycle, period| {
+                    hier.checker_ifetch_cycle_on(&mut path, c, line, cycle, period)
+                },
+                |_, _| {},
+            );
+            assert_eq!(out.result, Ok(()));
+            out.finish_time
+        };
+        let fast = fold(CheckerConfig::paper_default(Freq::from_mhz(2000)));
+        let slow = fold(CheckerConfig::paper_default(Freq::from_mhz(250)));
+        let lat = CheckerLatencies { int_alu: 4, log_read: 4, ..CheckerLatencies::default() };
+        let lagging =
+            fold(CheckerConfig { lat, ..CheckerConfig::paper_default(Freq::from_mhz(2000)) });
         assert!(
-            s.finish_time > f.finish_time + (f.finish_time - Time::ZERO),
-            "250MHz check should take much longer than 2GHz: {} vs {}",
-            s.finish_time,
-            f.finish_time
+            slow > fast + (fast - Time::ZERO),
+            "250MHz check should take much longer than 2GHz: {slow} vs {fast}"
         );
+        assert!(lagging > fast, "slower latencies at 2GHz should take longer: {lagging} vs {fast}");
     }
 
     #[test]

@@ -4,24 +4,24 @@
 //! The Fig. 9/11 sensitivity axis — detection latency and slowdown versus
 //! the checker-core clock — used to require one full simulation per clock.
 //! But the functional replay of a sealed segment is clock-invariant (the
-//! [`ReplayTrace`](crate::ReplayTrace) contains no times), and segment
-//! boundaries are decided by entry counts and instruction counts, never by
-//! checker timing, so a single simulation can feed one timing fold per
-//! clock. A [`ClockDomain`] names one such provisioning point (checker
-//! clock + latency class, which also implies the domain's checker-cache
-//! hit latencies in the memory system), and a [`DomainSet`] is the ordered,
-//! `Copy` collection of *secondary* domains a run sweeps alongside its
-//! primary checker configuration.
+//! [`ReplayTrace`](crate::ReplayTrace) contains no times and no
+//! latencies), and segment boundaries are decided by entry counts and
+//! instruction counts, never by checker timing, so a single simulation can
+//! feed one timing fold per clock. A [`ClockDomain`] names one such
+//! provisioning point (checker clock + latency class, which also implies
+//! the domain's checker-cache hit latencies in the memory system), and a
+//! [`DomainSet`] is the ordered, `Copy` collection of *secondary* domains
+//! a run sweeps alongside its primary checker configuration.
 //!
 //! The primary domain drives the simulation exactly as before — its folds
 //! gate main-core stalls — so its results are bit-identical with or
 //! without secondary domains. Each secondary domain folds the same replay
-//! traces, in seal order, against its own checker cores (`free_at`,
-//! statistics) and its own checker-cache path; the detection system counts
-//! a *stall divergence* whenever a secondary domain's segment-busy window
-//! would have gated the main core differently than the primary's, so a
-//! zero counter certifies the domain's one-run results as bit-identical to
-//! a dedicated run at that clock.
+//! traces, in seal order, against its own checker cores (clock, latencies,
+//! `free_at`, statistics) and its own checker-cache path; the detection
+//! system counts a *stall divergence* whenever a secondary domain's
+//! segment-busy window would have gated the main core differently than the
+//! primary's, so a zero counter certifies the domain's one-run results as
+//! bit-identical to a dedicated run at that clock.
 //!
 //! A [`ClockDomain`] also doubles as a *speed class* in a mixed-speed
 //! farm (see [`FarmSpec`](crate::FarmSpec)): there, different slots of the

@@ -13,9 +13,12 @@
 //! replay a [`ReplaySource`] and each timing fold an I-fetch hook, and
 //! this crate contributes the *core model* — timing and architectural
 //! replay. The two are decoupled: [`replay_segment`] is the purely
-//! functional phase, a function of its inputs alone, and
-//! [`CheckerCore::fold_timing`] replays its [`ReplayTrace`] through the
-//! I-fetch hook in seal order on the simulation thread.
+//! functional phase, a function of its inputs alone, that records the
+//! verdict and the path (each replayed macro-op's text index and passed
+//! log entries) in a [`ReplayTrace`]; [`CheckerCore::fold_timing`] walks
+//! that path through the program's own micro-ops with the folding core's
+//! clock and latencies, and through the I-fetch hook, in seal order on
+//! the simulation thread.
 //!
 //! Because the replay is clock-invariant, one replay can feed many folds:
 //! a [`ClockDomain`] names one checker clock/latency provisioning point,
@@ -40,8 +43,7 @@ mod sched;
 mod trace;
 
 pub use crate::core::{
-    replay_segment, CheckerConfig, CheckerCore, CheckerLatencies, CheckerStats, ReplayOutcome,
-    SegmentTask,
+    replay_segment, CheckerConfig, CheckerCore, CheckerLatencies, CheckerStats, SegmentTask,
 };
 pub use domain::{ClockDomain, DomainSet, MAX_DOMAINS};
 pub use replay::{CheckError, CheckOutcome, ReplayError, ReplaySource};

@@ -150,8 +150,6 @@ pub struct CheckOutcome {
     pub finish_time: Time,
     /// `Ok` if the segment verified clean.
     pub result: Result<(), CheckError>,
-    /// Macro-instructions replayed.
-    pub instrs_replayed: u64,
 }
 
 #[cfg(test)]

@@ -20,11 +20,12 @@
 //! time: when the segment ring wraps around to a still-checking segment
 //! (the stall decision in `on_commit`), at a dynamic policy's seal, and
 //! at [`Detector::finalize`]. The **functional replay** runs there into
-//! one reused trace buffer, and the **timing fold** consumes its trace
-//! against the checker's availability and its speed class's
-//! checker-cache path, whose misses reach the shared [`MemHier`]'s
-//! L2/DRAM. Replay is pure, so only host time depends on when it runs;
-//! the fold points depend only on simulated state.
+//! one reused trace buffer, recording the path it took, and the **timing
+//! fold** walks that path through the program's micro-ops with the slot's
+//! own latencies, against the checker's availability and its speed
+//! class's checker-cache path, whose misses reach the shared
+//! [`MemHier`]'s L2/DRAM. Replay is pure, so only host time depends on
+//! when it runs; the fold points depend only on simulated state.
 
 use crate::config::{DetectionMode, SystemConfig};
 use crate::delay::DelayStats;
@@ -33,8 +34,8 @@ use crate::lfu::LoadForwardingUnit;
 use crate::log::{EntryKind, Segment, SegmentLog, SegmentReader, SegmentState};
 use crate::scratch::SimScratch;
 use paradet_checker::{
-    replay_segment, CheckerConfig, CheckerCore, CheckerStats, ClockDomain, ReplayOutcome,
-    ReplayTrace, SchedPolicyKind, ScheduleCtx, SegmentTask, SlotView,
+    replay_segment, CheckerCore, CheckerStats, ClockDomain, ReplayTrace, SchedPolicyKind,
+    ScheduleCtx, SegmentTask, SlotView,
 };
 use paradet_isa::{ArchState, Instruction, MemWidth, Program};
 use paradet_mem::{CheckerPath, MemHier, Time};
@@ -83,7 +84,6 @@ pub struct DetectorStats {
 /// the run continues.
 #[derive(Debug)]
 struct ReplayInputs {
-    cfg: CheckerConfig,
     start: ArchState,
     end: ArchState,
     instr_count: u64,
@@ -282,19 +282,16 @@ pub struct Detector {
     lie_miss: bool,
 }
 
-/// Folds one secondary clock domain's timing for a finished replay — the
-/// per-domain half of a lazy-join point. The shared L2/DRAM is read
-/// strictly through the observe path (note the `&MemHier`), so a domain's
-/// fold mutates only that domain's own state and never the primary run's.
-#[allow(clippy::too_many_arguments)]
+/// Folds one secondary clock domain's timing for check `p`, replayed into
+/// `replay` — the per-domain half of a lazy-join point. The shared L2/DRAM
+/// is read strictly through the observe path (note the `&MemHier`), so a
+/// domain's fold mutates only that domain's own state and never the
+/// primary run's.
 fn fold_domain(
     d: &mut DomainState,
-    slot: usize,
-    ready_at: Time,
-    seal_seq: u64,
-    base_instr: u64,
-    outcome: &ReplayOutcome,
-    log: &SegmentLog,
+    p: &PendingCheck,
+    program: &Program,
+    replay: &ReplayTrace,
     hier: &MemHier,
 ) {
     let DomainState {
@@ -307,23 +304,25 @@ fn fold_domain(
         busy_until,
         ..
     } = d;
-    let out = d_checkers[slot].fold_timing(
-        ready_at,
-        outcome,
+    let log = &p.inputs.log;
+    let out = d_checkers[p.slot].fold_timing(
+        program,
+        p.ready_at,
+        replay,
         |core, line, cycle, period| hier.checker_ifetch_cycle_via(path, core, line, cycle, period),
         |idx, now| record_delay(d_delays, d_store_delays, log, idx, now),
     );
     d_finishes.push(out.finish_time);
     if let Err(error) = out.result {
         d_errors.push(DetectedError {
-            seal_seq,
+            seal_seq: p.seal_seq,
             error,
             detect_time: out.finish_time,
             confirm_time: Time::ZERO,
-            base_instr,
+            base_instr: p.base_instr,
         });
     }
-    busy_until[slot] = out.finish_time;
+    busy_until[p.slot] = out.finish_time;
 }
 
 /// Records one passed entry's detection delay (commit → check).
@@ -709,9 +708,9 @@ impl Detector {
             end: &inputs.end,
             instr_count: inputs.instr_count,
         };
-        let mut reader = SegmentReader::new(&inputs.log);
-        let replay = replay_segment(&inputs.cfg, task, &mut reader, &mut self.trace);
+        replay_segment(task, &mut SegmentReader::new(&inputs.log), &mut self.trace);
         let Detector {
+            program,
             checkers,
             slot_class,
             class_paths,
@@ -732,8 +731,9 @@ impl Detector {
         // L2/DRAM at this seal-order fold point.
         let path = &mut class_paths[slot_class[p.slot]];
         let outcome = checkers[p.slot].fold_timing(
+            program,
             p.ready_at,
-            &replay,
+            trace,
             |core, line, cycle, period| {
                 hier.checker_ifetch_cycle_on(path, core, line, cycle, period)
             },
@@ -782,7 +782,7 @@ impl Detector {
         // whenever checker fetches resolve in the private L0/L1I or hit L2
         // at its constant hit latency.
         for d in domains.iter_mut() {
-            fold_domain(d, p.slot, p.ready_at, p.seal_seq, p.base_instr, &replay, log, &*hier);
+            fold_domain(d, &p, program, trace, &*hier);
         }
         // The segment's storage frees when its check finishes; the entry
         // buffer comes home empty for the segment's next tour of the ring,
@@ -798,7 +798,6 @@ impl Detector {
             }
             Err(_) => seg.log.ensure_capacity(seg.capacity),
         }
-        *trace = replay.trace;
         trace.clear();
     }
 
@@ -868,12 +867,10 @@ impl Detector {
                 // Move the check's inputs into the pending queue and let
                 // the main loop run ahead — the replay and its fold run at
                 // the lazy join.
-                let cfg = *self.checkers[cur].config();
                 let seg = &mut self.segs[cur];
                 seg.state = SegmentState::Checking;
                 let check = PendingCheck {
                     inputs: Arc::new(ReplayInputs {
-                        cfg,
                         start,
                         end: committed.clone(),
                         instr_count: seg.instr_count,

@@ -197,6 +197,14 @@ pub fn parse_campaign_flags(args: &mut Vec<String>) -> Result<(CampaignConfig, b
         cfg.system = SystemConfig { lfu_enabled: false, ..cfg.system };
         explicit = true;
     }
+    // A store's manifest refuses such a grid, so no store is begun for it.
+    if (cfg.sites.len() as u64).checked_mul(cfg.trials_per_site).is_none() {
+        return Err(format!(
+            "--trials-per-site {} times {} sites overflows a u64",
+            cfg.trials_per_site,
+            cfg.sites.len()
+        ));
+    }
     Ok((cfg, explicit))
 }
 
@@ -328,6 +336,9 @@ mod tests {
         assert!(parse_campaign_flags(&mut argv(&["--fault-kind", "intermittent:40"])).is_err());
         assert!(parse_campaign_flags(&mut argv(&["--max-retries", "lots"])).is_err());
         assert!(parse_campaign_flags(&mut argv(&["--sites", "pc,int-reg,pc"])).is_err());
+        // The eight default sites times 2^61 trials overflow a u64.
+        let grid = parse_campaign_flags(&mut argv(&["--trials-per-site", "2305843009213693952"]));
+        assert!(grid.unwrap_err().contains("--trials-per-site"));
     }
 
     #[test]

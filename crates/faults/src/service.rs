@@ -39,7 +39,7 @@
 use crate::campaign::{
     aggregate, prepare_golden, run_point, CampaignConfig, CampaignResult, SiteResult, TrialResult,
 };
-use crate::shard::{shard_points, ShardSpec};
+use crate::shard::ShardSpec;
 use crate::store::{
     ensure_manifest_on, read_checkpoint_on, read_manifest_on, read_status_on, real_fs,
     sweep_stale_tmp_on, write_checkpoint_on, write_status_on, DynFs, Manifest, ShardLock,
@@ -111,8 +111,7 @@ pub fn run_campaign_shard_on(
     // is the only correct continuation, no flag ceremony required.
     let resume = opts.resume || took_over_dead;
 
-    let points = shard_points(&cfg.sites, cfg.trials_per_site, opts.shard);
-    let total = points.len() as u64;
+    let total = opts.shard.slice_len(manifest.grid_len());
 
     let mut trials = match read_checkpoint_on(fs.as_ref(), dir, &manifest, opts.shard)? {
         Some(existing) if resume => existing,
@@ -131,12 +130,19 @@ pub fn run_campaign_shard_on(
 
     if resumed_from < total {
         let golden = prepare_golden(cfg);
-        let every = opts.checkpoint_every.max(1) as usize;
-        while trials.len() < points.len() {
-            let at = trials.len();
-            let chunk = &points[at..(at + every).min(points.len())];
+        let every = opts.checkpoint_every.max(1);
+        while (trials.len() as u64) < total {
+            // Only the points up to the next checkpoint are built: a slice
+            // can be far larger than memory.
+            let at = trials.len() as u64;
+            let chunk: Vec<_> = (at..total.min(at.saturating_add(every)))
+                .map(|j| {
+                    let point = opts.shard.point(&cfg.sites, cfg.trials_per_site, j);
+                    point.expect("j is inside the slice")
+                })
+                .collect();
             // par_map is order-preserving: batch[j] is chunk[j]'s result.
-            let batch = paradet_par::par_map(chunk, SimScratch::new, |scratch, _, &(site, t)| {
+            let batch = paradet_par::par_map(&chunk, SimScratch::new, |scratch, _, &(site, t)| {
                 run_point(cfg, &golden, site, t, scratch)
             });
             trials.extend(batch);

@@ -75,6 +75,25 @@ fn missing_option_values_name_the_flag() {
     }
 }
 
+/// A grid of `sites x trials_per_site` points that overflows a u64 is a
+/// store no manifest reader accepts: both binaries refuse it as a usage
+/// error, and `campaignd` writes nothing for it.
+#[test]
+fn an_overflowing_grid_is_refused_before_anything_is_written() {
+    let dir = std::env::temp_dir().join(format!("paradet-cli-grid-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+    let grid = ["--trials-per-site", "9223372036854775807", "--sites", "int-reg,store-value,pc"];
+    let needles = ["--trials-per-site 9223372036854775807", "overflows a u64"];
+    assert_usage_error(
+        CAMPAIGND,
+        &[&["--shard", "0/2", "--dir", dir_s][..], &grid].concat(),
+        &needles,
+    );
+    assert!(!dir.exists(), "a refused grid must leave no directory");
+    assert_usage_error(MERGE, &[&["--partial", "--dir", dir_s][..], &grid].concat(), &needles);
+}
+
 #[test]
 fn unknown_flags_stay_usage_errors() {
     assert_usage_error(

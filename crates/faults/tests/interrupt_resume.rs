@@ -233,6 +233,39 @@ fn chaos_kill_in_checkpoint_window_repairs_on_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A shard builds only the points up to its next checkpoint, so a slice of
+/// 2^60 trials runs: aborted after its first checkpoint, it dies at the
+/// hook (not a "capacity overflow" panic, exit 101), and the partial merge
+/// accounts for both shards.
+#[test]
+fn a_huge_shard_checkpoints_without_building_its_slice() {
+    let dir = tmpdir("huge");
+    let dir_s = dir.to_str().unwrap();
+    let grid = ["--instrs", "2500", "--trials-per-site", "1152921504606846976"];
+    let out = Command::new(CAMPAIGND)
+        .args(grid)
+        .args(["--sites", "int-reg,pc", "--shard", "0/2", "--dir", dir_s])
+        .args(["--checkpoint-every", "1", "--exit-after-checkpoints", "1"])
+        .output()
+        .expect("spawn campaignd");
+    assert!(!out.status.success() && out.status.code() != Some(101), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).contains("aborting after checkpoint 1"), "{}", stderr_of(&out));
+
+    let merge = Command::new(MERGE)
+        .args(["--partial", "--dir", dir_s])
+        .output()
+        .expect("spawn campaign-merge");
+    assert!(merge.status.success(), "partial merge failed: {}", stderr_of(&merge));
+    let stdout = String::from_utf8_lossy(&merge.stdout).into_owned();
+    let row = |shard: &str| {
+        let line = stdout.lines().find(|l| l.trim_start().starts_with(shard));
+        line.map(|l| l.split_whitespace().collect::<Vec<_>>()).unwrap_or_default()
+    };
+    assert_eq!(row("0/2"), ["0/2", "1", "1152921504606846976", "0%", "partial"], "{stdout}");
+    assert_eq!(row("1/2"), ["1/2", "0", "1152921504606846976", "0%", "missing"], "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The fingerprint gate, through the binaries: resuming or merging with a
 /// different campaign config is a clear, distinct failure (exit 3), and
 /// merging an unfinished campaign names the missing shard (exit 5).

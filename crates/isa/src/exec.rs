@@ -56,6 +56,14 @@ impl NondetSource for NoNondet {
     }
 }
 
+/// A value supplied for the next `rdcycle` (the main core's cycle count,
+/// or the checker's logged copy of it); zero once taken or when `None`.
+impl NondetSource for Option<u64> {
+    fn next_nondet(&mut self) -> u64 {
+        self.take().unwrap_or(0)
+    }
+}
+
 /// Sparse page table: an open-addressing hash map from page index to page
 /// contents, specialized for the functional-memory hot path.
 ///
@@ -1077,20 +1085,16 @@ mod tests {
 
     #[test]
     fn rdcycle_uses_nondet_source() {
-        struct Fixed(u64);
-        impl NondetSource for Fixed {
-            fn next_nondet(&mut self) -> u64 {
-                self.0
-            }
-        }
         let mut b = ProgramBuilder::new();
         b.rdcycle(Reg::X1);
+        b.rdcycle(Reg::X2);
         b.halt();
         let p = b.build();
         let mut st = ArchState::at_entry(&p);
         let mut mem = FlatMemory::new();
-        st.run_blocks(&p, &mut mem, &mut Fixed(777), 10).unwrap();
-        assert_eq!(st.x(Reg::X1), 777);
+        st.run_blocks(&p, &mut mem, &mut Some(777), 10).unwrap();
+        // A supplied value is read once.
+        assert_eq!((st.x(Reg::X1), st.x(Reg::X2)), (777, 0));
     }
 
     #[test]

@@ -86,6 +86,29 @@ pub struct PreUop {
     pub dst: u8,
 }
 
+impl PreUop {
+    /// The cycle by which every source of this micro-op is ready in
+    /// `reg_ready`, a scoreboard indexed by slot.
+    #[inline]
+    pub fn srcs_ready(&self, reg_ready: &[u64; 64]) -> u64 {
+        let mut ready = 0;
+        for s in self.srcs {
+            if s != NO_REG_SLOT {
+                ready = ready.max(reg_ready[s as usize]);
+            }
+        }
+        ready
+    }
+
+    /// Marks this micro-op's destination ready at `complete` in `reg_ready`.
+    #[inline]
+    pub fn retire(&self, reg_ready: &mut [u64; 64], complete: u64) {
+        if self.dst != NO_REG_SLOT {
+            reg_ready[self.dst as usize] = complete;
+        }
+    }
+}
+
 /// Selector for the int↔float register moves and conversions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FMovKind {
@@ -256,6 +279,20 @@ mod tests {
         assert_eq!(FMovKind::CvtToInt.apply(f64::NAN.to_bits()), 0);
         assert_eq!(FMovKind::CvtToInt.apply(f64::INFINITY.to_bits()), i64::MAX as u64);
         assert_eq!(FMovKind::BitsToFp.apply(0xdead_beef), 0xdead_beef);
+    }
+
+    #[test]
+    fn scoreboard_helpers() {
+        let mut ready = [0u64; 64];
+        let u = PreUop { class: UopClass::FpAlu, srcs: [0, 40, NO_REG_SLOT], dst: 5 };
+        ready[40] = 9;
+        assert_eq!(u.srcs_ready(&ready), 9);
+        u.retire(&mut ready, 16);
+        assert_eq!(ready[5], 16);
+        let nodst = PreUop { class: UopClass::Nop, srcs: [NO_REG_SLOT; 3], dst: NO_REG_SLOT };
+        assert_eq!(nodst.srcs_ready(&ready), 0);
+        nodst.retire(&mut ready, 99); // no-op
+        assert_eq!(ready.iter().filter(|&&c| c == 99).count(), 0);
     }
 
     #[test]

@@ -32,8 +32,8 @@ use crate::predictor::{PredictorSnapshot, TournamentPredictor};
 use crate::resources::{FifoOccupancy, SlotPool, UnorderedOccupancy};
 use crate::types::{CommitEvent, CommitGate, DetectionSink};
 use paradet_isa::{
-    ArchState, ExecError, Instruction, MemAccess, NondetSource, PreUop, Program, Reg, UopClass,
-    INSN_BYTES, MAX_UOPS_PER_INSN, NO_REG_SLOT, TEXT_BASE,
+    ArchState, ExecError, Instruction, MemAccess, PreUop, Program, Reg, UopClass, INSN_BYTES,
+    MAX_UOPS_PER_INSN, NO_REG_SLOT, TEXT_BASE,
 };
 use paradet_mem::{CycleDiv, MemHier, Time};
 use std::collections::VecDeque;
@@ -138,14 +138,6 @@ struct InflightStore {
     bytes: u64,
     data_ready: u64,
     commit: u64,
-}
-
-struct SuppliedNondet(Option<u64>);
-
-impl NondetSource for SuppliedNondet {
-    fn next_nondet(&mut self) -> u64 {
-        self.0.take().unwrap_or(0)
-    }
 }
 
 /// An [`OooCore`] in compact form (see [`OooCore::snapshot`]).
@@ -401,20 +393,6 @@ impl OooCore {
         self.cycle_div.ceil(t)
     }
 
-    /// Operand readiness straight off pre-decoded source slots: the slot
-    /// bytes already carry the unified `0..64` encoding the scoreboard is
-    /// laid out in, so no enum dispatch remains.
-    #[inline]
-    fn pre_srcs_ready(&self, srcs: [u8; 3]) -> u64 {
-        let mut m = 0;
-        for s in srcs {
-            if s != NO_REG_SLOT {
-                m = m.max(self.reg_ready[s as usize]);
-            }
-        }
-        m
-    }
-
     /// Retires the remainder of the current basic block (capped at
     /// `max_instrs` macro-ops) off the program's pre-decoded
     /// superinstruction stream — the core's one retirement path. One block
@@ -533,7 +511,7 @@ impl OooCore {
             let mut completes = [0u64; MAX_UOPS_PER_INSN];
             let mut alu_units = [NO_UNIT; MAX_UOPS_PER_INSN];
             let mut resolve_cycle: Option<u64> = None;
-            let mut nondet_value: Option<u64> = None;
+            let mut nondet: Option<u64> = None;
             for (k, &p) in pre.iter().enumerate() {
                 let uop_addr = addr.wrapping_add(8 * k as u64);
                 let (complete, unit) =
@@ -542,7 +520,7 @@ impl OooCore {
                     UopClass::Branch | UopClass::Jump | UopClass::JumpReg => {
                         resolve_cycle = Some(complete)
                     }
-                    UopClass::RdCycle => nondet_value = Some(complete),
+                    UopClass::RdCycle => nondet = Some(complete),
                     _ => {}
                 }
                 completes[k] = complete;
@@ -550,16 +528,13 @@ impl OooCore {
                 // Record IQ release at issue (approximated by complete -
                 // latency ≈ issue; using complete keeps it conservative).
                 self.iq.push(complete);
-                if p.dst != NO_REG_SLOT {
-                    self.reg_ready[p.dst as usize] = complete;
-                }
+                p.retire(&mut self.reg_ready, complete);
                 if rmt {
                     self.issue_rmt_duplicate(hier, pc, fetch_cycle, p);
                 }
             }
 
             // ---- Functional execution (oracle) + faults --------------------
-            let mut nondet = SuppliedNondet(nondet_value);
             let mut step = self.state.step_decoded(insn, &mut hier.data, &mut nondet);
             // Access `k` is micro-op `k`'s. The LFU captures a load's value
             // at cache access (§IV-C), before a fault below can corrupt it.
@@ -821,7 +796,7 @@ impl OooCore {
         self.note_event(disp + 1);
 
         // Operand readiness (RAW through renamed registers).
-        let ready = self.pre_srcs_ready(p.srcs).max(disp + 1);
+        let ready = p.srcs_ready(&self.reg_ready).max(disp + 1);
 
         // Issue + execute through a functional unit.
         let mut unit = NO_UNIT;

@@ -14,12 +14,15 @@
 //!
 //! The store readers are pinned here too: bytes damaged on disk, by a
 //! flip, an insertion or a truncation, read back as a typed refusal,
-//! never as a panic or a value the bytes do not say.
+//! never as a panic or a value the bytes do not say. So is the flag
+//! parser in front of the store: it refuses any argument list it cannot
+//! begin a readable store for.
 
 use paradet::faults::chaosfs::CHAOS_KILL;
+use paradet::faults::cli::parse_campaign_flags;
 use paradet::faults::store::{
-    checkpoint_path, manifest_path, read_checkpoint_on, read_manifest_on, read_status_on,
-    status_path, Manifest, ShardStatus,
+    checkpoint_path, ensure_manifest_on, manifest_path, read_checkpoint_on, read_manifest_on,
+    read_status_on, status_path, Manifest, ShardStatus,
 };
 use paradet::faults::supervisor::{supervise_in_process, ShardFate};
 use paradet::faults::{
@@ -264,5 +267,63 @@ proptest! {
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Config flag `flag` with the value `pick` selects, randomized by `n`: a
+/// number (`0`, `2`, `u64::MAX`, huge, any, small), a name or site list
+/// that may be unknown or repeat a site, or garbage. The grid's flag,
+/// `--trials-per-site`, is drawn four times as often as each other flag.
+fn flag_and_value(flag: usize, pick: usize, n: u64) -> [String; 2] {
+    const SITES: [&str; 4] = ["int-reg", "store-value", "pc", "load-value"];
+    let flag = "--workload --instrs --seed --sites --fault-kind --recover --max-retries --no-lfu"
+        .split(' ')
+        .nth(flag)
+        .unwrap_or("--trials-per-site");
+    let value = match (flag, pick) {
+        (_, 6) => ["", "soon", "-1", "0x10", "1e3"][(n % 5) as usize].to_string(),
+        ("--workload", _) => ["stream", "freqmine", "randacc", "nope"][pick % 4].to_string(),
+        ("--sites", 0) => "extended".to_string(),
+        ("--sites", _) => {
+            (0..=n % 4).map(|k| SITES[(n >> (8 * k)) as usize % 4]).collect::<Vec<_>>().join(",")
+        }
+        ("--fault-kind", _) => {
+            ["transient", "permanent", "intermittent:40,3", "intermittent:40"][pick % 4].to_string()
+        }
+        _ => [0, 2, u64::MAX, u64::MAX >> (n % 8), n, n % 100_000][pick].to_string(),
+    };
+    [flag.to_string(), value]
+}
+
+proptest! {
+    /// Part 2 of "inputs can't crash it", for the campaign flags: a random
+    /// argument list, its last value perhaps cut off, is parsed or refused
+    /// and never panics the parser, and every config it accepts begins a
+    /// store whose manifest reads back as written.
+    #[test]
+    fn campaign_flags_parse_or_refuse_and_their_manifests_read_back(
+        draws in proptest::collection::vec((0usize..12, 0usize..7, any::<u64>()), 0..8),
+        cut in any::<bool>(),
+        shards in 1u32..=3,
+    ) {
+        let mut args: Vec<String> =
+            draws.iter().flat_map(|&(f, v, n)| flag_and_value(f, v, n)).collect();
+        if cut {
+            args.pop();
+        }
+        let parsed = std::panic::catch_unwind(|| parse_campaign_flags(&mut args.clone()));
+        prop_assert!(parsed.is_ok(), "parse_campaign_flags panicked on {args:?}");
+        if let Ok((cfg, _)) = parsed.unwrap() {
+            let dir = tmpdir("flags");
+            let written = ensure_manifest_on(&RealFs, &dir, &cfg, shards);
+            let read = read_manifest_on(&RealFs, &dir);
+            let _ = std::fs::remove_dir_all(&dir);
+            prop_assert!(written.is_ok(), "{args:?}: {:?}", written.err());
+            prop_assert!(
+                read.as_ref().ok() == written.as_ref().ok(),
+                "{args:?}: the manifest written reads back as {:?}",
+                read.map(|m| m.fingerprint)
+            );
+        }
     }
 }
