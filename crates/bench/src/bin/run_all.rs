@@ -2,16 +2,27 @@
 //!
 //! Pass `--smoke` to run each experiment at a sharply reduced instruction
 //! budget with sanity checks on the outputs — the CI fast path. A smoke
-//! check failure or panic exits non-zero.
+//! check failure or panic exits non-zero, and so does a CSV that cannot be
+//! written, with a message naming it.
 use paradet_bench::experiments as ex;
-use paradet_bench::runner::{instr_budget, Runner, DEFAULT_INSTRS};
+use paradet_bench::runner::{instr_budget, out_dir, Runner, DEFAULT_INSTRS};
 use paradet_stats::Table;
+use std::io;
+use std::path::Path;
 
 /// Instruction budget per run in smoke mode (vs. 150k for real figures).
 const SMOKE_INSTRS: u64 = 3_000;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
+    if let Err(e) = run(smoke, &out_dir()) {
+        eprintln!("run_all: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Runs the suite, writing every CSV under `out`.
+fn run(smoke: bool, out: &Path) -> io::Result<()> {
     let t0 = std::time::Instant::now();
     let r = Runner::with_instrs(instr_budget(if smoke { SMOKE_INSTRS } else { DEFAULT_INSTRS }));
     let (cov_trials, cov_instrs) = if smoke { (2, 2_000) } else { (10, 20_000) };
@@ -34,30 +45,27 @@ fn main() {
     // PARADET_THREADS settings (the documented determinism check diffs it).
     eprintln!("[{} worker threads]", paradet_par::num_threads());
     println!("paradet experiment suite — {} instructions per run\n", r.instrs());
-    show("table1_config", &[&ex::table1_config()]);
-    show("table2_benchmarks", &[&ex::table2_benchmarks()]);
-    show("fig07_slowdown", &[&ex::fig07_slowdown(&r)]);
-    show("fig08_delay_density", &[&ex::fig08_delay_density(&r)]);
-    show("fig09_freq_slowdown", &[&ex::fig09_freq_slowdown(&r)]);
-    show("fig10_checkpoint_overhead", &[&ex::fig10_checkpoint_overhead(&r)]);
-    let (a, b) = ex::fig11_freq_delay(&r);
+    show("table1_config", &[&ex::table1_config(out)?]);
+    show("table2_benchmarks", &[&ex::table2_benchmarks(out)?]);
+    show("fig07_slowdown", &[&ex::fig07_slowdown(&r, out)?]);
+    show("fig08_delay_density", &[&ex::fig08_delay_density(&r, out)?]);
+    show("fig09_freq_slowdown", &[&ex::fig09_freq_slowdown(&r, out)?]);
+    show("fig10_checkpoint_overhead", &[&ex::fig10_checkpoint_overhead(&r, out)?]);
+    let (a, b) = ex::fig11_freq_delay(&r, out)?;
     show("fig11_freq_delay", &[&a, &b]);
-    let (a, b) = ex::fig12_logsize_delay(&r);
+    let (a, b) = ex::fig12_logsize_delay(&r, out)?;
     show("fig12_logsize_delay", &[&a, &b]);
-    show("fig13_core_scaling", &[&ex::fig13_core_scaling(&r)]);
-    show("mixed_policy_delay", &[&ex::mixed_policy_delay(&r)]);
-    show("fig01_comparison", &[&ex::fig01_comparison(&r)]);
-    show("area_power", &[&ex::area_power()]);
-    show("sec6d_bigger_cores", &[&ex::sec6d_bigger_cores(&r)]);
-    show("fault_coverage", &[&ex::fault_coverage(cov_trials, cov_instrs)]);
-    show("fault_recovery", &[&ex::fault_recovery(cov_trials, cov_instrs)]);
+    show("fig13_core_scaling", &[&ex::fig13_core_scaling(&r, out)?]);
+    show("mixed_policy_delay", &[&ex::mixed_policy_delay(&r, out)?]);
+    show("fig01_comparison", &[&ex::fig01_comparison(&r, out)?]);
+    show("area_power", &[&ex::area_power(out)?]);
+    show("sec6d_bigger_cores", &[&ex::sec6d_bigger_cores(&r, out)?]);
+    show("fault_coverage", &[&ex::fault_coverage(cov_trials, cov_instrs, out)?]);
+    show("fault_recovery", &[&ex::fault_recovery(cov_trials, cov_instrs, out)?]);
 
-    println!(
-        "total wall time: {:.1?}; CSVs in {}",
-        t0.elapsed(),
-        paradet_bench::runner::out_dir().display()
-    );
+    println!("total wall time: {:.1?}; CSVs in {}", t0.elapsed(), out.display());
     if smoke {
         println!("smoke OK: {shown} experiments produced data");
     }
+    Ok(())
 }

@@ -3,13 +3,15 @@
 //! with core size while checker throughput scales linearly with the
 //! area/power devoted to it, so *relative* overhead shrinks.
 
-use super::par_grid;
-use crate::runner::{out_dir, Runner};
+use super::{par_grid, save};
+use crate::runner::Runner;
 use paradet_core::SystemConfig;
 use paradet_model::AreaInputs;
 use paradet_ooo::OooConfig;
 use paradet_stats::Table;
 use paradet_workloads::Workload;
+use std::io;
+use std::path::Path;
 
 /// A host-core scaling step: Table I's core, then progressively more
 /// aggressive designs (wider, bigger windows, more FUs, more checkers to
@@ -77,7 +79,7 @@ fn hosts() -> Vec<(&'static str, OooConfig, usize, f64)> {
 /// Sweeps host-core aggressiveness: slowdown stays bounded (more checkers
 /// absorb the higher commit rate) while the checkers' *relative* area
 /// shrinks against the growing host.
-pub fn sec6d_bigger_cores(r: &Runner) -> Table {
+pub fn sec6d_bigger_cores(r: &Runner, out: &Path) -> io::Result<Table> {
     let mut t = Table::new(
         "SVI-D: scaling to bigger main cores",
         &["host core", "checkers", "IPC", "slowdown(bitcount)", "slowdown(freqmine)", "area ovh"],
@@ -114,6 +116,6 @@ pub fn sec6d_bigger_cores(r: &Runner) -> Table {
             format!("{:.1}%", area.overhead_vs_core * 100.0),
         ]);
     }
-    let _ = t.write_csv(&out_dir().join("sec6d_bigger_cores.csv"));
-    t
+    save(&t, out, "sec6d_bigger_cores.csv")?;
+    Ok(t)
 }

@@ -1,18 +1,20 @@
 //! Fig. 1(d): the lockstep / RMT / paradet comparison, with measured
 //! performance and modelled area/energy.
 
-use super::par_grid;
-use crate::runner::{out_dir, Runner};
+use super::{par_grid, save};
+use crate::runner::Runner;
 use paradet_baselines::{rmt_slowdown, DclsSystem};
 use paradet_core::SystemConfig;
 use paradet_model::{AreaInputs, PowerInputs};
 use paradet_stats::{Summary, Table};
 use paradet_workloads::Workload;
+use std::io;
+use std::path::Path;
 
 /// Regenerates Fig. 1(d) with measured numbers: performance overhead is the
 /// geomean slowdown across the nine benchmarks; area and energy factors
 /// come from the §VI-B/C model.
-pub fn fig01_comparison(r: &Runner) -> Table {
+pub fn fig01_comparison(r: &Runner, out: &Path) -> io::Result<Table> {
     let cfg = SystemConfig::paper_default();
     let cells = par_grid(&Workload::all(), &[()], |w, ()| {
         let base = r.baseline(w).main_cycles.max(1);
@@ -59,6 +61,6 @@ pub fn fig01_comparison(r: &Runner) -> Table {
         format!("{:+.0}%", power.overhead * 100.0),
         "covered".into(),
     ]);
-    let _ = t.write_csv(&out_dir().join("fig01_comparison.csv"));
-    t
+    save(&t, out, "fig01_comparison.csv")?;
+    Ok(t)
 }

@@ -1,18 +1,20 @@
 //! Fault-injection coverage (the detection claims of §IV) and
 //! over-detection (§IV-I).
 
-use crate::runner::out_dir;
+use super::save;
 use paradet_core::SystemConfig;
 use paradet_faults::{
     ci95, coverage_cells, run_campaign, run_overdetection_trials, CampaignConfig, FaultSite,
 };
 use paradet_stats::Table;
 use paradet_workloads::Workload;
+use std::io;
+use std::path::Path;
 
 /// Runs the fault campaign on two representative workloads (one memory
 /// bound, one compute bound) plus the no-LFU ablation, and prints coverage
 /// per site with 95% Wilson confidence intervals.
-pub fn fault_coverage(trials_per_site: u64, instrs: u64) -> Table {
+pub fn fault_coverage(trials_per_site: u64, instrs: u64, out: &Path) -> io::Result<Table> {
     let mut t = Table::new(
         "Fault-injection coverage (per unmasked fault)",
         &paradet_faults::COVERAGE_HEADER,
@@ -50,6 +52,6 @@ pub fn fault_coverage(trials_per_site: u64, instrs: u64) -> Table {
         format!("{:.0}% false-positive", fp as f64 / n as f64 * 100.0),
         ci95(fp, n),
     ]);
-    let _ = t.write_csv(&out_dir().join("fault_coverage.csv"));
-    t
+    save(&t, out, "fault_coverage.csv")?;
+    Ok(t)
 }

@@ -1,16 +1,18 @@
 //! The detection-delay experiments: Fig. 8, 11 and 12.
 
-use super::{par_grid, CLOCK_SWEEP, LOG_SWEEP};
-use crate::runner::{out_dir, Runner};
+use super::{par_grid, save, CLOCK_SWEEP, LOG_SWEEP};
+use crate::runner::Runner;
 use paradet_core::SystemConfig;
-use paradet_stats::{gaussian_kde, write_csv, Table};
+use paradet_stats::{gaussian_kde, Table};
 use paradet_workloads::Workload;
+use std::io;
+use std::path::Path;
 
 /// Fig. 8: the distribution of delays between a load/store committing and
 /// being checked, at default settings (paper: roughly normal, mean 770 ns,
 /// 99.9% within 5 µs). Prints summary statistics and writes the KDE curves
 /// to CSV.
-pub fn fig08_delay_density(r: &Runner) -> Table {
+pub fn fig08_delay_density(r: &Runner, out: &Path) -> io::Result<Table> {
     let cfg = SystemConfig::paper_default();
     let mut t = Table::new(
         "Fig. 8: detection-delay distribution at default settings",
@@ -33,25 +35,24 @@ pub fn fig08_delay_density(r: &Runner) -> Table {
             .collect();
         (row, kde)
     });
-    let mut kde_rows: Vec<Vec<String>> = Vec::new();
+    let mut density =
+        Table::new("Fig. 8: detection-delay density", &["benchmark", "delay_ns", "density"]);
     for cell in cells {
         let (row, kde) = cell.into_iter().next().expect("one cell per workload row");
         t.row(&row);
-        kde_rows.extend(kde);
+        for point in &kde {
+            density.row(point);
+        }
     }
-    let _ = write_csv(
-        &out_dir().join("fig08_delay_density.csv"),
-        &["benchmark".into(), "delay_ns".into(), "density".into()],
-        &kde_rows,
-    );
-    let _ = t.write_csv(&out_dir().join("fig08_delay_summary.csv"));
-    t
+    save(&density, out, "fig08_delay_density.csv")?;
+    save(&t, out, "fig08_delay_summary.csv")?;
+    Ok(t)
 }
 
 /// Fig. 11: mean (a) and max (b) store-check delay vs checker clock
 /// (paper: mean halves as the clock doubles, saturating at high clocks).
 /// Each point is [`Runner::clock_point`]'s, shared with Fig. 9.
-pub fn fig11_freq_delay(r: &Runner) -> (Table, Table) {
+pub fn fig11_freq_delay(r: &Runner, out: &Path) -> io::Result<(Table, Table)> {
     let mut mean_t =
         super::slowdown::clock_table("Fig. 11a: mean store-check delay (ns) vs checker clock");
     let mut max_t =
@@ -70,14 +71,14 @@ pub fn fig11_freq_delay(r: &Runner) -> (Table, Table) {
         mean_t.row(&mean_row);
         max_t.row(&max_row);
     }
-    let _ = mean_t.write_csv(&out_dir().join("fig11a_mean_delay.csv"));
-    let _ = max_t.write_csv(&out_dir().join("fig11b_max_delay.csv"));
-    (mean_t, max_t)
+    save(&mean_t, out, "fig11a_mean_delay.csv")?;
+    save(&max_t, out, "fig11b_max_delay.csv")?;
+    Ok((mean_t, max_t))
 }
 
 /// Fig. 12: mean (a) and max (b) store-check delay vs log size/timeout
 /// (paper: mean scales linearly with segment size).
-pub fn fig12_logsize_delay(r: &Runner) -> (Table, Table) {
+pub fn fig12_logsize_delay(r: &Runner, out: &Path) -> io::Result<(Table, Table)> {
     let header: Vec<String> = std::iter::once("benchmark".to_string())
         .chain(LOG_SWEEP.iter().map(|(l, _, _)| l.to_string()))
         .collect();
@@ -99,7 +100,7 @@ pub fn fig12_logsize_delay(r: &Runner) -> (Table, Table) {
         mean_t.row(&mean_row);
         max_t.row(&max_row);
     }
-    let _ = mean_t.write_csv(&out_dir().join("fig12a_mean_delay.csv"));
-    let _ = max_t.write_csv(&out_dir().join("fig12b_max_delay.csv"));
-    (mean_t, max_t)
+    save(&mean_t, out, "fig12a_mean_delay.csv")?;
+    save(&max_t, out, "fig12b_max_delay.csv")?;
+    Ok((mean_t, max_t))
 }

@@ -1,9 +1,11 @@
 //! §VI-B area and §VI-C power estimates.
 
-use crate::runner::out_dir;
+use super::save;
 use paradet_core::{LogConfig, SegmentLog};
 use paradet_model::{AreaInputs, PowerInputs};
 use paradet_stats::Table;
+use std::io;
+use std::path::Path;
 
 /// Evaluates and prints the analytic area/power model with the paper's
 /// datapoints (paper: ≈24% area vs core, ≈16% vs core+L2, ≈16% power).
@@ -12,7 +14,7 @@ use paradet_stats::Table;
 /// structure-of-arrays segment layout ([`SegmentLog::SRAM_BITS_PER_ENTRY`])
 /// next to the 18-byte modelling estimate [`LogConfig`] sizes segments
 /// with.
-pub fn area_power() -> Table {
+pub fn area_power(out: &Path) -> io::Result<Table> {
     let a = AreaInputs::default().evaluate();
     let p = PowerInputs::default().evaluate();
     let mut t = Table::new("SVI-B/C: area and power overheads", &["quantity", "value"]);
@@ -34,6 +36,6 @@ pub fn area_power() -> Table {
     t.row(&["checker power (12x)".into(), format!("{:.3} W", p.checkers_w)]);
     t.row(&["power overhead (upper bound)".into(), format!("{:.1}%", p.overhead * 100.0)]);
     t.row(&["DCLS area/power overhead".into(), "100% / 100%".into()]);
-    let _ = t.write_csv(&out_dir().join("area_power.csv"));
-    t
+    save(&t, out, "area_power.csv")?;
+    Ok(t)
 }

@@ -2,11 +2,13 @@
 //! distributions by scheduling policy (the MEEK/FlexStep regime — see
 //! `paradet_checker::SchedPolicyKind`).
 
-use super::par_grid;
-use crate::runner::{out_dir, Runner};
+use super::{par_grid, save};
+use crate::runner::Runner;
 use paradet_core::{FarmSpec, SchedPolicyKind, SystemConfig};
 use paradet_stats::Table;
 use paradet_workloads::Workload;
+use std::io;
+use std::path::Path;
 
 /// The mixed farm every policy is compared on: the paper's 12 slots,
 /// striped fast/medium/slow (2 GHz / 1 GHz / 250 MHz — four slots each).
@@ -20,7 +22,7 @@ pub const MIXED_FARM_CLOCKS: [u64; 3] = [2000, 1000, 250];
 /// regime. The `stall retries` column is the log-full backpressure the
 /// main core felt — the policy axis the detection-latency distribution
 /// trades against.
-pub fn mixed_policy_delay(r: &Runner) -> Table {
+pub fn mixed_policy_delay(r: &Runner, out: &Path) -> io::Result<Table> {
     let farm = FarmSpec::striped(&MIXED_FARM_CLOCKS);
     let mut t = Table::new(
         "Mixed farm (2000/1000/250 MHz striped): detection delay by scheduling policy",
@@ -51,6 +53,6 @@ pub fn mixed_policy_delay(r: &Runner) -> Table {
     for row in cells.into_iter().flatten() {
         t.row(&row);
     }
-    let _ = t.write_csv(&out_dir().join("mixed_policy_delay.csv"));
-    t
+    save(&t, out, "mixed_policy_delay.csv")?;
+    Ok(t)
 }

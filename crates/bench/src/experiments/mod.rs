@@ -6,6 +6,9 @@
 //! [`Runner`](crate::runner::Runner) caches programs and baselines behind
 //! interior mutability — so tables, CSVs, and figures are byte-identical at
 //! any thread count.
+//!
+//! Each function writes its CSVs under the directory its caller passes and
+//! returns the first I/O error, naming the file it could not write.
 
 mod bigger;
 mod comparison;
@@ -28,6 +31,17 @@ pub use slowdown::{
     fig07_slowdown, fig09_freq_slowdown, fig10_checkpoint_overhead, fig13_core_scaling,
 };
 pub use tables::{table1_config, table2_benchmarks};
+
+use paradet_stats::Table;
+use std::io;
+use std::path::Path;
+
+/// Writes `table` as the CSV `name` under `out`; an error names the file.
+pub(crate) fn save(table: &Table, out: &Path, name: &str) -> io::Result<()> {
+    let path = out.join(name);
+    let named = |e: io::Error| io::Error::new(e.kind(), format!("writing {}: {e}", path.display()));
+    table.write_csv(&path).map_err(named)
+}
 
 /// Evaluates `f` over the `rows × cols` grid in parallel (one whole
 /// simulation per point) and returns the results in row-major order, one
@@ -67,3 +81,19 @@ pub const CORE_SWEEP: [(&str, usize, u64); 5] = [
     ("12c@500MHz", 12, 500),
     ("12c@1GHz", 12, 1000),
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_csv_that_cannot_be_written_is_an_error_naming_it() {
+        let file = std::env::temp_dir().join(format!("paradet-bench-file-{}", std::process::id()));
+        std::fs::write(&file, "a regular file").expect("write the blocking file");
+        let out = file.join("out");
+        let err = table1_config(&out).expect_err("no CSV can be written below a regular file");
+        let _ = std::fs::remove_file(&file);
+        let csv = out.join("table1_config.csv");
+        assert!(err.to_string().contains(&csv.display().to_string()), "{err}");
+    }
+}

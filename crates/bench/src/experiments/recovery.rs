@@ -2,13 +2,15 @@
 //! paper's §III recovery sketch): outcome per fault class across the
 //! temporal fault space — transient, intermittent, and permanent strikes.
 
-use crate::runner::out_dir;
+use super::save;
 use paradet_faults::{
     recovery_cells, run_campaign, CampaignConfig, FaultKind, FaultSite, RecoveryPolicy,
     RECOVERY_HEADER,
 };
 use paradet_stats::Table;
 use paradet_workloads::Workload;
+use std::io;
+use std::path::Path;
 
 /// The temporal fault kinds the recovery sweep covers.
 const KINDS: [FaultKind; 3] =
@@ -19,7 +21,7 @@ const KINDS: [FaultKind; 3] =
 /// one row per kind × class: how many trials recovered, degraded, or
 /// escaped, with the mean retry count. Transient in-sphere classes must
 /// show zero unrecoverable trials — the forward-progress guarantee.
-pub fn fault_recovery(trials_per_site: u64, instrs: u64) -> Table {
+pub fn fault_recovery(trials_per_site: u64, instrs: u64, out: &Path) -> io::Result<Table> {
     let mut t =
         Table::new("Fault recovery by class (detect → rollback → re-execute)", &RECOVERY_HEADER);
     let sites = vec![
@@ -45,6 +47,6 @@ pub fn fault_recovery(trials_per_site: u64, instrs: u64) -> Table {
             t.row(&recovery_cells(cfg.workload.name(), kind.name(), site.name(), s));
         }
     }
-    let _ = t.write_csv(&out_dir().join("fault_recovery.csv"));
-    t
+    save(&t, out, "fault_recovery.csv")?;
+    Ok(t)
 }

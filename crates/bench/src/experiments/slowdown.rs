@@ -1,14 +1,16 @@
 //! The normalized-slowdown experiments: Fig. 7, 9, 10 and 13.
 
-use super::{par_grid, CLOCK_SWEEP, CORE_SWEEP, LOG_SWEEP};
-use crate::runner::{out_dir, Runner};
+use super::{par_grid, save, CLOCK_SWEEP, CORE_SWEEP, LOG_SWEEP};
+use crate::runner::Runner;
 use paradet_core::{DetectionMode, SystemConfig};
 use paradet_stats::{Summary, Table};
 use paradet_workloads::Workload;
+use std::io;
+use std::path::Path;
 
 /// Fig. 7: normalized slowdown per benchmark at Table I settings
 /// (paper: average 1.75%, max 3.4%).
-pub fn fig07_slowdown(r: &Runner) -> Table {
+pub fn fig07_slowdown(r: &Runner, out: &Path) -> io::Result<Table> {
     let cfg = SystemConfig::paper_default();
     let mut t = Table::new(
         "Fig. 7: normalized slowdown at default settings",
@@ -33,8 +35,8 @@ pub fn fig07_slowdown(r: &Runner) -> Table {
     }
     let sum = Summary::of(&slowdowns);
     t.row(&["geomean".to_string(), String::new(), String::new(), format!("{:.4}", sum.geomean)]);
-    let _ = t.write_csv(&out_dir().join("fig07_slowdown.csv"));
-    t
+    save(&t, out, "fig07_slowdown.csv")?;
+    Ok(t)
 }
 
 /// Fig. 9: slowdown when sweeping the checker-core clock
@@ -42,7 +44,7 @@ pub fn fig07_slowdown(r: &Runner) -> Table {
 /// Each point is [`Runner::clock_point`]'s: one run per workload carries
 /// every clock, and only the clocks whose rows it cannot certify exact run
 /// again on their own.
-pub fn fig09_freq_slowdown(r: &Runner) -> Table {
+pub fn fig09_freq_slowdown(r: &Runner, out: &Path) -> io::Result<Table> {
     let mut t = clock_table("Fig. 9: slowdown vs checker clock");
     let cells = par_grid(&Workload::all(), &CLOCK_SWEEP, |w, &mhz| r.clock_point(w, mhz).slowdown);
     for (w, row) in Workload::all().iter().zip(&cells) {
@@ -50,8 +52,8 @@ pub fn fig09_freq_slowdown(r: &Runner) -> Table {
         out.extend(row.iter().map(|s| format!("{s:.3}")));
         t.row(&out);
     }
-    let _ = t.write_csv(&out_dir().join("fig09_freq_slowdown.csv"));
-    t
+    save(&t, out, "fig09_freq_slowdown.csv")?;
+    Ok(t)
 }
 
 /// An empty table with the shared `benchmark, 125MHz, …` header of the
@@ -67,7 +69,7 @@ pub(crate) fn clock_table(title: &str) -> Table {
 /// Fig. 10: slowdown from checkpointing alone (checkers disabled), across
 /// log sizes and timeouts (paper: up to 15% at 3.6 KiB/500, ≤2% at
 /// defaults, negligible at 360 KiB).
-pub fn fig10_checkpoint_overhead(r: &Runner) -> Table {
+pub fn fig10_checkpoint_overhead(r: &Runner, out: &Path) -> io::Result<Table> {
     let configs = &LOG_SWEEP[..4];
     let header: Vec<String> = std::iter::once("benchmark".to_string())
         .chain(configs.iter().map(|(l, _, _)| l.to_string()))
@@ -85,8 +87,8 @@ pub fn fig10_checkpoint_overhead(r: &Runner) -> Table {
         out.extend(row.iter().map(|s| format!("{s:.4}")));
         t.row(&out);
     }
-    let _ = t.write_csv(&out_dir().join("fig10_checkpoint_overhead.csv"));
-    t
+    save(&t, out, "fig10_checkpoint_overhead.csv")?;
+    Ok(t)
 }
 
 /// Fig. 13: slowdown across checker-core counts and clocks
@@ -95,7 +97,7 @@ pub fn fig10_checkpoint_overhead(r: &Runner) -> Table {
 /// Core counts change segment geometry, so each count needs its own
 /// simulation; the Table I count's points are Fig. 9's
 /// [`Runner::clock_point`]s.
-pub fn fig13_core_scaling(r: &Runner) -> Table {
+pub fn fig13_core_scaling(r: &Runner, out: &Path) -> io::Result<Table> {
     let header: Vec<String> = std::iter::once("benchmark".to_string())
         .chain(CORE_SWEEP.iter().map(|(l, _, _)| l.to_string()))
         .collect();
@@ -115,6 +117,6 @@ pub fn fig13_core_scaling(r: &Runner) -> Table {
         out.extend(row.iter().map(|s| format!("{s:.3}")));
         t.row(&out);
     }
-    let _ = t.write_csv(&out_dir().join("fig13_core_scaling.csv"));
-    t
+    save(&t, out, "fig13_core_scaling.csv")?;
+    Ok(t)
 }

@@ -1,12 +1,14 @@
 //! Table I (configuration) and Table II (benchmarks).
 
-use crate::runner::out_dir;
+use super::save;
 use paradet_core::SystemConfig;
 use paradet_stats::Table;
 use paradet_workloads::Workload;
+use std::io;
+use std::path::Path;
 
 /// Prints the modelled Table I configuration.
-pub fn table1_config() -> Table {
+pub fn table1_config(out: &Path) -> io::Result<Table> {
     let cfg = SystemConfig::paper_default();
     let mut t = Table::new("Table I: core and memory experimental setup", &["parameter", "value"]);
     let m = &cfg.main;
@@ -57,12 +59,12 @@ pub fn table1_config() -> Table {
     for (k, v) in rows {
         t.row(&[k.to_string(), v]);
     }
-    let _ = t.write_csv(&out_dir().join("table1_config.csv"));
-    t
+    save(&t, out, "table1_config.csv")?;
+    Ok(t)
 }
 
 /// Prints the Table II benchmark inventory with the synthetic-kernel notes.
-pub fn table2_benchmarks() -> Table {
+pub fn table2_benchmarks(out: &Path) -> io::Result<Table> {
     let mut t = Table::new(
         "Table II: benchmarks (synthetic equivalents)",
         &["benchmark", "source", "synthetic kernel character"],
@@ -70,6 +72,6 @@ pub fn table2_benchmarks() -> Table {
     for w in Workload::all() {
         t.row(&[w.name().to_string(), w.source().to_string(), w.description().to_string()]);
     }
-    let _ = t.write_csv(&out_dir().join("table2_benchmarks.csv"));
-    t
+    save(&t, out, "table2_benchmarks.csv")?;
+    Ok(t)
 }

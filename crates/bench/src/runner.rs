@@ -1,4 +1,5 @@
-//! Sweep runner with baseline caching and common CLI conventions.
+//! Sweep runner with baseline caching, and the budget and output
+//! settings `run_all` reads.
 //!
 //! The runner is shared by reference across the worker threads of a
 //! parallel sweep (see `paradet-par`): programs, unchecked baselines and
@@ -77,11 +78,6 @@ pub struct ClockPoint {
 }
 
 impl Runner {
-    /// Creates a runner with the environment-configured budget.
-    pub fn new() -> Runner {
-        Runner::with_instrs(instr_budget(DEFAULT_INSTRS))
-    }
-
     /// Creates a runner with an explicit budget.
     pub fn with_instrs(instrs: u64) -> Runner {
         Runner { instrs, ..Runner::default() }

@@ -45,7 +45,7 @@ use std::sync::Arc;
 /// The complete fault load of one recovery trial: a temporal kind applied
 /// to main-core strike targets, plus optional array and checker-side
 /// faults (which have their own temporal semantics).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrialFaults {
     /// Temporal behaviour of the main-core strikes.
     pub kind: FaultKind,

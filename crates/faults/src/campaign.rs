@@ -245,17 +245,14 @@ impl Outcome {
 }
 
 /// One trial's record: what the one-shot run returns, what a shard
-/// checkpoints (the fault excepted), and what the merge reads back.
+/// checkpoints, and what the merge reads back. Its faults are
+/// [`trial_plan`]'s, pure in the campaign seed, `site` and `trial`.
 #[derive(Debug, Clone)]
 pub struct TrialResult {
     /// The site class.
     pub site: FaultSite,
     /// The trial index within the site.
     pub trial: u64,
-    /// The concrete fault. Checkpoints do not store it: it is pure in
-    /// `(seed, site, trial)`, and the checkpoint reader rebuilds it with
-    /// [`trial_fault`].
-    pub fault: ArmedFault,
     /// The classification.
     pub outcome: Outcome,
     /// When detected, the first error's confirmation time measured from
@@ -489,28 +486,9 @@ pub fn trial_plan(
     plan
 }
 
-/// The representative [`ArmedFault`] of trial `trial` on `site` — the
-/// first main-core strike of its [`trial_plan`], or a placeholder for
-/// site classes with no core strike (array and false-positive faults).
-///
-/// For the eight legacy sites this is byte-for-byte the fault this
-/// function has always returned.
-pub fn trial_fault(seed: u64, site: FaultSite, trial: u64, instrs: u64) -> ArmedFault {
-    representative_fault(&trial_plan(seed, site, trial, instrs, FaultKind::Transient))
-}
-
 /// The smallest per-trial budget a campaign accepts: strikes are drawn
 /// from `1..instrs * 8 / 10`, which is empty below 3.
 pub const MIN_CAMPAIGN_INSTRS: u64 = 3;
-
-/// [`trial_fault`] of an already-drawn plan: the draws do not depend on
-/// the plan's kind, so any kind's plan gives the same fault.
-fn representative_fault(plan: &TrialFaults) -> ArmedFault {
-    plan.core.first().copied().unwrap_or_else(|| {
-        let at = plan.array.map(|a| a.at_access).unwrap_or(0);
-        ArmedFault::new(at, FaultTarget::PcBit { bit: 2 })
-    })
-}
 
 /// Stream tag for over-detection trials (distinct from every `FaultSite::id`).
 const OVERDETECTION_STREAM: u64 = 0xFACE;
@@ -595,7 +573,6 @@ pub(crate) fn run_point(
     scratch: &mut SimScratch,
 ) -> TrialResult {
     let plan = trial_plan(cfg.seed, site, trial, cfg.instrs, cfg.fault_kind);
-    let fault = representative_fault(&plan);
     let (outcome, detect_latency, recovery_fs) = match &cfg.recovery {
         Some(policy) => run_trial_recover(cfg, golden, &plan, policy, scratch),
         None => {
@@ -603,7 +580,7 @@ pub(crate) fn run_point(
             (outcome, latency, None)
         }
     };
-    TrialResult { site, trial, fault, outcome, detect_latency, recovery_fs }
+    TrialResult { site, trial, outcome, detect_latency, recovery_fs }
 }
 
 /// Folds one trial into a site aggregate — the single tally shared by the
@@ -851,24 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn trial_fault_is_the_first_strike_of_any_kinds_plan() {
-        let kinds = [
-            FaultKind::Transient,
-            FaultKind::Intermittent { period: 40, count: 3 },
-            FaultKind::Permanent,
-        ];
-        for site in FaultSite::extended() {
-            for trial in 0..8 {
-                let fault = trial_fault(42, site, trial, 20_000);
-                for kind in kinds {
-                    let plan = trial_plan(42, site, trial, 20_000, kind);
-                    assert_eq!(representative_fault(&plan), fault, "{site:?}/{trial} {kind:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn multi_bit_upsets_flip_distinct_bits() {
         for seed in [1, 7, 42, 1234] {
             for trial in 0..1_000 {
@@ -955,8 +914,7 @@ mod tests {
         } else {
             (Outcome::Masked, None)
         };
-        let fault = representative_fault(&plan);
-        TrialResult { site, trial, fault, outcome, detect_latency, recovery_fs: None }
+        TrialResult { site, trial, outcome, detect_latency, recovery_fs: None }
     }
 
     /// Invariant 14's detection cut: a trial that ends at its first error
@@ -1028,7 +986,6 @@ mod tests {
         let a = small_campaign(vec![FaultSite::StoreValue], 4);
         let b = small_campaign(vec![FaultSite::StoreValue], 4);
         for (x, y) in a.trials.iter().zip(b.trials.iter()) {
-            assert_eq!(x.fault, y.fault);
             assert_eq!(x.outcome, y.outcome);
         }
     }

@@ -46,8 +46,8 @@ pub mod store;
 pub mod supervisor;
 
 pub use campaign::{
-    run_campaign, run_overdetection_trials, trial_fault, trial_plan, trial_seed, CampaignConfig,
-    CampaignResult, FaultSite, Outcome, SiteResult, TrialResult, MIN_CAMPAIGN_INSTRS,
+    run_campaign, run_overdetection_trials, trial_plan, trial_seed, CampaignConfig, CampaignResult,
+    FaultSite, Outcome, SiteResult, TrialResult, MIN_CAMPAIGN_INSTRS,
 };
 pub use chaosfs::{ChaosFs, ChaosScript, KillMode};
 pub use paradet_core::RecoveryPolicy;

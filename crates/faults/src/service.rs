@@ -20,10 +20,10 @@
 //! * checkpoints are written atomically, so a kill leaves a valid prefix
 //!   of the slice and resume recomputes only the suffix;
 //! * the checkpoint reader ([`read_checkpoint_on`]) accepts only a prefix
-//!   of the shard's slice and rebuilds each trial's fault, and the merge
-//!   places the `j`-th trial of shard `i/n` at grid index `i + j·n`
-//!   ([`ShardSpec::point`]) and aggregates with the same fold as the
-//!   one-shot path ([`aggregate`](crate::campaign)).
+//!   of the shard's slice, and the merge places the `j`-th trial of shard
+//!   `i/n` at grid index `i + j·n` ([`ShardSpec::point`]) and aggregates
+//!   with the same fold as the one-shot path
+//!   ([`aggregate`](crate::campaign)).
 //!
 //! Both merges take one walk over the shards; the strict one refuses any
 //! shard the walk could not fill, the partial one accounts for it.
@@ -68,6 +68,12 @@ impl Default for ShardRunOptions {
         ShardRunOptions { shard: ShardSpec::SOLO, checkpoint_every: 25, resume: false }
     }
 }
+
+/// The most grid points a shard run builds and runs at once. Up to each
+/// checkpoint, points run in batches of at most this many, so neither a
+/// slice nor a checkpoint interval sizes an allocation; at the default
+/// interval of 25 a batch is the whole interval.
+const BATCH_POINTS: u64 = 256;
 
 /// What a completed (or resumed-to-completion) shard run did.
 #[derive(Debug, Clone, Copy)]
@@ -131,22 +137,24 @@ pub fn run_campaign_shard_on(
     if resumed_from < total {
         let golden = prepare_golden(cfg);
         let every = opts.checkpoint_every.max(1);
-        while (trials.len() as u64) < total {
-            // Only the points up to the next checkpoint are built: a slice
-            // can be far larger than memory.
-            let at = trials.len() as u64;
-            let chunk: Vec<_> = (at..total.min(at.saturating_add(every)))
-                .map(|j| {
-                    let point = opts.shard.point(&cfg.sites, cfg.trials_per_site, j);
-                    point.expect("j is inside the slice")
-                })
-                .collect();
-            // par_map is order-preserving: batch[j] is chunk[j]'s result.
-            let batch = paradet_par::par_map(&chunk, SimScratch::new, |scratch, _, &(site, t)| {
-                run_point(cfg, &golden, site, t, scratch)
-            });
-            trials.extend(batch);
-            let done = trials.len() as u64;
+        let mut done = resumed_from;
+        while done < total {
+            let checkpoint = total.min(done.saturating_add(every));
+            while done < checkpoint {
+                let points: Vec<_> = (done..checkpoint.min(done.saturating_add(BATCH_POINTS)))
+                    .map(|j| {
+                        let point = opts.shard.point(&cfg.sites, cfg.trials_per_site, j);
+                        point.expect("j is inside the slice")
+                    })
+                    .collect();
+                // par_map is order-preserving: batch[j] is points[j]'s result.
+                let batch =
+                    paradet_par::par_map(&points, SimScratch::new, |scratch, _, &(site, t)| {
+                        run_point(cfg, &golden, site, t, scratch)
+                    });
+                trials.extend(batch);
+                done = trials.len() as u64;
+            }
             write_checkpoint_on(fs.as_ref(), dir, &manifest, opts.shard, &trials)?;
             write_status_on(fs.as_ref(), dir, opts.shard, "running", done, total)?;
             on_checkpoint(done, total);

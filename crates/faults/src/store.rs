@@ -42,9 +42,7 @@
 //! The workspace is deliberately dependency-free (no serde); the JSON here
 //! is hand-rendered and hand-scanned.
 
-use crate::campaign::{
-    trial_fault, CampaignConfig, FaultSite, Outcome, TrialResult, MIN_CAMPAIGN_INSTRS,
-};
+use crate::campaign::{CampaignConfig, FaultSite, Outcome, TrialResult, MIN_CAMPAIGN_INSTRS};
 use crate::shard::ShardSpec;
 use paradet_mem::Time;
 use std::fmt;
@@ -482,7 +480,7 @@ fn check_sealed(line: &str) -> Option<&str> {
 /// Atomically (re)writes shard `shard`'s checkpoint under `manifest`: a
 /// header line carrying the schema + fingerprint, then one line per
 /// completed trial in slice order — its site, trial index, outcome,
-/// latency and recovery cost, not its fault. Every line — header
+/// latency and recovery cost. Every line — header
 /// included — is sealed with a FNV-1a checksum so bit rot from non-atomic
 /// storage (NFS, torn replication) is caught on read instead of corrupting
 /// a resumed campaign.
@@ -527,9 +525,7 @@ pub fn write_checkpoint_on(
 /// Reads shard `shard`'s checkpoint, if present, under `manifest`: the
 /// header's fingerprint must be the manifest's, every line must pass its
 /// checksum, and the records must be a prefix of the shard's slice of the
-/// grid, in slice order. Each trial's fault is rebuilt with
-/// [`trial_fault`]: it is pure in `(seed, site, trial)`, which is the whole
-/// reason sharding can be bit-identical.
+/// grid, in slice order.
 ///
 /// A checksum failure on the **final** line is treated as a clean
 /// truncation (a partial append from foreign storage): the intact prefix
@@ -604,7 +600,6 @@ pub fn read_checkpoint_on(
         trials.push(TrialResult {
             site,
             trial,
-            fault: trial_fault(manifest.seed, site, trial, manifest.instrs),
             outcome,
             detect_latency: u64_field(body, "latency_fs").map(Time::from_fs),
             recovery_fs: u64_field(body, "recovery_fs"),
@@ -1063,7 +1058,6 @@ mod tests {
             .map(|((site, trial), (outcome, latency, recovery_fs))| TrialResult {
                 site,
                 trial,
-                fault: trial_fault(cfg.seed, site, trial, cfg.instrs),
                 outcome,
                 detect_latency: latency.map(Time::from_fs),
                 recovery_fs,

@@ -8,7 +8,7 @@
 //! on-disk store, lock semantics after an unclean death, resume, merge,
 //! and the rendered CSV bytes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 const CAMPAIGND: &str = env!("CARGO_BIN_EXE_campaignd");
@@ -46,6 +46,19 @@ fn golden_csv(path: &PathBuf) -> Vec<u8> {
     let out = campaignd(&["--one-shot", "--out", path.to_str().unwrap()]);
     assert!(out.status.success(), "one-shot failed: {}", stderr_of(&out));
     std::fs::read(path).expect("golden csv written")
+}
+
+/// `campaign-merge` of `dir`, checked against the config flags' fingerprint
+/// and written to `dir/merged.csv`; returns its bytes.
+fn merged_csv(dir: &Path) -> Vec<u8> {
+    let path = dir.join("merged.csv");
+    let merge = Command::new(MERGE)
+        .args(CONFIG_FLAGS)
+        .args(["--dir", dir.to_str().unwrap(), "--out", path.to_str().unwrap()])
+        .output()
+        .expect("spawn campaign-merge");
+    assert!(merge.status.success(), "merge failed: {}", stderr_of(&merge));
+    std::fs::read(&path).expect("merged csv written")
 }
 
 /// The acceptance-criteria scenario, end to end: a 2-shard campaign with
@@ -107,16 +120,9 @@ fn aborted_shard_resumes_and_merges_byte_identical() {
 
     // Merge (with the config flags, so the fingerprint gate is exercised
     // on the happy path too) and compare bytes.
-    let merged_path = dir.join("merged.csv");
-    let merge = Command::new(MERGE)
-        .args(CONFIG_FLAGS)
-        .args(["--dir", dir_s, "--out", merged_path.to_str().unwrap()])
-        .output()
-        .expect("spawn campaign-merge");
-    assert!(merge.status.success(), "merge failed: {}", stderr_of(&merge));
-    let merged = std::fs::read(&merged_path).expect("merged csv written");
     assert_eq!(
-        golden, merged,
+        golden,
+        merged_csv(&dir),
         "merged coverage table must be byte-identical to the one-shot golden"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -154,14 +160,7 @@ fn sigkilled_shard_resumes_and_merges_byte_identical() {
     let resumed = campaignd(&["--shard", "0/1", "--resume", dir_s, "--checkpoint-every", "1"]);
     assert!(resumed.status.success(), "resume failed: {}", stderr_of(&resumed));
 
-    let merged_path = dir.join("merged.csv");
-    let merge = Command::new(MERGE)
-        .args(["--dir", dir_s, "--out", merged_path.to_str().unwrap()])
-        .output()
-        .expect("spawn campaign-merge");
-    assert!(merge.status.success(), "merge failed: {}", stderr_of(&merge));
-    let merged = std::fs::read(&merged_path).expect("merged csv written");
-    assert_eq!(golden, merged);
+    assert_eq!(golden, merged_csv(&dir));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -221,15 +220,7 @@ fn chaos_kill_in_checkpoint_window_repairs_on_resume() {
     let s1 = campaignd(&["--shard", "1/2", "--dir", dir_s]);
     assert!(s1.status.success(), "shard 1 failed: {}", stderr_of(&s1));
 
-    let merged_path = dir.join("merged.csv");
-    let merge = Command::new(MERGE)
-        .args(CONFIG_FLAGS)
-        .args(["--dir", dir_s, "--out", merged_path.to_str().unwrap()])
-        .output()
-        .expect("spawn campaign-merge");
-    assert!(merge.status.success(), "merge failed: {}", stderr_of(&merge));
-    let merged = std::fs::read(&merged_path).expect("merged csv written");
-    assert_eq!(golden, merged, "chaos + repair must still merge byte-identical");
+    assert_eq!(golden, merged_csv(&dir), "chaos + repair must still merge byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -263,6 +254,44 @@ fn a_huge_shard_checkpoints_without_building_its_slice() {
     };
     assert_eq!(row("0/2"), ["0/2", "1", "1152921504606846976", "0%", "partial"], "{stdout}");
     assert_eq!(row("1/2"), ["1/2", "0", "1152921504606846976", "0%", "missing"], "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint interval does not size what a shard builds at once: with
+/// one larger than its slice, a 2^60-trial shard keeps running (it does not
+/// panic with "capacity overflow", exit 101), and 6-trial shards each
+/// checkpoint once, at their end, and merge byte-identical to the one-shot
+/// table.
+#[test]
+fn a_huge_checkpoint_interval_runs_in_batches() {
+    let dir = tmpdir("huge-interval");
+    let dir_s = dir.to_str().unwrap();
+    let never = u64::MAX.to_string();
+    let mut huge = Command::new(CAMPAIGND)
+        .args(["--instrs", "2500", "--trials-per-site", "1152921504606846976"])
+        .args(["--sites", "int-reg,pc", "--shard", "0/2", "--dir", dir_s])
+        .args(["--checkpoint-every", &never])
+        .env("PARADET_THREADS", "1")
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn campaignd");
+    std::thread::sleep(std::time::Duration::from_secs(3));
+    let ended = huge.try_wait().expect("poll campaignd");
+    let _ = huge.kill();
+    let _ = huge.wait();
+    assert_eq!(ended, None, "the 2^60-trial shard must still be running");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    std::fs::create_dir_all(&dir).unwrap();
+    let golden = golden_csv(&dir.join("golden.csv"));
+    for shard in ["0/2", "1/2"] {
+        let out = campaignd(&["--shard", shard, "--dir", dir_s, "--checkpoint-every", &never]);
+        assert!(out.status.success(), "shard {shard} failed: {}", stderr_of(&out));
+        let stderr = stderr_of(&out);
+        let checkpoints: Vec<_> = stderr.lines().filter(|l| l.contains("checkpointed")).collect();
+        assert_eq!(checkpoints, [format!("shard {shard}: 6/6 trials checkpointed")]);
+    }
+    assert_eq!(golden, merged_csv(&dir));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -107,7 +107,7 @@ fn two_shard_recovery_campaign_merges_byte_identical() {
     assert_eq!(one_shot.trials.len(), merged.trials.len());
     for (a, b) in one_shot.trials.iter().zip(merged.trials.iter()) {
         assert_eq!(a.site, b.site);
-        assert_eq!(a.fault, b.fault);
+        assert_eq!(a.trial, b.trial);
         assert_eq!(a.outcome, b.outcome, "outcomes must survive the store round-trip");
         assert_eq!(a.detect_latency, b.detect_latency);
         assert_eq!(a.recovery_fs, b.recovery_fs, "v2 recovery fields must survive");

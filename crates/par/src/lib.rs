@@ -9,8 +9,7 @@
 //! simulations only: one simulation, checker farm included, runs on one
 //! thread.
 //! It also holds [`env_setting`], the one reader of the workspace's numeric
-//! environment settings (`PARADET_THREADS`, `PARADET_INSTRS`,
-//! `PARADET_TRIALS`).
+//! environment settings (`PARADET_THREADS`, `PARADET_INSTRS`).
 //!
 //! # Determinism
 //!
@@ -179,7 +178,7 @@ mod tests {
     #[test]
     fn settings_parse_or_name_the_variable_and_value() {
         assert_eq!(parse_setting::<NonZeroU64>("PARADET_INSTRS", "3000").unwrap().get(), 3000);
-        assert_eq!(parse_setting::<u32>("PARADET_TRIALS", "2"), Ok(2));
+        assert_eq!(parse_setting::<u32>("PARADET_THREADS", "2"), Ok(2));
         for (name, bad) in [
             ("PARADET_INSTRS", "3k"),
             ("PARADET_INSTRS", "0"),
@@ -187,7 +186,7 @@ mod tests {
             ("PARADET_INSTRS", " 3000"),
             ("PARADET_THREADS", "two"),
             ("PARADET_THREADS", "-1"),
-            ("PARADET_TRIALS", "1.5"),
+            ("PARADET_THREADS", "1.5"),
         ] {
             let err = parse_setting::<NonZeroU64>(name, bad).unwrap_err();
             assert!(err.starts_with(&format!("{name}={bad}: ")), "{err}");

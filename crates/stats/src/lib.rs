@@ -1,6 +1,6 @@
 //! Statistics and reporting utilities for the experiment harness.
 //!
-//! Everything the figure-regeneration binaries need to turn raw
+//! Everything `run_all` needs to turn raw
 //! [`RunReport`](../paradet_core/struct.RunReport.html)s into the series
 //! and tables the paper prints, mapped to where each is used:
 //!
@@ -9,7 +9,7 @@
 //! * [`gaussian_kde`] — the Fig. 8 detection-delay density curves;
 //! * [`wilson_interval`] — 95% confidence intervals on the
 //!   fault-coverage proportions (§IV campaign tables);
-//! * [`Table`]/[`write_csv`] — the aligned text tables `run_all` prints
+//! * [`Table`] — the aligned text tables `run_all` prints
 //!   and the CSVs under `EXPERIMENTS-data/` that ARCHITECTURE.md's figure
 //!   atlas indexes;
 //! * [`Mergeable`] — the merge law of partial aggregates for sharded
@@ -28,4 +28,4 @@ mod table;
 pub use kde::{gaussian_kde, KdePoint};
 pub use merge::Mergeable;
 pub use summary::{wilson_interval, Summary};
-pub use table::{write_csv, Table};
+pub use table::Table;

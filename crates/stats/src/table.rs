@@ -1,4 +1,4 @@
-//! Plain-text tables and CSV output for the experiment binaries.
+//! Plain-text tables and CSV output for the experiment harness.
 
 use std::fmt::Write as _;
 use std::io;
@@ -76,33 +76,24 @@ impl Table {
     ///
     /// Propagates any I/O error.
     pub fn write_csv(&self, path: &Path) -> io::Result<()> {
-        write_csv(path, &self.header, &self.rows)
-    }
-}
-
-/// Writes `rows` under `header` as a CSV file at `path`, creating parent
-/// directories as needed.
-///
-/// # Errors
-///
-/// Propagates any I/O error.
-pub fn write_csv(path: &Path, header: &[String], rows: &[Vec<String>]) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut out = String::new();
-    let escape = |s: &str| {
-        if s.contains(',') || s.contains('"') {
-            format!("\"{}\"", s.replace('"', "\"\""))
-        } else {
-            s.to_string()
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
         }
-    };
-    let _ = writeln!(out, "{}", header.iter().map(|h| escape(h)).collect::<Vec<_>>().join(","));
-    for row in rows {
-        let _ = writeln!(out, "{}", row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
+        let mut out = String::new();
+        let escape = |s: &str| {
+            if s.contains(',') || s.contains('"') {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.to_string()
+            }
+        };
+        let line = |cells: &[String]| cells.iter().map(|c| escape(c)).collect::<Vec<_>>().join(",");
+        let _ = writeln!(out, "{}", line(&self.header));
+        for row in &self.rows {
+            let _ = writeln!(out, "{}", line(row));
+        }
+        std::fs::write(path, out)
     }
-    std::fs::write(path, out)
 }
 
 #[cfg(test)]

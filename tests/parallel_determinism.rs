@@ -7,7 +7,8 @@
 
 use paradet::detect::{PairedSystem, SystemConfig};
 use paradet::faults::{
-    run_campaign, run_overdetection_trials, trial_fault, trial_seed, CampaignConfig, FaultSite,
+    run_campaign, run_overdetection_trials, trial_plan, trial_seed, CampaignConfig, FaultKind,
+    FaultSite,
 };
 use paradet::isa::{AluOp, Program, ProgramBuilder, Reg};
 use paradet::ooo::{ArmedFault, FaultTarget};
@@ -26,7 +27,7 @@ fn small_campaign_cfg() -> CampaignConfig {
     }
 }
 
-/// `run_campaign` at 1 and 8 threads: identical trials (site, fault,
+/// `run_campaign` at 1 and 8 threads: identical trials (site, trial,
 /// outcome, latency) and identical per-site aggregates, bit for bit.
 #[test]
 fn campaign_is_bit_identical_across_thread_counts() {
@@ -36,7 +37,7 @@ fn campaign_is_bit_identical_across_thread_counts() {
     assert_eq!(serial.trials.len(), parallel.trials.len());
     for (a, b) in serial.trials.iter().zip(parallel.trials.iter()) {
         assert_eq!(a.site, b.site);
-        assert_eq!(a.fault, b.fault);
+        assert_eq!(a.trial, b.trial);
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.detect_latency, b.detect_latency);
     }
@@ -54,24 +55,26 @@ fn overdetection_is_bit_identical_across_thread_counts() {
 }
 
 /// A representative sweep (Fig. 7 over all nine workloads, baseline cache
-/// included) produces identical CSV bytes at 1 and 8 threads.
+/// included) writes identical CSV bytes at 1 and 8 threads.
 #[test]
 fn sweep_csv_bytes_are_identical_across_thread_counts() {
-    let csv_at = |threads: usize, path: &std::path::Path| {
-        let table = with_threads(threads, || fig07_slowdown(&Runner::with_instrs(2_000)));
-        table.write_csv(path).expect("write sweep CSV");
-        std::fs::read(path).expect("read sweep CSV back")
+    let csv_at = |threads: usize| {
+        let dir =
+            std::env::temp_dir().join(format!("paradet-fig07-{}-t{threads}", std::process::id()));
+        with_threads(threads, || fig07_slowdown(&Runner::with_instrs(2_000), &dir))
+            .expect("write sweep CSV");
+        let csv = std::fs::read(dir.join("fig07_slowdown.csv")).expect("read sweep CSV back");
+        let _ = std::fs::remove_dir_all(&dir);
+        csv
     };
-    let dir = std::env::temp_dir();
-    let serial = csv_at(1, &dir.join("paradet_fig07_t1.csv"));
-    let parallel = csv_at(8, &dir.join("paradet_fig07_t8.csv"));
+    let serial = csv_at(1);
+    let parallel = csv_at(8);
     assert!(!serial.is_empty());
     assert_eq!(serial, parallel, "CSV bytes differ between 1 and 8 threads");
 }
 
-/// Reordering or subsetting the site list never changes the fault any
-/// surviving (site, trial) pair draws — campaign-level check of the
-/// per-trial seeding contract.
+/// Reordering the site list never changes the outcome of any (site,
+/// trial) pair — campaign-level check of the per-trial seeding contract.
 #[test]
 fn site_reordering_preserves_per_trial_faults() {
     let forward = small_campaign_cfg();
@@ -79,13 +82,12 @@ fn site_reordering_preserves_per_trial_faults() {
     reversed.sites.reverse();
     let a = run_campaign(&forward);
     let b = run_campaign(&reversed);
+    assert_eq!(a.trials.len(), b.trials.len());
     for ta in &a.trials {
-        // Match by (site, position-within-site): trials are site-major.
-        let matching: Vec<_> = b.trials.iter().filter(|tb| tb.site == ta.site).collect();
-        let pos = a.trials.iter().filter(|t| t.site == ta.site).position(|t| std::ptr::eq(t, ta));
-        let tb = matching[pos.unwrap()];
-        assert_eq!(ta.fault, tb.fault, "fault for {:?} changed with site order", ta.site);
-        assert_eq!(ta.outcome, tb.outcome);
+        let tb = b.trials.iter().find(|tb| (tb.site, tb.trial) == (ta.site, ta.trial));
+        let tb = tb.expect("every (site, trial) pair runs in both orders");
+        assert_eq!(ta.outcome, tb.outcome, "{:?}/{} changed with site order", ta.site, ta.trial);
+        assert_eq!(ta.detect_latency, tb.detect_latency);
     }
 }
 
@@ -267,7 +269,7 @@ proptest! {
 proptest! {
     /// Per-trial seeds are a pure function of (seed, site, trial): deriving
     /// them in any shuffled order gives the same value per pair, and the
-    /// armed fault follows suit.
+    /// trial's fault plan follows suit.
     #[test]
     fn trial_seeding_is_stable_under_reordering(
         seed in any::<u64>(),
@@ -288,9 +290,9 @@ proptest! {
         if (sa, trial_a) != (sb, trial_b) {
             prop_assert_ne!(b_first.1, b_first.0);
         }
-        // And the concrete fault is reproducible from the pair alone.
-        let f1 = trial_fault(seed, sa, trial_a, 3_000);
-        let f2 = trial_fault(seed, sa, trial_a, 3_000);
+        // And the fault plan is reproducible from the pair alone.
+        let f1 = trial_plan(seed, sa, trial_a, 3_000, FaultKind::Transient);
+        let f2 = trial_plan(seed, sa, trial_a, 3_000, FaultKind::Transient);
         prop_assert_eq!(f1, f2);
     }
 }

@@ -12,7 +12,7 @@ use paradet::faults::store::{
 };
 use paradet::faults::{
     coverage_table, merge_campaign_on, merge_campaign_partial_on, real_fs, run_campaign,
-    run_campaign_shard_on, run_campaign_sharded, trial_fault, trial_seed, CampaignConfig,
+    run_campaign_shard_on, run_campaign_sharded, trial_plan, trial_seed, CampaignConfig, FaultKind,
     FaultSite, RealFs, ShardRunOptions, StoreError,
 };
 use paradet::par::with_threads;
@@ -232,8 +232,8 @@ proptest! {
             );
             let instrs = 4_000;
             prop_assert_eq!(
-                trial_fault(seed, site, trial, instrs),
-                trial_fault(seed, site, trial, instrs)
+                trial_plan(seed, site, trial, instrs, FaultKind::Transient),
+                trial_plan(seed, site, trial, instrs, FaultKind::Transient)
             );
         }
     }
