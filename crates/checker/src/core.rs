@@ -203,6 +203,12 @@ impl CheckerCore {
         &self.cfg
     }
 
+    /// When this core finishes its last folded check: the end of its busy
+    /// window.
+    pub fn free_at(&self) -> Time {
+        self.free_at
+    }
+
     /// Folds a finished replay through an I-fetch hook and this core's
     /// availability, in seal order: pipeline fill, per-line I-fetches,
     /// in-order issue of the program's micro-ops along the replay's path

@@ -14,7 +14,7 @@
 //! simulator models that parallelism in *simulated* time. Checking a
 //! sealed segment is two-phase (see `paradet-checker`). `seal` moves the
 //! segment's replay inputs — start/end checkpoint pair and sealed entries
-//! — into a queue of pending checks, in seal order. Each check is then
+//! — onto the back of one queue of checks, in seal order. Each check is then
 //! **replayed and folded lazily, in seal order**, on the simulation
 //! thread, at the first point the simulation actually needs its finish
 //! time: when the segment ring wraps around to a still-checking segment
@@ -34,8 +34,8 @@ use crate::lfu::LoadForwardingUnit;
 use crate::log::{EntryKind, Segment, SegmentLog, SegmentReader, SegmentState};
 use crate::scratch::SimScratch;
 use paradet_checker::{
-    replay_segment, CheckerCore, CheckerStats, ClockDomain, ReplayTrace, SchedPolicyKind,
-    ScheduleCtx, SegmentTask, SlotView,
+    replay_segment, CheckerCore, CheckerStats, ClockDomain, ReplayTrace, ScheduleCtx, SegmentTask,
+    SlotView,
 };
 use paradet_isa::{ArchState, Instruction, MemWidth, Program};
 use paradet_mem::{CheckerPath, MemHier, Time};
@@ -79,9 +79,9 @@ pub struct DetectorStats {
 /// sealed segment: the chained start checkpoint (moved out of the
 /// detector), the committed end state, and the log entries (moved out of
 /// the segment ring). Replay is a pure function of these and the program
-/// (invariant 3), so the rollback window and any snapshot share an
-/// in-flight check's inputs, and the check replays at its fold wherever
-/// the run continues.
+/// (invariant 3), so the check queue and any snapshot share an in-flight
+/// check's inputs, and the check replays at its fold wherever the run
+/// continues.
 #[derive(Debug)]
 struct ReplayInputs {
     start: ArchState,
@@ -90,23 +90,104 @@ struct ReplayInputs {
     log: SegmentLog,
 }
 
+/// One farm's fold results, in seal order: the primary farm keeps one, and
+/// so does every secondary clock domain.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FoldRecord {
+    /// Detection delays over all checked entries (Fig. 8).
+    pub(crate) delays: DelayStats,
+    /// Detection delays over stores only (Fig. 11/12).
+    pub(crate) store_delays: DelayStats,
+    /// Finish time of every folded check, indexed by seal sequence.
+    finishes: Vec<Time>,
+    /// Errors the farm's checkers raised, in seal order, each confirmed at
+    /// its fold.
+    pub(crate) errors: Vec<DetectedError>,
+    /// The latest finish time so far: when every check folded so far has
+    /// finished.
+    done_at: Time,
+}
+
+impl FoldRecord {
+    /// Folds check `c`'s replay `trace` on `checker`, fetching through
+    /// `ifetch`, and records the outcome — the one fold of the primary farm
+    /// and of every secondary clock domain. Returns whether the check
+    /// failed. A lying checker (`lie`) reports "pass" regardless of the
+    /// replay's verdict (the missed-detection fault class), and the
+    /// segment then counts as validated downstream like any clean check.
+    fn fold(
+        &mut self,
+        checker: &mut CheckerCore,
+        c: &SealedCheck,
+        program: &Program,
+        trace: &ReplayTrace,
+        lie: bool,
+        ifetch: impl FnMut(usize, u64, u64, u64) -> u64,
+    ) -> bool {
+        let FoldRecord { delays, store_delays, .. } = self;
+        let log = &c.inputs.log;
+        let out = checker.fold_timing(program, c.ready_at, trace, ifetch, |idx, now| {
+            let d = now.saturating_sub(log.commit_time(idx));
+            delays.record(d);
+            if log.kind(idx) == EntryKind::Store {
+                store_delays.record(d);
+            }
+        });
+        self.finish(c.seal_seq, out.finish_time);
+        match out.result {
+            Err(error) if !lie => {
+                // §IV: an error is known to be the first once every earlier
+                // check has finished — at `done_at`, since folds run in
+                // seal order.
+                self.errors.push(DetectedError {
+                    seal_seq: c.seal_seq,
+                    error,
+                    detect_time: out.finish_time,
+                    confirm_time: self.done_at,
+                    base_instr: c.base_instr,
+                });
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Records check `seal_seq`'s finish time. Finish times are indexed by
+    /// seal sequence: each check finishes exactly once, in seal order.
+    fn finish(&mut self, seal_seq: u64, at: Time) {
+        assert_eq!(
+            seal_seq,
+            self.finishes.len() as u64,
+            "a check folded out of seal order or twice"
+        );
+        self.finishes.push(at);
+        self.done_at = self.done_at.max(at);
+    }
+
+    /// Bytes the record holds besides its fixed-size parts.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.finishes.as_slice())
+            + self.delays.bytes()
+            + self.store_delays.bytes()
+            + size_of_val(self.errors.as_slice())
+    }
+}
+
 /// One secondary clock domain's live state: its own checker cores
 /// (`free_at`, statistics), its own checker-cache path (cold-cloned from
 /// the domain's `MemConfig` template, exactly as a dedicated run at that
-/// clock starts), and its own results. Folds run in seal order, primary
-/// domain first, immediately after the primary fold of the same segment.
+/// clock starts), and its own fold results. Folds run in seal order,
+/// primary farm first, immediately after the primary fold of the same
+/// segment.
 #[derive(Debug, Clone)]
 struct DomainState {
     domain: ClockDomain,
+    /// Each core's `free_at` is the busy window a dedicated run at this
+    /// clock would gate the main core on.
     checkers: Vec<CheckerCore>,
     path: CheckerPath,
-    delays: DelayStats,
-    store_delays: DelayStats,
-    finishes: Vec<Time>,
-    errors: Vec<DetectedError>,
-    /// Per-slot finish time of the slot's last folded check — the busy
-    /// window a dedicated run at this clock would gate the main core on.
-    busy_until: Vec<Time>,
+    folds: FoldRecord,
     /// Commit-gate decisions where this domain's busy window differed from
     /// the primary's (see [`DomainReport::stall_divergences`]).
     stall_divergences: u64,
@@ -155,12 +236,11 @@ pub struct SealAssignment {
     pub capacity: usize,
 }
 
-/// One sealed check, queued in seal order until it folds. The rollback
-/// window keeps a copy until the check validates.
+/// One sealed check, queued in seal order until it folds, and after its
+/// fold while it is part of the rollback window.
 #[derive(Debug, Clone)]
-struct PendingCheck {
-    /// The replay's inputs, shared by the pending queue, the rollback
-    /// window and any snapshot.
+struct SealedCheck {
+    /// The replay's inputs, shared by the check queue and any snapshot.
     inputs: Arc<ReplayInputs>,
     seal_seq: u64,
     /// Segment (= checker) index the check came from.
@@ -168,20 +248,6 @@ struct PendingCheck {
     /// Seal time: when the segment and its end checkpoint became available.
     ready_at: Time,
     base_instr: u64,
-}
-
-/// Live rollback bookkeeping (present only when recovery tracking is
-/// enabled): the window of sealed-but-unvalidated checks, oldest first.
-/// Each shares its pending check's inputs, whose start checkpoint and
-/// store-undo column are everything needed to undo the segment. A check
-/// leaves the window when it folds clean; the window freezes (`poisoned`)
-/// at the first failed check, so the front check is always the first
-/// errored segment — its start checkpoint is the last *validated* state of
-/// the run.
-#[derive(Debug, Clone, Default)]
-struct RecoveryState {
-    window: VecDeque<PendingCheck>,
-    poisoned: bool,
 }
 
 /// Everything a recovery driver needs to roll the system back to the last
@@ -205,28 +271,20 @@ pub struct RollbackPlan {
 /// checkpointing, and the checker-core farm.
 ///
 /// A clone is the detector's part of a
-/// [`SystemSnapshot`](crate::SystemSnapshot): the pending queue and the
-/// rollback window share their checks' inputs, and every segment that is
-/// not filling holds no entries, so the clone copies little beyond the
-/// filling segment, the statistics and the checker-cache paths.
+/// [`SystemSnapshot`](crate::SystemSnapshot): the check queue shares its
+/// checks' inputs, and every segment that is not filling holds no
+/// entries, so the clone copies little beyond the filling segment, the
+/// statistics and the checker-cache paths.
 #[derive(Debug, Clone)]
 pub struct Detector {
-    mode: DetectionMode,
-    lfu_enabled: bool,
-    pause_cycles: u64,
-    timeout: Option<u64>,
-    interrupt_interval: Option<Time>,
+    cfg: SystemConfig,
     next_interrupt: Time,
     program: Arc<Program>,
     /// The checker cores (public for statistics inspection). Each slot
     /// runs its speed class's configuration
-    /// (`SystemConfig::checker_config_for_slot`).
+    /// (`SystemConfig::checker_config_for_slot`), and its `free_at` is
+    /// when the slot's segment storage frees after a folded check.
     pub checkers: Vec<CheckerCore>,
-    /// The checker-to-segment scheduling policy.
-    policy: SchedPolicyKind,
-    /// Per-slot speed-class index into [`class_paths`](Detector::class_paths)
-    /// (0 for every slot of a uniform farm).
-    slot_class: Vec<usize>,
     /// One private checker-cache path per speed class (a uniform farm has
     /// one), cold at construction and clocked at the class clock
     /// (per-class hit latencies). Unlike a secondary domain's observe-only
@@ -234,9 +292,8 @@ pub struct Detector {
     /// shared L2/DRAM through `MemHier::checker_ifetch_cycle_on`, in seal
     /// order. Empty in checkpoint-only mode, which folds nothing.
     class_paths: Vec<CheckerPath>,
-    /// Entries per segment at the uniform even split (the capacity
-    /// reference dynamic sizing redistributes).
-    base_entries: usize,
+    /// The primary farm's fold results.
+    pub(crate) folds: FoldRecord,
     /// Scheduling decisions, one per seal (see [`SealAssignment`]).
     assignments: Vec<SealAssignment>,
     /// Reusable scratch for the per-seal [`SlotView`] snapshot.
@@ -252,19 +309,20 @@ pub struct Detector {
     /// the previous segment was filled").
     chain_ckpt: ArchState,
     base_instr: u64,
-    seal_seq: u64,
-    finishes: Vec<Time>,
-    /// Sealed checks not replayed and folded yet, oldest seal first.
-    pending: VecDeque<PendingCheck>,
+    /// Sealed checks, oldest seal first: the first `folded` are folded and
+    /// form the rollback window, the rest wait for their folds.
+    checks: VecDeque<SealedCheck>,
+    /// Folded checks at the front of `checks`. Non-zero only with recovery
+    /// tracking on, from the first failed check on: that check stays at
+    /// the front, and its start checkpoint is the last *validated* state
+    /// of the run.
+    folded: usize,
+    /// Whether a failed check and every check after it stay in the queue
+    /// once folded (see [`Detector::enable_recovery_tracking`]).
+    track_recovery: bool,
     /// The replay-trace buffer every fold's replay reuses, left empty
     /// between folds.
     trace: ReplayTrace,
-    /// Detection delays over all checked entries (Fig. 8).
-    pub delays: DelayStats,
-    /// Detection delays over stores only (Fig. 11/12).
-    pub store_delays: DelayStats,
-    /// Errors raised by checkers, in seal order.
-    pub errors: Vec<DetectedError>,
     /// Statistics (public for the experiment harness).
     pub stats: DetectorStats,
     /// An armed fault in the *detection hardware itself*: flips `bit` of
@@ -273,103 +331,30 @@ pub struct Detector {
     /// within the checker circuitry do not affect the main program", but
     /// are still reported.
     log_fault: Option<(u64, usize, u8)>,
-    /// Rollback bookkeeping, present only when recovery tracking is on
-    /// (see [`Detector::enable_recovery_tracking`]).
-    rec: Option<RecoveryState>,
-    /// A lying checker that always reports "pass": every detected error is
-    /// silently dropped (the missed-detection checker-fault class). The
-    /// converse lie — a false positive — is [`Detector::arm_log_fault`].
+    /// A lying checker farm that always reports "pass": every detected
+    /// error is silently dropped (the missed-detection checker-fault
+    /// class). The converse lie — a false positive — is
+    /// [`Detector::arm_log_fault`].
     lie_miss: bool,
 }
 
-/// Folds one secondary clock domain's timing for check `p`, replayed into
-/// `replay` — the per-domain half of a lazy-join point. The shared L2/DRAM
-/// is read strictly through the observe path (note the `&MemHier`), so a
-/// domain's fold mutates only that domain's own state and never the
-/// primary run's.
-fn fold_domain(
-    d: &mut DomainState,
-    p: &PendingCheck,
-    program: &Program,
-    replay: &ReplayTrace,
-    hier: &MemHier,
-) {
-    let DomainState {
-        checkers: d_checkers,
-        path,
-        delays: d_delays,
-        store_delays: d_store_delays,
-        finishes: d_finishes,
-        errors: d_errors,
-        busy_until,
-        ..
-    } = d;
-    let log = &p.inputs.log;
-    let out = d_checkers[p.slot].fold_timing(
-        program,
-        p.ready_at,
-        replay,
-        |core, line, cycle, period| hier.checker_ifetch_cycle_via(path, core, line, cycle, period),
-        |idx, now| record_delay(d_delays, d_store_delays, log, idx, now),
-    );
-    d_finishes.push(out.finish_time);
-    if let Err(error) = out.result {
-        d_errors.push(DetectedError {
-            seal_seq: p.seal_seq,
-            error,
-            detect_time: out.finish_time,
-            confirm_time: Time::ZERO,
-            base_instr: p.base_instr,
-        });
-    }
-    busy_until[p.slot] = out.finish_time;
-}
-
-/// Records one passed entry's detection delay (commit → check).
-fn record_delay(
-    delays: &mut DelayStats,
-    store_delays: &mut DelayStats,
-    log: &SegmentLog,
-    idx: usize,
-    now: Time,
-) {
-    let d = now.saturating_sub(log.commit_time(idx));
-    delays.record(d);
-    if log.kind(idx) == EntryKind::Store {
-        store_delays.record(d);
-    }
-}
-
 impl Detector {
-    /// Builds the detection hardware for `program` starting from its entry
-    /// state. Deep-clones `program` once; hot loops should share it via
-    /// [`Detector::new_shared`].
-    pub fn new(cfg: &SystemConfig, program: &Program) -> Detector {
-        Detector::new_shared(cfg, Arc::new(program.clone()), &mut SimScratch::new())
-    }
-
-    /// Builds the detection hardware sharing `program` (no deep clone) and
-    /// drawing log-segment buffers from `scratch` instead of allocating
-    /// fresh ones — the per-trial construction fast path.
+    /// Builds the detection hardware sharing `program` and drawing
+    /// log-segment buffers from `scratch` instead of allocating fresh ones.
     pub fn new_shared(
         cfg: &SystemConfig,
         program: Arc<Program>,
         scratch: &mut SimScratch,
     ) -> Detector {
         let entries = cfg.entries_per_segment();
+        let full = cfg.mode == DetectionMode::Full;
         let mut det = Detector {
-            mode: cfg.mode,
-            lfu_enabled: cfg.lfu_enabled,
-            pause_cycles: cfg.checkpoint_pause_cycles,
-            timeout: cfg.log.timeout_insns,
-            interrupt_interval: cfg.interrupt_interval,
+            cfg: *cfg,
             next_interrupt: cfg.interrupt_interval.unwrap_or(Time::MAX),
             checkers: (0..cfg.n_checkers)
                 .map(|i| CheckerCore::new(i, cfg.checker_config_for_slot(i)))
                 .collect(),
-            policy: cfg.sched_policy,
-            slot_class: (0..cfg.n_checkers).map(|i| cfg.farm.class_of_slot(i)).collect(),
-            class_paths: if cfg.mode == DetectionMode::Full {
+            class_paths: if full {
                 (0..cfg.farm.n_classes())
                     .map(|c| {
                         let clock = cfg.class_checker(c).clock;
@@ -379,10 +364,10 @@ impl Detector {
             } else {
                 Vec::new()
             },
-            base_entries: entries,
+            folds: FoldRecord::default(),
             assignments: Vec::new(),
             slot_views: Vec::with_capacity(cfg.n_checkers),
-            domains: if cfg.mode == DetectionMode::Full {
+            domains: if full {
                 cfg.extra_domains
                     .iter()
                     .map(|domain| DomainState {
@@ -394,11 +379,7 @@ impl Detector {
                             cfg.n_checkers,
                         ),
                         domain,
-                        delays: DelayStats::new(),
-                        store_delays: DelayStats::new(),
-                        finishes: Vec::new(),
-                        errors: Vec::new(),
-                        busy_until: vec![Time::ZERO; cfg.n_checkers],
+                        folds: FoldRecord::default(),
                         stall_divergences: 0,
                     })
                     .collect()
@@ -413,16 +394,12 @@ impl Detector {
             chain_ckpt: ArchState::at_entry(&program),
             program,
             base_instr: 0,
-            seal_seq: 0,
-            finishes: Vec::new(),
-            pending: VecDeque::new(),
+            checks: VecDeque::new(),
+            folded: 0,
+            track_recovery: false,
             trace: ReplayTrace::default(),
-            delays: DelayStats::new(),
-            store_delays: DelayStats::new(),
-            errors: Vec::new(),
             stats: DetectorStats::default(),
             log_fault: None,
-            rec: None,
             lie_miss: false,
         };
         // Let the policy pick (and size) the first segment to fill, from a
@@ -436,10 +413,9 @@ impl Detector {
 
     /// Rebuilds the detector `snap` is a clone of (see
     /// [`PairedSystem::snapshot`](crate::PairedSystem::snapshot)), drawing
-    /// segment entry buffers from `scratch`. The snapshot's in-flight
-    /// checks and rollback window come back as they are, their inputs
-    /// still shared with it; nothing replays here, each check replays at
-    /// its own fold.
+    /// segment entry buffers from `scratch`. The snapshot's check queue
+    /// comes back as it is, its inputs still shared with it; nothing
+    /// replays here, each check replays at its own fold.
     pub(crate) fn from_snapshot(snap: &Detector, scratch: &mut SimScratch) -> Detector {
         let mut det = snap.clone();
         for seg in &mut det.segs {
@@ -452,7 +428,7 @@ impl Detector {
 
     /// Bytes a clone of the detector holds on its own: log entries, delay
     /// samples, finish times and scheduling decisions, checker-cache
-    /// paths. In-flight checks' inputs are shared and counted by
+    /// paths. Queued checks' inputs are shared and counted by
     /// [`shared_inputs`](Detector::shared_inputs).
     pub(crate) fn bytes(&self) -> usize {
         use std::mem::size_of_val;
@@ -461,40 +437,35 @@ impl Detector {
             + size_of_val(self.assignments.as_slice())
             + self.domains.len() * std::mem::size_of::<DomainState>()
             + self.segs.iter().map(|s| s.log.bytes()).sum::<usize>()
-            + size_of_val(self.finishes.as_slice())
-            + self.delays.bytes()
-            + self.store_delays.bytes()
-            + size_of_val(self.errors.as_slice())
+            + self.folds.bytes()
     }
 
-    /// `(address, bytes)` of the shared inputs of every check in flight or
-    /// in the rollback window: a caller summing several snapshots counts
-    /// each address once.
+    /// `(address, bytes)` of the shared inputs of every queued check: a
+    /// caller summing several snapshots counts each address once.
     pub(crate) fn shared_inputs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let window = self.rec.iter().flat_map(|r| &r.window);
-        self.pending.iter().chain(window).map(|c| {
+        self.checks.iter().map(|c| {
             let bytes = std::mem::size_of::<ReplayInputs>() + c.inputs.log.bytes();
             (Arc::as_ptr(&c.inputs) as usize, bytes)
         })
     }
 
-    /// Turns on rollback bookkeeping: every sealed check stays in the
-    /// rollback window, sharing its replay inputs (start checkpoint and
-    /// store-undo rows), until it validates, so
+    /// Turns on rollback bookkeeping: the first failed check and every
+    /// check sealed after it stay in the check queue once folded, sharing
+    /// their replay inputs (start checkpoint and store-undo rows), so
     /// [`Detector::rollback_plan`] can reconstruct the last validated state
     /// after a detected error. Full-detection mode only.
     /// A detector restored from a snapshot of a tracked run keeps the
-    /// window of unvalidated segments it was restored with.
+    /// checks it was restored with.
     pub fn enable_recovery_tracking(&mut self) {
-        debug_assert_eq!(self.mode, DetectionMode::Full, "recovery needs full detection");
-        self.rec.get_or_insert_with(RecoveryState::default);
+        debug_assert_eq!(self.cfg.mode, DetectionMode::Full, "recovery needs full detection");
+        self.track_recovery = true;
     }
 
     /// Arms the missed-detection checker fault: from now on the checker
-    /// farm lies "pass" on every check, silently dropping detected errors
-    /// (the segment counts as validated downstream). Models a faulty
-    /// checker core — the converse of [`Detector::arm_log_fault`]'s
-    /// over-detection.
+    /// farm, at its own clock and at every secondary domain's, lies "pass"
+    /// on every check, silently dropping detected errors (the segment
+    /// counts as validated downstream). Models a faulty checker core — the
+    /// converse of [`Detector::arm_log_fault`]'s over-detection.
     pub fn arm_checker_miss(&mut self) {
         self.lie_miss = true;
     }
@@ -503,7 +474,7 @@ impl Detector {
     /// entry point — the first sealed segment of a resumed run replays from
     /// this checkpoint. Call before the first commit.
     pub fn resume_from(&mut self, state: &ArchState) {
-        debug_assert_eq!(self.seal_seq, 0, "resume_from after seals");
+        debug_assert_eq!(self.stats.seals, 0, "resume_from after seals");
         self.chain_ckpt.clone_from(state);
     }
 
@@ -511,16 +482,14 @@ impl Detector {
     /// error, returns the plan that rolls the system back to the last
     /// validated checkpoint: the resume state, its retired-instruction
     /// offset, and the store-undo writes (already ordered for
-    /// front-to-back application). `None` when no check failed, when
-    /// tracking is off, or when the failing check left no unvalidated
-    /// window (nothing to undo).
+    /// front-to-back application). `None` when no check failed or when
+    /// tracking is off.
     pub fn rollback_plan(&self) -> Option<RollbackPlan> {
-        let rec = self.rec.as_ref()?;
-        if !rec.poisoned {
+        if self.folded == 0 {
             return None;
         }
-        let front = rec.window.front()?;
-        let undo = rec.window.iter().rev().flat_map(|c| c.inputs.log.undo_rows().rev()).collect();
+        let front = &self.checks[0];
+        let undo = self.checks.iter().rev().flat_map(|c| c.inputs.log.undo_rows().rev()).collect();
         Some(RollbackPlan { base_instr: front.base_instr, state: front.inputs.start.clone(), undo })
     }
 
@@ -529,13 +498,10 @@ impl Detector {
     /// pending are dropped unreplayed; the buffers of those a snapshot
     /// does not share come home too.
     pub fn recycle_into(self, scratch: &mut SimScratch) {
-        // The rollback window goes first, so the pending queue holds the
-        // last copy of every input no snapshot shares. A window check
-        // already folded after a failed check is dropped, not pooled: its
-        // segment holds a buffer of its own, and pooling both would grow
-        // the pool with every such run.
-        drop(self.rec);
-        for c in self.pending {
+        // The folded front is dropped, not pooled: each of its segments
+        // holds a buffer of its own, and pooling both would grow the pool
+        // with every such run.
+        for c in self.checks.into_iter().skip(self.folded) {
             if let Ok(inputs) = Arc::try_unwrap(c.inputs) {
                 scratch.put_seg_buf(inputs.log);
             }
@@ -556,19 +522,29 @@ impl Detector {
     /// Time at which every sealed check has finished. Complete only once
     /// [`Detector::finalize`] has folded every pending check.
     pub fn all_checks_done_at(&self) -> Time {
-        self.finishes.iter().copied().max().unwrap_or(Time::ZERO)
+        self.folds.done_at
     }
 
     /// Finish times of every folded check, indexed by seal sequence (for
     /// the determinism test-suite; complete after [`Detector::finalize`]).
     pub fn finish_times(&self) -> &[Time] {
-        &self.finishes
+        &self.folds.finishes
     }
 
     /// The scheduling decisions so far, one per seal, in seal order (for
     /// the mixed-farm determinism suite).
     pub fn assignments(&self) -> &[SealAssignment] {
         &self.assignments
+    }
+
+    /// When `slot`'s segment storage frees: its checker's `free_at` while
+    /// the storage waits on a folded check, and `Time::ZERO` when it is
+    /// free or filling.
+    fn storage_busy_until(&self, slot: usize) -> Time {
+        match self.segs[slot].state {
+            SegmentState::Busy => self.checkers[slot].free_at(),
+            _ => Time::ZERO,
+        }
     }
 
     /// Asks the policy which slot receives the segment now starting to
@@ -582,24 +558,24 @@ impl Detector {
     fn schedule_next(&mut self, prev: usize, at: Time) -> usize {
         let mut views = std::mem::take(&mut self.slot_views);
         views.clear();
-        for (i, seg) in self.segs.iter().enumerate() {
-            let busy_until = match seg.state {
-                SegmentState::Busy { until } => until,
+        for (i, checker) in self.checkers.iter().enumerate() {
+            let busy_until = match self.segs[i].state {
                 SegmentState::Checking => Time::MAX,
-                SegmentState::Free | SegmentState::Filling => Time::ZERO,
+                _ => self.storage_busy_until(i),
             };
-            views.push(SlotView { mhz: self.checkers[i].config().clock.mhz(), busy_until });
+            views.push(SlotView { mhz: checker.config().clock.mhz(), busy_until });
         }
         let ctx = ScheduleCtx {
             slots: &views,
             prev_slot: prev,
             now: at,
-            base_capacity: self.base_entries,
+            base_capacity: self.cfg.entries_per_segment(),
             min_capacity: crate::MAX_UOPS_PER_INSN,
         };
-        let next = self.policy.next_slot(&ctx);
+        let policy = self.cfg.sched_policy;
+        let next = policy.next_slot(&ctx);
         assert!(next < self.segs.len(), "policy chose slot {next} of {}", self.segs.len());
-        let capacity = self.policy.segment_capacity(next, &ctx).max(ctx.min_capacity);
+        let capacity = policy.segment_capacity(next, &ctx).max(ctx.min_capacity);
         self.slot_views = views;
         let seg = &mut self.segs[next];
         if seg.capacity != capacity {
@@ -609,28 +585,6 @@ impl Detector {
         next
     }
 
-    /// Fills in [`DetectedError::confirm_time`] for every recorded error:
-    /// the time at which all earlier segments had validated.
-    pub fn confirm_errors(&mut self) {
-        debug_assert!(self.pending.is_empty(), "confirm_errors before all checks folded");
-        fn confirm(finishes: &[Time], errors: &mut [DetectedError]) {
-            // Prefix maxima of finish times by seal sequence.
-            let mut prefix = Vec::with_capacity(finishes.len());
-            let mut m = Time::ZERO;
-            for &f in finishes {
-                m = m.max(f);
-                prefix.push(m);
-            }
-            for e in errors {
-                e.confirm_time = prefix.get(e.seal_seq as usize).copied().unwrap_or(e.detect_time);
-            }
-        }
-        confirm(&self.finishes, &mut self.errors);
-        for d in &mut self.domains {
-            confirm(&d.finishes, &mut d.errors);
-        }
-    }
-
     /// Snapshots every secondary clock domain's results (complete after
     /// [`Detector::finalize`]).
     pub fn domain_reports(&self) -> Vec<DomainReport> {
@@ -638,12 +592,12 @@ impl Detector {
             .iter()
             .map(|d| DomainReport {
                 domain: d.domain,
-                delays: d.delays.clone(),
-                store_delays: d.store_delays.clone(),
-                errors: d.errors.clone(),
-                finishes: d.finishes.clone(),
+                delays: d.folds.delays.clone(),
+                store_delays: d.folds.store_delays.clone(),
+                errors: d.folds.errors.clone(),
+                finishes: d.folds.finishes.clone(),
                 checkers: d.checkers.iter().map(|c| c.stats).collect(),
-                all_checks_done_at: d.finishes.iter().copied().max().unwrap_or(Time::ZERO),
+                all_checks_done_at: d.folds.done_at,
                 stall_divergences: d.stall_divergences,
             })
             .collect()
@@ -657,7 +611,7 @@ impl Detector {
     /// segment's busy state.
     fn note_domain_stalls(&mut self, slot: usize, at: Time, primary_until: Time) {
         for d in &mut self.domains {
-            let domain_until = d.busy_until[slot];
+            let domain_until = d.checkers[slot].free_at();
             let primary_stalls = at < primary_until;
             let domain_stalls = at < domain_until;
             if primary_stalls != domain_stalls || (primary_stalls && primary_until != domain_until)
@@ -684,121 +638,88 @@ impl Detector {
         let covered = instr_count.saturating_sub(self.base_instr);
         if covered > 0 || !self.segs[self.cur].log.is_empty() {
             // Wait for the current segment's storage if it is still busy.
-            let until = match self.segs[self.cur].state {
-                SegmentState::Busy { until } => until,
-                _ => Time::ZERO,
-            };
+            let until = self.storage_busy_until(self.cur);
             self.note_domain_stalls(self.cur, at, until);
             let at = at.max(until);
             self.seal(committed, instr_count, at, hier, SealKind::Final);
             self.drain_pending(hier);
         }
-        self.confirm_errors();
     }
 
-    /// Replays the **oldest** pending check and folds its timing — seal
-    /// order is the invariant that keeps L2/DRAM traffic, delay recording
-    /// and error ordering deterministic.
+    /// Replays the **oldest** pending check and folds its timing on the
+    /// primary farm, then on every secondary domain — seal order is the
+    /// invariant that keeps L2/DRAM traffic, delay recording and error
+    /// ordering deterministic.
     fn fold_next_pending(&mut self, hier: &mut MemHier) {
-        let p = self.pending.pop_front().expect("fold with no pending check");
-        let inputs = &*p.inputs;
+        let Detector {
+            cfg,
+            program,
+            checkers,
+            class_paths,
+            folds,
+            domains,
+            segs,
+            checks,
+            folded,
+            track_recovery,
+            trace,
+            lie_miss,
+            ..
+        } = self;
+        let program = &**program;
+        let c = checks.get(*folded).expect("fold with no pending check");
+        let inputs = &*c.inputs;
         let task = SegmentTask {
-            program: &self.program,
+            program,
             start: &inputs.start,
             end: &inputs.end,
             instr_count: inputs.instr_count,
         };
-        replay_segment(task, &mut SegmentReader::new(&inputs.log), &mut self.trace);
-        let Detector {
-            program,
-            checkers,
-            slot_class,
-            class_paths,
-            domains,
-            segs,
-            delays,
-            store_delays,
-            finishes,
-            errors,
-            trace,
-            rec,
-            lie_miss,
-            ..
-        } = self;
-        let log = &inputs.log;
+        replay_segment(task, &mut SegmentReader::new(&inputs.log), trace);
         // The slot's I-fetches go through its speed class's own path
         // (per-class clock and hit latencies), misses landing in the shared
         // L2/DRAM at this seal-order fold point.
-        let path = &mut class_paths[slot_class[p.slot]];
-        let outcome = checkers[p.slot].fold_timing(
-            program,
-            p.ready_at,
-            trace,
-            |core, line, cycle, period| {
-                hier.checker_ifetch_cycle_on(path, core, line, cycle, period)
-            },
-            |idx, now| record_delay(delays, store_delays, log, idx, now),
-        );
-        // `finish_times` is indexed by seal sequence: each check folds
-        // exactly once, in seal order.
-        assert_eq!(p.seal_seq, finishes.len() as u64, "a check folded out of seal order or twice");
-        finishes.push(outcome.finish_time);
-        // A lying checker reports "pass" regardless of the replay verdict
-        // (missed-detection fault class); the segment then counts as
-        // validated downstream like any clean check.
-        let result = if *lie_miss { Ok(()) } else { outcome.result };
-        match result {
-            Ok(()) => {
-                if let Some(rec) = rec {
-                    if !rec.poisoned {
-                        let validated = rec.window.pop_front();
-                        debug_assert_eq!(
-                            validated.map(|c| c.seal_seq),
-                            Some(p.seal_seq),
-                            "folds run in seal order"
-                        );
-                    }
-                }
-            }
-            Err(error) => {
-                errors.push(DetectedError {
-                    seal_seq: p.seal_seq,
-                    error,
-                    detect_time: outcome.finish_time,
-                    confirm_time: Time::ZERO,
-                    base_instr: p.base_instr,
-                });
-                // Freeze the unvalidated window: its front check is now the
-                // first errored segment, the rollback target.
-                if let Some(rec) = rec {
-                    rec.poisoned = true;
-                }
-            }
-        }
+        let path = &mut class_paths[cfg.farm.class_of_slot(c.slot)];
+        let ifetch = |core, line, cycle, period| {
+            hier.checker_ifetch_cycle_on(path, core, line, cycle, period)
+        };
+        let failed = folds.fold(&mut checkers[c.slot], c, program, trace, *lie_miss, ifetch);
         // Secondary clock domains fold the same replay trace, in set order,
         // against their own checker cores and cache paths, on this thread
         // after the primary fold. Their I-fetch misses share L2/DRAM with
-        // the primary's, observe-only (the `&*hier` reborrow) — exact
-        // whenever checker fetches resolve in the private L0/L1I or hit L2
-        // at its constant hit latency.
+        // the primary's, observe-only (`checker_ifetch_cycle_via` takes
+        // `&MemHier`) — exact whenever checker fetches resolve in the
+        // private L0/L1I or hit L2 at its constant hit latency.
         for d in domains.iter_mut() {
-            fold_domain(d, &p, program, trace, &*hier);
+            let DomainState { checkers, path, folds, .. } = d;
+            let ifetch = |core, line, cycle, period| {
+                hier.checker_ifetch_cycle_via(path, core, line, cycle, period)
+            };
+            folds.fold(&mut checkers[c.slot], c, program, trace, *lie_miss, ifetch);
         }
-        // The segment's storage frees when its check finishes; the entry
-        // buffer comes home empty for the segment's next tour of the ring,
-        // unless the rollback window or a snapshot still shares it, and
-        // then the segment gets a new one. The trace buffer waits empty
-        // for the next replay, so a clone copies neither.
-        let seg = &mut segs[p.slot];
-        seg.state = SegmentState::Busy { until: outcome.finish_time };
-        match Arc::try_unwrap(p.inputs) {
+        trace.clear();
+        // The segment's storage frees when its check finishes (the slot's
+        // `free_at`). With recovery tracking on, the first failed check and
+        // every check after it stay queued, each segment taking a new
+        // buffer; otherwise the check leaves the queue and its entry buffer
+        // comes home empty for the segment's next tour of the ring, unless
+        // a snapshot still shares it. The trace buffer waits empty for the
+        // next replay, so a clone copies neither.
+        let seg = &mut segs[c.slot];
+        seg.state = SegmentState::Busy;
+        if *track_recovery && (failed || *folded > 0) {
+            *folded += 1;
+            seg.log.ensure_capacity(seg.capacity);
+            return;
+        }
+        let c = checks.pop_front().expect("the folded check is at the front");
+        match Arc::try_unwrap(c.inputs) {
             Ok(inputs) => {
                 seg.log = inputs.log;
                 seg.log.clear();
             }
             Err(_) => seg.log.ensure_capacity(seg.capacity),
         }
-        trace.clear();
     }
 
     /// Folds checks (oldest first) until `slot`'s check is folded.
@@ -810,7 +731,7 @@ impl Detector {
 
     /// Folds every pending check, in seal order.
     fn drain_pending(&mut self, hier: &mut MemHier) {
-        while !self.pending.is_empty() {
+        while self.folded < self.checks.len() {
             self.fold_next_pending(hier);
         }
     }
@@ -826,6 +747,7 @@ impl Detector {
         hier: &mut MemHier,
         kind: SealKind,
     ) {
+        let seal_seq = self.stats.seals;
         self.stats.seals += 1;
         match kind {
             SealKind::Space => self.stats.space_seals += 1,
@@ -833,7 +755,7 @@ impl Detector {
             SealKind::Interrupt => self.stats.interrupt_seals += 1,
             SealKind::Final => self.stats.final_seals += 1,
         }
-        if let Some(iv) = self.interrupt_interval {
+        if let Some(iv) = self.cfg.interrupt_interval {
             if kind == SealKind::Interrupt {
                 self.next_interrupt = at + iv;
             }
@@ -849,64 +771,50 @@ impl Detector {
             seg.state = SegmentState::Filling;
             seg.base_instr = self.base_instr;
         }
-        seg.instr_count = instr_count - seg.base_instr;
         // Chain the checkpoint: the committed state starts the next segment.
         let start = std::mem::replace(&mut self.chain_ckpt, committed.clone());
-        match self.mode {
+        match self.cfg.mode {
             DetectionMode::Full => {
                 // §IV-I over-detection: flip the armed bit just before the
                 // check consumes the segment.
                 if let Some((fseq, fentry, fbit)) = self.log_fault {
-                    if fseq == self.seal_seq && !self.segs[cur].log.is_empty() {
-                        let seg = &mut self.segs[cur];
+                    if fseq == seal_seq && !seg.log.is_empty() {
                         let idx = fentry % seg.log.len();
                         seg.log.flip_value_bit(idx, fbit);
                         self.log_fault = None;
                     }
                 }
-                // Move the check's inputs into the pending queue and let
-                // the main loop run ahead — the replay and its fold run at
-                // the lazy join.
-                let seg = &mut self.segs[cur];
+                // Move the check's inputs onto the check queue and let the
+                // main loop run ahead — the replay and its fold run at the
+                // lazy join.
                 seg.state = SegmentState::Checking;
-                let check = PendingCheck {
+                self.checks.push_back(SealedCheck {
                     inputs: Arc::new(ReplayInputs {
                         start,
                         end: committed.clone(),
-                        instr_count: seg.instr_count,
+                        instr_count: instr_count - seg.base_instr,
                         log: std::mem::take(&mut seg.log),
                     }),
-                    seal_seq: self.seal_seq,
+                    seal_seq,
                     slot: cur,
                     ready_at: at,
                     base_instr: seg.base_instr,
-                };
-                // Rollback bookkeeping: the window shares the check's
-                // inputs until its fold validates it.
-                if let Some(rec) = &mut self.rec {
-                    rec.window.push_back(check.clone());
-                }
-                self.pending.push_back(check);
+                });
             }
             DetectionMode::CheckpointOnly => {
                 // Checkpoint costs are modelled; the segment frees at once.
-                self.finishes.push(at);
-                self.segs[cur].reset();
+                self.folds.finish(seal_seq, at);
+                seg.reset();
             }
         }
-        self.assignments.push(SealAssignment {
-            seal_seq: self.seal_seq,
-            slot: cur,
-            capacity: self.segs[cur].capacity,
-        });
+        self.assignments.push(SealAssignment { seal_seq, slot: cur, capacity: seg.capacity });
         self.base_instr = instr_count;
-        self.seal_seq += 1;
         // A dynamic policy reads every slot's storage-busy window, so the
         // in-flight checks must fold first — the modelled scheduler sits
         // next to the log SRAM and *sees* which checkers are busy. The
         // drain is a deterministic simulation point; round-robin skips it
         // and keeps the fully lazy fold schedule.
-        if self.policy.needs_busy_windows() {
+        if self.cfg.sched_policy.needs_busy_windows() {
             self.drain_pending(hier);
         }
         self.cur = self.schedule_next(cur, at);
@@ -946,7 +854,7 @@ impl DetectionSink for Detector {
             (Some(m), _) => {
                 let (kind, value) = if m.is_store {
                     (EntryKind::Store, m.value)
-                } else if self.lfu_enabled {
+                } else if self.cfg.lfu_enabled {
                     // Forward the execute-time duplicate (§IV-C); fall back
                     // to the commit-path value if the slot was reallocated.
                     let v =
@@ -966,27 +874,22 @@ impl DetectionSink for Detector {
             (None, None) => None,
         };
         if let Some((kind, addr, value, width, undo)) = entry {
-            // The wrap-around stall decision: record, per secondary domain,
-            // whether a dedicated run at that clock would have decided
-            // differently (its segment's check finishing at another time).
-            if let SegmentState::Busy { until } = self.segs[self.cur].state {
+            if self.segs[self.cur].state == SegmentState::Busy {
+                let until = self.checkers[self.cur].free_at();
+                // The wrap-around stall decision: record, per secondary
+                // domain, whether a dedicated run at that clock would have
+                // decided differently (its segment's check finishing at
+                // another time).
                 self.note_domain_stalls(self.cur, at, until);
+                if at < until {
+                    // Every segment in use: stall the main core.
+                    self.stats.log_full_retries += 1;
+                    return CommitGate::Retry(until);
+                }
+                self.segs[self.cur].reset();
             }
             let seg = &mut self.segs[self.cur];
-            match seg.state {
-                SegmentState::Busy { until } => {
-                    if at < until {
-                        // Every segment in use: stall the main core.
-                        self.stats.log_full_retries += 1;
-                        return CommitGate::Retry(until);
-                    }
-                    seg.reset();
-                }
-                SegmentState::Checking => {
-                    unreachable!("checking segment resolved at the top of on_commit")
-                }
-                SegmentState::Free | SegmentState::Filling => {}
-            }
+            debug_assert!(seg.state != SegmentState::Checking, "resolved at the top of on_commit");
             if seg.state == SegmentState::Free {
                 seg.state = SegmentState::Filling;
                 seg.base_instr = self.base_instr;
@@ -1006,17 +909,15 @@ impl DetectionSink for Detector {
 
         let seg = &self.segs[self.cur];
         let space_seal = !seg.has_space_for_macro();
-        let timeout_seal = self.timeout.is_some_and(|t| covered >= t);
+        let timeout_seal = self.cfg.log.timeout_insns.is_some_and(|t| covered >= t);
         let interrupt_seal = at >= self.next_interrupt;
         let pending = !seg.log.is_empty();
         // Timeout/interrupt seals of an entry-less segment whose storage is
         // still being checked are deferred to the next boundary; a halt must
         // wait for the storage instead.
-        let seg_until = match seg.state {
-            SegmentState::Busy { until } => until,
-            _ => Time::ZERO,
-        };
+        let seg_until = self.storage_busy_until(self.cur);
         let storage_busy_until = if at < seg_until { Some(seg_until) } else { None };
+        let pause = self.cfg.checkpoint_pause_cycles;
 
         if is_halt {
             if covered == 0 && !pending {
@@ -1028,11 +929,11 @@ impl DetectionSink for Detector {
                 return CommitGate::Retry(until);
             }
             self.seal(committed, instr_count, at, hier, SealKind::Final);
-            return CommitGate::AcceptWithPause(self.pause_cycles);
+            return CommitGate::AcceptWithPause(pause);
         }
         if space_seal {
             self.seal(committed, instr_count, at, hier, SealKind::Space);
-            return CommitGate::AcceptWithPause(self.pause_cycles);
+            return CommitGate::AcceptWithPause(pause);
         }
         if (timeout_seal || interrupt_seal) && covered > 0 {
             // A dedicated run at another checker clock could find this
@@ -1042,7 +943,7 @@ impl DetectionSink for Detector {
             if storage_busy_until.is_none() {
                 let kind = if interrupt_seal { SealKind::Interrupt } else { SealKind::Timeout };
                 self.seal(committed, instr_count, at, hier, kind);
-                return CommitGate::AcceptWithPause(self.pause_cycles);
+                return CommitGate::AcceptWithPause(pause);
             }
         }
         CommitGate::Accept
@@ -1054,40 +955,17 @@ mod tests {
     use super::*;
     use paradet_isa::{ProgramBuilder, Reg};
 
-    fn tiny_program() -> Program {
-        let mut b = ProgramBuilder::new();
-        b.li(Reg::X1, 1);
-        b.halt();
-        b.build()
-    }
-
     #[test]
     fn detector_builds_with_paper_config() {
         let cfg = SystemConfig::paper_default();
-        let program = tiny_program();
-        let det = Detector::new(&cfg, &program);
+        let mut b = ProgramBuilder::new();
+        b.li(Reg::X1, 1);
+        b.halt();
+        let det = Detector::new_shared(&cfg, Arc::new(b.build()), &mut SimScratch::new());
         assert_eq!(det.checkers.len(), 12);
         assert_eq!(det.segs.len(), 12);
         assert_eq!(det.segs[0].capacity, 170);
         assert_eq!(det.lfu.capacity(), 40);
-        assert!(det.pending.is_empty());
-    }
-
-    #[test]
-    fn confirm_errors_uses_prefix_maxima() {
-        let cfg = SystemConfig::paper_default();
-        let program = tiny_program();
-        let mut det = Detector::new(&cfg, &program);
-        det.finishes = vec![Time::from_ns(10), Time::from_ns(50), Time::from_ns(30)];
-        det.errors.push(DetectedError {
-            seal_seq: 2,
-            error: paradet_checker::CheckError::Divergence,
-            detect_time: Time::from_ns(30),
-            confirm_time: Time::ZERO,
-            base_instr: 0,
-        });
-        det.confirm_errors();
-        // Confirmation waits for seals 0..=2: max(10, 50, 30) = 50.
-        assert_eq!(det.errors[0].confirm_time, Time::from_ns(50));
+        assert!(det.checks.is_empty());
     }
 }

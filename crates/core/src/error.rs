@@ -22,9 +22,9 @@ pub struct DetectedError {
     pub error: CheckError,
     /// Time at which the checker raised the error.
     pub detect_time: Time,
-    /// Time at which all earlier checks had completed, identifying the
-    /// position of the first error (filled in when the run report is
-    /// assembled).
+    /// Time at which this and every earlier check had completed,
+    /// identifying the position of the first error: the latest finish time
+    /// up to this seal, set when the check folds (folds run in seal order).
     pub confirm_time: Time,
     /// Dynamic index of the first instruction of the failing segment.
     pub base_instr: u64,

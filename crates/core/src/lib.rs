@@ -77,10 +77,7 @@ pub use recovery::{
     TrialFaults,
 };
 pub use scratch::SimScratch;
-pub use system::{
-    normalized_slowdown, run_unchecked, run_unchecked_shared, PairedSystem, RunReport,
-    SystemSnapshot,
-};
+pub use system::{run_unchecked, run_unchecked_shared, PairedSystem, RunReport, SystemSnapshot};
 
 #[cfg(test)]
 mod tests {
@@ -142,10 +139,17 @@ mod tests {
         assert!(report.delays.mean_ns() > 0.0);
     }
 
+    /// Main-core cycles of full detection over the unchecked baseline.
+    fn slowdown(cfg: SystemConfig, program: &Program) -> f64 {
+        let base = run_unchecked(&cfg, program, u64::MAX);
+        let full = PairedSystem::new(cfg, program).run_to_halt();
+        full.main_cycles as f64 / base.main_cycles as f64
+    }
+
     #[test]
     fn slowdown_at_paper_defaults_is_small() {
         let program = store_loop(3000);
-        let s = normalized_slowdown(&SystemConfig::paper_default(), &program, u64::MAX);
+        let s = slowdown(SystemConfig::paper_default(), &program);
         assert!(s >= 1.0, "detection can't speed the core up: {s}");
         assert!(s < 1.12, "paper reports ≤3.4% at defaults; allow 12% here, got {s:.3}");
     }
@@ -159,7 +163,7 @@ mod tests {
             .with_checker_mhz(125)
             .with_log(2 * 1024, Some(200));
         let program = compute_loop(20_000);
-        let s = normalized_slowdown(&cfg, &program, u64::MAX);
+        let s = slowdown(cfg, &program);
         assert!(s > 1.5, "slow checkers must throttle the main core, got {s:.2}");
     }
 

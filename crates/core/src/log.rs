@@ -211,11 +211,9 @@ pub enum SegmentState {
     /// yet known (the detector replays and folds pending checks lazily, in
     /// seal order, at the first point the simulation needs one).
     Checking,
-    /// Check timing folded; the storage frees at `until`.
-    Busy {
-        /// Check finish time.
-        until: Time,
-    },
+    /// Check timing folded; the storage frees when the check finishes, at
+    /// its checker's `free_at`.
+    Busy,
 }
 
 /// One partition of the load-store log.
@@ -235,8 +233,6 @@ pub struct Segment {
     pub state: SegmentState,
     /// Dynamic index of the first instruction covered.
     pub base_instr: u64,
-    /// Number of macro-instructions covered (set at seal).
-    pub instr_count: u64,
 }
 
 impl Segment {
@@ -251,7 +247,7 @@ impl Segment {
     pub fn with_buffer(capacity: usize, mut buffer: SegmentLog) -> Segment {
         buffer.clear();
         buffer.ensure_capacity(capacity);
-        Segment { log: buffer, capacity, state: SegmentState::Free, base_instr: 0, instr_count: 0 }
+        Segment { log: buffer, capacity, state: SegmentState::Free, base_instr: 0 }
     }
 
     /// Clears the segment back to `Free` for reuse (the entry buffer's
@@ -259,7 +255,6 @@ impl Segment {
     pub fn reset(&mut self) {
         self.log.clear();
         self.state = SegmentState::Free;
-        self.instr_count = 0;
     }
 
     /// Whether another macro-op's worth of entries fits. The paper's

@@ -200,10 +200,9 @@ impl PairedSystem {
 
     /// A compact copy of the system, to start later runs from this point
     /// with [`PairedSystem::from_snapshot`]. The detector's part is a
-    /// clone: its pending checks and rollback window share their replay
-    /// inputs with this run, whose checks still replay and fold at their
-    /// own simulation points, so it continues exactly as if no snapshot
-    /// had been taken.
+    /// clone: its check queue shares its replay inputs with this run,
+    /// whose checks still replay and fold at their own simulation points,
+    /// so it continues exactly as if no snapshot had been taken.
     pub fn snapshot(&mut self) -> SystemSnapshot {
         SystemSnapshot {
             cfg: self.cfg,
@@ -340,7 +339,7 @@ impl PairedSystem {
     /// run to the full budget.
     pub fn advance_until_error(&mut self, max_instrs: u64) -> u64 {
         let mut n = 0;
-        while n < max_instrs && self.det.errors.is_empty() {
+        while n < max_instrs && self.det.folds.errors.is_empty() {
             match self.core.step_block(&mut self.hier, &mut self.det, max_instrs - n) {
                 Ok(out) => n += out.instrs,
                 Err(_) => break,
@@ -369,9 +368,9 @@ impl PairedSystem {
             wall_time: at.max(self.det.all_checks_done_at()),
             halted: self.core.halted(),
             crashed: self.core.crashed().is_some(),
-            errors: self.det.errors.clone(),
-            delays: self.det.delays.clone(),
-            store_delays: self.det.store_delays.clone(),
+            errors: self.det.folds.errors.clone(),
+            delays: self.det.folds.delays.clone(),
+            store_delays: self.det.folds.store_delays.clone(),
             detector: self.det.stats,
             core: self.core.stats,
             mem: self.hier.stats(),
@@ -421,13 +420,4 @@ pub fn run_unchecked_shared(
         checker_segments: 0,
         domains: Vec::new(),
     }
-}
-
-/// Convenience: normalized slowdown of full detection over the unchecked
-/// baseline for `program` (the quantity plotted in Fig. 7/9/13).
-pub fn normalized_slowdown(cfg: &SystemConfig, program: &Program, max_instrs: u64) -> f64 {
-    let base = run_unchecked(cfg, program, max_instrs);
-    let mut sys = PairedSystem::new(*cfg, program);
-    let full = sys.run(max_instrs);
-    full.main_cycles as f64 / base.main_cycles.max(1) as f64
 }

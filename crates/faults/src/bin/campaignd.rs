@@ -50,6 +50,7 @@ use paradet_faults::{
     merge_campaign_on, merged_table, real_fs, run_campaign, run_campaign_shard_on, DynFs,
     ShardRunOptions, ShardSpec, StoreError,
 };
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -65,7 +66,7 @@ fn usage_text() -> String {
          shard options:\n  \
          --dir <dir>               campaign directory (manifest, checkpoints, status, locks)\n  \
          --resume <dir>            like --dir, but continue from the existing checkpoint\n  \
-         --checkpoint-every <n>    trials between checkpoints (default 25)\n  \
+         --checkpoint-every <n>    trials between checkpoints, at least 1 (default 25)\n  \
          --exit-after-checkpoints <k>  abort() after the k-th checkpoint (fault-injection hook)\n\
          \n\
          supervise options:\n  \
@@ -114,7 +115,7 @@ fn main() {
     let supervise_arg: Option<u32> = or_usage(take_parsed(&mut args, "--supervise"));
     let dir_arg = or_usage(take_value(&mut args, "--dir"));
     let resume_arg = or_usage(take_value(&mut args, "--resume"));
-    let every: u64 = or_usage(take_parsed(&mut args, "--checkpoint-every")).unwrap_or(25);
+    let every = or_usage(take_parsed(&mut args, "--checkpoint-every")).map_or(25, NonZeroU64::get);
     let exit_after: Option<u64> = or_usage(take_parsed(&mut args, "--exit-after-checkpoints"));
     let max_restarts: u32 = or_usage(take_parsed(&mut args, "--max-restarts")).unwrap_or(3);
     let heartbeat_timeout_ms: u64 =

@@ -50,6 +50,20 @@ fn bad_option_values_name_the_flag_and_value() {
         let expected = format!("bad {flag} `soon`");
         assert_usage_error(CAMPAIGND, &["--one-shot", flag, "soon"], &[&expected]);
     }
+    // A checkpoint every 0 trials is refused in every mode before anything
+    // is written, `--supervise` included: it would forward the value to
+    // its shards.
+    let dir = std::env::temp_dir().join(format!("paradet-cli-every-{}", std::process::id()));
+    let dir_s = dir.to_str().unwrap();
+    for mode in [
+        &["--one-shot"][..],
+        &["--shard", "0/1", "--dir", dir_s],
+        &["--supervise", "2", "--dir", dir_s],
+    ] {
+        let args = [mode, &["--checkpoint-every", "0"]].concat();
+        assert_usage_error(CAMPAIGND, &args, &["bad --checkpoint-every `0`"]);
+    }
+    assert!(!dir.exists(), "a refused interval must leave no directory");
     assert_usage_error(MERGE, &["--dir", "camp", "--instrs", "many"], &["bad --instrs `many`"]);
 }
 

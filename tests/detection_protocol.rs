@@ -2,8 +2,9 @@
 //! handling under log pressure, checkpoint chaining, first-error ordering,
 //! and termination semantics.
 
-use paradet::detect::{PairedSystem, SystemConfig};
+use paradet::detect::{DetectedError, DomainSet, PairedSystem, SystemConfig};
 use paradet::isa::{AluOp, Program, ProgramBuilder, Reg};
+use paradet::mem::Time;
 use paradet::ooo::{ArmedFault, FaultTarget};
 
 /// A program built almost entirely from paired-memory macro-ops: stresses
@@ -67,12 +68,22 @@ fn paired_ops_under_checker_pressure_still_verify() {
     assert_eq!(report.delays.count(), 1200);
 }
 
+/// Asserts that every error is confirmed when its own and every earlier
+/// check had finished (§IV): at the latest of `finishes` up to its seal.
+fn assert_confirmed_at_prefix_maxima(errors: &[DetectedError], finishes: &[Time]) {
+    for e in errors {
+        let latest = finishes[..=e.seal_seq as usize].iter().max();
+        assert_eq!(Some(&e.confirm_time), latest, "{e}");
+    }
+}
+
 #[test]
 fn first_error_ordering_with_two_faults() {
     // Two independent faults far apart: both segments fail their checks;
     // the first error (by seal sequence) must carry a confirm time no
     // earlier than its detect time, and the error list must identify the
-    // earlier segment as first.
+    // earlier segment as first. The primary farm and both secondary clock
+    // domains confirm each error at the latest finish up to its seal.
     let mut b = ProgramBuilder::new();
     let buf = b.alloc_zeroed(128);
     b.li(Reg::X1, buf as i64);
@@ -88,11 +99,18 @@ fn first_error_ordering_with_two_faults() {
     b.halt();
     let program = b.build();
 
-    let mut sys = PairedSystem::new(SystemConfig::paper_default(), &program);
+    let cfg = SystemConfig::paper_default().with_extra_domains(DomainSet::from_mhz(&[250, 2000]));
+    let mut sys = PairedSystem::new(cfg, &program);
     sys.arm_fault(ArmedFault::new(10_000, FaultTarget::StoreValueBit { bit: 2 }));
     sys.arm_fault(ArmedFault::new(30_000, FaultTarget::StoreValueBit { bit: 9 }));
     let report = sys.run_to_halt();
     assert!(report.errors.len() >= 2, "both faults must be detected: {:?}", report.errors);
+    assert_confirmed_at_prefix_maxima(&report.errors, sys.detector().finish_times());
+    assert_eq!(report.domains.len(), 2);
+    for d in &report.domains {
+        assert_eq!(d.errors.len(), report.errors.len(), "{} MHz", d.domain.mhz());
+        assert_confirmed_at_prefix_maxima(&d.errors, &d.finishes);
+    }
     let first = report.first_error().unwrap();
     for e in &report.errors {
         assert!(first.seal_seq <= e.seal_seq);
