@@ -146,13 +146,9 @@ fn main() {
             // The chaos hook: PARADET_CHAOS (set by the supervisor or a
             // test) replays a scripted fault plan over this shard's store
             // I/O. Kills are real aborts — this is a real process.
-            let fs: DynFs = match ChaosFs::from_env(KillMode::Abort) {
-                Ok(Some(chaos)) => Arc::new(chaos),
-                Ok(None) => real_fs(),
-                Err(e) => {
-                    eprintln!("campaignd: PARADET_CHAOS: {e}");
-                    usage();
-                }
+            let fs: DynFs = match or_usage(ChaosFs::from_env(KillMode::Abort)) {
+                Some(chaos) => Arc::new(chaos),
+                None => real_fs(),
             };
             let opts = ShardRunOptions { shard, checkpoint_every: every, resume };
             let mut checkpoints = 0u64;

@@ -362,15 +362,15 @@ impl ChaosFs {
     /// Builds a chaos filesystem from `PARADET_CHAOS` (the script) and
     /// `PARADET_CHAOS_ATTEMPT` (the incarnation, default 0) — how the
     /// `campaignd` binary picks up the supervisor's fault plan. `None`
-    /// when no script is set; a malformed script is an error, not a
-    /// silently clean run.
+    /// when no script is set. A malformed script or attempt is an error
+    /// that names its variable, not a silently clean run or attempt 0.
     pub fn from_env(kill_mode: KillMode) -> Result<Option<ChaosFs>, String> {
         let Ok(script) = std::env::var("PARADET_CHAOS") else {
             return Ok(None);
         };
-        let attempt =
-            std::env::var("PARADET_CHAOS_ATTEMPT").ok().and_then(|a| a.parse().ok()).unwrap_or(0);
-        Ok(Some(ChaosFs::new(ChaosScript::parse(&script)?, attempt, kill_mode)))
+        let script = ChaosScript::parse(&script).map_err(|e| format!("PARADET_CHAOS: {e}"))?;
+        let attempt = paradet_par::try_env_setting("PARADET_CHAOS_ATTEMPT")?.unwrap_or(0);
+        Ok(Some(ChaosFs::new(script, attempt, kill_mode)))
     }
 
     /// Whether a scripted kill has already fired (Panic mode only).

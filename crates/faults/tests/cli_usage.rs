@@ -13,12 +13,18 @@ fn run(bin: &str, args: &[&str]) -> Output {
 
 /// Asserts a usage error whose message contains every one of `needles`.
 fn assert_usage_error(bin: &str, args: &[&str], needles: &[&str]) {
-    let out = run(bin, args);
+    assert_refused(Command::new(bin).args(args), needles);
+}
+
+/// Runs `cmd` and asserts a usage error whose message contains every one
+/// of `needles`.
+fn assert_refused(cmd: &mut Command, needles: &[&str]) {
+    let out = cmd.output().expect("spawn the binary");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    assert_eq!(out.status.code(), Some(2), "{cmd:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{cmd:?} printed to stdout");
     for needle in needles {
-        assert!(stderr.contains(needle), "{args:?}: `{needle}` missing from\n{stderr}");
+        assert!(stderr.contains(needle), "{cmd:?}: `{needle}` missing from\n{stderr}");
     }
 }
 
@@ -106,6 +112,26 @@ fn an_overflowing_grid_is_refused_before_anything_is_written() {
     );
     assert!(!dir.exists(), "a refused grid must leave no directory");
     assert_usage_error(MERGE, &[&["--partial", "--dir", dir_s][..], &grid].concat(), &needles);
+}
+
+/// The chaos hook's environment is refused like a malformed flag, under
+/// the name of the variable at fault, before the shard writes anything.
+#[test]
+fn malformed_chaos_settings_name_their_variable() {
+    let dir = std::env::temp_dir().join(format!("paradet-cli-chaos-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+    let args = ["--shard", "0/1", "--dir", dir_s, "--instrs", "2500", "--sites", "int-reg"];
+    for (script, attempt, needle) in [
+        ("0:fail-ckpt-write@0", "x", "campaignd: PARADET_CHAOS_ATTEMPT=x: "),
+        ("0:fail-ckpt-write@0", "-1", "campaignd: PARADET_CHAOS_ATTEMPT=-1: "),
+        ("0:fail-ckpt-write", "0", "campaignd: PARADET_CHAOS: chaos entry `0:fail-ckpt-write`"),
+    ] {
+        let mut cmd = Command::new(CAMPAIGND);
+        cmd.args(args).env("PARADET_CHAOS", script).env("PARADET_CHAOS_ATTEMPT", attempt);
+        assert_refused(&mut cmd, &[needle]);
+        assert!(!dir.exists(), "a refused chaos setting must leave no directory");
+    }
 }
 
 #[test]

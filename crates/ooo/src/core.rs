@@ -8,7 +8,9 @@
 //! issue, complete and commit cycles subject to:
 //!
 //! * fetch width + I-cache line timing + branch-predictor redirects,
-//! * in-order dispatch bounded by ROB/IQ/LQ/SQ/physical-register occupancy,
+//! * dispatch width, bounded by the occupancy windows a micro-op uses: the
+//!   ROB and IQ always, the LQ or SQ for a load or store, and a
+//!   physical-register free list when it writes a register,
 //! * operand readiness through renamed registers (RAW only),
 //! * functional-unit pools (3 int ALUs, 2 FP ALUs, 1 unpipelined mul/div,
 //!   2 L1D ports) and issue width,
@@ -17,6 +19,12 @@
 //! * in-order commit with width, write-buffer and *detection-hardware*
 //!   gating: the sink can pause commit (register checkpoints) or make it
 //!   retry (load-store log full).
+//!
+//! Dispatch is not in program order. Each micro-op waits only on the
+//! windows it uses, so it can dispatch before an older micro-op that
+//! waited on a window it does not need. Fetch and commit requests never go
+//! back in time, so their width is a per-cycle counter ([`Bandwidth`]);
+//! dispatch and issue requests can, so those widths are unit pools.
 //!
 //! Because micro-ops are finalized strictly in program order, detection
 //! hardware attached via [`DetectionSink`] observes exactly the committed
@@ -29,7 +37,7 @@
 use crate::config::OooConfig;
 use crate::fault::{ArmedFault, FaultTarget};
 use crate::predictor::{PredictorSnapshot, TournamentPredictor};
-use crate::resources::{FifoOccupancy, SlotPool, UnorderedOccupancy};
+use crate::resources::{Bandwidth, FifoOccupancy, SlotPool, UnorderedOccupancy};
 use crate::types::{CommitEvent, CommitGate, DetectionSink};
 use paradet_isa::{
     ArchState, ExecError, Instruction, MemAccess, PreUop, Program, Reg, UopClass, INSN_BYTES,
@@ -174,10 +182,10 @@ pub struct OooCore {
     state: ArchState,
     pred: TournamentPredictor,
     // Resource pools, all in core cycles.
-    fetch_slots: SlotPool,
+    fetch_slots: Bandwidth,
     dispatch_slots: SlotPool,
     issue_slots: SlotPool,
-    commit_slots: SlotPool,
+    commit_slots: Bandwidth,
     int_alus: SlotPool,
     fp_alus: SlotPool,
     mul_div: SlotPool,
@@ -207,6 +215,8 @@ pub struct OooCore {
     /// same window.
     dispatch_gate: u64,
     seq: u64,
+    /// `seq % rob_entries`: the ROB slot of the next micro-op.
+    rob_slot: usize,
     instr_index: u64,
     halted: bool,
     crashed: Option<ExecError>,
@@ -245,10 +255,10 @@ impl OooCore {
         let state = ArchState::at_entry(&program);
         OooCore {
             pred: TournamentPredictor::new(cfg.predictor),
-            fetch_slots: SlotPool::new(cfg.width),
+            fetch_slots: Bandwidth::new(cfg.width),
             dispatch_slots: SlotPool::new(cfg.width),
             issue_slots: SlotPool::new(cfg.width),
-            commit_slots: SlotPool::new(cfg.width),
+            commit_slots: Bandwidth::new(cfg.width),
             int_alus: SlotPool::new(cfg.int_alus),
             fp_alus: SlotPool::new(cfg.fp_alus),
             mul_div: SlotPool::new(cfg.mul_div_units),
@@ -269,6 +279,7 @@ impl OooCore {
             commit_gate: 0,
             dispatch_gate: 0,
             seq: 0,
+            rob_slot: 0,
             instr_index: 0,
             halted: false,
             crashed: None,
@@ -453,7 +464,7 @@ impl OooCore {
             let is_term = i + 1 == end;
 
             // ---- Fetch timing ---------------------------------------------
-            let (_, fslot) = self.fetch_slots.take(self.next_fetch_cycle, 1);
+            let fslot = self.fetch_slots.take(self.next_fetch_cycle);
             self.note_event(fslot + 1);
             let line = pc & !63;
             if line != self.last_fetch_line {
@@ -550,9 +561,7 @@ impl OooCore {
             }
 
             // ---- Load-forwarding-unit capture events ----------------------
-            // `(seq + k) % rob_entries`, maintained incrementally: one
-            // divide per instruction instead of one per uop.
-            let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
+            let mut rob_slot = self.rob_slot;
             for (k, p) in pre.iter().enumerate() {
                 if p.class == UopClass::Load {
                     let a = step.mem[k];
@@ -618,9 +627,7 @@ impl OooCore {
             }
 
             // ---- In-order commit with detection gating --------------------
-            // `(seq + k) % rob_entries`, maintained incrementally (see the
-            // load capture loop above).
-            let mut rob_slot = (self.seq % self.cfg.rob_entries as u64) as usize;
+            let mut rob_slot = self.rob_slot;
             for (k, p) in pre.iter().enumerate() {
                 let class = p.class;
                 let complete = completes[k];
@@ -637,8 +644,7 @@ impl OooCore {
                         self.note_event(done_cycle);
                     }
                 }
-                let (_, slot) = self.commit_slots.take(commit, 1);
-                commit = commit.max(slot);
+                commit = self.commit_slots.take(commit);
 
                 let ev = CommitEvent {
                     seq: self.seq + k as u64,
@@ -714,6 +720,7 @@ impl OooCore {
             }
 
             self.seq += pre.len() as u64;
+            self.rob_slot = rob_slot;
             self.instr_index += 1;
             self.stats.committed_instrs += 1;
             self.stats.last_commit_cycle = self.last_commit;
@@ -751,7 +758,7 @@ impl OooCore {
         let lat = self.cfg.lat;
         let is_load = p.class == UopClass::Load;
         let is_store = p.class == UopClass::Store;
-        // Dispatch: in-order, bounded by window occupancy and any
+        // Dispatch: bounded by the windows this micro-op uses and any
         // checkpoint-copy pause.
         let mut disp = (fetch_cycle + self.cfg.front_depth).max(self.dispatch_gate);
         if self.cfg.event_skip && disp >= self.horizon {

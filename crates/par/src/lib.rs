@@ -8,8 +8,10 @@
 //! `PARADET_THREADS` environment variable. Parallelism is across
 //! simulations only: one simulation, checker farm included, runs on one
 //! thread.
-//! It also holds [`env_setting`], the one reader of the workspace's numeric
-//! environment settings (`PARADET_THREADS`, `PARADET_INSTRS`).
+//! It also reads the workspace's numeric environment settings
+//! (`PARADET_THREADS`, `PARADET_INSTRS`, `PARADET_CHAOS_ATTEMPT`):
+//! [`try_env_setting`] returns a malformed value as an error, and
+//! [`env_setting`] panics on it.
 //!
 //! # Determinism
 //!
@@ -68,20 +70,32 @@ where
     value.parse().map_err(|e| format!("{name}={value}: {e}"))
 }
 
-/// Reads the environment variable `name` as a `T`; `None` when it is unset.
-/// A `NonZero*` type rejects zero.
+/// Reads the environment variable `name` as a `T`; `Ok(None)` when it is
+/// unset. A `NonZero*` type rejects zero.
 ///
-/// # Panics
+/// # Errors
 ///
 /// When the variable is set but does not parse as a `T`, with a message
 /// naming the variable and its value: a typo stops the run instead of
 /// silently running a default.
+pub fn try_env_setting<T: FromStr>(name: &str) -> Result<Option<T>, String>
+where
+    T::Err: Display,
+{
+    std::env::var_os(name).map(|value| parse_setting(name, &value.to_string_lossy())).transpose()
+}
+
+/// [`try_env_setting`] for settings read where there is no error to return.
+///
+/// # Panics
+///
+/// When the variable is set but does not parse as a `T`, with the message
+/// of [`try_env_setting`]'s error.
 pub fn env_setting<T: FromStr>(name: &str) -> Option<T>
 where
     T::Err: Display,
 {
-    let value = std::env::var_os(name)?;
-    Some(parse_setting(name, &value.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")))
+    try_env_setting(name).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs `f` with [`num_threads`] forced to `n` on the current thread.

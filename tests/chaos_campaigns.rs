@@ -327,3 +327,91 @@ proptest! {
         }
     }
 }
+
+/// The chaos script grammar's words.
+const CHAOS_VERBS: [&str; 5] = ["torn", "abort", "fail", "drop", "stall"];
+const CHAOS_CLASSES: [&str; 5] = ["manifest", "ckpt", "status", "lock", "any"];
+const CHAOS_OPS: [&str; 4] = ["write", "rename", "read", "remove"];
+const CHAOS_SEPARATORS: [&str; 6] = [":", "-", "@", "=", ";", " "];
+/// Spellings of an attempt or index in range: signed, zero-padded, spaced,
+/// the largest.
+const CHAOS_COUNTS: [&str; 6] = ["0", "1", "+7", "007", " 3", "4294967295"];
+/// Spellings of an `arg` in range, the extremes among them.
+const CHAOS_ARGS: [&str; 5] = ["-7", "0", "+24", "9223372036854775807", "-9223372036854775808"];
+/// Numbers out of range for every field, and near-miss words.
+const CHAOS_MISSES: [&str; 7] =
+    ["4294967296", "-9223372036854775809", "18446744073709551616", "1e3", "tear", "log", "sync"];
+
+/// A chaos script to parse, then damaged by `edits`. Before the damage it
+/// is, by `seed`, a random script's rendering, entries assembled from the
+/// grammar's words by `draws`, or words of every kind strung together in
+/// any order. An edit flips, inserts or cuts a byte, or splices in a
+/// separator or a number.
+fn damaged_script(seed: u64, draws: &[u64], edits: &[(u8, u64, u64)]) -> String {
+    let pick = |list: &[&'static str], r: u64| list[(r % list.len() as u64) as usize];
+    let entry = |r: u64| {
+        let (verb, class, op) =
+            (pick(&CHAOS_VERBS, r >> 8), pick(&CHAOS_CLASSES, r >> 16), pick(&CHAOS_OPS, r >> 24));
+        let (attempt, index) = (pick(&CHAOS_COUNTS, r), pick(&CHAOS_COUNTS, r >> 32));
+        let arg = if r >> 63 == 0 { "" } else { pick(&CHAOS_ARGS, r >> 40) };
+        let eq = if arg.is_empty() { "" } else { "=" };
+        format!("{attempt}:{verb}-{class}-{op}@{index}{eq}{arg}")
+    };
+    let lists = [
+        &CHAOS_VERBS[..],
+        &CHAOS_CLASSES,
+        &CHAOS_OPS,
+        &CHAOS_SEPARATORS,
+        &CHAOS_COUNTS,
+        &CHAOS_ARGS,
+        &CHAOS_MISSES,
+    ];
+    let mut text = match seed % 3 {
+        0 => ChaosScript::random(seed, 4).render(),
+        1 => draws.iter().take(3).map(|&r| entry(r)).collect::<Vec<_>>().join(";"),
+        _ => draws.iter().map(|&r| pick(lists[(r % 7) as usize], r >> 8)).collect(),
+    }
+    .into_bytes();
+    for &(kind, at, n) in edits {
+        let i = (at % (text.len() as u64 + 1)) as usize;
+        match kind {
+            0 if i < text.len() => text[i] ^= (n as u8).max(1),
+            0 | 1 => text.insert(i, n as u8),
+            2 => text.truncate(i),
+            _ => {
+                let words = if kind == 3 { &CHAOS_SEPARATORS[..] } else { &CHAOS_MISSES };
+                text.splice(i..i, pick(words, n).bytes());
+            }
+        }
+    }
+    String::from_utf8_lossy(&text).into_owned()
+}
+
+proptest! {
+    /// Part 2 of "inputs can't crash it", for the chaos script grammar that
+    /// `--chaos` and `PARADET_CHAOS` carry: a random, assembled or
+    /// word-soup script, damaged or not, is refused with an error naming
+    /// the entry, or read as a script whose rendering parses back to the
+    /// same script. The parser never panics.
+    #[test]
+    fn chaos_scripts_parse_or_refuse_and_round_trip(
+        seed in any::<u64>(),
+        draws in proptest::collection::vec(any::<u64>(), 0..12),
+        edits in proptest::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 0..3),
+    ) {
+        let text = damaged_script(seed, &draws, &edits);
+        let parsed = std::panic::catch_unwind(|| ChaosScript::parse(&text));
+        prop_assert!(parsed.is_ok(), "ChaosScript::parse panicked on {text:?}");
+        match parsed.unwrap() {
+            Ok(script) => {
+                let rendered = script.render();
+                let again = ChaosScript::parse(&rendered);
+                prop_assert!(
+                    again.as_ref() == Ok(&script),
+                    "{text:?} reads as {script:?}, whose rendering {rendered:?} reads back as {again:?}"
+                );
+            }
+            Err(e) => prop_assert!(e.starts_with("chaos entry `"), "{text:?}: {e}"),
+        }
+    }
+}
